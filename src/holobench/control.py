@@ -11,12 +11,27 @@ orders needing a move are served in the same rank order; the destination is
 the output station when routing is done, otherwise the nearest believed-up,
 unblocked machine capable of the next step (ties on machine id); the shuttle
 is the idle one nearest the product (ties on shuttle id).
+
+A round costs what is on the floor, not the whole order book.  The decision
+phase keeps four indexes: the unreleased holons in (release, id) order, so
+only those whose release time has come are looked at; the released open
+holons in rank order, joined by insertion on release, re-sorted only after a
+``set-priority`` and pruned as holons close; per (node, operation), the
+capable machines in (travel, id) order, built on first use; and a count of
+open holons for the idle test.  One pass over the ranked holons issues the
+cancels, lists the waiting products and gives each idle machine the first
+one at its node that it can serve.  Transport walks that list in rank order
+and stops looking for shuttles for unserved products once no shuttle is idle
+and unassigned.  Invariant: every round issues exactly the commands, in
+exactly the order, that the dispatch and transport rules above give when
+applied to every holon.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .messages import ControlCommand, ControlDirective, Notice, SimEvent
@@ -130,6 +145,10 @@ class _OrderHolon:
         return (-self.spec.priority, self.spec.due, self.spec.id)
 
 
+def _release_key(h: _OrderHolon) -> tuple[int, str]:
+    return (h.spec.release, h.spec.id)
+
+
 @dataclass
 class _ResourceHolon:
     id: str
@@ -172,6 +191,13 @@ class ReferenceControl:
             for sid, spec in sorted(model.shuttles.items())
         }
         self.stats = ControlStats()
+        # Decision indexes (see the module docstring).
+        self._open = 0
+        self._unreleased: list[_OrderHolon] = []
+        self._ranked: list[_OrderHolon] = []
+        self._rerank = False
+        self._prune = False
+        self._capable: dict[tuple[str, str], list[_ResourceHolon]] = {}
 
     # -- session wiring -------------------------------------------------------
 
@@ -184,6 +210,16 @@ class ReferenceControl:
     def load_orders(self, orders: Iterable[ProductOrder]) -> None:
         for o in orders:
             self._orders[o.id] = _OrderHolon(spec=o)
+        holons = self._orders.values()
+        self._open = sum(h.open_ for h in holons)
+        self._unreleased = sorted(
+            (h for h in holons if h.open_ and not h.released), key=_release_key
+        )
+        self._ranked = sorted((h for h in holons if h.open_ and h.released), key=_OrderHolon.rank)
+
+    def _note_closed(self) -> None:
+        self._open -= 1
+        self._prune = True
 
     # -- belief updates --------------------------------------------------------
 
@@ -197,7 +233,9 @@ class ReferenceControl:
                 return
             if any(not self.model.capable_machines(op) for op in spec.routing):
                 return
-            self._orders[spec.id] = _OrderHolon(spec=spec)
+            h = self._orders[spec.id] = _OrderHolon(spec=spec)
+            self._open += 1
+            bisect.insort(self._unreleased, h, key=_release_key)
             self.stats.directives_handled += 1
         elif d.kind == "cancel-order":
             h = self._orders.get(d.order_id or "")
@@ -207,6 +245,7 @@ class ReferenceControl:
             if not h.released and not h.release_sent:
                 # Never hit the floor; cancel is a pure book operation.
                 h.cancelled = True
+                self._note_closed()
             self.stats.directives_handled += 1
         elif d.kind == "set-priority":
             h = self._orders.get(d.order_id or "")
@@ -219,6 +258,7 @@ class ReferenceControl:
                 due=h.spec.due,
                 priority=d.priority,
             )
+            self._rerank = True
             self.stats.directives_handled += 1
         elif d.kind == "announce-breakdown":
             r = self._machines.get(d.machine or "")
@@ -235,8 +275,16 @@ class ReferenceControl:
 
     def _apply_event(self, ev: SimEvent) -> None:
         h = self._orders.get(ev.order) if ev.order else None
+        was_open = h is not None and h.open_
+        self._apply_event_to(ev, h)
+        if was_open and not h.open_:
+            self._note_closed()
+
+    def _apply_event_to(self, ev: SimEvent, h: _OrderHolon | None) -> None:
         if ev.kind == "order-released":
             if h is not None:
+                if h.open_ and not h.released:
+                    bisect.insort(self._ranked, h, key=_OrderHolon.rank)
                 h.released = True
                 h.node = ev.node
         elif ev.kind == "shuttle-departed":
@@ -369,70 +417,92 @@ class ReferenceControl:
         op = h.next_operation
         if op is None:
             return self.model.output_station
-        best: tuple[int, str] | None = None
+        capable = self._capable.get((h.node, op))
+        if capable is None:
+            capable = self._capable[(h.node, op)] = self._capable_from(h.node, op)
+        for r in capable:
+            if r.up and not r.blocked:
+                return r.node
+        return None
+
+    def _capable_from(self, node: str, op: str) -> list[_ResourceHolon]:
+        """Machines performing ``op`` reachable from ``node``, by (travel, id)."""
+        reachable = []
         for mid, r in self._machines.items():
-            if op not in r.operations or not r.up or r.blocked:
+            travel = self.model.travel_time(node, r.node) if op in r.operations else None
+            if travel is not None:
+                reachable.append((travel, mid))
+        return [self._machines[mid] for _, mid in sorted(reachable)]
+
+    def _release_due(self, now: int, commands: list[ControlCommand]) -> None:
+        """Release, in id order, every order whose release time has come."""
+        due: list[_OrderHolon] = []
+        kept: list[_OrderHolon] = []
+        scanned = 0
+        for h in self._unreleased:
+            if h.spec.release > now:
+                break
+            scanned += 1
+            if h.released or not h.open_:
                 continue
-            travel = self.model.travel_time(h.node, r.node) if h.node is not None else None
-            if travel is None:
-                continue
-            key = (travel, mid)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            return None
-        return self._machines[best[1]].node
+            kept.append(h)
+            if not h.release_sent and not h.cancel_requested:
+                due.append(h)
+        self._unreleased[:scanned] = kept
+        for h in sorted(due, key=lambda h: h.spec.id):
+            commands.append(ControlCommand(kind="release-order", order=h.spec.id))
+            h.release_sent = True
 
     def _decide(self, now: int) -> list[ControlCommand]:
         commands: list[ControlCommand] = []
-        holons = sorted(self._orders.values(), key=lambda h: h.rank())
+        self._release_due(now, commands)
+        if self._prune:
+            self._ranked = [h for h in self._ranked if h.open_]
+            self._prune = False
+        if self._rerank:
+            self._ranked.sort(key=_OrderHolon.rank)
+            self._rerank = False
 
-        for h in sorted(self._orders.values(), key=lambda h: h.spec.id):
-            if h.open_ and not h.released and not h.release_sent and not h.cancel_requested:
-                if h.spec.release <= now:
-                    commands.append(ControlCommand(kind="release-order", order=h.spec.id))
-                    h.release_sent = True
+        # Each node hosts at most one machine, so an idle machine takes the
+        # first waiting product at its node that it can serve.
+        idle = {
+            r.node: r for r in self._machines.values()
+            if r.up and not r.blocked and r.busy_order is None and not r.claimed
+        }
+        picks: dict[str, _OrderHolon] = {}
+        waiting: list[_OrderHolon] = []
+        for h in self._ranked:
+            if h.cancel_requested:
+                if (
+                    not h.cancel_sent
+                    and not h.in_transit
+                    and h.processing_at is None
+                    and h.node is not None
+                ):
+                    commands.append(ControlCommand(kind="cancel-order", order=h.spec.id))
+                    h.cancel_sent = True
+            elif not (h.in_transit or h.processing_at or h.dispatched_to or h.node is None):
+                waiting.append(h)
+                r = idle.get(h.node)
+                if r is not None and r.id not in picks and h.next_operation in r.operations:
+                    picks[r.id] = h
 
-        for h in holons:
-            if (
-                h.open_
-                and h.cancel_requested
-                and h.released
-                and not h.cancel_sent
-                and not h.in_transit
-                and h.processing_at is None
-                and h.node is not None
-            ):
-                commands.append(ControlCommand(kind="cancel-order", order=h.spec.id))
-                h.cancel_sent = True
-
-        for mid, r in sorted(self._machines.items()):
-            if not r.up or r.blocked or r.busy_order is not None or r.claimed:
-                continue
-            best: _OrderHolon | None = None
-            for h in holons:
-                if not h.open_ or h.cancel_requested or not h.released:
-                    continue
-                if h.in_transit or h.processing_at or h.dispatched_to:
-                    continue
-                if h.node != r.node or h.next_operation not in r.operations:
-                    continue
-                best = h
-                break
-            if best is not None:
-                commands.append(
-                    ControlCommand(
-                        kind="start-op", machine=mid, order=best.spec.id,
-                        operation=best.next_operation,
-                    )
+        for mid in sorted(picks):
+            h = picks[mid]
+            commands.append(
+                ControlCommand(
+                    kind="start-op", machine=mid, order=h.spec.id, operation=h.next_operation,
                 )
-                best.dispatched_to = mid
-                r.claimed = True
+            )
+            h.dispatched_to = mid
+            self._machines[mid].claimed = True
 
-        for h in holons:
-            if not h.open_ or h.cancel_requested or not h.released:
-                continue
-            if h.in_transit or h.processing_at or h.dispatched_to or h.node is None:
+        free = sum(
+            1 for s in self._shuttles.values()
+            if not s.moving and s.assigned_order is None and s.node is not None
+        )
+        for h in waiting:
+            if h.dispatched_to or (h.assigned_shuttle is None and not free):
                 continue
             dest = self._dest_for(h)
             if dest is None or dest == h.node:
@@ -440,6 +510,8 @@ class ReferenceControl:
             shuttle = self._pick_shuttle(h)
             if shuttle is None:
                 continue
+            if h.assigned_shuttle is None:
+                free -= 1
             if shuttle.node == h.node:
                 commands.append(
                     ControlCommand(
@@ -461,7 +533,7 @@ class ReferenceControl:
             s = self._shuttles[h.assigned_shuttle]
             return None if s.moving else s
         best: tuple[int, str] | None = None
-        for sid, s in sorted(self._shuttles.items()):
+        for sid, s in self._shuttles.items():
             if s.moving or s.assigned_order is not None or s.node is None:
                 continue
             travel = self.model.travel_time(s.node, h.node) if h.node else None
@@ -492,7 +564,7 @@ class ReferenceControl:
             self._apply_notice(n)
         commands = self._decide(now)
         self.stats.commands_issued += len(commands)
-        idle = not commands and all(not h.open_ for h in self._orders.values())
+        idle = not commands and self._open == 0
         return commands, idle
 
     def export_kpi(self) -> dict[str, int]:

@@ -415,7 +415,8 @@ def recompute_from_log(log: bytes) -> KpiReport:
 
     Reads nothing but the session log: order dues come from the run-meta
     record and insert-order directives, events from the batches.  Used as
-    the oracle against ``KpiEngine.finalize``.
+    the oracle against ``KpiEngine.finalize``, and as strict: a machine
+    event that contradicts the machine's state raises ``StreamError``.
     """
     from .interface import parse_log  # local import to avoid a module cycle
 
@@ -488,19 +489,27 @@ def recompute_from_log(log: bytes) -> KpiReport:
         m = e.get("machine")
         k = e["kind"]
         if k == "op-started":
+            if m in open_busy:
+                raise StreamError(f"op-started on already busy machine {m!r}")
             open_busy[m] = e["time"]
             busy_order[m] = e["order"]
-        elif k == "op-finished" and m in open_busy:
+        elif k == "op-finished":
+            if m not in open_busy:
+                raise StreamError(f"op-finished on idle machine {m!r}")
             busy.setdefault(m, []).append((open_busy.pop(m), e["time"]))
         elif k == "machine-down":
             if m in open_busy:
                 busy.setdefault(m, []).append((open_busy.pop(m), e["time"]))
             open_down[m] = e["time"]
-        elif k == "machine-up" and m in open_down:
+        elif k == "machine-up":
+            if m not in open_down:
+                raise StreamError(f"machine-up on machine {m!r} that was not down")
             down.setdefault(m, []).append((open_down.pop(m), e["time"]))
         elif k == "supply-blocked":
             open_blocked[m] = e["time"]
-        elif k == "supply-restored" and m in open_blocked:
+        elif k == "supply-restored":
+            if m not in open_blocked:
+                raise StreamError(f"supply-restored on machine {m!r} that was not blocked")
             blocked.setdefault(m, []).append((open_blocked.pop(m), e["time"]))
         elif k == "product-rejected" and m is not None:
             if m in open_busy and busy_order.get(m) == e["order"]:

@@ -1,6 +1,8 @@
 """Reference control: order book, belief updates, dispatch policy and the
 closed loop against the kernel."""
 
+import json
+
 import pytest
 
 from holobench.control import (
@@ -12,6 +14,7 @@ from holobench.control import (
 )
 from holobench.kernel import EmulationKernel
 from holobench.messages import ControlDirective, Notice, SimEvent
+from holobench.model import load_model
 
 
 def order(oid, routing=("A",), release=0, due=60, priority=0):
@@ -264,6 +267,136 @@ class TestBeliefRepair:
                     info={"policy": "scrap"})
         commands, idle = control.on_round(0, [], [reject], [])
         assert commands == [] and idle
+
+
+# Two machines both perform A; M1 is nearer to IN than M2.
+TWIN_MODEL = {
+    "machines": {
+        "M1": {"node": "M1", "operations": {"A": 10}},
+        "M2": {"node": "M2", "operations": {"A": 10}},
+    },
+    "transport": {
+        "nodes": ["IN", "M1", "M2", "OUT"],
+        "edges": [
+            {"from": a, "to": b, "travel": 3 if "M1" in (a, b) else 6}
+            for a in ("IN", "M1", "M2", "OUT")
+            for b in ("IN", "M1", "M2", "OUT")
+            if a != b
+        ],
+    },
+    "shuttles": {"S1": {"home": "IN"}, "S2": {"home": "IN"}, "S3": {"home": "IN"}},
+    "stations": {"input": "IN", "output": "OUT"},
+}
+
+
+def rejected(cmd):
+    return Notice(time=0, kind="command-rejected", reason="test", command=cmd.to_dict())
+
+
+class TestDecisionIndexes:
+    """Every way a cached decision table can go stale, seen through on_round."""
+
+    def test_set_priority_after_rank_cache_is_built(self, control):
+        control.load_orders([order("O1", due=10), order("O2", due=20), order("O3", due=30)])
+        control.on_round(0, [], [], [])
+        released = [ev("order-released", order=o, node="M1", seq=i + 1)
+                    for i, o in enumerate(["O1", "O2", "O3"])]
+        (start,) = control.on_round(0, [], released, [])[0]
+        assert (start.kind, start.order) == ("start-op", "O1")
+        walk = [ev("op-started", machine="M1", order="O1", node="M1", seq=4),
+                ev("op-finished", machine="M1", order="O1", node="M1", seq=5, time=10)]
+        promote = ControlDirective(kind="set-priority", order_id="O3", priority=9)
+        commands, _ = control.on_round(10, [promote], walk, [])
+        starts = [c.order for c in commands if c.kind == "start-op"]
+        assert starts == ["O3"]
+
+    def test_insert_order_sorting_before_pending_releases(self, control):
+        control.load_orders([order("O2"), order("O3", release=50), order("O5", release=20)])
+        assert [c.order for c in control.on_round(0, [], [], [])[0]] == ["O2"]
+        inserts = [
+            ControlDirective(kind="insert-order", order={
+                "id": oid, "routing": ["A"], "release": release, "due": 99})
+            for oid, release in (("O1", 50), ("O4", 20))
+        ]
+        assert control.on_round(10, inserts, [], [])[0] == []
+        commands, _ = control.on_round(20, [], [], [])
+        assert [(c.kind, c.order) for c in commands] == [
+            ("release-order", "O4"), ("release-order", "O5"),
+        ]
+        commands, _ = control.on_round(50, [], [], [])
+        assert [(c.kind, c.order) for c in commands] == [
+            ("release-order", "O1"), ("release-order", "O3"),
+        ]
+
+    def test_rejected_move_is_retried(self, control):
+        control.load_orders([order("O1")])
+        control.on_round(0, [], [], [])
+        (move,) = control.on_round(0, [], [ev("order-released", order="O1", node="IN")], [])[0]
+        assert (move.shuttle, move.carry) == ("S1", "O1")
+        (again,) = control.on_round(1, [], [], [rejected(move)])[0]
+        assert again == move
+        assert control.export_kpi()["reschedules"] == 1
+
+    def test_breakdown_and_repair_flip_the_destination(self):
+        control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
+        control.load_orders([order("O1"), order("O2", release=1), order("O3", release=2)])
+        control.on_round(0, [], [], [])
+        (m1,) = control.on_round(0, [], [ev("order-released", order="O1", node="IN")], [])[0]
+        assert (m1.carry, m1.destination) == ("O1", "M1")
+        down = [ev("shuttle-departed", shuttle="S1", order="O1", node="IN", time=1, seq=2),
+                ev("machine-down", machine="M1", node="M1", time=1, seq=3)]
+        control.on_round(1, [], down, [])  # releases O2
+        (m2,) = control.on_round(
+            1, [], [ev("order-released", order="O2", node="IN", time=1, seq=4)], [])[0]
+        assert (m2.carry, m2.destination) == ("O2", "M2")
+        up = [ev("shuttle-departed", shuttle="S2", order="O2", node="IN", time=2, seq=5),
+              ev("machine-up", machine="M1", node="M1", time=2, seq=6)]
+        control.on_round(2, [], up, [])  # releases O3
+        (m3,) = control.on_round(
+            2, [], [ev("order-released", order="O3", node="IN", time=2, seq=7)], [])[0]
+        assert (m3.carry, m3.destination) == ("O3", "M1")
+
+    def test_closed_holons_never_reappear(self, control):
+        control.load_orders([order("O1"), order("O2"), order("O3", release=90)])
+        control.on_round(0, [], [], [])
+        walk = [
+            ev("order-released", order="O1", node="M1", seq=1),
+            ev("order-released", order="O2", node="OUT", seq=2),
+            ev("op-started", machine="M1", order="O1", node="M1", seq=3),
+            ev("op-finished", machine="M1", order="O1", node="M1", seq=4, time=10),
+            ev("product-rejected", order="O1", node="M1", seq=5, time=10,
+               info={"policy": "scrap"}),
+            ev("order-completed", order="O2", node="OUT", seq=6, time=10),
+        ]
+        assert control.on_round(10, [], walk, [])[0] == []
+        # neither a re-rank nor a later arrival may bring either back
+        directives = [ControlDirective(kind="set-priority", order_id=o, priority=9)
+                      for o in ("O1", "O2")]
+        assert control.on_round(11, directives, [], [])[0] == []
+        commands, idle = control.on_round(90, [], [], [])
+        assert [(c.kind, c.order) for c in commands] == [("release-order", "O3")]
+        commands, idle = control.on_round(
+            90, [], [ev("order-released", order="O3", node="IN", time=90, seq=7)], [])
+        assert {c.carry for c in commands} == {"O3"} and not idle
+
+    @pytest.mark.parametrize("last_closure", ["completed", "cancelled-before-release"])
+    def test_idle_exactly_when_last_holon_closes(self, control, last_closure):
+        control.load_orders([order("O1"), order("O2", release=50)])
+        assert control.on_round(0, [], [], [])[1] is False
+        walk = [
+            ev("order-released", order="O1", node="OUT", seq=1),
+            ev("order-completed", order="O1", node="OUT", seq=2, time=5),
+        ]
+        cancel = ControlDirective(kind="cancel-order", order_id="O2")
+        if last_closure == "completed":
+            commands, idle = control.on_round(1, [cancel], [], [])
+            assert commands == [] and idle is False  # O1 is still on the floor
+            commands, idle = control.on_round(5, [], walk, [])
+        else:
+            commands, idle = control.on_round(5, [], walk, [])
+            assert commands == [] and idle is False  # O2 still waits for t=50
+            commands, idle = control.on_round(6, [cancel], [], [])
+        assert commands == [] and idle is True
 
 
 class TestClosedLoop:

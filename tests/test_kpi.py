@@ -4,7 +4,7 @@ and equivalence between the streaming path and the whole-log recompute."""
 import pytest
 
 from holobench.harness import run_single
-from holobench.interface import decode_line, make_record, parse_log
+from holobench.interface import decode_line, encode_record, make_record, parse_log
 from holobench.kpi import (
     ConservationError,
     KpiEngine,
@@ -296,3 +296,45 @@ class TestReportSerialization:
         b.makespan = 13
         diffs = reports_match(a, b)
         assert any("makespan" in d for d in diffs)
+
+
+def drop_first_event(log, kind):
+    """The log with the first event of ``kind`` cut out of its batch."""
+    out = []
+    dropped = False
+    for line in log.splitlines(keepends=True):
+        record = decode_line(line)
+        if not dropped and record["kind"] == "event-batch":
+            events = record["body"]["events"]
+            for i, e in enumerate(events):
+                if e["kind"] == kind:
+                    del events[i]
+                    dropped = True
+                    line = encode_record(record)
+                    break
+        out.append(line)
+    assert dropped
+    return b"".join(out)
+
+
+class TestRecomputeIsAsStrictAsTheEngine:
+    @pytest.mark.parametrize("name, seed, dropped, message", [
+        ("null", 1, "op-started", "op-finished on idle machine"),
+        ("null", 1, "op-finished", "op-started on already busy machine"),
+        ("ps9", 1, "machine-down", "machine-up on machine 'M2' that was not down"),
+        ("supply_shortage", 2, "supply-blocked",
+         "supply-restored on machine 'M1' that was not blocked"),
+    ])
+    def test_contradicting_machine_event_is_an_error(self, minicell_model, minicell_orders,
+                                                     scenario_by_name, name, seed, dropped,
+                                                     message):
+        result = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=seed)
+        assert result.status == "completed"
+        recompute_from_log(result.log)  # the intact log is consistent
+        mutated = drop_first_event(result.log, dropped)
+        with pytest.raises(StreamError, match=message):
+            recompute_from_log(mutated)
+        eng = KpiEngine()
+        with pytest.raises(StreamError, match=message):
+            for record in parse_log(mutated):
+                eng.observe_record(record)
