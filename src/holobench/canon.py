@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Callable
 
-
-def canon_dumps(obj: Any) -> str:
-    """Serialize to canonical JSON: lexicographic keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# Serialize to canonical JSON: lexicographic keys, no whitespace.  One
+# encoder serves the whole process; ``json.dumps`` with these arguments
+# would build a new one per call, and the wire encodes one line per record.
+canon_dumps: Callable[[Any], str] = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+).encode
 
 
 def canon_bytes(obj: Any) -> bytes:

@@ -202,6 +202,7 @@ def run_single(
     driver.collect_closing()
     driver.close()
 
+    log = recorder.log_bytes()  # hands the last received record to the engine
     report: KpiReport | None = None
     if engine is not None and status == "completed":
         report = engine.finalize()
@@ -213,7 +214,7 @@ def run_single(
         status=status,
         rounds=driver.round_no,
         final_t=kernel.clock,
-        log=recorder.log_bytes(),
+        log=log,
         report=report,
     )
 

@@ -11,6 +11,15 @@ The emulation endpoint owns the clock and drives rounds; the control
 endpoint answers each event batch with commands and an end-of-round record.
 Scenario-manager records (run metadata, directives, injection audits) ride
 the same wire and are recorded in place.
+
+Each line is decoded once per reader.  An endpoint's ``recv_record`` hands
+the receiver a decoded record; the recording endpoint decodes a received
+line once and gives that same record to the recorder, which passes it on to
+its observers only after the receiver has finished with it (at the next
+recorded line, or when the log is taken).  Lines the emulation sends are
+decoded by the recorder from the committed bytes, and again by an in-process
+control exactly as a remote one would.  Replay decodes the log once, while
+indexing it.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import json
 import socket
 import time
 from collections import deque
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .canon import canon_dumps
 from .control import ProductOrder, ReferenceControl
@@ -68,7 +77,7 @@ def make_record(
 
 
 def encode_record(record: dict[str, Any]) -> bytes:
-    if set(record) != RECORD_KEYS:
+    if record.keys() != RECORD_KEYS:
         raise DecodeError(f"record keys must be exactly {sorted(RECORD_KEYS)}")
     return WIRE_PREFIX + canon_dumps(record).encode("utf-8") + b"\n"
 
@@ -83,7 +92,7 @@ def decode_line(line: bytes, offset: int = 0) -> dict[str, Any]:
         raise DecodeError(f"record is not valid JSON: {exc}", offset) from exc
     if not isinstance(record, dict):
         raise DecodeError("record must be a JSON object", offset)
-    if set(record) != RECORD_KEYS:
+    if record.keys() != RECORD_KEYS:
         raise DecodeError(f"record keys must be exactly {sorted(RECORD_KEYS)}", offset)
     if record["v"] != WIRE_VERSION:
         raise DecodeError(f"unsupported wire version {record['v']!r}", offset)
@@ -98,32 +107,39 @@ def decode_line(line: bytes, offset: int = 0) -> dict[str, Any]:
     return record
 
 
-def parse_log(log: bytes) -> list[dict[str, Any]]:
-    """Decode a session log into records, enforcing the line discipline."""
-    records = []
+def _no_newline(offset: int) -> Exception:
+    return DecodeError("log ends without a newline", offset)
+
+
+def iter_log(
+    log: bytes, truncated: Callable[[int], Exception] = _no_newline
+) -> Iterator[tuple[int, bytes]]:
+    """Yield ``(byte offset, line)`` for each newline-terminated line of a log.
+
+    A tail without a newline raises ``truncated(offset)`` once the complete
+    lines before it have been yielded.
+    """
     offset = 0
     while offset < len(log):
         end = log.find(b"\n", offset)
         if end == -1:
-            raise DecodeError("log ends without a newline", offset)
-        records.append(decode_line(log[offset : end + 1], offset))
+            raise truncated(offset)
+        yield offset, log[offset : end + 1]
         offset = end + 1
-    return records
+
+
+def parse_log(log: bytes) -> list[dict[str, Any]]:
+    """Decode a session log into records, enforcing the line discipline."""
+    return [decode_line(line, offset) for offset, line in iter_log(log)]
 
 
 def extract_command_log(log: bytes) -> bytes:
     """Control-role command and end-of-round lines, verbatim."""
     out = bytearray()
-    offset = 0
-    while offset < len(log):
-        end = log.find(b"\n", offset)
-        if end == -1:
-            raise DecodeError("log ends without a newline", offset)
-        line = log[offset : end + 1]
+    for offset, line in iter_log(log):
         record = decode_line(line, offset)
         if record["role"] == ROLE_CONTROL and record["kind"] in ("command", "end-of-round"):
             out += line
-        offset = end + 1
     return bytes(out)
 
 
@@ -142,7 +158,22 @@ class EndOfStream(Exception):
     """The peer closed the wire."""
 
 
-class InProcEndpoint:
+class LineEndpoint:
+    """The endpoint contract: ``send_line``, ``recv_line``, ``recv_record``.
+
+    ``recv_record`` returns the next inbound record decoded; by default it
+    decodes ``recv_line()``.  Endpoints that already hold the decoded record
+    override it so the line is not decoded a second time.
+    """
+
+    def recv_line(self) -> bytes:
+        raise NotImplementedError
+
+    def recv_record(self) -> dict[str, Any]:
+        return decode_line(self.recv_line())
+
+
+class InProcEndpoint(LineEndpoint):
     """One side of an in-process, lock-step byte pipe."""
 
     def __init__(self, inbox: deque, outbox: deque):
@@ -183,7 +214,7 @@ class InProcEndpoint:
 _CLOSE = object()
 
 
-class SocketEndpoint:
+class SocketEndpoint(LineEndpoint):
     """Line transport over a stream socket with a receive timeout."""
 
     def __init__(self, sock: socket.socket, timeout: float | None = 5.0):
@@ -224,25 +255,45 @@ class SocketEndpoint:
 class RunRecorder:
     """Accumulates the session log and fans records out to observers.
 
-    Observers are read-only taps: they see each decoded record after it has
-    already been committed to the log, so they cannot affect the session.
+    Observers are read-only taps: they see each record, in wire order, only
+    after its line has been committed to the log, so they cannot affect the
+    session.  A line recorded alone is decoded here, from the committed
+    bytes.  A line recorded together with the record its receiver decoded
+    (``record(line, decoded)``) is not decoded again: that shared record is
+    held back and passed to the observers only once the receiver is done
+    with it, at the next ``record`` call or in ``log_bytes``.  Take the log
+    before reading anything the observers computed.
     """
 
     def __init__(self):
         self._chunks: list[bytes] = []
         self._observers: list[Callable[[dict[str, Any]], None]] = []
+        self._held: dict[str, Any] | None = None
 
     def attach(self, observer: Callable[[dict[str, Any]], None]) -> None:
         self._observers.append(observer)
 
-    def record(self, line: bytes) -> None:
+    def record(self, line: bytes, decoded: dict[str, Any] | None = None) -> None:
         self._chunks.append(line)
-        if self._observers:
-            record = decode_line(line)
-            for obs in self._observers:
-                obs(record)
+        if not self._observers:
+            return
+        self._release()
+        if decoded is None:
+            self._notify(decode_line(line))
+        else:
+            self._held = decoded
+
+    def _release(self) -> None:
+        held, self._held = self._held, None
+        if held is not None:
+            self._notify(held)
+
+    def _notify(self, record: dict[str, Any]) -> None:
+        for obs in self._observers:
+            obs(record)
 
     def log_bytes(self) -> bytes:
+        self._release()
         return b"".join(self._chunks)
 
 
@@ -261,6 +312,12 @@ class RecordingEndpoint:
         line = self._inner.recv_line()
         self._recorder.record(line)
         return line
+
+    def recv_record(self) -> dict[str, Any]:
+        line = self._inner.recv_line()
+        record = decode_line(line)
+        self._recorder.record(line, record)
+        return record
 
     def has_line(self) -> bool:
         return self._inner.has_line()
@@ -298,7 +355,7 @@ class ControlClient:
     def serve_one(self) -> bool:
         """Handle the next inbound record; False when the session is over."""
         try:
-            record = decode_line(self._ep.recv_line())
+            record = self._ep.recv_record()
         except EndOfStream:
             return False
         kind = record["kind"]
@@ -389,13 +446,12 @@ class RoundDriver:
         self._ep = endpoint
         self._model_hash = model_hash
         self.round_no = 0
-        self.control_hello: dict[str, Any] | None = None
 
     def _send(self, record: dict[str, Any]) -> None:
         self._ep.send_line(encode_record(record))
 
     def _recv(self) -> dict[str, Any]:
-        return decode_line(self._ep.recv_line())
+        return self._ep.recv_record()
 
     def handshake(self) -> None:
         self._send(make_record(ROLE_EMULATION, 0, 0, "hello", {"model_hash": self._model_hash}))
@@ -406,7 +462,6 @@ class RoundDriver:
             raise ProtocolError("expected the control's hello")
         if record["body"].get("model_hash") != self._model_hash:
             raise ProtocolError("control answered with a different model hash")
-        self.control_hello = record
 
     def send_run_meta(self, body: dict[str, Any]) -> None:
         self._send(make_record(ROLE_SCENARIO, 0, 0, "run-meta", body))
@@ -490,26 +545,27 @@ class RoundDriver:
 # -- replay -------------------------------------------------------------------
 
 
+def _truncated_replay(offset: int) -> Exception:
+    return ReplayError(f"log truncated mid-line at byte {offset}")
+
+
 class ReplaySource:
     """Serves the emulation/scenario side of a recorded session log.
 
     The transport contract matches InProcEndpoint, so a ControlClient can be
     pointed at a recorded log exactly as at a live emulation.  Control-role
     lines in the log are skipped on recv (the new control produces its own)
-    and inbound sends are collected instead of transmitted.
+    and inbound sends are collected instead of transmitted.  Each line is
+    decoded once, while the log is indexed; ``recv_record`` hands out that
+    record.
     """
 
     def __init__(self, log: bytes):
-        self._records: list[bytes] = []
+        self._records: list[tuple[bytes, dict[str, Any]]] = []
         self.sent: list[bytes] = []
-        offset = 0
         last_round = 0
         complete = False
-        while offset < len(log):
-            end = log.find(b"\n", offset)
-            if end == -1:
-                raise ReplayError(f"log truncated mid-line at byte {offset}")
-            line = log[offset : end + 1]
+        for offset, line in iter_log(log, _truncated_replay):
             record = decode_line(line, offset)
             if record["role"] in (ROLE_EMULATION, ROLE_SCENARIO):
                 if record["kind"] == "event-batch":
@@ -520,18 +576,23 @@ class ReplaySource:
                     last_round = record["round"]
                 if record["kind"] == "run-end":
                     complete = True
-                self._records.append(line)
-            offset = end + 1
+                self._records.append((line, record))
         if self._records and not complete:
             raise ReplayError("log is truncated: no run-end record")
         self._cursor = 0
 
-    def recv_line(self) -> bytes:
+    def _next(self) -> tuple[bytes, dict[str, Any]]:
         if self._cursor >= len(self._records):
             raise EndOfStream
-        line = self._records[self._cursor]
+        entry = self._records[self._cursor]
         self._cursor += 1
-        return line
+        return entry
+
+    def recv_line(self) -> bytes:
+        return self._next()[0]
+
+    def recv_record(self) -> dict[str, Any]:
+        return self._next()[1]
 
     def send_line(self, line: bytes) -> None:
         self.sent.append(line)

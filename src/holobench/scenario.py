@@ -231,18 +231,6 @@ class Trigger:
             return self.base.has_event_base()
         return False
 
-    def to_doc(self) -> dict[str, Any]:
-        if self.kind == "at-time":
-            return {"kind": "at-time", "time": self.time}
-        if self.kind == "on-event":
-            doc: dict[str, Any] = {"kind": "on-event", "event": self.event}
-            if self.where:
-                doc["where"] = dict(self.where)
-            if self.occurrence != 1:
-                doc["occurrence"] = self.occurrence
-            return doc
-        return {"kind": "after", "base": self.base.to_doc(), "delay": self.delay}
-
 
 @dataclass(frozen=True)
 class Action:
@@ -264,10 +252,6 @@ class Action:
         if extra:
             raise ScenarioError(f"{path} has unknown keys: {sorted(extra)}")
         return cls(kind=kind, payload=payload)
-
-    def to_doc(self) -> dict[str, Any]:
-        key = "injection" if self.kind == "inject" else "directive"
-        return {"kind": self.kind, key: self.payload}
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holobench import interface
 from holobench.control import ControlProtocolError, ReferenceControl
 from holobench.harness import run_single
 from holobench.interface import (
@@ -24,10 +25,12 @@ from holobench.interface import (
     encode_record,
     extract_command_log,
     extract_event_stream,
+    iter_log,
     make_record,
     parse_log,
     replay_session,
 )
+from holobench.kpi import KpiEngine
 
 
 def rec(kind="event-batch", role="emulation", round_no=1, t=0, body=None, corr=None):
@@ -95,6 +98,15 @@ class TestCodec:
         with pytest.raises(DecodeError) as e:
             parse_log(log)
         assert e.value.offset == len(good)
+
+    def test_iter_log_yields_offsets_and_reports_the_truncated_tail(self):
+        a, b = encode_record(rec()), encode_record(rec(kind="bye"))
+        assert list(iter_log(a + b)) == [(0, a), (len(a), b)]
+        assert list(iter_log(b"")) == []
+        lines = iter_log(a + b[:-1], lambda offset: ReplayError(f"tail at {offset}"))
+        assert next(lines) == (0, a)
+        with pytest.raises(ReplayError, match=f"tail at {len(a)}"):
+            next(lines)
 
     def test_parse_log_requires_trailing_newline(self):
         with pytest.raises(DecodeError, match="newline"):
@@ -190,6 +202,134 @@ class TestRecorder:
         recorder.record(l2)
         assert recorder.log_bytes() == l1 + l2
         assert seen == ["hello", "bye"]
+
+    def test_shared_record_waits_for_the_next_line_or_the_log(self):
+        recorder = RunRecorder()
+        seen = []
+        recorder.attach(seen.append)
+        sent = rec(kind="hello", body={"model_hash": "x"})
+        received = rec(kind="hello", role="control", body={"model_hash": "x"})
+        closing = rec(kind="bye", role="control")
+        recorder.record(encode_record(sent))
+        assert seen == [sent]  # decoded from the bytes, delivered at once
+        recorder.record(encode_record(received), received)
+        assert seen == [sent]  # the receiver still holds it
+        recorder.record(encode_record(closing), closing)
+        assert seen == [sent, received]
+        assert seen[1] is received  # shared, not decoded again
+        log = recorder.log_bytes()
+        assert seen == [sent, received, closing]
+        assert recorder.log_bytes() == log
+        assert len(seen) == 3  # taking the log again delivers nothing twice
+
+    def test_observers_see_every_wire_record_once_in_wire_order(
+        self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
+    ):
+        seen = []
+        seen_at_finalize = []
+        observe, finalize = KpiEngine.observe_record, KpiEngine.finalize
+
+        def tap(engine, record):
+            seen.append(json.loads(json.dumps(record)))
+            observe(engine, record)
+
+        def finalize_after_all(engine):
+            seen_at_finalize.append(len(seen))
+            return finalize(engine)
+
+        monkeypatch.setattr(KpiEngine, "observe_record", tap)
+        monkeypatch.setattr(KpiEngine, "finalize", finalize_after_all)
+        result = run_single(
+            minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3,
+            latency_clock=lambda: 0.0,
+        )
+        assert result.status == "completed"
+        records = parse_log(result.log)
+        assert [r["kind"] for r in seen] == [r["kind"] for r in records]
+        assert seen == records
+        assert [r["kind"] for r in seen[-2:]] == ["tap", "bye"]
+        assert seen_at_finalize == [len(records)]  # the report sees the whole wire
+
+    def test_tap_that_mutates_records_cannot_change_the_session(
+        self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
+    ):
+        """Observers get records the session has finished with, and the log
+        is taken before finalize, so even a tap that tears every record
+        apart after reading it leaves the wire bytes alone."""
+        scenario = scenario_by_name("supply_shortage")
+        clean = run_single(
+            minicell_model, minicell_orders, scenario, seed=3, attach_kpi=False,
+            latency_clock=lambda: 0.0,
+        )
+        observe = KpiEngine.observe_record
+        torn = []
+
+        def tear(engine, record):
+            observe(engine, record)
+            body = record.get("body")
+            if isinstance(body, dict):
+                for key in ("events", "notices", "orders"):
+                    for item in body.get(key) or ():
+                        if isinstance(item, dict):
+                            item.clear()
+                            item["kind"] = "torn"
+                body.clear()
+                body["torn"] = True
+            record.clear()
+            record.update(kind="torn", role="torn", body={}, round=-1, t=-1, corr=-1)
+            torn.append(record)
+
+        monkeypatch.setattr(KpiEngine, "observe_record", tear)
+        tapped = run_single(
+            minicell_model, minicell_orders, scenario, seed=3, latency_clock=lambda: 0.0
+        )
+        assert tapped.log == clean.log
+        assert len(torn) == len(parse_log(clean.log))
+
+
+class TestDecodeOnce:
+    @staticmethod
+    def _count_decodes(monkeypatch):
+        calls = []
+        decode = interface.decode_line
+
+        def counting(line, offset=0):
+            calls.append(line)
+            return decode(line, offset)
+
+        monkeypatch.setattr(interface, "decode_line", counting)
+        return calls
+
+    def test_each_line_is_decoded_once_per_reader(
+        self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
+    ):
+        """The recorder decodes what it commits once; the in-process control
+        decodes what the emulation and the scenario manager send, as a
+        remote control would; nothing else decodes."""
+        calls = self._count_decodes(monkeypatch)
+        result = run_single(
+            minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3,
+            latency_clock=lambda: 0.0,
+        )
+        decoded_in_run = len(calls)
+        monkeypatch.undo()
+        records = parse_log(result.log)
+        sent_to_control = sum(r["role"] != "control" for r in records)
+        assert sent_to_control and sent_to_control < len(records)
+        assert decoded_in_run == len(records) + sent_to_control
+
+    def test_replay_decodes_the_log_once(self, minicell_model, minicell_orders,
+                                         scenario_by_name, monkeypatch):
+        log = run_single(
+            minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3
+        ).log
+        lines = len(parse_log(log))
+        calls = self._count_decodes(monkeypatch)
+        source = ReplaySource(log)
+        assert len(calls) == lines
+        ControlClient(source, ReferenceControl(minicell_model), clock=lambda: 0.0).serve_forever()
+        assert len(calls) == lines  # the control reuses the index
+        assert source.sent
 
 
 class TestReplay:
