@@ -12,26 +12,34 @@ the output station when routing is done, otherwise the nearest believed-up,
 unblocked machine capable of the next step (ties on machine id); the shuttle
 is the idle one nearest the product (ties on shuttle id).
 
-A round costs what is on the floor, not the whole order book.  The decision
-phase keeps four indexes: the unreleased holons in (release, id) order, so
-only those whose release time has come are looked at; the released open
-holons in rank order, joined by insertion on release, re-sorted only after a
-``set-priority`` and pruned as holons close; per (node, operation), the
-capable machines in (travel, id) order, built on first use; and a count of
-open holons for the idle test.  One pass over the ranked holons issues the
-cancels, lists the waiting products and gives each idle machine the first
-one at its node that it can serve.  Transport walks that list in rank order
-and stops looking for shuttles for unserved products once no shuttle is idle
-and unassigned.  Invariant: every round issues exactly the commands, in
-exactly the order, that the dispatch and transport rules above give when
-applied to every holon.
+A round costs the products that can move, not every product waiting.  The
+decision phase keeps these indexes: the unreleased holons in (release, id)
+order, so only those whose release time has come are looked at; per machine,
+a rank-ordered queue of the waiting products at its node whose next step it
+performs; one rank-ordered list of every other waiting product (those at the
+input station, those whose next step the machine at their node cannot do,
+and those whose routing is done); a rank-ordered list of the released
+holons with a cancel request; per (node, operation), the capable machines in
+(travel, id) order, built on first use; and a count of open holons for the
+idle test.  A holon touched by a directive, event, notice or dispatch is
+re-placed once at the start of the next decision phase; ``set-priority``
+re-sorts every list.  An idle machine takes the head of its queue.  A queued
+product can only be sent on when its machine is believed down or blocked,
+since otherwise that machine, at travel 0, is its destination; so transport
+walks the other waiting products merged by rank with the queues of those
+machines, and once no shuttle is idle and unassigned it serves only the
+products that already hold one.  Invariant: every round issues exactly the
+commands, in exactly the order, that the dispatch and transport rules above
+give when applied to every holon.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Iterable
 
 from .messages import ControlCommand, ControlDirective, Notice, SimEvent
@@ -130,6 +138,14 @@ class _OrderHolon:
     done: bool = False
     cancelled: bool = False
     scrapped: bool = False
+    place: list[_OrderHolon] | None = field(default=None, repr=False, compare=False)
+    rank: tuple[int, int, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.rerank()
+
+    def rerank(self) -> None:
+        self.rank = (-self.spec.priority, self.spec.due, self.spec.id)
 
     @property
     def open_(self) -> bool:
@@ -141,8 +157,8 @@ class _OrderHolon:
             return None
         return self.spec.routing[self.progress]
 
-    def rank(self) -> tuple[int, int, str]:
-        return (-self.spec.priority, self.spec.due, self.spec.id)
+
+_rank = attrgetter("rank")
 
 
 def _release_key(h: _OrderHolon) -> tuple[int, str]:
@@ -158,6 +174,7 @@ class _ResourceHolon:
     blocked: bool = False
     busy_order: str | None = None
     claimed: bool = False  # start-op issued this or a prior round, unconfirmed
+    queue: list[_OrderHolon] = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass
@@ -194,9 +211,11 @@ class ReferenceControl:
         # Decision indexes (see the module docstring).
         self._open = 0
         self._unreleased: list[_OrderHolon] = []
-        self._ranked: list[_OrderHolon] = []
-        self._rerank = False
-        self._prune = False
+        self._at_node = {r.node: r for r in self._machines.values()}
+        self._movers: list[_OrderHolon] = []
+        self._cancels: list[_OrderHolon] = []
+        self._touched: list[_OrderHolon] = []
+        self._resort = False
         self._capable: dict[tuple[str, str], list[_ResourceHolon]] = {}
 
     # -- session wiring -------------------------------------------------------
@@ -215,11 +234,6 @@ class ReferenceControl:
         self._unreleased = sorted(
             (h for h in holons if h.open_ and not h.released), key=_release_key
         )
-        self._ranked = sorted((h for h in holons if h.open_ and h.released), key=_OrderHolon.rank)
-
-    def _note_closed(self) -> None:
-        self._open -= 1
-        self._prune = True
 
     # -- belief updates --------------------------------------------------------
 
@@ -242,10 +256,11 @@ class ReferenceControl:
             if h is None or not h.open_:
                 return
             h.cancel_requested = True
+            self._touched.append(h)
             if not h.released and not h.release_sent:
                 # Never hit the floor; cancel is a pure book operation.
                 h.cancelled = True
-                self._note_closed()
+                self._open -= 1
             self.stats.directives_handled += 1
         elif d.kind == "set-priority":
             h = self._orders.get(d.order_id or "")
@@ -258,7 +273,8 @@ class ReferenceControl:
                 due=h.spec.due,
                 priority=d.priority,
             )
-            self._rerank = True
+            h.rerank()
+            self._resort = True
             self.stats.directives_handled += 1
         elif d.kind == "announce-breakdown":
             r = self._machines.get(d.machine or "")
@@ -277,14 +293,14 @@ class ReferenceControl:
         h = self._orders.get(ev.order) if ev.order else None
         was_open = h is not None and h.open_
         self._apply_event_to(ev, h)
+        if h is not None:
+            self._touched.append(h)
         if was_open and not h.open_:
-            self._note_closed()
+            self._open -= 1
 
     def _apply_event_to(self, ev: SimEvent, h: _OrderHolon | None) -> None:
         if ev.kind == "order-released":
             if h is not None:
-                if h.open_ and not h.released:
-                    bisect.insort(self._ranked, h, key=_OrderHolon.rank)
                 h.released = True
                 h.node = ev.node
         elif ev.kind == "shuttle-departed":
@@ -334,6 +350,7 @@ class ReferenceControl:
                     # Progress on the interrupted step is lost.
                     ph.processing_at = None
                     ph.node = r.node
+                    self._touched.append(ph)
                     self.stats.reschedules += 1
         elif ev.kind == "machine-up":
             self._machines[ev.machine].up = True
@@ -383,6 +400,7 @@ class ReferenceControl:
             h = self._orders.get(cmd.get("order") or "")
             if h is not None and h.dispatched_to == cmd.get("machine"):
                 h.dispatched_to = None
+                self._touched.append(h)
                 self.stats.reschedules += 1
             r = self._machines.get(cmd.get("machine") or "")
             if r is not None:
@@ -401,6 +419,7 @@ class ReferenceControl:
                 h = self._orders.get(carried)
                 if h is not None:
                     h.in_transit = False
+                    self._touched.append(h)
         elif kind == "release-order":
             h = self._orders.get(cmd.get("order") or "")
             if h is not None:
@@ -436,6 +455,8 @@ class ReferenceControl:
 
     def _release_due(self, now: int, commands: list[ControlCommand]) -> None:
         """Release, in id order, every order whose release time has come."""
+        if not self._unreleased or self._unreleased[0].spec.release > now:
+            return
         due: list[_OrderHolon] = []
         kept: list[_OrderHolon] = []
         scanned = 0
@@ -453,80 +474,129 @@ class ReferenceControl:
             commands.append(ControlCommand(kind="release-order", order=h.spec.id))
             h.release_sent = True
 
+    def _place(self, h: _OrderHolon) -> list[_OrderHolon] | None:
+        """The index list ``h`` belongs in now (see the module docstring)."""
+        if not h.released or not h.open_:
+            return None
+        if h.cancel_requested:
+            return self._cancels
+        if h.in_transit or h.processing_at or h.dispatched_to or h.node is None:
+            return None
+        r = self._at_node.get(h.node)
+        if r is not None and h.next_operation in r.operations:
+            return r.queue
+        return self._movers
+
+    def _reindex(self) -> None:
+        """Re-sort after ``set-priority``, then re-place every touched holon."""
+        if self._resort:
+            self._movers.sort(key=_rank)
+            self._cancels.sort(key=_rank)
+            for r in self._machines.values():
+                r.queue.sort(key=_rank)
+            self._resort = False
+        for h in self._touched:
+            place = self._place(h)
+            if place is h.place:
+                continue
+            if h.place is not None:
+                del h.place[bisect.bisect_left(h.place, h.rank, key=_rank)]
+            if place is not None:
+                bisect.insort(place, h, key=_rank)
+            h.place = place
+        self._touched.clear()
+
     def _decide(self, now: int) -> list[ControlCommand]:
         commands: list[ControlCommand] = []
         self._release_due(now, commands)
-        if self._prune:
-            self._ranked = [h for h in self._ranked if h.open_]
-            self._prune = False
-        if self._rerank:
-            self._ranked.sort(key=_OrderHolon.rank)
-            self._rerank = False
+        if self._touched or self._resort:
+            self._reindex()
 
-        # Each node hosts at most one machine, so an idle machine takes the
-        # first waiting product at its node that it can serve.
-        idle = {
-            r.node: r for r in self._machines.values()
-            if r.up and not r.blocked and r.busy_order is None and not r.claimed
-        }
-        picks: dict[str, _OrderHolon] = {}
-        waiting: list[_OrderHolon] = []
-        for h in self._ranked:
-            if h.cancel_requested:
-                if (
-                    not h.cancel_sent
-                    and not h.in_transit
-                    and h.processing_at is None
-                    and h.node is not None
-                ):
-                    commands.append(ControlCommand(kind="cancel-order", order=h.spec.id))
-                    h.cancel_sent = True
-            elif not (h.in_transit or h.processing_at or h.dispatched_to or h.node is None):
-                waiting.append(h)
-                r = idle.get(h.node)
-                if r is not None and r.id not in picks and h.next_operation in r.operations:
-                    picks[r.id] = h
+        for h in self._cancels:
+            if (
+                not h.cancel_sent
+                and not h.in_transit
+                and h.processing_at is None
+                and h.node is not None
+            ):
+                commands.append(ControlCommand(kind="cancel-order", order=h.spec.id))
+                h.cancel_sent = True
 
-        for mid in sorted(picks):
-            h = picks[mid]
-            commands.append(
-                ControlCommand(
-                    kind="start-op", machine=mid, order=h.spec.id, operation=h.next_operation,
+        # Queued products can only be sent on from a machine believed down or
+        # blocked; an idle machine takes the head of its queue.
+        stuck = []
+        for r in self._machines.values():
+            if not r.queue:
+                continue
+            if not r.up or r.blocked:
+                stuck.append(r.queue)
+            elif r.busy_order is None and not r.claimed:
+                h = r.queue[0]
+                commands.append(
+                    ControlCommand(
+                        kind="start-op", machine=r.id, order=h.spec.id, operation=h.next_operation,
+                    )
                 )
-            )
-            h.dispatched_to = mid
-            self._machines[mid].claimed = True
+                h.dispatched_to = r.id
+                r.claimed = True
+                self._touched.append(h)
 
         free = sum(
             1 for s in self._shuttles.values()
             if not s.moving and s.assigned_order is None and s.node is not None
         )
-        for h in waiting:
-            if h.dispatched_to or (h.assigned_shuttle is None and not free):
-                continue
-            dest = self._dest_for(h)
-            if dest is None or dest == h.node:
-                continue
-            shuttle = self._pick_shuttle(h)
-            if shuttle is None:
-                continue
-            if h.assigned_shuttle is None:
-                free -= 1
-            if shuttle.node == h.node:
-                commands.append(
-                    ControlCommand(
-                        kind="move-shuttle", shuttle=shuttle.id,
-                        destination=dest, carry=h.spec.id,
-                    )
-                )
-            else:
-                commands.append(
-                    ControlCommand(kind="move-shuttle", shuttle=shuttle.id, destination=h.node)
-                )
-            shuttle.assigned_order = h.spec.id
-            h.assigned_shuttle = shuttle.id
-
+        held: list[_OrderHolon] = []
+        for h in heapq.merge(self._movers, *stuck, key=_rank) if stuck else self._movers:
+            if not free:
+                # Only products that already hold a shuttle can still move.
+                held = sorted(self._held_from(h.rank), key=_rank)
+                break
+            free -= self._transport(h, commands)
+        for h in held:
+            self._transport(h, commands)
         return commands
+
+    def _held_from(self, rank: tuple[int, int, str]) -> list[_OrderHolon]:
+        """Products ranked at or after ``rank`` that hold a shuttle and were
+        waiting at the start of this round, less those dispatched in it."""
+        held = []
+        for s in self._shuttles.values():
+            if s.assigned_order is None:
+                continue
+            h = self._orders[s.assigned_order]
+            if (
+                h.assigned_shuttle is not None
+                and h.rank >= rank
+                and h.place is not None
+                and h.place is not self._cancels
+                and not h.dispatched_to
+            ):
+                held.append(h)
+        return held
+
+    def _transport(self, h: _OrderHolon, commands: list[ControlCommand]) -> bool:
+        """Issue the move ``h`` needs, if any; True when it took a free shuttle."""
+        dest = self._dest_for(h)
+        if dest is None or dest == h.node:
+            return False
+        shuttle = self._pick_shuttle(h)
+        if shuttle is None:
+            return False
+        took_free = h.assigned_shuttle is None
+        if shuttle.node == h.node:
+            commands.append(
+                ControlCommand(
+                    kind="move-shuttle", shuttle=shuttle.id,
+                    destination=dest, carry=h.spec.id,
+                )
+            )
+        else:
+            commands.append(
+                ControlCommand(kind="move-shuttle", shuttle=shuttle.id, destination=h.node)
+            )
+        shuttle.assigned_order = h.spec.id
+        h.assigned_shuttle = shuttle.id
+        return took_free
 
     def _pick_shuttle(self, h: _OrderHolon) -> _ShuttleBelief | None:
         if h.assigned_shuttle is not None:

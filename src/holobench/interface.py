@@ -19,7 +19,8 @@ its observers only after the receiver has finished with it (at the next
 recorded line, or when the log is taken).  Lines the emulation sends are
 decoded by the recorder from the committed bytes, and again by an in-process
 control exactly as a remote one would.  Replay decodes the log once, while
-indexing it.
+indexing it, and keeps the kind of each record the control sends next to its
+encoded line, so it never decodes what the control sent.
 """
 
 from __future__ import annotations
@@ -159,12 +160,20 @@ class EndOfStream(Exception):
 
 
 class LineEndpoint:
-    """The endpoint contract: ``send_line``, ``recv_line``, ``recv_record``.
+    """The endpoint contract: ``send_line``, ``send_record``, ``recv_line``,
+    ``recv_record``.
 
-    ``recv_record`` returns the next inbound record decoded; by default it
-    decodes ``recv_line()``.  Endpoints that already hold the decoded record
-    override it so the line is not decoded a second time.
+    ``send_record`` encodes a record and sends its line; ``recv_record``
+    returns the next inbound record decoded, by default by decoding
+    ``recv_line()``.  Endpoints that already hold the decoded record override
+    it so the line is not decoded a second time.
     """
+
+    def send_line(self, line: bytes) -> None:
+        raise NotImplementedError
+
+    def send_record(self, record: dict[str, Any]) -> None:
+        self.send_line(encode_record(record))
 
     def recv_line(self) -> bytes:
         raise NotImplementedError
@@ -350,7 +359,7 @@ class ControlClient:
         self._round = 0
 
     def _send(self, record: dict[str, Any]) -> None:
-        self._ep.send_line(encode_record(record))
+        self._ep.send_record(record)
 
     def serve_one(self) -> bool:
         """Handle the next inbound record; False when the session is over."""
@@ -549,20 +558,20 @@ def _truncated_replay(offset: int) -> Exception:
     return ReplayError(f"log truncated mid-line at byte {offset}")
 
 
-class ReplaySource:
+class ReplaySource(LineEndpoint):
     """Serves the emulation/scenario side of a recorded session log.
 
-    The transport contract matches InProcEndpoint, so a ControlClient can be
-    pointed at a recorded log exactly as at a live emulation.  Control-role
-    lines in the log are skipped on recv (the new control produces its own)
-    and inbound sends are collected instead of transmitted.  Each line is
-    decoded once, while the log is indexed; ``recv_record`` hands out that
-    record.
+    A ControlClient can be pointed at a recorded log exactly as at a live
+    emulation.  Control-role lines in the log are skipped on recv (the new
+    control produces its own), and the records the control sends are
+    collected as ``(kind, line)`` in ``sent`` instead of transmitted.  Each
+    log line is decoded once, while the log is indexed; ``recv_record`` hands
+    out that record.
     """
 
     def __init__(self, log: bytes):
         self._records: list[tuple[bytes, dict[str, Any]]] = []
-        self.sent: list[bytes] = []
+        self.sent: list[tuple[str, bytes]] = []
         last_round = 0
         complete = False
         for offset, line in iter_log(log, _truncated_replay):
@@ -594,8 +603,8 @@ class ReplaySource:
     def recv_record(self) -> dict[str, Any]:
         return self._next()[1]
 
-    def send_line(self, line: bytes) -> None:
-        self.sent.append(line)
+    def send_record(self, record: dict[str, Any]) -> None:
+        self.sent.append((record["kind"], encode_record(record)))
 
     def has_line(self) -> bool:
         return self._cursor < len(self._records)
@@ -613,9 +622,4 @@ def replay_session(log: bytes, control: ReferenceControl) -> bytes:
     source = ReplaySource(log)
     client = ControlClient(source, control, clock=lambda: 0.0)
     client.serve_forever()
-    out = bytearray()
-    for line in source.sent:
-        record = decode_line(line)
-        if record["kind"] in ("command", "end-of-round"):
-            out += line
-    return bytes(out)
+    return b"".join(line for kind, line in source.sent if kind in ("command", "end-of-round"))

@@ -51,12 +51,6 @@ class ShopModel:
     model_hash: str
     travel: dict[tuple[str, str], int] = field(repr=False, default_factory=dict)
 
-    def machine_at(self, node: str) -> MachineSpec | None:
-        for m in self.machines.values():
-            if m.node == node:
-                return m
-        return None
-
     def travel_time(self, origin: str, dest: str) -> int | None:
         """Shortest travel time between nodes, None if unreachable."""
         if origin == dest:

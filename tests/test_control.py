@@ -4,6 +4,8 @@ closed loop against the kernel."""
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from holobench.control import (
     ControlProtocolError,
@@ -12,9 +14,12 @@ from holobench.control import (
     ReferenceControl,
     load_orders,
 )
+from holobench.harness import run_single
+from holobench.interface import extract_command_log, replay_session
 from holobench.kernel import EmulationKernel
-from holobench.messages import ControlDirective, Notice, SimEvent
-from holobench.model import load_model
+from holobench.messages import ControlCommand, ControlDirective, Notice, SimEvent
+from holobench.model import load_model, load_model_doc
+from holobench.scenario import load_scenario_doc
 
 
 def order(oid, routing=("A",), release=0, due=60, priority=0):
@@ -379,6 +384,152 @@ class TestDecisionIndexes:
             90, [], [ev("order-released", order="O3", node="IN", time=90, seq=7)], [])
         assert {c.carry for c in commands} == {"O3"} and not idle
 
+    @staticmethod
+    def _queued_behind_o1(control):
+        """O1 in process at M1, O2 queued there, S1 idle at M1, S2 and S3 at IN."""
+        control.load_orders([order("O1", due=10), order("O2", due=20)])
+        control.on_round(0, [], [], [])
+        released = [ev("order-released", order=o, node="M1", seq=i + 1)
+                    for i, o in enumerate(["O1", "O2"])]
+        (start,) = control.on_round(0, [], released, [])[0]
+        assert (start.machine, start.order) == ("M1", "O1")
+        settle = [ev("op-started", machine="M1", order="O1", node="M1", seq=3),
+                  ev("shuttle-departed", shuttle="S1", node="IN", seq=4),
+                  ev("shuttle-arrived", shuttle="S1", node="M1", seq=5, time=3)]
+        assert control.on_round(3, [], settle, [])[0] == []
+
+    @pytest.mark.parametrize("disturbance, restore, moved", [
+        ("announce-breakdown", "machine-up", [("S1", "M2", "O2")]),
+        ("machine-down", "machine-up", [("S1", "M2", "O1"), ("S2", "M1", None)]),
+        ("supply-blocked", "supply-restored", [("S1", "M2", "O2")]),
+        ("announce-supply-block", "supply-restored", [("S1", "M2", "O2")]),
+    ])
+    def test_queued_product_leaves_a_stopped_machine_and_stays_once_it_restarts(
+        self, disturbance, restore, moved
+    ):
+        control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
+        self._queued_behind_o1(control)
+        if disturbance.startswith("announce"):
+            directives, events = [ControlDirective(kind=disturbance, machine="M1")], []
+        else:
+            directives, events = [], [ev(disturbance, machine="M1", node="M1", seq=6, time=4)]
+        commands = control.on_round(4, directives, events, [])[0]
+        assert [(c.kind, c.shuttle, c.destination, c.carry) for c in commands] == [
+            ("move-shuttle", *m) for m in moved
+        ]
+        # The moves are refused and the machine restarts: nothing moves again.
+        back = [ev(restore, machine="M1", node="M1", seq=7, time=5)]
+        commands = control.on_round(5, [], back, [rejected(c) for c in commands])[0]
+        if disturbance == "machine-down":  # the preempted O1 restarts first
+            assert [(c.kind, c.order) for c in commands] == [("start-op", "O1")]
+            control.on_round(5, [], [ev("op-started", machine="M1", order="O1",
+                                        node="M1", seq=8, time=5)], [])
+        else:
+            assert commands == []
+        # O2 is still queued at M1: it starts there, and the finished O1 is
+        # sent to the output station from its machine's node.
+        done = [ev("op-finished", machine="M1", order="O1", node="M1", seq=9, time=15)]
+        commands = control.on_round(15, [], done, [])[0]
+        assert [(c.kind, c.machine, c.order, c.shuttle, c.destination, c.carry)
+                for c in commands] == [
+            ("start-op", "M1", "O2", None, None, None),
+            ("move-shuttle", None, None, "S1", "OUT", "O1"),
+        ]
+
+    def test_rework_at_rest_sends_the_product_back_into_its_queue(self):
+        control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
+        self._queued_behind_o1(control)
+        done = [ev("op-finished", machine="M1", order="O1", node="M1", seq=6, time=10)]
+        start, carry = control.on_round(10, [], done, [])[0]
+        assert (start.order, carry.carry, carry.destination) == ("O2", "O1", "OUT")
+        control.on_round(10, [], [ev("op-started", machine="M1", order="O2",
+                                     node="M1", seq=7, time=10)], [])
+        reject = ev("product-rejected", order="O1", node="M1", seq=8, time=11,
+                    info={"policy": "rework"})
+        assert control.on_round(11, [], [reject], [rejected(carry)])[0] == []
+        finish = ev("op-finished", machine="M1", order="O2", node="M1", seq=9, time=20)
+        commands = control.on_round(20, [], [finish], [])[0]
+        assert [(c.kind, c.machine, c.order, c.carry) for c in commands] == [
+            ("start-op", "M1", "O1", None), ("move-shuttle", None, None, "O2"),
+        ]
+
+    def test_rework_in_process_requeues_and_restarts_the_product(self):
+        control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
+        self._queued_behind_o1(control)
+        reject = ev("product-rejected", order="O1", node="M1", seq=6, time=4,
+                    info={"policy": "rework"})
+        commands = control.on_round(4, [], [reject], [])[0]
+        assert [(c.kind, c.machine, c.order) for c in commands] == [("start-op", "M1", "O1")]
+
+    def test_set_priority_reorders_a_machine_queue(self):
+        control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
+        control.load_orders([order("O1", due=10), order("O2", due=20), order("O3", due=30),
+                             order("O4", due=40)])
+        control.on_round(0, [], [], [])
+        released = [ev("order-released", order=o, node="M1", seq=i + 1)
+                    for i, o in enumerate(["O1", "O2", "O3", "O4"])]
+        control.on_round(0, [], released, [])
+        control.on_round(1, [], [ev("op-started", machine="M1", order="O1", node="M1",
+                                    seq=5, time=1)], [])
+        reorder = [ControlDirective(kind="set-priority", order_id="O4", priority=5),
+                   ControlDirective(kind="set-priority", order_id="O2", priority=-1)]
+        assert control.on_round(2, reorder, [], [])[0] == []
+        starts = []
+        for i, running in enumerate(["O1", "O4", "O3"]):
+            t = 10 * (i + 1)
+            walk = [ev("op-finished", machine="M1", order=running, node="M1",
+                       seq=10 + 2 * i, time=t)]
+            commands = control.on_round(t, [], walk, [])[0]
+            (start,) = [c for c in commands if c.kind == "start-op"]
+            starts.append(start.order)
+            control.on_round(t, [], [ev("op-started", machine="M1", order=start.order,
+                                        node="M1", seq=11 + 2 * i, time=t)], [])
+        assert starts == ["O4", "O3", "O2"]
+
+    def test_start_rejected_rounds_after_dispatch_is_retried(self):
+        control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
+        control.load_orders([order("O1")])
+        control.on_round(0, [], [], [])
+        (start,) = control.on_round(0, [], [ev("order-released", order="O1", node="M1")], [])[0]
+        assert control.on_round(1, [], [], [])[0] == []
+        assert control.on_round(2, [], [], [rejected(start)])[0] == [start]
+
+    def test_cancel_reaches_a_product_already_queued(self):
+        control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
+        self._queued_behind_o1(control)
+        cancel = ControlDirective(kind="cancel-order", order_id="O2")
+        commands = control.on_round(4, [cancel], [], [])[0]
+        assert [(c.kind, c.order) for c in commands] == [("cancel-order", "O2")]
+        # Cancelled, O2 is no longer offered to M1 once O1 is done.
+        done = [ev("op-finished", machine="M1", order="O1", node="M1", seq=6, time=10)]
+        commands = control.on_round(10, [], done, [])[0]
+        assert [c.kind for c in commands] == ["move-shuttle"]
+
+    def test_dispatched_product_stays_when_its_machine_stops_before_starting(self):
+        control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
+        control.load_orders([order("O1")])
+        control.on_round(0, [], [], [])
+        (start,) = control.on_round(0, [], [ev("order-released", order="O1", node="M1")], [])[0]
+        assert start.kind == "start-op"
+        assert control.on_round(1, [], [], [])[0] == []
+        blocked = [ev("supply-blocked", machine="M1", node="M1", seq=2, time=2)]
+        assert control.on_round(2, [], blocked, [])[0] == []
+
+    def test_set_priority_in_a_round_that_touches_no_product(self):
+        control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
+        control.load_orders([order("O1", due=10), order("O2", due=20), order("O3", due=30)])
+        control.on_round(0, [], [], [])
+        # Both machines are believed down, so the products wait at M1 unmoved.
+        down = [ControlDirective(kind="announce-breakdown", machine=m) for m in ("M1", "M2")]
+        released = [ev("order-released", order=o, node="M1", seq=i + 1)
+                    for i, o in enumerate(["O1", "O2", "O3"])]
+        assert control.on_round(0, down, released, [])[0] == []
+        # No event names a product this round, yet the queue must be re-sorted.
+        promote = ControlDirective(kind="set-priority", order_id="O3", priority=9)
+        (start,) = control.on_round(
+            5, [promote], [ev("machine-up", machine="M1", node="M1", seq=4, time=5)], [])[0]
+        assert (start.kind, start.machine, start.order) == ("start-op", "M1", "O3")
+
     @pytest.mark.parametrize("last_closure", ["completed", "cancelled-before-release"])
     def test_idle_exactly_when_last_holon_closes(self, control, last_closure):
         control.load_orders([order("O1"), order("O2", release=50)])
@@ -418,3 +569,205 @@ class TestClosedLoop:
         assert sorted(done) == ["O1", "O2"]
         seqs = [e.seq for e in stream]
         assert seqs == list(range(1, len(seqs) + 1))
+
+
+class FullScanControl(ReferenceControl):
+    """The oracle: the decision phase that walked every released open holon.
+
+    ``_decide`` is the full-scan body the per-machine queues replaced,
+    copied verbatim, except that the rank list is rebuilt from every holon
+    each round, by (priority desc, due asc, id asc), instead of being kept up
+    to date.
+    """
+
+    def _decide(self, now):
+        commands: list[ControlCommand] = []
+        self._release_due(now, commands)
+        self._ranked = sorted(
+            (h for h in self._orders.values() if h.open_ and h.released),
+            key=lambda h: (-h.spec.priority, h.spec.due, h.spec.id),
+        )
+
+        # Each node hosts at most one machine, so an idle machine takes the
+        # first waiting product at its node that it can serve.
+        idle = {
+            r.node: r for r in self._machines.values()
+            if r.up and not r.blocked and r.busy_order is None and not r.claimed
+        }
+        picks = {}
+        waiting = []
+        for h in self._ranked:
+            if h.cancel_requested:
+                if (
+                    not h.cancel_sent
+                    and not h.in_transit
+                    and h.processing_at is None
+                    and h.node is not None
+                ):
+                    commands.append(ControlCommand(kind="cancel-order", order=h.spec.id))
+                    h.cancel_sent = True
+            elif not (h.in_transit or h.processing_at or h.dispatched_to or h.node is None):
+                waiting.append(h)
+                r = idle.get(h.node)
+                if r is not None and r.id not in picks and h.next_operation in r.operations:
+                    picks[r.id] = h
+
+        for mid in sorted(picks):
+            h = picks[mid]
+            commands.append(
+                ControlCommand(
+                    kind="start-op", machine=mid, order=h.spec.id, operation=h.next_operation,
+                )
+            )
+            h.dispatched_to = mid
+            self._machines[mid].claimed = True
+
+        free = sum(
+            1 for s in self._shuttles.values()
+            if not s.moving and s.assigned_order is None and s.node is not None
+        )
+        for h in waiting:
+            if h.dispatched_to or (h.assigned_shuttle is None and not free):
+                continue
+            dest = self._dest_for(h)
+            if dest is None or dest == h.node:
+                continue
+            shuttle = self._pick_shuttle(h)
+            if shuttle is None:
+                continue
+            if h.assigned_shuttle is None:
+                free -= 1
+            if shuttle.node == h.node:
+                commands.append(
+                    ControlCommand(
+                        kind="move-shuttle", shuttle=shuttle.id,
+                        destination=dest, carry=h.spec.id,
+                    )
+                )
+            else:
+                commands.append(
+                    ControlCommand(kind="move-shuttle", shuttle=shuttle.id, destination=h.node)
+                )
+            shuttle.assigned_order = h.spec.id
+            h.assigned_shuttle = shuttle.id
+
+        return commands
+
+
+# M2 shares A with M1 and B with M3; the shuttles start at opposite ends.
+ORACLE_NODES = ["IN", "M1", "M2", "M3", "OUT"]
+ORACLE_SHOP = {
+    "machines": {
+        "M1": {"node": "M1", "operations": {"A": 6}},
+        "M2": {"node": "M2", "operations": {"A": 9, "B": 5}},
+        "M3": {"node": "M3", "operations": {"B": 7, "C": 4}},
+    },
+    "transport": {
+        "nodes": ORACLE_NODES,
+        "edges": [
+            {"from": a, "to": b, "travel": 2 + abs(i - j)}
+            for i, a in enumerate(ORACLE_NODES)
+            for j, b in enumerate(ORACLE_NODES)
+            if a != b
+        ],
+    },
+    "shuttles": {"S1": {"home": "IN"}, "S2": {"home": "OUT"}},
+    "stations": {"input": "IN", "output": "OUT"},
+}
+
+machines = st.sampled_from(["M1", "M2", "M3"])
+routings = st.lists(st.sampled_from("ABC"), min_size=1, max_size=3)
+
+
+def _on(event, occurrence, **where):
+    trigger = {"kind": "on-event", "event": event, "occurrence": occurrence}
+    if where:
+        trigger["where"] = where
+    return trigger
+
+
+@st.composite
+def _disturbance(draw, kind, book):
+    """One scenario rule of the given kind with drawn targets and timing."""
+    k = draw(st.integers(1, 2))
+    m = draw(machines)
+    occurrences = draw(st.integers(1, 3))
+    started = {"kind": "after", "base": _on("op-started", k, machine=m),
+               "delay": draw(st.integers(1, 4))}
+    if kind == "breakdown":
+        trigger = draw(st.sampled_from([_on("op-finished", k, machine=m), started]))
+        actions = [{"kind": "inject", "injection": {
+            "kind": "machine-down", "machine": m, "duration": draw(st.integers(3, 40))}}]
+        if draw(st.booleans()):
+            actions.append({"kind": "direct",
+                            "directive": {"kind": "announce-breakdown", "machine": m}})
+    elif kind == "supply-block":
+        trigger = started
+        actions = [{"kind": "inject", "injection": {
+            "kind": "supply-shortage", "machine": m, "duration": draw(st.integers(3, 40))}}]
+        if draw(st.booleans()):
+            actions.append({"kind": "direct",
+                            "directive": {"kind": "announce-supply-block", "machine": m}})
+    elif kind == "set-priority":
+        trigger = _on("order-released", k)
+        actions = [{"kind": "direct", "directive": {
+            "kind": "set-priority", "order_id": "$event.order",
+            "priority": draw(st.integers(-1, 5))}}]
+    elif kind == "insert-order":
+        at = draw(st.integers(0, 60))
+        trigger = {"kind": "at-time", "time": at}
+        release = at + draw(st.integers(0, 10))
+        actions = [{"kind": "direct", "directive": {"kind": "insert-order", "order": {
+            "id": draw(st.sampled_from(["N1", "O0"])), "routing": draw(routings),
+            "release": release, "due": release + draw(st.integers(10, 90)),
+            "priority": draw(st.integers(0, 5))}}}]
+    elif kind == "cancel-order":
+        if draw(st.booleans()):
+            trigger = _on("order-released", k)
+            target = "$event.order"
+        else:
+            trigger = {"kind": "at-time", "time": draw(st.integers(0, 40))}
+            target = draw(st.sampled_from(book)).id
+        actions = [{"kind": "direct",
+                    "directive": {"kind": "cancel-order", "order_id": target}}]
+    else:  # rework, at rest or in process
+        trigger = draw(st.sampled_from([_on("op-finished", k, machine=m), started]))
+        actions = [{"kind": "inject", "injection": {
+            "kind": "product-reject", "order": "$event.order", "policy": "rework"}}]
+    return {"id": kind, "trigger": trigger, "actions": actions,
+            "max_occurrences": occurrences}
+
+
+@st.composite
+def oracle_sessions(draw):
+    """A staggered, prioritised order book and a mix of disturbances."""
+    book, release = [], 0
+    for i in range(draw(st.integers(3, 10))):
+        # Two orders at t=0 and small gaps keep the floor busy: a round with
+        # nothing to do and nothing pending ends the run.
+        release += draw(st.integers(0, 3)) if i > 1 else 0
+        book.append(ProductOrder(
+            id=f"O{i + 1}", routing=tuple(draw(routings)), release=release,
+            due=release + draw(st.integers(15, 120)), priority=draw(st.integers(0, 3)),
+        ))
+    kinds = draw(st.lists(
+        st.sampled_from(["breakdown", "supply-block", "set-priority", "insert-order",
+                         "cancel-order", "rework"]),
+        unique=True, min_size=2, max_size=6,
+    ))
+    rules = [draw(_disturbance(kind, book)) for kind in kinds]
+    scenario = {"id": "oracle", "category": "dynamic-reconfiguration" if rules else None,
+                "rules": rules}
+    return book, scenario, draw(st.integers(0, 9))
+
+
+class TestFullScanOracle:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(session=oracle_sessions())
+    def test_indexed_control_issues_what_the_full_scan_issues(self, session):
+        book, scenario_doc, seed = session
+        model = load_model_doc(ORACLE_SHOP)
+        scenario = load_scenario_doc(scenario_doc, model=model, orders=book)
+        log = run_single(model, book, scenario, seed).log
+        assert extract_command_log(log)
+        assert replay_session(log, FullScanControl(model)) == extract_command_log(log)

@@ -331,6 +331,19 @@ class TestDecodeOnce:
         assert len(calls) == lines  # the control reuses the index
         assert source.sent
 
+    def test_replay_session_never_decodes_what_the_control_sent(
+        self, minicell_model, minicell_orders, ps9_scenario, monkeypatch
+    ):
+        log = run_single(minicell_model, minicell_orders, ps9_scenario, seed=1).log
+        lines = log.count(b"\n")
+        calls = self._count_decodes(monkeypatch)
+        replayed = replay_session(log, ReferenceControl(minicell_model))
+        assert len(calls) == lines == 122
+        monkeypatch.undo()
+        records = parse_log(log)
+        assert sum(r["role"] == "control" for r in records) == 87
+        assert replayed == extract_command_log(log)
+
 
 class TestReplay:
     def _log(self, minicell_model, minicell_orders, scenario, seed=1):

@@ -18,8 +18,9 @@ def test_minicell_loads(minicell_model):
     assert sorted(m.machines) == ["M1", "M2"]
     assert m.input_station == "IN"
     assert m.output_station == "OUT"
-    assert m.machine_at("M1").operations == {"A": 10}
-    assert m.machine_at("IN") is None
+    at_node = {spec.node: spec for spec in m.machines.values()}
+    assert at_node["M1"].operations == {"A": 10}
+    assert "IN" not in at_node
 
 
 def test_travel_uses_shortest_path(line_model):
