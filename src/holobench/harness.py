@@ -49,7 +49,7 @@ class SuiteError(ValueError):
 
 
 class ArtifactError(RuntimeError):
-    """Artifact directory problems: refusal to overwrite, missing files."""
+    """Artifact directory problems: refusal to overwrite, missing or damaged files."""
 
 
 @dataclass(frozen=True)
@@ -380,7 +380,11 @@ def compare(out_dir: str) -> dict[str, Any]:
         if run["report"] is None:
             incomplete[sid] = incomplete.get(sid, 0) + 1
             continue
-        report = KpiReport.from_doc(_read_json(os.path.join(out_dir, run["report"])))
+        report_path = os.path.join(out_dir, run["report"])
+        try:
+            report = KpiReport.from_doc(_read_json(report_path))
+        except ValueError as exc:
+            raise ArtifactError(f"{report_path}: {exc}") from exc
         by_scenario.setdefault(sid, []).append(report.scalar_metrics())
 
     scenario_order = [s["id"] for s in manifest["scenarios"]]

@@ -317,11 +317,6 @@ class RecordingEndpoint:
         self._recorder.record(line)
         self._inner.send_line(line)
 
-    def recv_line(self) -> bytes:
-        line = self._inner.recv_line()
-        self._recorder.record(line)
-        return line
-
     def recv_record(self) -> dict[str, Any]:
         line = self._inner.recv_line()
         record = decode_line(line)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 from .canon import canon_dumps
@@ -168,18 +168,7 @@ class EmulationKernel:
 
         events: list[SimEvent] = []
         for d in sorted(raw, key=key):
-            events.append(
-                SimEvent(
-                    time=self.clock,
-                    seq=self._next_seq,
-                    kind=d["kind"],
-                    machine=d.get("machine"),
-                    shuttle=d.get("shuttle"),
-                    order=d.get("order"),
-                    node=d.get("node"),
-                    info=d.get("info", {}),
-                )
-            )
+            events.append(SimEvent(time=self.clock, seq=self._next_seq, **d))
             self._next_seq += 1
         return events
 
@@ -462,33 +451,11 @@ class EmulationKernel:
             del self._products[order]
         return [ev]
 
-    # -- notices and inspection ----------------------------------------------
+    # -- notices ---------------------------------------------------------------
 
     def drain_notices(self) -> list[Notice]:
         out, self._notices = self._notices, []
         return out
-
-    def machine_status(self, mid: str) -> dict[str, Any]:
-        m = self._machines[mid]
-        return {
-            "down": m.down,
-            "blocked": m.blocked,
-            "busy_order": m.busy_order,
-            "busy_operation": m.busy_operation,
-        }
-
-    def shuttle_status(self, sid: str) -> dict[str, Any]:
-        s = self._shuttles[sid]
-        return {"node": s.node, "cargo": s.cargo, "dest": s.dest, "arrive": s.arrive}
-
-    def product_location(self, order: str) -> dict[str, Any] | None:
-        p = self._products.get(order)
-        if p is None:
-            return None
-        return {"node": p.node, "shuttle": p.shuttle, "processing": p.processing}
-
-    def floor_order_ids(self) -> list[str]:
-        return sorted(self._products)
 
     # -- snapshot / restore ---------------------------------------------------
 
@@ -498,27 +465,9 @@ class EmulationKernel:
             "clock": self.clock,
             "next_seq": self._next_seq,
             "model_hash": self.model.model_hash,
-            "machines": {
-                mid: {
-                    "down": m.down,
-                    "down_token": m.down_token,
-                    "blocked": m.blocked,
-                    "block_token": m.block_token,
-                    "busy_order": m.busy_order,
-                    "busy_operation": m.busy_operation,
-                    "busy_token": m.busy_token,
-                    "busy_finish": m.busy_finish,
-                }
-                for mid, m in sorted(self._machines.items())
-            },
-            "shuttles": {
-                sid: {"node": s.node, "cargo": s.cargo, "dest": s.dest, "arrive": s.arrive}
-                for sid, s in sorted(self._shuttles.items())
-            },
-            "products": {
-                oid: {"node": p.node, "shuttle": p.shuttle, "processing": p.processing}
-                for oid, p in sorted(self._products.items())
-            },
+            "machines": {mid: asdict(m) for mid, m in sorted(self._machines.items())},
+            "shuttles": {sid: asdict(s) for sid, s in sorted(self._shuttles.items())},
+            "products": {oid: asdict(p) for oid, p in sorted(self._products.items())},
             "released": sorted(self._released),
             "pending": sorted(self._pending),
             "push_counter": self._push_counter,

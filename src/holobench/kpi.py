@@ -16,7 +16,7 @@ is enforced by both, so a mutated log is caught on recompute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable
 
 FLOW_EVENTS = "FLOW1"
@@ -25,6 +25,26 @@ FLOW_CONTROL_KPI = "FLOW7"
 
 # Wall-clock figures: reported, but excluded from byte-stable artifacts.
 VOLATILE_METRICS = frozenset({"decision_latency_ms_mean", "decision_latency_ms_max"})
+
+# The report fields that suite aggregation compares across scenarios; their
+# names, plus one utilization[...] per machine, fix comparison.csv.
+COMPARED_METRICS = (
+    "makespan",
+    "released",
+    "completed",
+    "cancelled",
+    "scrapped",
+    "rework_events",
+    "throughput_per_1000",
+    "lead_time_mean",
+    "lead_time_max",
+    "tardiness_total",
+    "tardiness_mean",
+    "tardiness_max",
+    "tardy_orders",
+    "commands_issued",
+    "reschedules",
+)
 
 
 class ConservationError(RuntimeError):
@@ -76,89 +96,33 @@ class KpiReport:
     duplicates_dropped: int
 
     def to_doc(self, include_volatile: bool = False) -> dict[str, Any]:
-        doc = {
-            "run_id": self.run_id,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "makespan": self.makespan,
-            "released": self.released,
-            "completed": self.completed,
-            "cancelled": self.cancelled,
-            "scrapped": self.scrapped,
-            "rework_events": self.rework_events,
-            "throughput_per_1000": self.throughput_per_1000,
-            "machine_busy": dict(sorted(self.machine_busy.items())),
-            "machine_down": dict(sorted(self.machine_down.items())),
-            "machine_blocked": dict(sorted(self.machine_blocked.items())),
-            "utilization": dict(sorted(self.utilization.items())),
-            "lead_time_mean": self.lead_time_mean,
-            "lead_time_max": self.lead_time_max,
-            "tardiness_total": self.tardiness_total,
-            "tardiness_mean": self.tardiness_mean,
-            "tardiness_max": self.tardiness_max,
-            "tardy_orders": self.tardy_orders,
-            "commands_issued": self.commands_issued,
-            "directives_handled": self.directives_handled,
-            "reschedules": self.reschedules,
-            "events_observed": self.events_observed,
-            "duplicates_dropped": self.duplicates_dropped,
-        }
-        if include_volatile:
-            doc["decision_latency_ms_mean"] = self.decision_latency_ms_mean
-            doc["decision_latency_ms_max"] = self.decision_latency_ms_max
+        doc = asdict(self)
+        if not include_volatile:
+            for name in VOLATILE_METRICS:
+                del doc[name]
         return doc
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "KpiReport":
-        return cls(
-            run_id=doc["run_id"],
-            scenario=doc["scenario"],
-            seed=doc["seed"],
-            makespan=doc["makespan"],
-            released=doc["released"],
-            completed=doc["completed"],
-            cancelled=doc["cancelled"],
-            scrapped=doc["scrapped"],
-            rework_events=doc["rework_events"],
-            throughput_per_1000=doc["throughput_per_1000"],
-            machine_busy=dict(doc["machine_busy"]),
-            machine_down=dict(doc["machine_down"]),
-            machine_blocked=dict(doc["machine_blocked"]),
-            utilization=dict(doc["utilization"]),
-            lead_time_mean=doc["lead_time_mean"],
-            lead_time_max=doc["lead_time_max"],
-            tardiness_total=doc["tardiness_total"],
-            tardiness_mean=doc["tardiness_mean"],
-            tardiness_max=doc["tardiness_max"],
-            tardy_orders=doc["tardy_orders"],
-            commands_issued=doc["commands_issued"],
-            directives_handled=doc["directives_handled"],
-            reschedules=doc["reschedules"],
-            decision_latency_ms_mean=doc.get("decision_latency_ms_mean", 0.0),
-            decision_latency_ms_max=doc.get("decision_latency_ms_max", 0.0),
-            events_observed=doc["events_observed"],
-            duplicates_dropped=doc["duplicates_dropped"],
-        )
+        """Inverse of ``to_doc``; absent volatile metrics read as 0.0.
+
+        Raises ``ValueError`` naming every missing or unknown key.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("a KPI report must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        missing = sorted(names - VOLATILE_METRICS - doc.keys())
+        unknown = sorted(doc.keys() - names)
+        if missing or unknown:
+            raise ValueError(f"KPI report has missing keys {missing}, unknown keys {unknown}")
+        kwargs: dict[str, Any] = {name: 0.0 for name in VOLATILE_METRICS}
+        for name, value in doc.items():
+            kwargs[name] = dict(value) if isinstance(value, dict) else value
+        return cls(**kwargs)
 
     def scalar_metrics(self) -> dict[str, float]:
         """Flat numeric view used by suite aggregation and comparison."""
-        out: dict[str, float] = {
-            "makespan": self.makespan,
-            "released": self.released,
-            "completed": self.completed,
-            "cancelled": self.cancelled,
-            "scrapped": self.scrapped,
-            "rework_events": self.rework_events,
-            "throughput_per_1000": self.throughput_per_1000,
-            "lead_time_mean": self.lead_time_mean,
-            "lead_time_max": self.lead_time_max,
-            "tardiness_total": self.tardiness_total,
-            "tardiness_mean": self.tardiness_mean,
-            "tardiness_max": self.tardiness_max,
-            "tardy_orders": self.tardy_orders,
-            "commands_issued": self.commands_issued,
-            "reschedules": self.reschedules,
-        }
+        out: dict[str, float] = {name: getattr(self, name) for name in COMPARED_METRICS}
         for mid, u in sorted(self.utilization.items()):
             out[f"utilization[{mid}]"] = u
         return out

@@ -3,11 +3,12 @@
 These are the payloads that cross the interface layer between the emulation,
 the control system, and the scenario manager.  Event kinds form a closed set;
 every event carries the pair (time, seq) that totally orders the stream.
+Each class gets its dict form from ``wire_message``, driven by its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 # Closed vocabulary of production events emitted by the emulation.
@@ -53,6 +54,42 @@ class MessageError(ValueError):
     """Malformed or inconsistent message payload."""
 
 
+def wire_message(cls):
+    """Give a message dataclass its ``to_dict`` and ``from_dict``.
+
+    ``to_dict`` leaves out every field whose value equals its default;
+    ``from_dict`` ignores keys that name no field.  Dict values are copied
+    both ways.  Both are set on the class itself, ``from_dict`` as a
+    classmethod.
+    """
+    spec = tuple(
+        (f.name, f.default if f.default_factory is MISSING else f.default_factory())
+        for f in fields(cls)
+    )
+    names = frozenset(name for name, _ in spec)
+
+    def to_dict(self) -> dict[str, Any]:
+        d: dict[str, Any] = {}
+        for name, default in spec:
+            value = getattr(self, name)
+            # the identity test settles the common case, a field left at None
+            if value is not default and value != default:
+                d[name] = dict(value) if type(value) is dict else value
+        return d
+
+    def from_dict(cls, d: dict[str, Any]):
+        kwargs: dict[str, Any] = {}
+        for name, value in d.items():
+            if name in names:
+                kwargs[name] = dict(value) if type(value) is dict else value
+        return cls(**kwargs)
+
+    cls.to_dict = to_dict
+    cls.from_dict = classmethod(from_dict)
+    return cls
+
+
+@wire_message
 @dataclass(frozen=True)
 class SimEvent:
     """One timestamped production event.
@@ -77,40 +114,8 @@ class SimEvent:
         if self.time < 0 or self.seq < 0:
             raise MessageError("time and seq must be non-negative")
 
-    def sort_key(self) -> tuple[str, str, str, str, str]:
-        # Batch insertion order: kind lexical rank, then subject ids.
-        return (
-            self.kind,
-            self.machine or "",
-            self.shuttle or "",
-            self.order or "",
-            self.node or "",
-        )
 
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"time": self.time, "seq": self.seq, "kind": self.kind}
-        for key in ("machine", "shuttle", "order", "node"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = value
-        if self.info:
-            d["info"] = dict(self.info)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SimEvent":
-        return cls(
-            time=d["time"],
-            seq=d["seq"],
-            kind=d["kind"],
-            machine=d.get("machine"),
-            shuttle=d.get("shuttle"),
-            order=d.get("order"),
-            node=d.get("node"),
-            info=dict(d.get("info", {})),
-        )
-
-
+@wire_message
 @dataclass(frozen=True)
 class ControlCommand:
     """A control decision sent to the emulation.
@@ -134,28 +139,8 @@ class ControlCommand:
         if self.kind not in COMMAND_KINDS:
             raise MessageError(f"unknown command kind {self.kind!r}")
 
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"kind": self.kind}
-        for key in ("shuttle", "destination", "carry", "machine", "order", "operation", "holon"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = value
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ControlCommand":
-        return cls(
-            kind=d["kind"],
-            shuttle=d.get("shuttle"),
-            destination=d.get("destination"),
-            carry=d.get("carry"),
-            machine=d.get("machine"),
-            order=d.get("order"),
-            operation=d.get("operation"),
-            holon=d.get("holon"),
-        )
-
-
+@wire_message
 @dataclass(frozen=True)
 class ControlDirective:
     """A scenario-manager instruction to the control system."""
@@ -170,27 +155,8 @@ class ControlDirective:
         if self.kind not in DIRECTIVE_KINDS:
             raise MessageError(f"unknown directive kind {self.kind!r}")
 
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"kind": self.kind}
-        if self.order is not None:
-            d["order"] = dict(self.order)
-        for key in ("order_id", "priority", "machine"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = value
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ControlDirective":
-        return cls(
-            kind=d["kind"],
-            order=d.get("order"),
-            order_id=d.get("order_id"),
-            priority=d.get("priority"),
-            machine=d.get("machine"),
-        )
-
-
+@wire_message
 @dataclass(frozen=True)
 class Injection:
     """A disturbance applied directly to the emulation."""
@@ -214,25 +180,8 @@ class Injection:
         elif self.machine is None:
             raise MessageError(f"{self.kind} requires a machine target")
 
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"kind": self.kind}
-        for key in ("machine", "order", "duration", "policy"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = value
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Injection":
-        return cls(
-            kind=d["kind"],
-            machine=d.get("machine"),
-            order=d.get("order"),
-            duration=d.get("duration"),
-            policy=d.get("policy"),
-        )
-
-
+@wire_message
 @dataclass(frozen=True)
 class Notice:
     """Emulation-side notification outside the production event stream.
@@ -246,21 +195,3 @@ class Notice:
     reason: str
     command: dict[str, Any] | None = None
     injection: dict[str, Any] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"time": self.time, "kind": self.kind, "reason": self.reason}
-        if self.command is not None:
-            d["command"] = dict(self.command)
-        if self.injection is not None:
-            d["injection"] = dict(self.injection)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Notice":
-        return cls(
-            time=d["time"],
-            kind=d["kind"],
-            reason=d["reason"],
-            command=d.get("command"),
-            injection=d.get("injection"),
-        )

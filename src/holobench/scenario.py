@@ -270,10 +270,6 @@ class Scenario:
     rules: tuple[Rule, ...]
     distributions: dict[str, Distribution]
 
-    @property
-    def is_null(self) -> bool:
-        return not self.rules
-
 
 def _walk_refs(value: Any, path: str, scenario_dists: dict[str, Distribution],
                allow_event_refs: bool) -> None:

@@ -90,6 +90,19 @@ class TestCompare:
         assert main(["compare", out]) == 0
         assert "ps9" in capsys.readouterr().out
 
+    def test_compare_damaged_report(self, suite_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", suite_path, "--out", str(out), "--seeds", "1"])
+        capsys.readouterr()
+        report = out / "reports" / "null-s1.json"
+        doc = json.loads(report.read_text())
+        del doc["makespan"]
+        report.write_text(json.dumps(doc))
+        assert main(["compare", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "null-s1.json" in err and "'makespan'" in err
+
     def test_compare_empty_dir(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path)]) == 1
         assert "manifest" in capsys.readouterr().err

@@ -28,6 +28,11 @@ def kinds(events):
     return [e.kind for e in events]
 
 
+def state(kernel):
+    """The kernel's full state, read through its public snapshot."""
+    return json.loads(kernel.snapshot())
+
+
 def drive_one_order(kernel):
     """Walk O1 through the line model: IN -> M1 (op A) -> OUT."""
     batches = [kernel.advance([release("O1")])]
@@ -55,7 +60,7 @@ class TestHappyPath:
         assert kinds(b[6]) == ["order-completed", "shuttle-arrived"]
         assert k.advance() == []
         assert not k.has_pending()
-        assert k.floor_order_ids() == []
+        assert state(k)["products"] == {}
         assert k.drain_notices() == []
 
     def test_seqs_are_gapless_from_one(self, line_model):
@@ -67,6 +72,29 @@ class TestHappyPath:
         k = EmulationKernel(line_model)
         for batch in drive_one_order(k):
             assert len({ev.time for ev in batch}) <= 1
+
+    def test_same_tick_batch_orders_by_kind_then_subjects(self, minicell_model):
+        k = EmulationKernel(minicell_model)
+        # ties within a kind break on the subject ids, not on command order
+        released = k.advance([release("O1"), release("O0")])
+        assert [ev.order for ev in released] == ["O0", "O1"]
+        k.advance([move("S2", "M2", carry="O0")])
+        k.advance()  # t=5: S2 at M2
+        k.advance([start("M2", "B", "O0"), move("S1", "M1", carry="O1")])  # M2 ends at 20
+        k.advance()  # t=10: S1 at M1
+        k.advance([start("M1", "A", "O1"), move("S2", "IN")])  # M1 ends at 20
+        k.advance()  # t=15: S2 at IN
+        k.advance([move("S2", "M1")])  # S2 arrives at 20
+        # The arrival leaves the pending queue first, yet the batch is sorted
+        # by kind, then machine, shuttle, order and node, and numbered after.
+        batch = k.advance()
+        assert [(ev.kind, ev.machine, ev.shuttle, ev.order) for ev in batch] == [
+            ("op-finished", "M1", None, "O1"),
+            ("op-finished", "M2", None, "O0"),
+            ("shuttle-arrived", None, "S2", None),
+        ]
+        assert {ev.time for ev in batch} == {20}
+        assert [ev.seq for ev in batch] == [batch[0].seq + i for i in range(3)]
 
     def test_commands_do_not_move_clock(self, line_model):
         k = EmulationKernel(line_model)
@@ -146,7 +174,7 @@ class TestRejections:
         # once finished the cancel goes through
         (ev,) = k.advance([ControlCommand(kind="cancel-order", order="O1")])
         assert ev.kind == "order-cancelled"
-        assert k.floor_order_ids() == []
+        assert state(k)["products"] == {}
 
 
 class TestInjections:
@@ -159,7 +187,7 @@ class TestInjections:
         (ev,) = k.apply_injection(Injection(kind="machine-down", machine="M1", duration=30))
         assert ev.kind == "machine-down" and ev.time == 5
         assert ev.info == {"preempted": "O1", "duration": 30}
-        assert k.machine_status("M1")["busy_order"] is None
+        assert state(k)["machines"]["M1"]["busy_order"] is None
         # stale op-finish at 15 must not fire; next happening is machine-up
         (up,) = k.advance()
         assert (up.kind, up.time) == ("machine-up", 35)
@@ -217,8 +245,8 @@ class TestInjections:
         )
         assert ev.kind == "product-rejected"
         assert ev.machine == "M1" and ev.info["policy"] == "rework"
-        assert k.machine_status("M1")["busy_order"] is None
-        assert k.product_location("O1") == {"node": "M1", "shuttle": None, "processing": None}
+        assert state(k)["machines"]["M1"]["busy_order"] is None
+        assert state(k)["products"]["O1"] == {"node": "M1", "shuttle": None, "processing": None}
 
     def test_reject_scrap_removes_product(self, line_model):
         k = EmulationKernel(line_model)
@@ -227,7 +255,7 @@ class TestInjections:
             Injection(kind="product-reject", order="O1", policy="scrap")
         )
         assert ev.info["policy"] == "scrap"
-        assert k.floor_order_ids() == []
+        assert state(k)["products"] == {}
 
     def test_scrap_in_transit_clears_cargo(self, line_model):
         k = EmulationKernel(line_model)
@@ -239,7 +267,7 @@ class TestInjections:
         assert ev.shuttle == "S1"
         (arr,) = k.advance()
         assert arr.kind == "shuttle-arrived" and arr.order is None
-        assert k.shuttle_status("S1")["cargo"] is None
+        assert state(k)["shuttles"]["S1"]["cargo"] is None
 
     def test_reject_unknown_order_ignored(self, line_model):
         k = EmulationKernel(line_model)

@@ -1,6 +1,8 @@
 """KPI engine: synthetic formula checks, duplicate robustness, conservation
 and equivalence between the streaming path and the whole-log recompute."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from holobench.harness import run_single
@@ -276,13 +278,42 @@ class TestReportSerialization:
 
     def test_doc_round_trip(self, minicell_model, minicell_orders, null_scenario):
         r = run_single(minicell_model, minicell_orders, null_scenario, seed=1).report
+        names = {f.name for f in fields(KpiReport)}
+        assert set(r.to_doc(include_volatile=True)) == names
+        assert set(r.to_doc()) == names - VOLATILE_METRICS
         back = KpiReport.from_doc(r.to_doc(include_volatile=True))
+        assert back == r
         assert reports_match(r, back) == []
         assert back.scalar_metrics() == r.scalar_metrics()
         # a stored artifact carries no latencies; they default to zero
         stored = KpiReport.from_doc(r.to_doc())
-        assert stored.decision_latency_ms_mean == 0.0
-        assert stored.makespan == r.makespan
+        assert stored == replace(r, **{name: 0.0 for name in VOLATILE_METRICS})
+        # the doc holds copies: changing it leaves the report alone
+        doc = r.to_doc()
+        doc["utilization"]["M1"] = -1.0
+        assert r.utilization["M1"] != -1.0
+        assert KpiReport.from_doc(doc).utilization is not doc["utilization"]
+
+    def test_from_doc_names_missing_and_unknown_keys(self):
+        doc = synthetic_engine().finalize().to_doc()
+        del doc["makespan"]
+        doc["colour"] = "red"
+        named = r"missing keys \['makespan'\], unknown keys \['colour'\]"
+        with pytest.raises(ValueError, match=named):
+            KpiReport.from_doc(doc)
+        with pytest.raises(ValueError, match="JSON object"):
+            KpiReport.from_doc([])
+
+    def test_scalar_metrics_key_set(self):
+        # These keys fix the rows of comparison.csv; directives_handled and
+        # the per-machine busy/down/blocked totals stay out of it.
+        r = synthetic_engine().finalize()
+        assert list(r.scalar_metrics()) == [
+            "makespan", "released", "completed", "cancelled", "scrapped",
+            "rework_events", "throughput_per_1000", "lead_time_mean", "lead_time_max",
+            "tardiness_total", "tardiness_mean", "tardiness_max", "tardy_orders",
+            "commands_issued", "reschedules", "utilization[M1]",
+        ]
 
     def test_scalar_metrics_flatten_per_machine_values(self):
         r = synthetic_engine().finalize()

@@ -1,4 +1,7 @@
-"""Message dataclasses: validation, ordering keys, dict round-trips."""
+"""Message dataclasses: validation and dict round-trips."""
+
+import json
+from dataclasses import MISSING, fields
 
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from holobench.messages import (
     DIRECTIVE_KINDS,
     EVENT_KINDS,
     INJECTION_KINDS,
+    REJECT_POLICIES,
     ControlCommand,
     ControlDirective,
     Injection,
@@ -52,27 +56,107 @@ def test_event_dict_round_trip_drops_empty_fields():
     assert SimEvent.from_dict(d) == ev
 
 
-def test_event_sort_key_orders_batch_deterministically():
-    evs = [
-        SimEvent(time=5, seq=1, kind="shuttle-arrived", shuttle="S2", node="M1"),
-        SimEvent(time=5, seq=2, kind="op-finished", machine="M1", order="O1"),
-        SimEvent(time=5, seq=3, kind="op-finished", machine="M1", order="O0"),
-    ]
-    ordered = sorted(evs, key=lambda e: e.sort_key())
-    assert [e.kind for e in ordered] == ["op-finished", "op-finished", "shuttle-arrived"]
-    assert ordered[0].order == "O0"
+MESSAGE_CLASSES = (SimEvent, ControlCommand, ControlDirective, Injection, Notice)
+
+_id = st.none() | st.text(min_size=1, max_size=8)
+_payload = st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6), max_size=3)
+
+MESSAGES = {
+    SimEvent: st.builds(
+        SimEvent,
+        time=st.integers(min_value=0, max_value=10**9),
+        seq=st.integers(min_value=0, max_value=10**9),
+        kind=st.sampled_from(sorted(EVENT_KINDS)),
+        machine=_id, shuttle=_id, order=_id, node=_id, info=_payload,
+    ),
+    ControlCommand: st.builds(
+        ControlCommand,
+        kind=st.sampled_from(sorted(COMMAND_KINDS)),
+        shuttle=_id, destination=_id, carry=_id, machine=_id, order=_id, operation=_id,
+        holon=_id,
+    ),
+    ControlDirective: st.builds(
+        ControlDirective,
+        kind=st.sampled_from(sorted(DIRECTIVE_KINDS)),
+        order=st.none() | _payload, order_id=_id, priority=st.none() | st.integers(),
+        machine=_id,
+    ),
+    Injection: st.one_of(
+        st.builds(
+            Injection,
+            kind=st.sampled_from(sorted(INJECTION_KINDS - {"product-reject"})),
+            machine=st.text(min_size=1, max_size=8),
+            duration=st.none() | st.integers(min_value=1),
+        ),
+        st.builds(
+            Injection,
+            kind=st.just("product-reject"), machine=_id, order=st.text(min_size=1, max_size=8),
+            policy=st.sampled_from(sorted(REJECT_POLICIES)),
+        ),
+    ),
+    Notice: st.builds(
+        Notice,
+        time=st.integers(min_value=0),
+        kind=st.sampled_from(["command-rejected", "injection-ignored"]),
+        reason=st.text(max_size=12),
+        command=st.none() | _payload, injection=st.none() | _payload,
+    ),
+}
 
 
-@given(
-    kind=st.sampled_from(sorted(EVENT_KINDS)),
-    time=st.integers(min_value=0, max_value=10**9),
-    seq=st.integers(min_value=0, max_value=10**9),
-    machine=st.none() | st.text(min_size=1, max_size=8),
-    order=st.none() | st.text(min_size=1, max_size=8),
-)
-def test_event_round_trip_property(kind, time, seq, machine, order):
-    ev = SimEvent(time=time, seq=seq, kind=kind, machine=machine, order=order)
-    assert SimEvent.from_dict(ev.to_dict()) == ev
+def _default(f):
+    return f.default if f.default_factory is MISSING else f.default_factory()
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_round_trip_property(cls, data):
+    msg = data.draw(MESSAGES[cls])
+    d = msg.to_dict()
+    for f in fields(cls):
+        value = getattr(msg, f.name)
+        assert (f.name in d) == (value != _default(f)), f.name
+        if f.name in d:
+            assert d[f.name] == value
+    assert cls.from_dict(d) == msg
+    assert cls.from_dict(json.loads(canon_dumps(d))) == msg
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
+def test_serializers_live_on_each_class(cls):
+    # Wrappers that time the wire layer patch these attributes per class.
+    assert callable(vars(cls)["to_dict"])
+    assert isinstance(vars(cls)["from_dict"], classmethod)
+
+
+def test_to_dict_leaves_out_exactly_the_defaults():
+    ev = SimEvent(time=0, seq=0, kind="machine-up", machine="", info={})
+    assert ev.to_dict() == {"time": 0, "seq": 0, "kind": "machine-up", "machine": ""}
+    d = ControlDirective(kind="set-priority", order_id="O1", priority=0)
+    assert d.to_dict() == {"kind": "set-priority", "order_id": "O1", "priority": 0}
+
+
+def test_insert_order_with_empty_payload_keeps_order():
+    d = ControlDirective(kind="insert-order", order={})
+    assert d.to_dict() == {"kind": "insert-order", "order": {}}
+    assert ControlDirective.from_dict(d.to_dict()) == d
+
+
+def test_from_dict_ignores_unknown_keys():
+    d = {"kind": "start-op", "machine": "M1", "priority": 3, "note": "x"}
+    assert ControlCommand.from_dict(d) == ControlCommand(kind="start-op", machine="M1")
+
+
+def test_dict_values_are_copied_both_ways():
+    src = {"kind": "command-rejected", "time": 1, "reason": "r", "command": {"kind": "start-op"}}
+    n = Notice.from_dict(src)
+    src["command"]["kind"] = "changed"
+    assert n.command == {"kind": "start-op"}
+    n.to_dict()["command"]["kind"] = "changed"
+    assert n.command == {"kind": "start-op"}
+    ev = SimEvent(time=1, seq=1, kind="op-started", info={"operation": "A"})
+    ev.to_dict()["info"]["operation"] = "B"
+    assert ev.info == {"operation": "A"}
 
 
 def test_command_round_trip():

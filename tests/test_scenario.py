@@ -199,7 +199,7 @@ class TestScenarioLoading:
             load_scenario_doc(doc)
 
     def test_null_scenario_has_no_category(self, null_scenario):
-        assert null_scenario.is_null and null_scenario.category is None
+        assert not null_scenario.rules and null_scenario.category is None
 
     def test_unknown_category_rejected(self):
         doc = scenario_doc(rules=[down_rule({"kind": "at-time", "time": 1})])
