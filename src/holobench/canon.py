@@ -4,14 +4,34 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable
+import json.encoder
+from typing import Any
 
-# Serialize to canonical JSON: lexicographic keys, no whitespace.  One
-# encoder serves the whole process; ``json.dumps`` with these arguments
-# would build a new one per call, and the wire encodes one line per record.
-canon_dumps: Callable[[Any], str] = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=False
-).encode
+# The wire encodes one line per record, so canonical JSON goes straight to
+# CPython's C encoder, built once, instead of through ``JSONEncoder.encode``
+# and ``iterencode``, which build a new one per call.  Its settings are what
+# ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
+# ensure_ascii=False)`` uses: lexicographic keys, no whitespace, UTF-8 text
+# left unescaped, NaN and infinities written as ``NaN``/``Infinity``.  No
+# circular-reference markers: records and documents are trees.
+if json.encoder.c_make_encoder is None:
+    raise ImportError("holobench needs CPython's C json encoder (json.encoder.c_make_encoder)")
+_c_encode = json.encoder.c_make_encoder(
+    None,  # markers
+    json.JSONEncoder().default,
+    json.encoder.c_encode_basestring,
+    None,  # indent
+    ":",  # key separator
+    ",",  # item separator
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+
+
+def canon_dumps(obj: Any) -> str:
+    """Canonical JSON text of a document."""
+    return "".join(_c_encode(obj, 0))
 
 
 def canon_bytes(obj: Any) -> bytes:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import os
 import time
 from collections import deque
@@ -42,6 +43,8 @@ from .scenario import CategoryRegistry, RegistryError, Scenario, ScenarioManager
 DEFAULT_CAP = 1_000_000
 
 HASHED_ARTIFACTS = ("manifest.json", "comparison.csv", "summary.txt")
+
+logger = logging.getLogger("holobench")
 
 
 class SuiteError(ValueError):
@@ -133,6 +136,7 @@ class RunResult:
     status: str  # completed | stalled | cap-exceeded
     rounds: int
     final_t: int
+    events: int  # production events delivered to the control
     log: bytes
     report: KpiReport | None
 
@@ -195,7 +199,7 @@ def run_single(
     )
     pump()
 
-    status = _drive(kernel, manager, driver, pump, cap)
+    status, events = _drive(kernel, manager, driver, pump, cap)
 
     driver.send_run_end(kernel.clock, status)
     pump()
@@ -214,6 +218,7 @@ def run_single(
         status=status,
         rounds=driver.round_no,
         final_t=kernel.clock,
+        events=events,
         log=log,
         report=report,
     )
@@ -225,10 +230,11 @@ def _drive(
     driver: RoundDriver,
     pump: Callable[[], None],
     cap: int,
-) -> str:
-    """Round loop; returns the run-end reason."""
+) -> tuple[str, int]:
+    """Round loop; returns the run-end reason and the events delivered."""
     queue: deque[tuple[int, list[SimEvent]]] = deque()
     buffer: list[ControlCommand] = []
+    delivered = 0
     while True:
         if not queue:
             events = kernel.advance(buffer)
@@ -236,7 +242,7 @@ def _drive(
             queue.append((kernel.clock, events))
         t, events = queue.popleft()
         if t > cap:
-            return "cap-exceeded"
+            return "cap-exceeded", delivered
         directives = []
         for firing in manager.process_batch(t, events):
             for inj in firing.injections:
@@ -248,11 +254,12 @@ def _drive(
             directives.extend(firing.directives)
         driver.open_round(t, directives)
         driver.send_batch(t, events, kernel.drain_notices())
+        delivered += len(events)
         pump()
         commands, idle = driver.collect_reply()
         buffer.extend(commands)
         if not events and not commands and not queue:
-            return "completed" if idle else "stalled"
+            return ("completed" if idle else "stalled"), delivered
 
 
 def run_suite(
@@ -294,7 +301,13 @@ def run_suite(
     results: list[RunResult] = []
     for sc in scenarios:
         for seed in use_seeds:
-            results.append(run_single(model, orders, sc, seed, cap=use_cap))
+            started = time.perf_counter()
+            r = run_single(model, orders, sc, seed, cap=use_cap)
+            logger.info(
+                "run %s: %s, %d rounds, %d events, %.3f s",
+                r.run_id, r.status, r.rounds, r.events, time.perf_counter() - started,
+            )
+            results.append(r)
 
     os.makedirs(os.path.join(out_dir, "logs"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "reports"), exist_ok=True)
@@ -370,6 +383,11 @@ def compare(out_dir: str) -> dict[str, Any]:
     if not os.path.exists(manifest_path):
         raise ArtifactError(f"{out_dir} holds no manifest.json")
     manifest = _read_json(manifest_path)
+    _check_fields(manifest, _MANIFEST_FIELDS, manifest_path)
+    for i, sc in enumerate(manifest["scenarios"]):
+        _check_fields(sc, _SCENARIO_FIELDS, f"{manifest_path}: scenarios[{i}]")
+    for i, run in enumerate(manifest["runs"]):
+        _check_fields(run, _RUN_FIELDS, f"{manifest_path}: runs[{i}]")
 
     by_scenario: dict[str, list[dict[str, float]]] = {}
     categories: dict[str, str | None] = {}
@@ -446,6 +464,22 @@ def compare(out_dir: str) -> dict[str, Any]:
         "incomplete": incomplete,
         "summary": summary,
     }
+
+
+# The manifest fields ``compare`` reads, with the types it needs them to have.
+_OPTIONAL_STR = (str, type(None))
+_MANIFEST_FIELDS = {"suite": str, "model_hash": str, "seeds": list, "scenarios": list, "runs": list}
+_SCENARIO_FIELDS = {"id": str, "category": _OPTIONAL_STR}
+_RUN_FIELDS = {"scenario": str, "category": _OPTIONAL_STR, "report": _OPTIONAL_STR}
+
+
+def _check_fields(doc: Any, spec: dict[str, Any], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"{where} must be a JSON object")
+    missing = sorted(spec.keys() - doc.keys())
+    wrong = sorted(k for k in spec.keys() & doc.keys() if not isinstance(doc[k], spec[k]))
+    if missing or wrong:
+        raise ArtifactError(f"{where} has missing keys {missing}, wrong value types for {wrong}")
 
 
 _SUMMARY_METRICS = (

@@ -12,20 +12,29 @@ endpoint answers each event batch with commands and an end-of-round record.
 Scenario-manager records (run metadata, directives, injection audits) ride
 the same wire and are recorded in place.
 
-Each line is decoded once per reader.  An endpoint's ``recv_record`` hands
+Decoding is strict about the shape of a line: after the prefix comes exactly
+one JSON object, then the newline.  Unlike ``json.loads``, no whitespace is
+accepted before or after the object, so a trailing space or a carriage
+return before the newline makes the line invalid.  Canonical lines never
+contain either.
+
+Each line is decoded once in a run.  An endpoint's ``recv_record`` hands
 the receiver a decoded record; the recording endpoint decodes a received
 line once and gives that same record to the recorder, which passes it on to
 its observers only after the receiver has finished with it (at the next
-recorded line, or when the log is taken).  Lines the emulation sends are
-decoded by the recorder from the committed bytes, and again by an in-process
-control exactly as a remote one would.  Replay decodes the log once, while
-indexing it, and keeps the kind of each record the control sends next to its
-encoded line, so it never decodes what the control sent.
+recorded line, or when the log is taken).  A record the emulation or the
+scenario manager sends is encoded once and reaches the recorder the same
+way, as the sender's record next to its line, so the recorder never decodes
+it; an in-process control decodes it exactly as a remote one would.  Replay
+decodes the log once, while indexing it, and keeps the kind of each record
+the control sends next to its encoded line, so it never decodes what the
+control sent.
 """
 
 from __future__ import annotations
 
 import json
+import json.scanner
 import socket
 import time
 from collections import deque
@@ -83,14 +92,36 @@ def encode_record(record: dict[str, Any]) -> bytes:
     return WIRE_PREFIX + canon_dumps(record).encode("utf-8") + b"\n"
 
 
+# Lines are parsed by CPython's C scanner, built once, instead of through
+# ``json.loads``, ``JSONDecoder.decode`` and ``raw_decode``.  It takes the
+# default decoder's settings, so it builds the same values ``json.loads``
+# does.
+if json.scanner.c_make_scanner is None:
+    raise ImportError("holobench needs CPython's C json scanner (json.scanner.c_make_scanner)")
+_scan = json.scanner.c_make_scanner(json.JSONDecoder())
+
+
 def decode_line(line: bytes, offset: int = 0) -> dict[str, Any]:
+    """Decode one wire line into its record; ``offset`` locates it in a log.
+
+    After the prefix the line must hold exactly one JSON object, then the
+    newline.  Unlike ``json.loads``, no whitespace is accepted before or
+    after the object: a trailing space or a carriage return before the
+    newline raises ``DecodeError``, as does anything after the object.
+    """
     if not line.startswith(WIRE_PREFIX):
         raise DecodeError("line does not start with the IL1 prefix", offset)
-    payload = line[len(WIRE_PREFIX) :].rstrip(b"\n")
     try:
-        record = json.loads(payload.decode("utf-8"))
+        payload = line[len(WIRE_PREFIX) :].rstrip(b"\n").decode("utf-8")
+        record, end = _scan(payload, 0)
+    except StopIteration as exc:  # the scanner found no value at index 0
+        raise DecodeError(
+            f"record is not valid JSON: no value at char {exc.value}", offset
+        ) from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DecodeError(f"record is not valid JSON: {exc}", offset) from exc
+    if end != len(payload):
+        raise DecodeError(f"record is not valid JSON: extra data at char {end}", offset)
     if not isinstance(record, dict):
         raise DecodeError("record must be a JSON object", offset)
     if record.keys() != RECORD_KEYS:
@@ -266,12 +297,11 @@ class RunRecorder:
 
     Observers are read-only taps: they see each record, in wire order, only
     after its line has been committed to the log, so they cannot affect the
-    session.  A line recorded alone is decoded here, from the committed
-    bytes.  A line recorded together with the record its receiver decoded
-    (``record(line, decoded)``) is not decoded again: that shared record is
-    held back and passed to the observers only once the receiver is done
-    with it, at the next ``record`` call or in ``log_bytes``.  Take the log
-    before reading anything the observers computed.
+    session.  Each line comes with its record, the one its receiver decoded
+    or its sender encoded, so the recorder decodes nothing.  That shared
+    record is held back and passed to the observers only once its holder is
+    done with it, at the next ``record`` call or in ``log_bytes``.  Take the
+    log before reading anything the observers computed.
     """
 
     def __init__(self):
@@ -282,24 +312,18 @@ class RunRecorder:
     def attach(self, observer: Callable[[dict[str, Any]], None]) -> None:
         self._observers.append(observer)
 
-    def record(self, line: bytes, decoded: dict[str, Any] | None = None) -> None:
+    def record(self, line: bytes, record: dict[str, Any]) -> None:
         self._chunks.append(line)
         if not self._observers:
             return
         self._release()
-        if decoded is None:
-            self._notify(decode_line(line))
-        else:
-            self._held = decoded
+        self._held = record
 
     def _release(self) -> None:
         held, self._held = self._held, None
         if held is not None:
-            self._notify(held)
-
-    def _notify(self, record: dict[str, Any]) -> None:
-        for obs in self._observers:
-            obs(record)
+            for obs in self._observers:
+                obs(held)
 
     def log_bytes(self) -> bytes:
         self._release()
@@ -313,8 +337,9 @@ class RecordingEndpoint:
         self._inner = inner
         self._recorder = recorder
 
-    def send_line(self, line: bytes) -> None:
-        self._recorder.record(line)
+    def send_record(self, record: dict[str, Any]) -> None:
+        line = encode_record(record)
+        self._recorder.record(line, record)
         self._inner.send_line(line)
 
     def recv_record(self) -> dict[str, Any]:
@@ -452,7 +477,7 @@ class RoundDriver:
         self.round_no = 0
 
     def _send(self, record: dict[str, Any]) -> None:
-        self._ep.send_line(encode_record(record))
+        self._ep.send_record(record)
 
     def _recv(self) -> dict[str, Any]:
         return self._ep.recv_record()

@@ -17,7 +17,7 @@ is enforced by both, so a mutated log is caught on recompute.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Iterable
+from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
 FLOW_EVENTS = "FLOW1"
 FLOW_LATENCY = "FLOW2"
@@ -106,7 +106,8 @@ class KpiReport:
     def from_doc(cls, doc: dict[str, Any]) -> "KpiReport":
         """Inverse of ``to_doc``; absent volatile metrics read as 0.0.
 
-        Raises ``ValueError`` naming every missing or unknown key.
+        Raises ``ValueError`` naming every missing or unknown key, and every
+        value whose type its field does not allow.
         """
         if not isinstance(doc, dict):
             raise ValueError("a KPI report must be a JSON object")
@@ -115,6 +116,9 @@ class KpiReport:
         unknown = sorted(doc.keys() - names)
         if missing or unknown:
             raise ValueError(f"KPI report has missing keys {missing}, unknown keys {unknown}")
+        wrong = sorted(name for name, value in doc.items() if not _fits(value, _FIELD_TYPES[name]))
+        if wrong:
+            raise ValueError(f"KPI report has values of the wrong type for keys {wrong}")
         kwargs: dict[str, Any] = {name: 0.0 for name in VOLATILE_METRICS}
         for name, value in doc.items():
             kwargs[name] = dict(value) if isinstance(value, dict) else value
@@ -126,6 +130,21 @@ class KpiReport:
         for mid, u in sorted(self.utilization.items()):
             out[f"utilization[{mid}]"] = u
         return out
+
+
+_FIELD_TYPES = get_type_hints(KpiReport)
+
+
+def _fits(value: Any, hint: Any) -> bool:
+    """Whether a JSON value has the shape of a report field's type."""
+    if get_origin(hint) is dict:
+        _, value_hint = get_args(hint)
+        return isinstance(value, dict) and all(
+            isinstance(k, str) and _fits(v, value_hint) for k, v in value.items()
+        )
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def reports_match(a: KpiReport, b: KpiReport, tol: float = 1e-9) -> list[str]:

@@ -3,6 +3,7 @@ where the entry point itself matters, in-process otherwise."""
 
 import importlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -65,6 +66,29 @@ class TestRun:
         digest = [l for l in first.splitlines() if l.startswith("artifact digest")]
         assert digest == [l for l in second.splitlines() if l.startswith("artifact digest")]
 
+    def test_info_log_is_one_stderr_line_per_run_and_keeps_the_digest(self, suite_path,
+                                                                      tmp_path):
+        outputs = {}
+        for level in ("quiet", "info"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "holobench.cli", "run", suite_path,
+                 "--out", str(tmp_path / level), "--seeds", "1,2"],
+                capture_output=True, text=True, env={**os.environ, "HOLOBENCH_LOG": level},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[level] = proc
+        assert outputs["quiet"].stdout == outputs["info"].stdout  # summary and digest
+        assert outputs["quiet"].stderr == ""
+        manifest = json.loads((tmp_path / "info" / "manifest.json").read_text())
+        run_lines = [l for l in outputs["info"].stderr.splitlines() if l.startswith("INFO run ")]
+        assert len(run_lines) == len(manifest["runs"]) == 10
+        for line, run in zip(run_lines, manifest["runs"]):
+            assert re.fullmatch(
+                rf"INFO run {run['run_id']}: completed, {run['rounds']} rounds, "
+                r"[1-9]\d* events, \d+\.\d{3} s",
+                line,
+            ), line
+
     def test_seed_override(self, suite_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main(["run", suite_path, "--out", out, "--seeds", "5"]) == 0
@@ -102,6 +126,32 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "null-s1.json" in err and "'makespan'" in err
+
+    def test_compare_report_value_of_the_wrong_type(self, suite_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", suite_path, "--out", str(out), "--seeds", "1"])
+        capsys.readouterr()
+        report = out / "reports" / "null-s1.json"
+        doc = json.loads(report.read_text())
+        doc["utilization"] = []
+        report.write_text(json.dumps(doc))
+        assert main(["compare", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "null-s1.json" in err and "'utilization'" in err
+
+    def test_compare_manifest_run_without_its_report(self, suite_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", suite_path, "--out", str(out), "--seeds", "1"])
+        capsys.readouterr()
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["runs"][0]["report"]
+        manifest.write_text(json.dumps(doc))
+        assert main(["compare", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "manifest.json" in err and "runs[0]" in err and "'report'" in err
 
     def test_compare_empty_dir(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path)]) == 1

@@ -1,14 +1,16 @@
 """Wire layer: codec, transports, session recording and replay."""
 
+import copy
 import json
 import socket
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holobench import interface
+from holobench.canon import canon_dumps
 from holobench.control import ControlProtocolError, ReferenceControl
 from holobench.harness import run_single
 from holobench.interface import (
@@ -31,10 +33,33 @@ from holobench.interface import (
     replay_session,
 )
 from holobench.kpi import KpiEngine
+from holobench.model import load_model_doc
+from holobench.scenario import load_scenario_doc
+from test_control import ORACLE_SHOP, oracle_sessions
 
 
 def rec(kind="event-batch", role="emulation", round_no=1, t=0, body=None, corr=None):
     return make_record(role, round_no, t, kind, body if body is not None else {}, corr)
+
+
+# Documents the codec must write exactly as json.dumps does: non-ASCII and
+# control-character text, integers past 64 bits, floats with NaN and the
+# infinities, null and booleans, nested in objects and arrays.
+json_scalars = (
+    st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from("\"\\\u2028é€😀"))
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0])
+    | st.none()
+    | st.booleans()
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
 
 
 class TestCodec:
@@ -64,6 +89,12 @@ class TestCodec:
             (encode_record(rec()).replace(b'"round":1', b'"round":"1"'), "integers"),
             (encode_record(rec()).replace(b'"body":{}', b'"body":[]'), "body"),
             (encode_record(rec()).replace(b'"corr":null', b'"corr":"x"'), "corr"),
+            # Stricter than json.loads: nothing but the object between the
+            # prefix and the newline.
+            (encode_record(rec()).replace(b"IL1 ", b"IL1  "), "JSON"),
+            (encode_record(rec()).replace(b"}\n", b"} \n"), "JSON"),
+            (encode_record(rec()).replace(b"}\n", b"}\r\n"), "JSON"),
+            (encode_record(rec()).replace(b"}\n", b"}{}\n"), "JSON"),
         ],
     )
     def test_decode_errors(self, line, fragment):
@@ -91,6 +122,15 @@ class TestCodec:
     def test_round_trip_property(self, role, round_no, t, kind, corr, body):
         r = make_record(role, round_no, t, kind, body, corr)
         assert decode_line(encode_record(r)) == json.loads(json.dumps(r))
+
+    @given(doc=json_docs)
+    def test_canonical_text_is_what_json_dumps_writes(self, doc):
+        expected = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert canon_dumps(doc) == expected
+        line = encode_record(rec(body={"doc": doc}))
+        # repr, because NaN is unequal to itself; it also tells 1 from 1.0
+        # and True from 1, and both sides keep the payload's key order.
+        assert repr(decode_line(line)) == repr(json.loads(line[len(b"IL1 ") :]))
 
     def test_parse_log_reports_byte_offset(self):
         good = encode_record(rec())
@@ -196,10 +236,10 @@ class TestRecorder:
         recorder = RunRecorder()
         seen = []
         recorder.attach(lambda record: seen.append(record["kind"]))
-        l1 = encode_record(rec(kind="hello", body={"model_hash": "x"}))
-        l2 = encode_record(rec(kind="bye", role="control"))
-        recorder.record(l1)
-        recorder.record(l2)
+        r1, r2 = rec(kind="hello", body={"model_hash": "x"}), rec(kind="bye", role="control")
+        l1, l2 = encode_record(r1), encode_record(r2)
+        recorder.record(l1, r1)
+        recorder.record(l2, r2)
         assert recorder.log_bytes() == l1 + l2
         assert seen == ["hello", "bye"]
 
@@ -210,13 +250,13 @@ class TestRecorder:
         sent = rec(kind="hello", body={"model_hash": "x"})
         received = rec(kind="hello", role="control", body={"model_hash": "x"})
         closing = rec(kind="bye", role="control")
-        recorder.record(encode_record(sent))
-        assert seen == [sent]  # decoded from the bytes, delivered at once
+        recorder.record(encode_record(sent), sent)
+        assert seen == []  # the sender still holds it
         recorder.record(encode_record(received), received)
-        assert seen == [sent]  # the receiver still holds it
+        assert seen == [sent]  # the receiver still holds its record
         recorder.record(encode_record(closing), closing)
         assert seen == [sent, received]
-        assert seen[1] is received  # shared, not decoded again
+        assert seen[0] is sent and seen[1] is received  # shared, never decoded
         log = recorder.log_bytes()
         assert seen == [sent, received, closing]
         assert recorder.log_bytes() == log
@@ -230,7 +270,7 @@ class TestRecorder:
         observe, finalize = KpiEngine.observe_record, KpiEngine.finalize
 
         def tap(engine, record):
-            seen.append(json.loads(json.dumps(record)))
+            seen.append(copy.deepcopy(record))  # a tuple stays a tuple
             observe(engine, record)
 
         def finalize_after_all(engine):
@@ -249,6 +289,30 @@ class TestRecorder:
         assert seen == records
         assert [r["kind"] for r in seen[-2:]] == ["tap", "bye"]
         assert seen_at_finalize == [len(records)]  # the report sees the whole wire
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(session=oracle_sessions())
+    def test_observers_see_what_a_decoder_of_the_log_sees(self, session):
+        """Observers get the sender's own record for every line the
+        emulation and the scenario manager send; it must equal what
+        decoding the line gives, as a tuple sent where the decoder builds a
+        list would not."""
+        book, scenario_doc, seed = session
+        model = load_model_doc(ORACLE_SHOP)
+        scenario = load_scenario_doc(scenario_doc, model=model, orders=book)
+        seen = []
+        observe = KpiEngine.observe_record
+
+        def tap(engine, record):
+            seen.append(copy.deepcopy(record))
+            observe(engine, record)
+
+        KpiEngine.observe_record = tap
+        try:
+            result = run_single(model, book, scenario, seed, latency_clock=lambda: 0.0)
+        finally:
+            KpiEngine.observe_record = observe
+        assert seen == parse_log(result.log)
 
     def test_tap_that_mutates_records_cannot_change_the_session(
         self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
@@ -303,9 +367,10 @@ class TestDecodeOnce:
     def test_each_line_is_decoded_once_per_reader(
         self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
     ):
-        """The recorder decodes what it commits once; the in-process control
-        decodes what the emulation and the scenario manager send, as a
-        remote control would; nothing else decodes."""
+        """The emulation side decodes what the control sends, and the
+        in-process control decodes what the emulation and the scenario
+        manager send, as a remote control would.  The recorder reuses both
+        sides' records, so every line is decoded exactly once."""
         calls = self._count_decodes(monkeypatch)
         result = run_single(
             minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3,
@@ -316,7 +381,8 @@ class TestDecodeOnce:
         records = parse_log(result.log)
         sent_to_control = sum(r["role"] != "control" for r in records)
         assert sent_to_control and sent_to_control < len(records)
-        assert decoded_in_run == len(records) + sent_to_control
+        assert decoded_in_run == len(records)
+        assert sorted(calls) == sorted(line for _, line in iter_log(result.log))
 
     def test_replay_decodes_the_log_once(self, minicell_model, minicell_orders,
                                          scenario_by_name, monkeypatch):

@@ -304,6 +304,15 @@ class TestReportSerialization:
         with pytest.raises(ValueError, match="JSON object"):
             KpiReport.from_doc([])
 
+    def test_from_doc_names_values_of_the_wrong_type(self):
+        doc = synthetic_engine().finalize().to_doc()
+        doc["lead_time_mean"] = 3  # an integral float written as an int still reads
+        KpiReport.from_doc(doc)
+        doc.update(makespan=True, machine_busy={"M1": 1.5}, utilization=[], run_id=None)
+        named = r"wrong type for keys \['machine_busy', 'makespan', 'run_id', 'utilization'\]"
+        with pytest.raises(ValueError, match=named):
+            KpiReport.from_doc(doc)
+
     def test_scalar_metrics_key_set(self):
         # These keys fix the rows of comparison.csv; directives_handled and
         # the per-machine busy/down/blocked totals stay out of it.
