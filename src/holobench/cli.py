@@ -31,7 +31,10 @@ _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.
 def _setup_logging() -> None:
     level_name = os.environ.get("HOLOBENCH_LOG", "quiet").lower()
     level = _LOG_LEVELS.get(level_name, logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
+    # The level goes on the package logger: basicConfig does nothing when the
+    # root logger already has a handler, as in an embedding application.
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    logging.getLogger("holobench").setLevel(level)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:

@@ -30,7 +30,6 @@ from .control import ProductOrder, ReferenceControl, load_orders_file
 from .interface import (
     ControlClient,
     InProcEndpoint,
-    RecordingEndpoint,
     RoundDriver,
     RunRecorder,
 )
@@ -167,21 +166,20 @@ def run_single(
 
     if endpoint is None:
         control = ReferenceControl(model)
-        emu_raw, ctl_raw = InProcEndpoint.pair()
-        client = ControlClient(ctl_raw, control, clock=latency_clock or time.perf_counter)
+        emu_ep, ctl_ep = InProcEndpoint.pair()
+        client = ControlClient(ctl_ep, control, clock=latency_clock or time.perf_counter)
 
         def pump() -> None:
-            while ctl_raw.has_line():
+            while ctl_ep.has_line():
                 client.serve_one()
 
     else:
-        emu_raw = endpoint
+        emu_ep = endpoint
 
         def pump() -> None:
             pass
 
-    emu_ep = RecordingEndpoint(emu_raw, recorder)
-    driver = RoundDriver(emu_ep, model.model_hash)
+    driver = RoundDriver(emu_ep, model.model_hash, recorder)
 
     run_id = f"{scenario.id}-s{seed}"
     driver.handshake()

@@ -19,13 +19,13 @@ return before the newline makes the line invalid.  Canonical lines never
 contain either.
 
 Each line is decoded once in a run.  An endpoint's ``recv_record`` hands
-the receiver a decoded record; the recording endpoint decodes a received
-line once and gives that same record to the recorder, which passes it on to
-its observers only after the receiver has finished with it (at the next
-recorded line, or when the log is taken).  A record the emulation or the
-scenario manager sends is encoded once and reaches the recorder the same
-way, as the sender's record next to its line, so the recorder never decodes
-it; an in-process control decodes it exactly as a remote one would.  Replay
+the receiver a decoded record; the round driver decodes a received line
+once and gives that same record to the recorder, which passes it on to its
+observers only after the driver has finished with it (at the next recorded
+line, or when the log is taken).  A record the emulation or the scenario
+manager sends is encoded once and reaches the recorder the same way, as the
+sender's record next to its line, so the recorder never decodes it; an
+in-process control decodes it exactly as a remote one would.  Replay
 decodes the log once, while indexing it, and keeps the kind of each record
 the control sends next to its encoded line, so it never decodes what the
 control sent.
@@ -195,9 +195,7 @@ class LineEndpoint:
     ``recv_record``.
 
     ``send_record`` encodes a record and sends its line; ``recv_record``
-    returns the next inbound record decoded, by default by decoding
-    ``recv_line()``.  Endpoints that already hold the decoded record override
-    it so the line is not decoded a second time.
+    returns the next inbound record, decoded from ``recv_line()``.
     """
 
     def send_line(self, line: bytes) -> None:
@@ -330,31 +328,6 @@ class RunRecorder:
         return b"".join(self._chunks)
 
 
-class RecordingEndpoint:
-    """Wraps an endpoint so that both directions land in the recorder."""
-
-    def __init__(self, inner, recorder: RunRecorder):
-        self._inner = inner
-        self._recorder = recorder
-
-    def send_record(self, record: dict[str, Any]) -> None:
-        line = encode_record(record)
-        self._recorder.record(line, record)
-        self._inner.send_line(line)
-
-    def recv_record(self) -> dict[str, Any]:
-        line = self._inner.recv_line()
-        record = decode_line(line)
-        self._recorder.record(line, record)
-        return record
-
-    def has_line(self) -> bool:
-        return self._inner.has_line()
-
-    def close(self) -> None:
-        self._inner.close()
-
-
 # -- control client -------------------------------------------------------------
 
 
@@ -466,21 +439,28 @@ class RoundDriver:
     """Emulation-side half of the round protocol.
 
     Owns the wire: sends hello, run metadata, per-round scenario records and
-    event batches; collects the control's reply for each round.  Does not
-    know about the kernel; the bench harness supplies batches and consumes
-    commands.
+    event batches; collects the control's reply for each round.  Records
+    both directions: each line it sends or receives goes to the recorder
+    with its record, encoded or decoded once here.  Does not know about the
+    kernel; the bench harness supplies batches and consumes commands.
     """
 
-    def __init__(self, endpoint, model_hash: str):
+    def __init__(self, endpoint, model_hash: str, recorder: RunRecorder):
         self._ep = endpoint
         self._model_hash = model_hash
+        self._recorder = recorder
         self.round_no = 0
 
     def _send(self, record: dict[str, Any]) -> None:
-        self._ep.send_record(record)
+        line = encode_record(record)
+        self._recorder.record(line, record)
+        self._ep.send_line(line)
 
     def _recv(self) -> dict[str, Any]:
-        return self._ep.recv_record()
+        line = self._ep.recv_line()
+        record = decode_line(line)
+        self._recorder.record(line, record)
+        return record
 
     def handshake(self) -> None:
         self._send(make_record(ROLE_EMULATION, 0, 0, "hello", {"model_hash": self._model_hash}))
@@ -578,7 +558,7 @@ def _truncated_replay(offset: int) -> Exception:
     return ReplayError(f"log truncated mid-line at byte {offset}")
 
 
-class ReplaySource(LineEndpoint):
+class ReplaySource:
     """Serves the emulation/scenario side of a recorded session log.
 
     A ControlClient can be pointed at a recorded log exactly as at a live
@@ -590,7 +570,7 @@ class ReplaySource(LineEndpoint):
     """
 
     def __init__(self, log: bytes):
-        self._records: list[tuple[bytes, dict[str, Any]]] = []
+        self._records: list[dict[str, Any]] = []
         self.sent: list[tuple[str, bytes]] = []
         last_round = 0
         complete = False
@@ -605,23 +585,17 @@ class ReplaySource(LineEndpoint):
                     last_round = record["round"]
                 if record["kind"] == "run-end":
                     complete = True
-                self._records.append((line, record))
+                self._records.append(record)
         if self._records and not complete:
             raise ReplayError("log is truncated: no run-end record")
         self._cursor = 0
 
-    def _next(self) -> tuple[bytes, dict[str, Any]]:
+    def recv_record(self) -> dict[str, Any]:
         if self._cursor >= len(self._records):
             raise EndOfStream
-        entry = self._records[self._cursor]
+        record = self._records[self._cursor]
         self._cursor += 1
-        return entry
-
-    def recv_line(self) -> bytes:
-        return self._next()[0]
-
-    def recv_record(self) -> dict[str, Any]:
-        return self._next()[1]
+        return record
 
     def send_record(self, record: dict[str, Any]) -> None:
         self.sent.append((record["kind"], encode_record(record)))

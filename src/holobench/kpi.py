@@ -1,17 +1,17 @@
 """Externalized KPI computation.
 
 Nothing in here influences a run: the engine observes records the recorder
-has already committed, turns them into tagged stream entries, and reduces
+has already committed, applies each stream entry they carry, and reduces
 them to a report at the end.  Three streams are tapped: FLOW1 carries the
 production events, FLOW2 the per-round decision latency, FLOW7 the control's
 end-of-run counters.
 
 Two implementations cross-check each other.  ``KpiEngine`` is incremental:
-it deduplicates on (tag, t, seq), refuses time regressions, and keeps
-running interval state.  ``recompute_from_log`` reconstructs the same report
-from a session log alone, using whole-log folds instead of streaming state.
-Conservation (every released order ends completed, cancelled, or scrapped)
-is enforced by both, so a mutated log is caught on recompute.
+it deduplicates entries on (flow, t, seq), refuses time regressions, and
+keeps running interval state.  ``recompute_from_log`` reconstructs the same
+report from a session log alone, using whole-log folds instead of streaming
+state.  Conservation (every released order ends completed, cancelled, or
+scrapped) is enforced by both, so a mutated log is caught on recompute.
 """
 
 from __future__ import annotations
@@ -53,16 +53,6 @@ class ConservationError(RuntimeError):
 
 class StreamError(RuntimeError):
     """The tapped stream is internally inconsistent."""
-
-
-@dataclass(frozen=True)
-class TaggedRecord:
-    """One entry of a tapped stream."""
-
-    tag: str
-    t: int
-    seq: int
-    payload: dict[str, Any]
 
 
 @dataclass
@@ -225,50 +215,35 @@ class KpiEngine:
                 self._dues[od["id"]] = od["due"]
         elif kind == "event-batch":
             for ed in record["body"]["events"]:
-                self.ingest(
-                    TaggedRecord(tag=FLOW_EVENTS, t=ed["time"], seq=ed["seq"], payload=ed)
-                )
+                if self._is_new(FLOW_EVENTS, ed["time"], ed["seq"]):
+                    self._ingest_event(ed["time"], ed)
         elif kind == "tap":
             body = record["body"]
-            if body.get("flow") == FLOW_LATENCY:
-                self.ingest(
-                    TaggedRecord(
-                        tag=FLOW_LATENCY,
-                        t=record["t"],
-                        seq=body["i"],
-                        payload={"name": body["name"], "value": body["value"]},
-                    )
-                )
-            elif body.get("flow") == FLOW_CONTROL_KPI:
-                self.ingest(
-                    TaggedRecord(
-                        tag=FLOW_CONTROL_KPI,
-                        t=record["t"],
-                        seq=body["i"],
-                        payload={"name": body["name"], "value": body["value"]},
-                    )
-                )
+            flow = body.get("flow")
+            if flow == FLOW_LATENCY and self._is_new(flow, record["t"], body["i"]):
+                self._latency.append(float(body["value"]))
+            elif flow == FLOW_CONTROL_KPI and self._is_new(flow, record["t"], body["i"]):
+                self._control_kpi[body["name"]] = body["value"]
 
     # -- stream ingestion --------------------------------------------------------
 
-    def ingest(self, tr: TaggedRecord) -> None:
-        key = (tr.tag, tr.t, tr.seq)
+    def _is_new(self, flow: str, t: int, seq: int) -> bool:
+        """Whether a stream entry is new; counts and drops a duplicate.
+
+        Raises ``StreamError`` when the entry comes before the flow's last one.
+        """
+        key = (flow, t, seq)
         if key in self._seen:
             self.duplicates_dropped += 1
-            return
-        last = self._last.get(tr.tag)
-        if last is not None and (tr.t, tr.seq) < last:
+            return False
+        last = self._last.get(flow)
+        if last is not None and (t, seq) < last:
             raise StreamError(
-                f"{tr.tag} regressed: (t={tr.t}, seq={tr.seq}) after (t={last[0]}, seq={last[1]})"
+                f"{flow} regressed: (t={t}, seq={seq}) after (t={last[0]}, seq={last[1]})"
             )
         self._seen.add(key)
-        self._last[tr.tag] = (tr.t, tr.seq)
-        if tr.tag == FLOW_EVENTS:
-            self._ingest_event(tr.t, tr.payload)
-        elif tr.tag == FLOW_LATENCY:
-            self._latency.append(float(tr.payload["value"]))
-        elif tr.tag == FLOW_CONTROL_KPI:
-            self._control_kpi[tr.payload["name"]] = tr.payload["value"]
+        self._last[flow] = (t, seq)
+        return True
 
     def _ingest_event(self, t: int, ev: dict[str, Any]) -> None:
         self.events_observed += 1

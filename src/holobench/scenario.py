@@ -224,12 +224,14 @@ class Trigger:
         base = cls.from_doc(doc["base"], f"{path}.base", depth + 1)
         return cls(kind=kind, base=base, delay=delay)
 
-    def has_event_base(self) -> bool:
-        if self.kind == "on-event":
-            return True
-        if self.kind == "after" and self.base is not None:
-            return self.base.has_event_base()
-        return False
+
+def _chain(trigger: Trigger) -> tuple[Trigger, int]:
+    """Innermost primitive trigger and the summed after-delay above it."""
+    delay = 0
+    while trigger.kind == "after":
+        delay += trigger.delay
+        trigger = trigger.base
+    return trigger, delay
 
 
 @dataclass(frozen=True)
@@ -356,7 +358,7 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
         max_occ = rd.get("max_occurrences", 1)
         if not isinstance(max_occ, int) or max_occ < 1:
             raise ScenarioError(f"{path}.max_occurrences must be a positive integer")
-        allow_event_refs = trigger.has_event_base()
+        allow_event_refs = _chain(trigger)[0].kind == "on-event"
         for j, a in enumerate(actions):
             _walk_refs(a.payload, f"{path}.actions[{j}]", dists, allow_event_refs)
             _validate_action_shape(a, f"{path}.actions[{j}]", model, orders)
@@ -448,7 +450,17 @@ class ScenarioManager:
         }
         self._fired: dict[str, int] = {r.id: 0 for r in scenario.rules}
         self._matches: dict[str, int] = {r.id: 0 for r in scenario.rules}
-        self._time_armed: dict[str, bool] = {r.id: True for r in scenario.rules}
+        # Each trigger resolved once into its primitive and summed delay:
+        # at-time rules not yet fired as (rule, time, delay), and on-event
+        # rules by event kind as (rule, trigger, delay), both in rule order.
+        self._at_time: list[tuple[Rule, int, int]] = []
+        self._on_event: dict[str, list[tuple[Rule, Trigger, int]]] = {}
+        for rule in scenario.rules:
+            prim, delay = _chain(rule.trigger)
+            if prim.kind == "at-time":
+                self._at_time.append((rule, prim.time, delay))
+            else:
+                self._on_event.setdefault(prim.event, []).append((rule, prim, delay))
         # Matured after-triggers waiting for the clock: (due, order no, rule, event)
         self._delayed: list[tuple[int, int, Rule, SimEvent | None]] = []
         self._delay_counter = 0
@@ -489,16 +501,6 @@ class ScenarioManager:
     def _disarmed(self, rule: Rule) -> bool:
         return self._fired[rule.id] >= rule.max_occurrences
 
-    @staticmethod
-    def _chain(trigger: Trigger) -> tuple[Trigger, int]:
-        """Innermost primitive trigger and the summed after-delay above it."""
-        delay = 0
-        t = trigger
-        while t.kind == "after":
-            delay += t.delay or 0
-            t = t.base
-        return t, delay
-
     def _queue(self, firings: list[Firing], rule: Rule, event: SimEvent | None,
                t: int, delay: int) -> None:
         if delay == 0:
@@ -519,14 +521,15 @@ class ScenarioManager:
         """
         firings: list[Firing] = []
 
-        for rule in self.scenario.rules:
-            prim, delay = self._chain(rule.trigger)
-            if prim.kind != "at-time" or not self._time_armed[rule.id]:
-                continue
-            if self._disarmed(rule) or t < prim.time:
-                continue
-            self._time_armed[rule.id] = False
-            self._queue(firings, rule, None, t, delay)
+        if self._at_time:
+            waiting = []
+            for entry in self._at_time:
+                rule, at, delay = entry
+                if t < at:
+                    waiting.append(entry)
+                else:
+                    self._queue(firings, rule, None, t, delay)
+            self._at_time = waiting
 
         if self._delayed:
             due = sorted(
@@ -539,11 +542,8 @@ class ScenarioManager:
                     firings.append(self._fire(rule, event))
 
         for event in events:
-            for rule in self.scenario.rules:
-                prim, delay = self._chain(rule.trigger)
-                if prim.kind != "on-event" or self._disarmed(rule):
-                    continue
-                if not self._event_matches(prim, event):
+            for rule, prim, delay in self._on_event.get(event.kind, ()):
+                if self._disarmed(rule) or not self._event_matches(prim, event):
                     continue
                 self._matches[rule.id] += 1
                 if self._matches[rule.id] < prim.occurrence:
@@ -554,8 +554,6 @@ class ScenarioManager:
 
     @staticmethod
     def _event_matches(trigger: Trigger, event: SimEvent) -> bool:
-        if event.kind != trigger.event:
-            return False
         for fld, expected in trigger.where.items():
             if getattr(event, fld) != expected:
                 return False

@@ -2,7 +2,9 @@
 where the entry point itself matters, in-process otherwise."""
 
 import importlib
+import io
 import json
+import logging
 import os
 import re
 import shutil
@@ -88,6 +90,28 @@ class TestRun:
                 r"[1-9]\d* events, \d+\.\d{3} s",
                 line,
             ), line
+
+    def test_info_log_reaches_a_root_handler_set_up_before_main(self, suite_path, tmp_path,
+                                                                 monkeypatch, capsys):
+        # An embedding application configured logging first, so basicConfig
+        # inside main adds nothing; HOLOBENCH_LOG must still take effect.
+        stream = io.StringIO()
+        handler = logging.StreamHandler(stream)
+        root, pkg = logging.getLogger(), logging.getLogger("holobench")
+        saved_level = pkg.level
+        root.addHandler(handler)
+        monkeypatch.setenv("HOLOBENCH_LOG", "info")
+        try:
+            assert main(["run", suite_path, "--out", str(tmp_path / "out"),
+                         "--seeds", "1"]) == 0
+        finally:
+            root.removeHandler(handler)
+            pkg.setLevel(saved_level)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        run_lines = [l for l in stream.getvalue().splitlines() if l.startswith("run ")]
+        assert [l.split(":")[0] for l in run_lines] == [
+            f"run {run['run_id']}" for run in manifest["runs"]
+        ]
 
     def test_seed_override(self, suite_path, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -218,6 +218,24 @@ class TestInjections:
         assert up.kind == "machine-up" and up.time == 0
         assert k.advance() == []  # the +50 timer is stale now
 
+    def test_explicit_supply_restore_then_restore_again_is_ignored(self, line_model):
+        k = EmulationKernel(line_model)
+        (blocked,) = k.apply_injection(Injection(kind="supply-shortage", machine="M1"))
+        assert blocked.kind == "supply-blocked"
+        (restored,) = k.apply_injection(Injection(kind="supply-restore", machine="M1"))
+        assert (restored.kind, restored.machine) == ("supply-restored", "M1")
+        assert k.apply_injection(Injection(kind="supply-restore", machine="M1")) == []
+        (n,) = k.drain_notices()
+        assert n.kind == "injection-ignored"
+        assert "not supply-blocked" in n.reason
+
+    def test_up_on_a_running_machine_is_ignored_with_notice(self, line_model):
+        k = EmulationKernel(line_model)
+        assert k.apply_injection(Injection(kind="machine-up", machine="M1")) == []
+        (n,) = k.drain_notices()
+        assert n.kind == "injection-ignored"
+        assert "not down" in n.reason
+
     def test_supply_block_gates_starts_only(self, line_model):
         k = EmulationKernel(line_model)
         k.advance([release("O1")])

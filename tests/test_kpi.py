@@ -12,7 +12,6 @@ from holobench.kpi import (
     KpiEngine,
     KpiReport,
     StreamError,
-    TaggedRecord,
     VOLATILE_METRICS,
     recompute_from_log,
     reports_match,
@@ -134,6 +133,53 @@ class TestFormulas:
         r = eng.finalize()
         assert r.machine_down == {"M1": 0, "M2": 5}
         assert r.makespan == 12
+
+    def test_scrap_in_process_and_open_down_and_block_intervals(self):
+        # O1 is scrapped on M1 mid-operation; M1 goes down and M2 supply-blocked
+        # at t=3, and neither recovers before O2 completes at t=12.
+        records = [
+            meta([
+                {"id": "O1", "routing": ["A"], "release": 0, "due": 99, "priority": 0},
+                {"id": "O2", "routing": ["B"], "release": 0, "due": 99, "priority": 0},
+            ], machines=("M1", "M2")),
+            batch(1, 0, [
+                {"time": 0, "seq": 1, "kind": "order-released", "order": "O1", "node": "IN"},
+                {"time": 0, "seq": 2, "kind": "order-released", "order": "O2", "node": "IN"},
+            ]),
+            batch(2, 1, [
+                {"time": 1, "seq": 3, "kind": "op-started", "machine": "M1", "order": "O1",
+                 "node": "M1"},
+            ]),
+            batch(3, 2, [
+                {"time": 2, "seq": 4, "kind": "product-rejected", "machine": "M1",
+                 "order": "O1", "node": "M1", "info": {"policy": "scrap"}},
+                {"time": 2, "seq": 5, "kind": "op-started", "machine": "M2", "order": "O2",
+                 "node": "M2"},
+            ]),
+            batch(4, 3, [
+                {"time": 3, "seq": 6, "kind": "machine-down", "machine": "M1", "node": "M1"},
+                {"time": 3, "seq": 7, "kind": "supply-blocked", "machine": "M2",
+                 "node": "M2"},
+            ]),
+            batch(5, 10, [
+                {"time": 10, "seq": 8, "kind": "op-finished", "machine": "M2", "order": "O2",
+                 "node": "M2"},
+            ]),
+            batch(6, 12, [
+                {"time": 12, "seq": 9, "kind": "order-completed", "order": "O2",
+                 "node": "OUT"},
+            ]),
+        ]
+        eng = KpiEngine()
+        for record in records:
+            eng.observe_record(record)
+        recomputed = recompute_from_log(b"".join(encode_record(r) for r in records))
+        for r in (eng.finalize(), recomputed):
+            assert r.machine_busy == {"M1": 1, "M2": 8}
+            assert r.machine_down == {"M1": 9, "M2": 0}
+            assert r.machine_blocked == {"M1": 0, "M2": 9}
+            assert r.scrapped == 1
+            assert r.makespan == 12
 
     def test_rework_counter_and_directive_due_registration(self):
         eng = synthetic_engine()

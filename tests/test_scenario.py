@@ -350,6 +350,28 @@ class TestManagerRuntime:
         firings = m.process_batch(5, [ev("op-started", machine="M1", time=5)])
         assert [f.rule_id for f in firings] == ["tick", "evt"]
 
+    def test_firing_order_time_then_delayed_then_event_rule(self):
+        rules = [
+            down_rule({"kind": "on-event", "event": "op-finished"}, rule_id="a"),
+            down_rule({"kind": "on-event", "event": "op-started"}, rule_id="b",
+                      max_occurrences=1),
+            down_rule({"kind": "on-event", "event": "op-finished"}, rule_id="c"),
+            down_rule({"kind": "at-time", "time": 5}, rule_id="t"),
+            down_rule({"kind": "after", "delay": 3, "base": {"kind": "at-time", "time": 2}},
+                      rule_id="d"),
+        ]
+        m = self._manager(rules)
+        assert m.process_batch(2, []) == []
+        batch = [
+            ev("op-finished", machine="M1", time=5, seq=1),
+            ev("op-started", machine="M2", time=5, seq=2),
+            ev("op-started", machine="M1", time=5, seq=3),
+        ]
+        firings = m.process_batch(5, batch)
+        # b is disarmed by its first match and skips the second op-started.
+        assert [f.rule_id for f in firings] == ["t", "d", "a", "c", "b"]
+        assert m.process_batch(9, [ev("op-started", machine="M1", time=9, seq=4)]) == []
+
     def test_null_scenario_never_fires(self, null_scenario):
         m = ScenarioManager(null_scenario, 1)
         assert m.process_batch(0, [ev("op-started", machine="M1")]) == []
