@@ -16,14 +16,16 @@ them, which is excluded from the reproducibility digest.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
+import operator
 import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .canon import sha256_hex
 from .control import ProductOrder, ReferenceControl, load_orders_file
@@ -318,15 +320,10 @@ def run_suite(
         report_rel = None
         if r.report is not None:
             report_rel = f"reports/{r.run_id}.json"
-            _write_json(os.path.join(out_dir, report_rel), r.report.to_doc())
-            _write_json(
-                os.path.join(out_dir, f"logs/{r.run_id}.timing.json"),
-                {
-                    k: v
-                    for k, v in r.report.to_doc(include_volatile=True).items()
-                    if k in VOLATILE_METRICS
-                },
-            )
+            report_doc = r.report.to_doc(include_volatile=True)
+            timing_doc = {name: report_doc.pop(name) for name in VOLATILE_METRICS}
+            _write_json(os.path.join(out_dir, report_rel), report_doc)
+            _write_json(os.path.join(out_dir, f"logs/{r.run_id}.timing.json"), timing_doc)
         runs_doc.append(
             {
                 "run_id": r.run_id,
@@ -416,7 +413,7 @@ def compare(out_dir: str) -> dict[str, Any]:
         names = sorted(metrics[0])
         aggregates[sid] = {
             name: {
-                "mean": sum(m[name] for m in metrics) / len(metrics),
+                "mean": _sum_in_order(m[name] for m in metrics) / len(metrics),
                 "min": min(m[name] for m in metrics),
                 "max": max(m[name] for m in metrics),
             }
@@ -487,6 +484,16 @@ _SUMMARY_METRICS = (
     "tardiness_total",
     "reschedules",
 )
+
+
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Add left to right from int 0, as ``sum`` does before Python 3.12.
+
+    From 3.12 on, ``sum`` of floats compensates for rounding, which moves
+    the last digit of some means in comparison.csv and so the artifact
+    digest; ``math.fsum`` would move them on every interpreter.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 def _num(v: float) -> str:

@@ -18,17 +18,20 @@ accepted before or after the object, so a trailing space or a carriage
 return before the newline makes the line invalid.  Canonical lines never
 contain either.
 
-Each line is decoded once in a run.  An endpoint's ``recv_record`` hands
-the receiver a decoded record; the round driver decodes a received line
-once and gives that same record to the recorder, which passes it on to its
-observers only after the driver has finished with it (at the next recorded
-line, or when the log is taken).  A record the emulation or the scenario
-manager sends is encoded once and reaches the recorder the same way, as the
-sender's record next to its line, so the recorder never decodes it; an
-in-process control decodes it exactly as a remote one would.  Replay
-decodes the log once, while indexing it, and keeps the kind of each record
-the control sends next to its encoded line, so it never decodes what the
-control sent.
+Each line is encoded once, and decoded only by a reader that was not given
+its record.  A sender encodes a record once and hands the endpoint both the
+line and the record.  The in-process pipe carries the two together, so an
+in-process session decodes nothing: its receiver gets the sender's record,
+checked by ``check_record`` exactly as ``decode_line`` checks a parsed one.
+A socket carries only the line, and its receiver decodes it once.  The
+round driver gives the recorder each line with the record it sent or
+received, so the recorder never decodes.  Because those records are shared
+with the peer, the recorder passes them on to its observers only once the
+session has finished with them: when the driver receives the peer's next
+record, or when the log is taken.  Replay decodes the log once, while
+indexing it, and encodes only the command and end-of-round records it
+returns; ``recompute_from_log`` and ``extract_command_log`` decode each
+line they read.
 """
 
 from __future__ import annotations
@@ -122,6 +125,16 @@ def decode_line(line: bytes, offset: int = 0) -> dict[str, Any]:
         raise DecodeError(f"record is not valid JSON: {exc}", offset) from exc
     if end != len(payload):
         raise DecodeError(f"record is not valid JSON: extra data at char {end}", offset)
+    return check_record(record, offset)
+
+
+def check_record(record: Any, offset: int = 0) -> dict[str, Any]:
+    """Check a record's shape, as ``decode_line`` does after the parse.
+
+    Exactly the wire keys, the wire version, integer ``round`` and ``t``,
+    string ``role`` and ``kind``, an object ``body`` and an integer or null
+    ``corr``; ``DecodeError`` names the first that fails.  Returns the record.
+    """
     if not isinstance(record, dict):
         raise DecodeError("record must be a JSON object", offset)
     if record.keys() != RECORD_KEYS:
@@ -191,28 +204,44 @@ class EndOfStream(Exception):
 
 
 class LineEndpoint:
-    """The endpoint contract: ``send_line``, ``send_record``, ``recv_line``,
-    ``recv_record``.
+    """The endpoint contract.
 
-    ``send_record`` encodes a record and sends its line; ``recv_record``
-    returns the next inbound record, decoded from ``recv_line()``.
+    A transport implements ``send_line`` and ``recv_line``.
+    ``send_line_record`` sends a line together with the record it encodes,
+    and ``recv_line_record`` returns the next inbound line with its record;
+    by default only the line crosses and the receiver decodes it.
+    ``send_record`` encodes a record and sends both; ``recv_record`` returns
+    the next inbound record alone.
     """
 
     def send_line(self, line: bytes) -> None:
         raise NotImplementedError
 
+    def send_line_record(self, line: bytes, record: dict[str, Any]) -> None:
+        self.send_line(line)
+
     def send_record(self, record: dict[str, Any]) -> None:
-        self.send_line(encode_record(record))
+        self.send_line_record(encode_record(record), record)
 
     def recv_line(self) -> bytes:
         raise NotImplementedError
 
+    def recv_line_record(self) -> tuple[bytes, dict[str, Any]]:
+        line = self.recv_line()
+        return line, decode_line(line)
+
     def recv_record(self) -> dict[str, Any]:
-        return decode_line(self.recv_line())
+        return self.recv_line_record()[1]
 
 
 class InProcEndpoint(LineEndpoint):
-    """One side of an in-process, lock-step byte pipe."""
+    """One side of an in-process, lock-step pipe.
+
+    Each line crosses together with the record it was encoded from, so the
+    receiver gets the sender's record and no line is decoded; the record
+    still passes ``check_record``.  A line sent alone with ``send_line`` is
+    decoded on receipt.
+    """
 
     def __init__(self, inbox: deque, outbox: deque):
         self._inbox = inbox
@@ -226,19 +255,29 @@ class InProcEndpoint(LineEndpoint):
         return InProcEndpoint(b_to_a, a_to_b), InProcEndpoint(a_to_b, b_to_a)
 
     def send_line(self, line: bytes) -> None:
+        self.send_line_record(line, None)
+
+    def send_line_record(self, line: bytes, record: dict[str, Any] | None) -> None:
         if self._closed:
             raise ProtocolError("endpoint is closed")
-        self._outbox.append(line)
+        self._outbox.append((line, record))
 
-    def recv_line(self) -> bytes:
+    def _pop(self) -> tuple[bytes, dict[str, Any] | None]:
         if not self._inbox:
             if self._closed or _CLOSE in self._outbox:
                 raise EndOfStream
             raise ProtocolError("lock-step violation: no record is waiting")
-        line = self._inbox.popleft()
-        if line is _CLOSE:
+        item = self._inbox.popleft()
+        if item is _CLOSE:
             raise EndOfStream
-        return line
+        return item
+
+    def recv_line(self) -> bytes:
+        return self._pop()[0]
+
+    def recv_line_record(self) -> tuple[bytes, dict[str, Any]]:
+        line, record = self._pop()
+        return line, decode_line(line) if record is None else check_record(record)
 
     def has_line(self) -> bool:
         return bool(self._inbox) and self._inbox[0] is not _CLOSE
@@ -295,36 +334,36 @@ class RunRecorder:
 
     Observers are read-only taps: they see each record, in wire order, only
     after its line has been committed to the log, so they cannot affect the
-    session.  Each line comes with its record, the one its receiver decoded
-    or its sender encoded, so the recorder decodes nothing.  That shared
-    record is held back and passed to the observers only once its holder is
-    done with it, at the next ``record`` call or in ``log_bytes``.  Take the
-    log before reading anything the observers computed.
+    session.  Each line comes with its record, the one its sender encoded
+    or its receiver got, so the recorder decodes nothing.  Those records
+    are shared with the session, so they are held back until the session is
+    done with them: ``release`` passes every held record to the observers,
+    and ``log_bytes`` releases before it returns the log.  Take the log
+    before reading anything the observers computed.
     """
 
     def __init__(self):
         self._chunks: list[bytes] = []
         self._observers: list[Callable[[dict[str, Any]], None]] = []
-        self._held: dict[str, Any] | None = None
+        self._held: list[dict[str, Any]] = []
 
     def attach(self, observer: Callable[[dict[str, Any]], None]) -> None:
         self._observers.append(observer)
 
     def record(self, line: bytes, record: dict[str, Any]) -> None:
         self._chunks.append(line)
-        if not self._observers:
-            return
-        self._release()
-        self._held = record
+        if self._observers:
+            self._held.append(record)
 
-    def _release(self) -> None:
-        held, self._held = self._held, None
-        if held is not None:
+    def release(self) -> None:
+        """Pass every held record to the observers, in wire order."""
+        held, self._held = self._held, []
+        for record in held:
             for obs in self._observers:
-                obs(held)
+                obs(record)
 
     def log_bytes(self) -> bytes:
-        self._release()
+        self.release()
         return b"".join(self._chunks)
 
 
@@ -440,9 +479,10 @@ class RoundDriver:
 
     Owns the wire: sends hello, run metadata, per-round scenario records and
     event batches; collects the control's reply for each round.  Records
-    both directions: each line it sends or receives goes to the recorder
-    with its record, encoded or decoded once here.  Does not know about the
-    kernel; the bench harness supplies batches and consumes commands.
+    both directions: each line it sends goes to the recorder with the
+    record it was encoded from, and each line it receives with the record
+    the endpoint hands over.  Does not know about the kernel; the bench
+    harness supplies batches and consumes commands.
     """
 
     def __init__(self, endpoint, model_hash: str, recorder: RunRecorder):
@@ -454,11 +494,13 @@ class RoundDriver:
     def _send(self, record: dict[str, Any]) -> None:
         line = encode_record(record)
         self._recorder.record(line, record)
-        self._ep.send_line(line)
+        self._ep.send_line_record(line, record)
 
     def _recv(self) -> dict[str, Any]:
-        line = self._ep.recv_line()
-        record = decode_line(line)
+        line, record = self._ep.recv_line_record()
+        # The peer has answered, so it is done with every record sent before
+        # this one, and this driver is done with the record it received last.
+        self._recorder.release()
         self._recorder.record(line, record)
         return record
 
@@ -564,14 +606,14 @@ class ReplaySource:
     A ControlClient can be pointed at a recorded log exactly as at a live
     emulation.  Control-role lines in the log are skipped on recv (the new
     control produces its own), and the records the control sends are
-    collected as ``(kind, line)`` in ``sent`` instead of transmitted.  Each
+    collected in ``sent`` instead of transmitted; nothing is encoded.  Each
     log line is decoded once, while the log is indexed; ``recv_record`` hands
     out that record.
     """
 
     def __init__(self, log: bytes):
         self._records: list[dict[str, Any]] = []
-        self.sent: list[tuple[str, bytes]] = []
+        self.sent: list[dict[str, Any]] = []
         last_round = 0
         complete = False
         for offset, line in iter_log(log, _truncated_replay):
@@ -598,7 +640,7 @@ class ReplaySource:
         return record
 
     def send_record(self, record: dict[str, Any]) -> None:
-        self.sent.append((record["kind"], encode_record(record)))
+        self.sent.append(record)
 
     def has_line(self) -> bool:
         return self._cursor < len(self._records)
@@ -616,4 +658,8 @@ def replay_session(log: bytes, control: ReferenceControl) -> bytes:
     source = ReplaySource(log)
     client = ControlClient(source, control, clock=lambda: 0.0)
     client.serve_forever()
-    return b"".join(line for kind, line in source.sent if kind in ("command", "end-of-round"))
+    return b"".join(
+        encode_record(record)
+        for record in source.sent
+        if record["kind"] in ("command", "end-of-round")
+    )

@@ -12,12 +12,16 @@ import holobench
 from holobench.harness import (
     ArtifactError,
     SuiteError,
+    _sum_in_order,
     artifact_digest,
     compare,
     load_suite,
     run_single,
     run_suite,
 )
+
+
+PACKAGED_SUITE_DIGEST = "39e3670588091b45fad7674a3e5bf687f3f9227b8aba5bc7f737dc018ab7207c"
 
 
 @pytest.fixture()
@@ -107,7 +111,8 @@ class TestRunSuite:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run_suite(suite, a)
         run_suite(suite, b)
-        assert artifact_digest(a) == artifact_digest(b)
+        # the same value on every supported interpreter
+        assert artifact_digest(a) == artifact_digest(b) == PACKAGED_SUITE_DIGEST
         # every hashed artifact really is byte-equal, not just the digest
         for name in ("manifest.json", "comparison.csv", "summary.txt"):
             with open(os.path.join(a, name), "rb") as fa, \
@@ -197,6 +202,11 @@ class TestCompare:
         with open(os.path.join(out, "comparison.csv"), newline="") as f:
             rows = list(csv.DictReader(f))
         assert rows and all(r["baseline_mean"] == "" for r in rows)
+
+    def test_means_add_left_to_right_on_every_interpreter(self):
+        # From Python 3.12 on, sum([0.1] * 10) compensates and gives 1.0.
+        assert _sum_in_order([0.1] * 10) == 0.9999999999999999
+        assert _sum_in_order([]) == 0
 
     def test_compare_without_manifest(self, tmp_path):
         with pytest.raises(ArtifactError, match="manifest"):

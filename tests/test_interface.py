@@ -42,6 +42,23 @@ def rec(kind="event-batch", role="emulation", round_no=1, t=0, body=None, corr=N
     return make_record(role, round_no, t, kind, body if body is not None else {}, corr)
 
 
+def socket_session(model, orders, scenario, seed):
+    """``run_single`` against a control served over a socket pair from a
+    thread, with the control's latency clock pinned to 0.0."""
+    left, right = socket.socketpair()
+    client = ControlClient(SocketEndpoint(right), ReferenceControl(model), clock=lambda: 0.0)
+    worker = threading.Thread(target=client.serve_forever)
+    worker.start()
+    try:
+        result = run_single(model, orders, scenario, seed, endpoint=SocketEndpoint(left))
+    finally:
+        worker.join(timeout=10)
+        left.close()
+        right.close()
+    assert not worker.is_alive()
+    return result
+
+
 # Documents the codec must write exactly as json.dumps does: non-ASCII and
 # control-character text, integers past 64 bits, floats with NaN and the
 # infinities, null and booleans, nested in objects and arrays.
@@ -210,25 +227,20 @@ class TestSocket:
             b.recv_line()
         b.close()
 
-    def test_session_over_sockets(self, minicell_model, minicell_orders, null_scenario):
-        """The same control serves identically over TCP-style transport."""
-        left, right = socket.socketpair()
-        ctl = ReferenceControl(minicell_model)
-        client = ControlClient(SocketEndpoint(right), ctl, clock=lambda: 0.0)
-        worker = threading.Thread(target=client.serve_forever)
-        worker.start()
-        try:
-            result = run_single(
-                minicell_model,
-                minicell_orders,
-                null_scenario,
-                seed=1,
-                endpoint=SocketEndpoint(left),
-            )
-        finally:
-            worker.join(timeout=10)
-        assert result.status == "completed"
-        assert result.report.makespan == 75
+    @pytest.mark.parametrize("name, seed", [("null", 1), ("supply_shortage", 3)])
+    def test_session_over_sockets_writes_the_in_process_bytes(
+        self, minicell_model, minicell_orders, scenario_by_name, name, seed
+    ):
+        """A control served over a socket decodes every line it reads, and
+        the session it serves is the in-process one, byte for byte."""
+        scenario = scenario_by_name(name)
+        remote = socket_session(minicell_model, minicell_orders, scenario, seed)
+        local = run_single(
+            minicell_model, minicell_orders, scenario, seed, latency_clock=lambda: 0.0
+        )
+        assert remote.status == local.status == "completed"
+        assert remote.log == local.log
+        assert remote.report == local.report
 
 
 class TestRecorder:
@@ -243,22 +255,23 @@ class TestRecorder:
         assert recorder.log_bytes() == l1 + l2
         assert seen == ["hello", "bye"]
 
-    def test_shared_record_waits_for_the_next_line_or_the_log(self):
+    def test_shared_records_wait_for_release_or_the_log(self):
         recorder = RunRecorder()
         seen = []
         recorder.attach(seen.append)
         sent = rec(kind="hello", body={"model_hash": "x"})
+        meta = rec(kind="run-meta", role="scenario-manager")
         received = rec(kind="hello", role="control", body={"model_hash": "x"})
-        closing = rec(kind="bye", role="control")
         recorder.record(encode_record(sent), sent)
-        assert seen == []  # the sender still holds it
+        recorder.record(encode_record(meta), meta)
+        assert seen == []  # the peer may still be reading them
+        recorder.release()
+        assert seen == [sent, meta]
+        assert seen[0] is sent and seen[1] is meta  # shared, never decoded
         recorder.record(encode_record(received), received)
-        assert seen == [sent]  # the receiver still holds its record
-        recorder.record(encode_record(closing), closing)
-        assert seen == [sent, received]
-        assert seen[0] is sent and seen[1] is received  # shared, never decoded
+        assert len(seen) == 2
         log = recorder.log_bytes()
-        assert seen == [sent, received, closing]
+        assert seen == [sent, meta, received] and seen[2] is received
         assert recorder.log_bytes() == log
         assert len(seen) == 3  # taking the log again delivers nothing twice
 
@@ -367,22 +380,35 @@ class TestDecodeOnce:
     def test_each_line_is_decoded_once_per_reader(
         self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
     ):
-        """The emulation side decodes what the control sends, and the
-        in-process control decodes what the emulation and the scenario
-        manager send, as a remote control would.  The recorder reuses both
-        sides' records, so every line is decoded exactly once."""
+        """In process, each record crosses with its line, so the session
+        decodes nothing.  Over a socket each side decodes every line it
+        receives, and the recorder reuses those records, so every line is
+        decoded exactly once."""
+        scenario = scenario_by_name("supply_shortage")
         calls = self._count_decodes(monkeypatch)
-        result = run_single(
-            minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3,
-            latency_clock=lambda: 0.0,
-        )
-        decoded_in_run = len(calls)
+        run_single(minicell_model, minicell_orders, scenario, seed=3)
+        assert calls == []
+        remote = socket_session(minicell_model, minicell_orders, scenario, seed=3)
+        decoded_in_run = list(calls)
         monkeypatch.undo()
-        records = parse_log(result.log)
+        records = parse_log(remote.log)
         sent_to_control = sum(r["role"] != "control" for r in records)
         assert sent_to_control and sent_to_control < len(records)
-        assert decoded_in_run == len(records)
-        assert sorted(calls) == sorted(line for _, line in iter_log(result.log))
+        assert sorted(decoded_in_run) == sorted(line for _, line in iter_log(remote.log))
+
+    def test_in_process_records_are_checked_and_bare_lines_decoded(self):
+        a, b = InProcEndpoint.pair()
+        good = rec(kind="hello", body={"model_hash": "x"})
+        a.send_record(good)
+        line, record = b.recv_line_record()
+        assert line == encode_record(good) and record is good
+        a.send_line(line)
+        line_again, decoded = b.recv_line_record()
+        assert line_again == line and decoded == good and decoded is not good
+        bad = rec(corr="x")
+        a.send_line_record(encode_record(rec()), bad)
+        with pytest.raises(DecodeError, match="corr"):
+            b.recv_line_record()
 
     def test_replay_decodes_the_log_once(self, minicell_model, minicell_orders,
                                          scenario_by_name, monkeypatch):
@@ -395,7 +421,7 @@ class TestDecodeOnce:
         assert len(calls) == lines
         ControlClient(source, ReferenceControl(minicell_model), clock=lambda: 0.0).serve_forever()
         assert len(calls) == lines  # the control reuses the index
-        assert source.sent
+        assert [source.sent[0]["kind"], source.sent[-1]["kind"]] == ["hello", "bye"]
 
     def test_replay_session_never_decodes_what_the_control_sent(
         self, minicell_model, minicell_orders, ps9_scenario, monkeypatch
@@ -403,8 +429,15 @@ class TestDecodeOnce:
         log = run_single(minicell_model, minicell_orders, ps9_scenario, seed=1).log
         lines = log.count(b"\n")
         calls = self._count_decodes(monkeypatch)
+        encoded = []
+        encode = interface.encode_record
+        monkeypatch.setattr(
+            interface, "encode_record", lambda record: encoded.append(record) or encode(record)
+        )
         replayed = replay_session(log, ReferenceControl(minicell_model))
         assert len(calls) == lines == 122
+        # only the command and end-of-round records it returns are encoded
+        assert len(encoded) == replayed.count(b"\n") == 52
         monkeypatch.undo()
         records = parse_log(log)
         assert sum(r["role"] == "control" for r in records) == 87
