@@ -29,6 +29,12 @@ _c_encode = json.encoder.c_make_encoder(
 )
 
 
+def is_int(value: Any) -> bool:
+    """Whether a JSON value is an integer.  ``true`` and ``false`` are not,
+    though Python's ``bool`` subclasses ``int``."""
+    return type(value) is int
+
+
 def canon_dumps(obj: Any) -> str:
     """Canonical JSON text of a document."""
     return "".join(_c_encode(obj, 0))

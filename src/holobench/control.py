@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Iterable
 
+from .canon import is_int
 from .messages import ControlCommand, ControlDirective, Notice, SimEvent
 from .model import ShopModel
 
@@ -82,12 +83,12 @@ class ProductOrder:
             if not isinstance(step, str):
                 raise OrderBookError(f"order {d.get('id')!r}: routing steps must be strings")
         for key in ("release", "due"):
-            if not isinstance(d.get(key), int) or d[key] < 0:
+            if not is_int(d.get(key)) or d[key] < 0:
                 raise OrderBookError(f"order {d.get('id')!r}: {key} must be a non-negative integer")
         if not isinstance(d.get("id"), str) or not d["id"]:
             raise OrderBookError("order id must be a non-empty string")
         priority = d.get("priority", 0)
-        if not isinstance(priority, int):
+        if not is_int(priority):
             raise OrderBookError(f"order {d['id']!r}: priority must be an integer")
         return cls(
             id=d["id"],

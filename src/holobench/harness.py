@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .canon import sha256_hex
+from .canon import is_int, sha256_hex
 from .control import ProductOrder, ReferenceControl, load_orders_file
 from .interface import (
     ControlClient,
@@ -111,12 +111,12 @@ def load_suite(path: str) -> BenchmarkSuite:
     if not isinstance(seeds, list) or not seeds:
         raise SuiteError("suite seeds must be a non-empty list of integers")
     for s in seeds:
-        if not isinstance(s, int):
+        if not is_int(s):
             raise SuiteError("suite seeds must be integers")
     if len(set(seeds)) != len(seeds):
         raise SuiteError(f"suite seeds contain duplicates: {seeds}")
     cap = doc.get("cap", DEFAULT_CAP)
-    if not isinstance(cap, int) or cap <= 0:
+    if not is_int(cap) or cap <= 0:
         raise SuiteError("suite cap must be a positive integer")
     return BenchmarkSuite(
         id=sid,

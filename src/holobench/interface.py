@@ -30,8 +30,10 @@ with the peer, the recorder passes them on to its observers only once the
 session has finished with them: when the driver receives the peer's next
 record, or when the log is taken.  Replay decodes the log once, while
 indexing it, and encodes only the command and end-of-round records it
-returns; ``recompute_from_log`` and ``extract_command_log`` decode each
-line they read.
+returns.  The other log readers decode one line at a time and drop each
+record once they have taken what they need from it: ``extract_command_log``
+keeps the matching lines, ``extract_event_stream`` the events, and
+``recompute_from_log`` the run metadata, dues, events and taps.
 """
 
 from __future__ import annotations
@@ -133,7 +135,8 @@ def check_record(record: Any, offset: int = 0) -> dict[str, Any]:
 
     Exactly the wire keys, the wire version, integer ``round`` and ``t``,
     string ``role`` and ``kind``, an object ``body`` and an integer or null
-    ``corr``; ``DecodeError`` names the first that fails.  Returns the record.
+    ``corr``; ``DecodeError`` names the first that fails.  JSON ``true`` and
+    ``false`` are not integers here.  Returns the record.
     """
     if not isinstance(record, dict):
         raise DecodeError("record must be a JSON object", offset)
@@ -141,13 +144,13 @@ def check_record(record: Any, offset: int = 0) -> dict[str, Any]:
         raise DecodeError(f"record keys must be exactly {sorted(RECORD_KEYS)}", offset)
     if record["v"] != WIRE_VERSION:
         raise DecodeError(f"unsupported wire version {record['v']!r}", offset)
-    if not isinstance(record["round"], int) or not isinstance(record["t"], int):
+    if type(record["round"]) is not int or type(record["t"]) is not int:
         raise DecodeError("round and t must be integers", offset)
     if not isinstance(record["role"], str) or not isinstance(record["kind"], str):
         raise DecodeError("role and kind must be strings", offset)
     if not isinstance(record["body"], dict):
         raise DecodeError("body must be an object", offset)
-    if record["corr"] is not None and not isinstance(record["corr"], int):
+    if record["corr"] is not None and type(record["corr"]) is not int:
         raise DecodeError("corr must be an integer or null", offset)
     return record
 
@@ -189,8 +192,10 @@ def extract_command_log(log: bytes) -> bytes:
 
 
 def extract_event_stream(log: bytes) -> list[SimEvent]:
+    """The emulation's production events, in wire order."""
     events: list[SimEvent] = []
-    for record in parse_log(log):
+    for offset, line in iter_log(log):
+        record = decode_line(line, offset)
         if record["role"] == ROLE_EMULATION and record["kind"] == "event-batch":
             events.extend(SimEvent.from_dict(d) for d in record["body"]["events"])
     return events

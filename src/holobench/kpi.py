@@ -375,17 +375,20 @@ def recompute_from_log(log: bytes) -> KpiReport:
     record and insert-order directives, events from the batches.  Used as
     the oracle against ``KpiEngine.finalize``, and as strict: a machine
     event that contradicts the machine's state raises ``StreamError``.
-    """
-    from .interface import parse_log  # local import to avoid a module cycle
 
-    records = parse_log(log)
+    The log is decoded one line at a time, and each record is folded in and
+    dropped: only the run-meta body, the dues, the events (deduplicated by
+    ``seq``) and the tap values are kept for the whole-log folds below.
+    """
+    from .interface import decode_line, iter_log  # local import to avoid a module cycle
 
     meta: dict[str, Any] = {}
     dues: dict[str, int] = {}
     events: dict[int, dict[str, Any]] = {}  # seq -> event, deduplicated
     latency: dict[int, float] = {}
     control_kpi: dict[str, int] = {}
-    for record in records:
+    for offset, line in iter_log(log):
+        record = decode_line(line, offset)
         kind = record["kind"]
         if kind == "run-meta":
             meta = record["body"]

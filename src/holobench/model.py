@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .canon import doc_hash
+from .canon import doc_hash, is_int
 
 MODEL_KEYS = frozenset({"machines", "transport", "shuttles", "stations"})
 
@@ -129,7 +129,7 @@ def load_model_doc(doc: Any) -> ShopModel:
         _require(a in node_set, f"transport.edges[{i}].from names unknown node {a!r}")
         _require(b in node_set, f"transport.edges[{i}].to names unknown node {b!r}")
         _require(a != b, f"transport.edges[{i}] is a self-loop at {a!r}")
-        _require(isinstance(w, int) and w > 0, f"transport.edges[{i}].travel must be a positive integer")
+        _require(is_int(w) and w > 0, f"transport.edges[{i}].travel must be a positive integer")
         _require((a, b) not in edges, f"transport.edges[{i}] duplicates edge {a!r}->{b!r}")
         edges[(a, b)] = w
 
@@ -156,7 +156,7 @@ def load_model_doc(doc: Any) -> ShopModel:
         _require(isinstance(ops, dict) and ops, f"machines.{mid}.operations must be a non-empty object")
         for op, dur in ops.items():
             _require(
-                isinstance(dur, int) and dur > 0,
+                is_int(dur) and dur > 0,
                 f"machines.{mid}.operations.{op} must be a positive integer duration",
             )
         other = next((m for m in machines.values() if m.node == node), None)

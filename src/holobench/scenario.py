@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any
 
+from .canon import is_int
 from .messages import ControlDirective, Injection, SimEvent
 
 CATEGORIES = (
@@ -141,17 +142,17 @@ class Distribution:
             raise ScenarioError(f"distributions.{name}.kind {kind!r} is not supported")
         params = {k: v for k, v in doc.items() if k != "kind"}
         if kind == "constant":
-            if set(params) != {"value"} or not isinstance(params["value"], int):
+            if set(params) != {"value"} or not is_int(params["value"]):
                 raise ScenarioError(f"distributions.{name} needs an integer value")
         elif kind == "uniform-int":
             if set(params) != {"low", "high"}:
                 raise ScenarioError(f"distributions.{name} needs low and high")
-            if not all(isinstance(params[k], int) for k in ("low", "high")):
+            if not all(is_int(params[k]) for k in ("low", "high")):
                 raise ScenarioError(f"distributions.{name}: low and high must be integers")
             if params["low"] > params["high"]:
                 raise ScenarioError(f"distributions.{name}: low exceeds high")
         else:
-            if set(params) != {"mean"} or not isinstance(params["mean"], int) or params["mean"] <= 0:
+            if set(params) != {"mean"} or not is_int(params["mean"]) or params["mean"] <= 0:
                 raise ScenarioError(f"distributions.{name} needs a positive integer mean")
         return cls(kind=kind, params=params)
 
@@ -185,7 +186,7 @@ class Trigger:
             raise ScenarioError(f"{path}.kind {kind!r} is not a trigger kind")
         if kind == "at-time":
             t = doc.get("time")
-            if not isinstance(t, int) or t < 0:
+            if not is_int(t) or t < 0:
                 raise ScenarioError(f"{path}.time must be a non-negative integer")
             extra = set(doc) - {"kind", "time"}
             if extra:
@@ -204,7 +205,7 @@ class Trigger:
                 if fld not in ("machine", "shuttle", "order", "node"):
                     raise ScenarioError(f"{path}.where.{fld} is not a filterable field")
             occurrence = doc.get("occurrence", 1)
-            if not isinstance(occurrence, int) or occurrence < 1:
+            if not is_int(occurrence) or occurrence < 1:
                 raise ScenarioError(f"{path}.occurrence must be a positive integer")
             extra = set(doc) - {"kind", "event", "where", "occurrence"}
             if extra:
@@ -214,7 +215,7 @@ class Trigger:
         if depth + 1 > MAX_AFTER_NESTING:
             raise ScenarioError(f"{path}: after-triggers nest at most {MAX_AFTER_NESTING} deep")
         delay = doc.get("delay")
-        if not isinstance(delay, int) or delay < 0:
+        if not is_int(delay) or delay < 0:
             raise ScenarioError(f"{path}.delay must be a non-negative integer")
         if "base" not in doc:
             raise ScenarioError(f"{path}.base is required")
@@ -356,7 +357,7 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
             Action.from_doc(ad, f"{path}.actions[{j}]") for j, ad in enumerate(actions_doc)
         )
         max_occ = rd.get("max_occurrences", 1)
-        if not isinstance(max_occ, int) or max_occ < 1:
+        if not is_int(max_occ) or max_occ < 1:
             raise ScenarioError(f"{path}.max_occurrences must be a positive integer")
         allow_event_refs = _chain(trigger)[0].kind == "on-event"
         for j, a in enumerate(actions):

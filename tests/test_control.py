@@ -69,6 +69,9 @@ class TestOrderBook:
             ({"id": "O1", "routing": ["A"], "release": 0}, "due"),
             ({"id": "", "routing": ["A"], "release": 0, "due": 1}, "id"),
             ({"id": "O1", "routing": ["A"], "release": 0, "due": 1, "priority": "hi"}, "priority"),
+            ({"id": "O1", "routing": ["A"], "release": True, "due": 1}, "release"),
+            ({"id": "O1", "routing": ["A"], "release": 0, "due": False}, "due"),
+            ({"id": "O1", "routing": ["A"], "release": 0, "due": 1, "priority": True}, "priority"),
         ],
     )
     def test_order_validation(self, doc, fragment):

@@ -71,6 +71,13 @@ class TestSuiteLoading:
         with pytest.raises(SuiteError, match="integers"):
             load_suite(str(p))
 
+    @pytest.mark.parametrize("change", [{"cap": True}, {"seeds": [True, 2]}], ids=["cap", "seeds"])
+    def test_booleans_are_not_integers(self, data_copy, change):
+        p = data_copy / "minicell" / "suite.json"
+        edit_json(p, lambda d: d.update(change))
+        with pytest.raises(SuiteError, match=next(iter(change))):
+            load_suite(str(p))
+
     def test_cap_must_be_positive(self, data_copy):
         p = data_copy / "minicell" / "suite.json"
         edit_json(p, lambda d: d.update(cap=0))

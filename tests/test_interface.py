@@ -4,6 +4,7 @@ import copy
 import json
 import socket
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,10 +33,14 @@ from holobench.interface import (
     parse_log,
     replay_session,
 )
-from holobench.kpi import KpiEngine
+from holobench.kpi import KpiEngine, recompute_from_log
 from holobench.model import load_model_doc
 from holobench.scenario import load_scenario_doc
 from test_control import ORACLE_SHOP, oracle_sessions
+
+
+# Every reader that decodes a whole session log.
+LOG_READERS = [parse_log, extract_command_log, extract_event_stream, recompute_from_log]
 
 
 def rec(kind="event-batch", role="emulation", round_no=1, t=0, body=None, corr=None):
@@ -106,6 +111,10 @@ class TestCodec:
             (encode_record(rec()).replace(b'"round":1', b'"round":"1"'), "integers"),
             (encode_record(rec()).replace(b'"body":{}', b'"body":[]'), "body"),
             (encode_record(rec()).replace(b'"corr":null', b'"corr":"x"'), "corr"),
+            # JSON booleans are not integers, though Python's bool is one.
+            (encode_record(rec()).replace(b'"round":1', b'"round":true'), "integers"),
+            (encode_record(rec()).replace(b'"t":0', b'"t":false'), "integers"),
+            (encode_record(rec()).replace(b'"corr":null', b'"corr":false'), "corr"),
             # Stricter than json.loads: nothing but the object between the
             # prefix and the newline.
             (encode_record(rec()).replace(b"IL1 ", b"IL1  "), "JSON"),
@@ -149,11 +158,12 @@ class TestCodec:
         # and True from 1, and both sides keep the payload's key order.
         assert repr(decode_line(line)) == repr(json.loads(line[len(b"IL1 ") :]))
 
-    def test_parse_log_reports_byte_offset(self):
-        good = encode_record(rec())
+    @pytest.mark.parametrize("reader", LOG_READERS)
+    def test_parse_log_reports_byte_offset(self, reader):
+        good = encode_record(rec(body={"events": []}))
         log = good + b"IL1 broken\n"
         with pytest.raises(DecodeError) as e:
-            parse_log(log)
+            reader(log)
         assert e.value.offset == len(good)
 
     def test_iter_log_yields_offsets_and_reports_the_truncated_tail(self):
@@ -165,9 +175,12 @@ class TestCodec:
         with pytest.raises(ReplayError, match=f"tail at {len(a)}"):
             next(lines)
 
-    def test_parse_log_requires_trailing_newline(self):
-        with pytest.raises(DecodeError, match="newline"):
-            parse_log(encode_record(rec())[:-1])
+    @pytest.mark.parametrize("reader", LOG_READERS)
+    def test_parse_log_requires_trailing_newline(self, reader):
+        good = encode_record(rec(body={"events": []}))
+        with pytest.raises(DecodeError, match="log ends without a newline") as e:
+            reader(good + good[:-1])
+        assert e.value.offset == len(good)
 
     def test_command_log_extraction_is_verbatim(self):
         lines = [
@@ -442,6 +455,42 @@ class TestDecodeOnce:
         records = parse_log(log)
         assert sum(r["role"] == "control" for r in records) == 87
         assert replayed == extract_command_log(log)
+
+    @pytest.mark.parametrize("reader", LOG_READERS)
+    def test_each_log_reader_decodes_each_line_once(
+        self, minicell_model, minicell_orders, ps9_scenario, monkeypatch, reader
+    ):
+        log = run_single(minicell_model, minicell_orders, ps9_scenario, seed=1).log
+        calls = self._count_decodes(monkeypatch)
+        reader(log)
+        assert calls == [line for _, line in iter_log(log)]
+
+
+def traced_peak(reader, log):
+    """Peak bytes ``tracemalloc`` sees allocated while ``reader(log)`` runs,
+    its result included; the log itself was allocated before tracing."""
+    tracemalloc.start()
+    try:
+        reader(log)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReaderMemory:
+    """The log readers decode one line at a time and keep only what they
+    return, so their peak is a small multiple of the log.  Decoding the
+    whole log first, as ``parse_log`` does, peaks at about 7-8 times it."""
+
+    @pytest.mark.parametrize(
+        "name", ["null", "ps9", "reject_rework", "rush_order", "supply_shortage"]
+    )
+    def test_peak_is_bounded_by_the_log(
+        self, minicell_model, minicell_orders, scenario_by_name, name
+    ):
+        log = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=3).log
+        assert traced_peak(recompute_from_log, log) <= 3 * len(log)
+        assert traced_peak(extract_event_stream, log) <= 2 * len(log)
 
 
 class TestReplay:

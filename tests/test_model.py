@@ -60,6 +60,8 @@ def test_hash_tracks_content(minicell_model_doc, minicell_model):
         (lambda d: d["stations"].update(output="IN"), "must differ"),
         (lambda d: d["shuttles"]["S1"].update(home="ghost"), "unknown node"),
         (lambda d: d["machines"]["M1"]["operations"].update(A=-3), "duration"),
+        (lambda d: d["transport"]["edges"][0].update(travel=True), "travel must be"),
+        (lambda d: d["machines"]["M1"]["operations"].update(A=True), "integer duration"),
     ],
 )
 def test_validation_names_offender(minicell_model_doc, mutate, fragment):

@@ -142,6 +142,9 @@ class TestStreams:
             {"kind": "uniform-int", "low": 1, "high": 2, "step": 1},
             {"kind": "exponential-int", "mean": 0},
             {"kind": "exponential-int"},
+            {"kind": "constant", "value": True},
+            {"kind": "uniform-int", "low": False, "high": 2},
+            {"kind": "exponential-int", "mean": True},
         ],
     )
     def test_distribution_validation(self, doc):
@@ -170,6 +173,9 @@ class TestTriggerParsing:
             ({"kind": "after", "delay": 3}, "base"),
             ({"kind": "after", "base": {"kind": "at-time", "time": 1}, "delay": -1}, "delay"),
             ({"kind": "sometimes"}, "trigger kind"),
+            ({"kind": "at-time", "time": True}, "non-negative"),
+            ({"kind": "on-event", "event": "op-started", "occurrence": True}, "positive"),
+            ({"kind": "after", "base": {"kind": "at-time", "time": 1}, "delay": False}, "delay"),
         ],
     )
     def test_trigger_validation(self, doc, fragment):
@@ -185,6 +191,11 @@ class TestScenarioLoading:
             text = base.joinpath(name + ".json").read_text(encoding="utf-8")
             s = load_scenario(text, model=minicell_model, orders=minicell_orders)
             assert s.id
+
+    def test_max_occurrences_must_be_an_integer(self):
+        rule = down_rule({"kind": "at-time", "time": 1}, max_occurrences=True)
+        with pytest.raises(ScenarioError, match="max_occurrences"):
+            load_scenario_doc(scenario_doc(rules=[rule]))
 
     def test_unknown_top_level_key_rejected(self):
         doc = scenario_doc()
