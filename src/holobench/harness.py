@@ -7,10 +7,11 @@ a recorded wire session, then reduces the tapped streams to KPI reports and
 compares every scenario against the null (no-disturbance) baseline with
 mean/min/max aggregates.
 
-Artifacts are byte-reproducible: manifest, reports, comparison table, and
-summary carry no timestamps or machine-local paths.  Wall-clock decision
-latencies live only in the session logs and in a timing sidecar next to
-them, which is excluded from the reproducibility digest.
+Artifacts are byte-reproducible: manifest, reports, comparison table,
+summary and session logs carry no timestamps or machine-local paths.  The
+round driver times each round from outside the control; those wall-clock
+decision latencies go only to ``timing.json`` at the artifact root, which
+the reproducibility digest leaves out.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .interface import (
     RunRecorder,
 )
 from .kernel import EmulationKernel
-from .kpi import KpiEngine, KpiReport, VOLATILE_METRICS
+from .kpi import KpiEngine, KpiReport
 from .messages import ControlCommand, SimEvent
 from .model import ShopModel, load_model_file
 from .scenario import CategoryRegistry, RegistryError, Scenario, ScenarioManager, load_scenario_file
@@ -140,6 +141,9 @@ class RunResult:
     events: int  # production events delivered to the control
     log: bytes
     report: KpiReport | None
+    # Host wall clock per round, event batch sent to end-of-round received.
+    decision_latency_ms_mean: float
+    decision_latency_ms_max: float
 
 
 def run_single(
@@ -149,7 +153,6 @@ def run_single(
     seed: int,
     cap: int = DEFAULT_CAP,
     attach_kpi: bool = True,
-    latency_clock: Callable[[], float] | None = None,
     endpoint: Any | None = None,
 ) -> RunResult:
     """Execute one run over a recorded wire session.
@@ -169,7 +172,7 @@ def run_single(
     if endpoint is None:
         control = ReferenceControl(model)
         emu_ep, ctl_ep = InProcEndpoint.pair()
-        client = ControlClient(ctl_ep, control, clock=latency_clock or time.perf_counter)
+        client = ControlClient(ctl_ep, control)
 
         def pump() -> None:
             while ctl_ep.has_line():
@@ -221,6 +224,10 @@ def run_single(
         events=events,
         log=log,
         report=report,
+        decision_latency_ms_mean=sum(driver.round_ms) / len(driver.round_ms)
+        if driver.round_ms
+        else 0.0,
+        decision_latency_ms_max=max(driver.round_ms, default=0.0),
     )
 
 
@@ -320,10 +327,7 @@ def run_suite(
         report_rel = None
         if r.report is not None:
             report_rel = f"reports/{r.run_id}.json"
-            report_doc = r.report.to_doc(include_volatile=True)
-            timing_doc = {name: report_doc.pop(name) for name in VOLATILE_METRICS}
-            _write_json(os.path.join(out_dir, report_rel), report_doc)
-            _write_json(os.path.join(out_dir, f"logs/{r.run_id}.timing.json"), timing_doc)
+            _write_json(os.path.join(out_dir, report_rel), r.report.to_doc())
         runs_doc.append(
             {
                 "run_id": r.run_id,
@@ -352,6 +356,16 @@ def run_suite(
         "runs": runs_doc,
     }
     _write_json(manifest_path, manifest)
+    _write_json(
+        os.path.join(out_dir, "timing.json"),
+        {
+            r.run_id: {
+                "decision_latency_ms_mean": r.decision_latency_ms_mean,
+                "decision_latency_ms_max": r.decision_latency_ms_max,
+            }
+            for r in results
+        },
+    )
     compare(out_dir)
     return manifest
 
@@ -552,8 +566,10 @@ def _render_summary(
 def artifact_digest(out_dir: str) -> str:
     """Combined sha256 over the deterministic artifact set.
 
-    Session logs and timing sidecars are excluded: they carry wall-clock
-    decision latencies, which vary between otherwise identical runs.
+    ``timing.json`` is excluded: it carries wall-clock decision latencies,
+    which vary between otherwise identical runs.  Session logs are
+    byte-stable too, but they stay out: adding them would move every
+    recorded digest, a contract change to make on its own.
     """
     names = [n for n in HASHED_ARTIFACTS if os.path.exists(os.path.join(out_dir, n))]
     reports_dir = os.path.join(out_dir, "reports")

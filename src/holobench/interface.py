@@ -8,7 +8,11 @@ which makes the log itself the unit of replay: feeding it back through the
 replay transport re-creates the control side's inputs byte for byte.
 
 The emulation endpoint owns the clock and drives rounds; the control
-endpoint answers each event batch with commands and an end-of-round record.
+endpoint answers each event batch with its commands, then an end-of-round
+record, which ends the reply.  The round driver times each round from
+sending the event batch to receiving the end-of-round, so the control's
+decision latency is measured outside the control and never crosses the
+wire: two runs of one seed write the same log bytes.
 Scenario-manager records (run metadata, directives, injection audits) ride
 the same wire and are recorded in place.
 
@@ -33,7 +37,8 @@ indexing it, and encodes only the command and end-of-round records it
 returns.  The other log readers decode one line at a time and drop each
 record once they have taken what they need from it: ``extract_command_log``
 keeps the matching lines, ``extract_event_stream`` the events, and
-``recompute_from_log`` the run metadata, dues, events and taps.
+``recompute_from_log`` the run metadata, dues, events and the control's
+end-of-run counters.
 """
 
 from __future__ import annotations
@@ -378,20 +383,13 @@ class RunRecorder:
 class ControlClient:
     """Serves a ReferenceControl over a transport endpoint.
 
-    Reads rounds (directives, then one event batch), answers with command
-    records, an end-of-round record, and one decision-latency tap.  The
-    latency clock is injectable so tests can pin it.
+    Reads rounds (directives, then one event batch) and answers each with
+    command records and an end-of-round record.
     """
 
-    def __init__(
-        self,
-        endpoint,
-        control: ReferenceControl,
-        clock: Callable[[], float] = time.perf_counter,
-    ):
+    def __init__(self, endpoint, control: ReferenceControl):
         self._ep = endpoint
         self._control = control
-        self._clock = clock
         self._directives: list[ControlDirective] = []
         self._round = 0
 
@@ -453,22 +451,11 @@ class ControlClient:
         self._round = round_no
         events = [SimEvent.from_dict(d) for d in record["body"]["events"]]
         notices = [Notice.from_dict(d) for d in record["body"].get("notices", [])]
-        started = self._clock()
         commands, idle = self._control.on_round(t, self._directives, events, notices)
-        elapsed_ms = (self._clock() - started) * 1000.0
         self._directives = []
         for cmd in commands:
             self._send(make_record(ROLE_CONTROL, round_no, t, "command", cmd.to_dict(), round_no))
         self._send(make_record(ROLE_CONTROL, round_no, t, "end-of-round", {"idle": idle}, round_no))
-        self._send(
-            make_record(
-                ROLE_CONTROL,
-                round_no,
-                t,
-                "tap",
-                {"flow": "FLOW2", "name": "decision_latency_ms", "value": elapsed_ms, "i": round_no},
-            )
-        )
 
     def serve_forever(self) -> None:
         """Serve until the session ends; for threaded/socket use."""
@@ -488,6 +475,10 @@ class RoundDriver:
     record it was encoded from, and each line it receives with the record
     the endpoint hands over.  Does not know about the kernel; the bench
     harness supplies batches and consumes commands.
+
+    Times each round on the host clock, from sending the event batch to
+    receiving the end-of-round: ``round_ms`` holds one wall-clock figure
+    per answered round, in milliseconds.  They never enter the log.
     """
 
     def __init__(self, endpoint, model_hash: str, recorder: RunRecorder):
@@ -495,6 +486,8 @@ class RoundDriver:
         self._model_hash = model_hash
         self._recorder = recorder
         self.round_no = 0
+        self.round_ms: list[float] = []
+        self._batch_sent = 0.0
 
     def _send(self, record: dict[str, Any]) -> None:
         line = encode_record(record)
@@ -545,34 +538,25 @@ class RoundDriver:
             "notices": [n.to_dict() for n in notices],
         }
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "event-batch", body))
+        self._batch_sent = time.perf_counter()
 
     def collect_reply(self) -> tuple[list[ControlCommand], bool]:
-        """Read the control's records for the current round."""
+        """Read the control's commands for the current round, up to and
+        including its end-of-round; return them with the idle flag."""
         commands: list[ControlCommand] = []
-        idle = False
-        saw_eor = False
         while True:
             record = self._recv()
             if record["role"] != ROLE_CONTROL:
                 raise ProtocolError(f"unexpected {record['role']} record in a control reply")
             kind = record["kind"]
-            if kind == "command":
-                if saw_eor:
-                    raise ProtocolError("command after end-of-round")
-                if record["corr"] != self.round_no:
-                    raise ProtocolError("command correlates to the wrong round")
-                commands.append(ControlCommand.from_dict(record["body"]))
-            elif kind == "end-of-round":
-                if record["corr"] != self.round_no:
-                    raise ProtocolError("end-of-round correlates to the wrong round")
-                idle = bool(record["body"].get("idle"))
-                saw_eor = True
-            elif kind == "tap":
-                if saw_eor:
-                    return commands, idle
-                raise ProtocolError("tap before end-of-round")
-            else:
+            if kind not in ("command", "end-of-round"):
                 raise ProtocolError(f"unexpected control record kind {kind!r}")
+            if record["corr"] != self.round_no:
+                raise ProtocolError(f"{kind} correlates to the wrong round")
+            if kind == "end-of-round":
+                self.round_ms.append((time.perf_counter() - self._batch_sent) * 1000.0)
+                return commands, bool(record["body"].get("idle"))
+            commands.append(ControlCommand.from_dict(record["body"]))
 
     def send_run_end(self, t: int, reason: str) -> None:
         self.round_no += 1
@@ -661,7 +645,7 @@ def replay_session(log: bytes, control: ReferenceControl) -> bytes:
     byte comparison with ``extract_command_log`` of the original.
     """
     source = ReplaySource(log)
-    client = ControlClient(source, control, clock=lambda: 0.0)
+    client = ControlClient(source, control)
     client.serve_forever()
     return b"".join(
         encode_record(record)

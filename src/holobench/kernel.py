@@ -20,7 +20,6 @@ event batch.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
@@ -30,7 +29,7 @@ from .model import ShopModel
 
 
 class KernelError(RuntimeError):
-    """Internal invariant violation or snapshot mismatch."""
+    """Internal invariant violation: a pending entry of an unknown kind."""
 
 
 @dataclass
@@ -457,7 +456,7 @@ class EmulationKernel:
         out, self._notices = self._notices, []
         return out
 
-    # -- snapshot / restore ---------------------------------------------------
+    # -- snapshot --------------------------------------------------------------
 
     def snapshot(self) -> str:
         """Full state as canonical JSON; equal strings mean equal state."""
@@ -474,23 +473,3 @@ class EmulationKernel:
             "notices": [n.to_dict() for n in self._notices],
         }
         return canon_dumps(doc)
-
-    @classmethod
-    def restore(cls, model: ShopModel, snapshot: str) -> "EmulationKernel":
-        doc = json.loads(snapshot)
-        if doc["model_hash"] != model.model_hash:
-            raise KernelError("snapshot was taken against a different model")
-        k = cls(model)
-        k.clock = doc["clock"]
-        k._next_seq = doc["next_seq"]
-        for mid, d in doc["machines"].items():
-            k._machines[mid] = _Machine(**d)
-        for sid, d in doc["shuttles"].items():
-            k._shuttles[sid] = _Shuttle(**d)
-        k._products = {oid: _Product(**d) for oid, d in doc["products"].items()}
-        k._released = set(doc["released"])
-        k._pending = [tuple(e) for e in doc["pending"]]
-        heapq.heapify(k._pending)
-        k._push_counter = doc["push_counter"]
-        k._notices = [Notice.from_dict(d) for d in doc["notices"]]
-        return k

@@ -2,9 +2,11 @@
 
 Nothing in here influences a run: the engine observes records the recorder
 has already committed, applies each stream entry they carry, and reduces
-them to a report at the end.  Three streams are tapped: FLOW1 carries the
-production events, FLOW2 the per-round decision latency, FLOW7 the control's
-end-of-run counters.
+them to a report at the end.  Two streams are tapped: FLOW1 carries the
+production events, FLOW7 the control's end-of-run counters.  Every report
+field is determined by the session log alone; the control's decision
+latency is timed by the round driver and never enters the log or the
+report.
 
 Two implementations cross-check each other.  ``KpiEngine`` is incremental:
 it deduplicates entries on (flow, t, seq), refuses time regressions, and
@@ -20,11 +22,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
 FLOW_EVENTS = "FLOW1"
-FLOW_LATENCY = "FLOW2"
 FLOW_CONTROL_KPI = "FLOW7"
-
-# Wall-clock figures: reported, but excluded from byte-stable artifacts.
-VOLATILE_METRICS = frozenset({"decision_latency_ms_mean", "decision_latency_ms_max"})
 
 # The report fields that suite aggregation compares across scenarios; their
 # names, plus one utilization[...] per machine, fix comparison.csv.
@@ -80,21 +78,15 @@ class KpiReport:
     commands_issued: int
     directives_handled: int
     reschedules: int
-    decision_latency_ms_mean: float
-    decision_latency_ms_max: float
     events_observed: int
     duplicates_dropped: int
 
-    def to_doc(self, include_volatile: bool = False) -> dict[str, Any]:
-        doc = asdict(self)
-        if not include_volatile:
-            for name in VOLATILE_METRICS:
-                del doc[name]
-        return doc
+    def to_doc(self) -> dict[str, Any]:
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "KpiReport":
-        """Inverse of ``to_doc``; absent volatile metrics read as 0.0.
+        """Inverse of ``to_doc``.
 
         Raises ``ValueError`` naming every missing or unknown key, and every
         value whose type its field does not allow.
@@ -102,17 +94,14 @@ class KpiReport:
         if not isinstance(doc, dict):
             raise ValueError("a KPI report must be a JSON object")
         names = {f.name for f in fields(cls)}
-        missing = sorted(names - VOLATILE_METRICS - doc.keys())
+        missing = sorted(names - doc.keys())
         unknown = sorted(doc.keys() - names)
         if missing or unknown:
             raise ValueError(f"KPI report has missing keys {missing}, unknown keys {unknown}")
         wrong = sorted(name for name, value in doc.items() if not _fits(value, _FIELD_TYPES[name]))
         if wrong:
             raise ValueError(f"KPI report has values of the wrong type for keys {wrong}")
-        kwargs: dict[str, Any] = {name: 0.0 for name in VOLATILE_METRICS}
-        for name, value in doc.items():
-            kwargs[name] = dict(value) if isinstance(value, dict) else value
-        return cls(**kwargs)
+        return cls(**{k: dict(v) if isinstance(v, dict) else v for k, v in doc.items()})
 
     def scalar_metrics(self) -> dict[str, float]:
         """Flat numeric view used by suite aggregation and comparison."""
@@ -140,8 +129,8 @@ def _fits(value: Any, hint: Any) -> bool:
 def reports_match(a: KpiReport, b: KpiReport, tol: float = 1e-9) -> list[str]:
     """Differences between two reports: exact for counts, tol for ratios."""
     diffs: list[str] = []
-    da = a.to_doc(include_volatile=True)
-    db = b.to_doc(include_volatile=True)
+    da = a.to_doc()
+    db = b.to_doc()
     da.pop("duplicates_dropped", None)  # diagnostic of delivery, not of the run
     db.pop("duplicates_dropped", None)
     for key in da:
@@ -193,7 +182,6 @@ class KpiEngine:
         self._down: dict[str, list[tuple[int, int]]] = {}
         self._blocked_open: dict[str, int] = {}
         self._blocked: dict[str, list[tuple[int, int]]] = {}
-        self._latency: list[float] = []
         self._control_kpi: dict[str, int] = {}
 
     # -- wire tap -------------------------------------------------------------
@@ -220,9 +208,7 @@ class KpiEngine:
         elif kind == "tap":
             body = record["body"]
             flow = body.get("flow")
-            if flow == FLOW_LATENCY and self._is_new(flow, record["t"], body["i"]):
-                self._latency.append(float(body["value"]))
-            elif flow == FLOW_CONTROL_KPI and self._is_new(flow, record["t"], body["i"]):
+            if flow == FLOW_CONTROL_KPI and self._is_new(flow, record["t"], body["i"]):
                 self._control_kpi[body["name"]] = body["value"]
 
     # -- stream ingestion --------------------------------------------------------
@@ -359,10 +345,6 @@ class KpiEngine:
             commands_issued=self._control_kpi.get("commands_issued", 0),
             directives_handled=self._control_kpi.get("directives_handled", 0),
             reschedules=self._control_kpi.get("reschedules", 0),
-            decision_latency_ms_mean=(sum(self._latency) / len(self._latency))
-            if self._latency
-            else 0.0,
-            decision_latency_ms_max=max(self._latency, default=0.0),
             events_observed=self.events_observed,
             duplicates_dropped=self.duplicates_dropped,
         )
@@ -378,14 +360,14 @@ def recompute_from_log(log: bytes) -> KpiReport:
 
     The log is decoded one line at a time, and each record is folded in and
     dropped: only the run-meta body, the dues, the events (deduplicated by
-    ``seq``) and the tap values are kept for the whole-log folds below.
+    ``seq``) and the control's counters are kept for the whole-log folds
+    below.
     """
     from .interface import decode_line, iter_log  # local import to avoid a module cycle
 
     meta: dict[str, Any] = {}
     dues: dict[str, int] = {}
     events: dict[int, dict[str, Any]] = {}  # seq -> event, deduplicated
-    latency: dict[int, float] = {}
     control_kpi: dict[str, int] = {}
     for offset, line in iter_log(log):
         record = decode_line(line, offset)
@@ -401,12 +383,8 @@ def recompute_from_log(log: bytes) -> KpiReport:
         elif kind == "event-batch":
             for ed in record["body"]["events"]:
                 events.setdefault(ed["seq"], ed)
-        elif kind == "tap":
-            body = record["body"]
-            if body.get("flow") == FLOW_LATENCY:
-                latency.setdefault(body["i"], float(body["value"]))
-            elif body.get("flow") == FLOW_CONTROL_KPI:
-                control_kpi[body["name"]] = body["value"]
+        elif kind == "tap" and record["body"].get("flow") == FLOW_CONTROL_KPI:
+            control_kpi[record["body"]["name"]] = record["body"]["value"]
 
     ordered = [events[s] for s in sorted(events)]
 
@@ -490,7 +468,6 @@ def recompute_from_log(log: bytes) -> KpiReport:
             raise StreamError(f"order {o!r} completed but never registered")
     tardies = [max(0, completed[o] - dues[o]) for o in sorted(completed)]
     n = len(completed)
-    lat_values = [latency[i] for i in sorted(latency)]
 
     return KpiReport(
         run_id=meta.get("run_id", ""),
@@ -519,8 +496,6 @@ def recompute_from_log(log: bytes) -> KpiReport:
         commands_issued=control_kpi.get("commands_issued", 0),
         directives_handled=control_kpi.get("directives_handled", 0),
         reschedules=control_kpi.get("reschedules", 0),
-        decision_latency_ms_mean=(sum(lat_values) / len(lat_values)) if lat_values else 0.0,
-        decision_latency_ms_max=max(lat_values, default=0.0),
         events_observed=len(ordered),
         duplicates_dropped=0,
     )

@@ -95,12 +95,6 @@ class CategoryRegistry:
             raise RegistryError(f"unknown disturbance label {label!r}")
         return self._lookup[key]
 
-    def by_category(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {c: [] for c in CATEGORIES}
-        for label in sorted(self.labels):
-            out[self.labels[label]].append(label)
-        return out
-
 
 # -- distributions ----------------------------------------------------------------
 

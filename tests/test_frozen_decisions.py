@@ -159,12 +159,16 @@ def _sha256_json(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def frozen_run():
+def _run():
     model = load_model_doc(shop_doc())
     orders = order_book()
     scenario = load_scenario(json.dumps(scenario_doc(orders)), model=model, orders=orders)
     return run_single(model, orders, scenario, SEED)
+
+
+@pytest.fixture(scope="module")
+def frozen_run():
+    return _run()
 
 
 def test_scenario_exercises_every_reaction(frozen_run):
@@ -182,6 +186,11 @@ def test_scenario_exercises_every_reaction(frozen_run):
     assert any(e["kind"] == "machine-down" and e.get("info", {}).get("preempted")
                for e in events)
     assert {"N1", "N2"} <= {e.get("order") for e in events if e["kind"] == "order-completed"}
+
+
+def test_log_is_byte_stable(frozen_run):
+    """A second run of the seed writes the same session log, byte for byte."""
+    assert _run().log == frozen_run.log
 
 
 def test_command_log_is_frozen(frozen_run):

@@ -110,9 +110,15 @@ class TestRunSuite:
             assert os.path.exists(os.path.join(out, r["report"]))
         assert os.path.exists(os.path.join(out, "comparison.csv"))
         assert os.path.exists(os.path.join(out, "summary.txt"))
-        timings = [p for p in os.listdir(os.path.join(out, "logs"))
-                   if p.endswith(".timing.json")]
-        assert len(timings) == 15
+        assert sorted(os.listdir(os.path.join(out, "logs"))) == sorted(
+            os.path.basename(r["log"]) for r in manifest["runs"]
+        )
+        with open(os.path.join(out, "timing.json"), encoding="utf-8") as f:
+            timing = json.load(f)
+        assert sorted(timing) == sorted(r["run_id"] for r in manifest["runs"])
+        for latency in timing.values():
+            assert set(latency) == {"decision_latency_ms_mean", "decision_latency_ms_max"}
+            assert 0 < latency["decision_latency_ms_mean"] <= latency["decision_latency_ms_max"]
 
     def test_rerun_is_byte_identical(self, suite, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -130,12 +136,8 @@ class TestRunSuite:
         out = str(tmp_path / "out")
         run_suite(suite, out)
         before = artifact_digest(out)
-        sidecar = next(
-            os.path.join(out, "logs", p) for p in os.listdir(os.path.join(out, "logs"))
-            if p.endswith(".timing.json")
-        )
-        with open(sidecar, "w", encoding="utf-8") as f:
-            f.write('{"decision_latency_ms_mean": 999.0}\n')
+        with open(os.path.join(out, "timing.json"), "w", encoding="utf-8") as f:
+            f.write('{"null-s1": {"decision_latency_ms_mean": 999.0}}\n')
         assert artifact_digest(out) == before
         # ...while hashed artifacts do move it
         with open(os.path.join(out, "summary.txt"), "a", encoding="utf-8") as f:
@@ -244,9 +246,24 @@ class TestRunSingle:
 
     def test_kpi_detachment_leaves_log_alone(self, minicell_model, minicell_orders,
                                              ps9_scenario):
-        with_kpi = run_single(minicell_model, minicell_orders, ps9_scenario, seed=2,
-                              latency_clock=lambda: 0.0)
+        with_kpi = run_single(minicell_model, minicell_orders, ps9_scenario, seed=2)
         without = run_single(minicell_model, minicell_orders, ps9_scenario, seed=2,
-                             attach_kpi=False, latency_clock=lambda: 0.0)
+                             attach_kpi=False)
         assert with_kpi.log == without.log
         assert with_kpi.report is not None and without.report is None
+
+    @pytest.mark.parametrize(
+        "name", ["null", "ps9", "reject_rework", "rush_order", "supply_shortage"]
+    )
+    def test_two_runs_of_one_seed_write_the_same_log(
+        self, minicell_model, minicell_orders, scenario_by_name, name
+    ):
+        """Decision latency is timed by the harness, not sent on the wire,
+        so nothing in the log depends on the host clock."""
+        scenario = scenario_by_name(name)
+        first = run_single(minicell_model, minicell_orders, scenario, seed=4)
+        second = run_single(minicell_model, minicell_orders, scenario, seed=4)
+        assert first.status == second.status == "completed"
+        assert first.log == second.log
+        for r in (first, second):
+            assert 0 < r.decision_latency_ms_mean <= r.decision_latency_ms_max

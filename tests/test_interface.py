@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from holobench import interface
+from holobench import harness, interface
 from holobench.canon import canon_dumps
 from holobench.control import ControlProtocolError, ReferenceControl
 from holobench.harness import run_single
@@ -33,7 +33,7 @@ from holobench.interface import (
     parse_log,
     replay_session,
 )
-from holobench.kpi import KpiEngine, recompute_from_log
+from holobench.kpi import KpiEngine, recompute_from_log, reports_match
 from holobench.model import load_model_doc
 from holobench.scenario import load_scenario_doc
 from test_control import ORACLE_SHOP, oracle_sessions
@@ -49,9 +49,9 @@ def rec(kind="event-batch", role="emulation", round_no=1, t=0, body=None, corr=N
 
 def socket_session(model, orders, scenario, seed):
     """``run_single`` against a control served over a socket pair from a
-    thread, with the control's latency clock pinned to 0.0."""
+    thread."""
     left, right = socket.socketpair()
-    client = ControlClient(SocketEndpoint(right), ReferenceControl(model), clock=lambda: 0.0)
+    client = ControlClient(SocketEndpoint(right), ReferenceControl(model))
     worker = threading.Thread(target=client.serve_forever)
     worker.start()
     try:
@@ -248,9 +248,7 @@ class TestSocket:
         the session it serves is the in-process one, byte for byte."""
         scenario = scenario_by_name(name)
         remote = socket_session(minicell_model, minicell_orders, scenario, seed)
-        local = run_single(
-            minicell_model, minicell_orders, scenario, seed, latency_clock=lambda: 0.0
-        )
+        local = run_single(minicell_model, minicell_orders, scenario, seed)
         assert remote.status == local.status == "completed"
         assert remote.log == local.log
         assert remote.report == local.report
@@ -306,8 +304,7 @@ class TestRecorder:
         monkeypatch.setattr(KpiEngine, "observe_record", tap)
         monkeypatch.setattr(KpiEngine, "finalize", finalize_after_all)
         result = run_single(
-            minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3,
-            latency_clock=lambda: 0.0,
+            minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3
         )
         assert result.status == "completed"
         records = parse_log(result.log)
@@ -335,7 +332,7 @@ class TestRecorder:
 
         KpiEngine.observe_record = tap
         try:
-            result = run_single(model, book, scenario, seed, latency_clock=lambda: 0.0)
+            result = run_single(model, book, scenario, seed)
         finally:
             KpiEngine.observe_record = observe
         assert seen == parse_log(result.log)
@@ -348,8 +345,7 @@ class TestRecorder:
         apart after reading it leaves the wire bytes alone."""
         scenario = scenario_by_name("supply_shortage")
         clean = run_single(
-            minicell_model, minicell_orders, scenario, seed=3, attach_kpi=False,
-            latency_clock=lambda: 0.0,
+            minicell_model, minicell_orders, scenario, seed=3, attach_kpi=False
         )
         observe = KpiEngine.observe_record
         torn = []
@@ -370,9 +366,7 @@ class TestRecorder:
             torn.append(record)
 
         monkeypatch.setattr(KpiEngine, "observe_record", tear)
-        tapped = run_single(
-            minicell_model, minicell_orders, scenario, seed=3, latency_clock=lambda: 0.0
-        )
+        tapped = run_single(minicell_model, minicell_orders, scenario, seed=3)
         assert tapped.log == clean.log
         assert len(torn) == len(parse_log(clean.log))
 
@@ -432,7 +426,7 @@ class TestDecodeOnce:
         calls = self._count_decodes(monkeypatch)
         source = ReplaySource(log)
         assert len(calls) == lines
-        ControlClient(source, ReferenceControl(minicell_model), clock=lambda: 0.0).serve_forever()
+        ControlClient(source, ReferenceControl(minicell_model)).serve_forever()
         assert len(calls) == lines  # the control reuses the index
         assert [source.sent[0]["kind"], source.sent[-1]["kind"]] == ["hello", "bye"]
 
@@ -448,12 +442,12 @@ class TestDecodeOnce:
             interface, "encode_record", lambda record: encoded.append(record) or encode(record)
         )
         replayed = replay_session(log, ReferenceControl(minicell_model))
-        assert len(calls) == lines == 122
+        assert len(calls) == lines == 92
         # only the command and end-of-round records it returns are encoded
         assert len(encoded) == replayed.count(b"\n") == 52
         monkeypatch.undo()
         records = parse_log(log)
-        assert sum(r["role"] == "control" for r in records) == 87
+        assert sum(r["role"] == "control" for r in records) == 57
         assert replayed == extract_command_log(log)
 
     @pytest.mark.parametrize("reader", LOG_READERS)
@@ -491,6 +485,46 @@ class TestReaderMemory:
         log = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=3).log
         assert traced_peak(recompute_from_log, log) <= 3 * len(log)
         assert traced_peak(extract_event_stream, log) <= 2 * len(log)
+
+
+class TestOldFormatLogs:
+    """Logs recorded before decision latency left the wire carry a control
+    ``FLOW2`` tap after each end-of-round.  Every reader still gives the
+    same answer on them, so older artifact directories stay auditable."""
+
+    @staticmethod
+    def with_latency_taps(log):
+        old = bytearray()
+        for _, line in iter_log(log):
+            old += line
+            record = decode_line(line)
+            if record["kind"] == "end-of-round":
+                body = {"flow": "FLOW2", "name": "decision_latency_ms", "value": 0.25,
+                        "i": record["round"]}
+                old += encode_record(
+                    rec(kind="tap", role="control", round_no=record["round"], t=record["t"],
+                        body=body)
+                )
+        return bytes(old)
+
+    @pytest.mark.parametrize("name", ["null", "ps9", "supply_shortage"])
+    def test_readers_ignore_the_latency_taps(
+        self, minicell_model, minicell_orders, scenario_by_name, name
+    ):
+        result = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=2)
+        old = self.with_latency_taps(result.log)
+        rounds = sum(r["kind"] == "event-batch" for r in parse_log(result.log))
+        assert old.count(b'"FLOW2"') == rounds > 0
+        assert recompute_from_log(old) == recompute_from_log(result.log) == result.report
+        assert extract_command_log(old) == extract_command_log(result.log)
+        assert extract_event_stream(old) == extract_event_stream(result.log)
+        replayed = replay_session(old, ReferenceControl(minicell_model))
+        assert replayed == replay_session(result.log, ReferenceControl(minicell_model))
+        assert replayed == extract_command_log(result.log)
+        engine = KpiEngine()
+        for record in parse_log(old):
+            engine.observe_record(record)
+        assert reports_match(engine.finalize(), result.report) == []
 
 
 class TestReplay:
@@ -559,7 +593,7 @@ class TestHandshake:
 
     def test_round_monotonicity_enforced_by_client(self, minicell_model):
         a, b = InProcEndpoint.pair()
-        client = ControlClient(b, ReferenceControl(minicell_model), clock=lambda: 0.0)
+        client = ControlClient(b, ReferenceControl(minicell_model))
         a.send_line(encode_record(rec(round_no=2, body={"events": [], "notices": []})))
         with pytest.raises(ProtocolError, match="monotonicity"):
             client.serve_one()
@@ -570,3 +604,29 @@ class TestHandshake:
         a.send_line(encode_record(rec(kind="mystery")))
         with pytest.raises(ProtocolError, match="mystery"):
             client.serve_one()
+
+
+class TestReplyProtocol:
+    """A round's reply ends at its end-of-round.  A command the control
+    sends after that is read first by the next collect, which refuses it:
+    the next round's reply checks its ``corr``, and after run-end only taps
+    and bye may come."""
+
+    @pytest.mark.parametrize("late", ["first", "last"])
+    def test_command_after_end_of_round_is_refused(
+        self, minicell_model, minicell_orders, ps9_scenario, monkeypatch, late
+    ):
+        rounds = run_single(minicell_model, minicell_orders, ps9_scenario, seed=1).rounds
+        late_round = 1 if late == "first" else rounds - 1  # the last round is run-end
+
+        class LateCommand(ControlClient):
+            def _serve_round(self, record):
+                super()._serve_round(record)
+                if record["round"] == late_round:
+                    self._send(rec(kind="command", role="control", round_no=late_round,
+                                   t=record["t"], corr=late_round))
+
+        monkeypatch.setattr(harness, "ControlClient", LateCommand)
+        message = "wrong round" if late == "first" else "'command' after run-end"
+        with pytest.raises(ProtocolError, match=message):
+            run_single(minicell_model, minicell_orders, ps9_scenario, seed=1)

@@ -1,7 +1,7 @@
 """KPI engine: synthetic formula checks, duplicate robustness, conservation
 and equivalence between the streaming path and the whole-log recompute."""
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 
@@ -12,7 +12,6 @@ from holobench.kpi import (
     KpiEngine,
     KpiReport,
     StreamError,
-    VOLATILE_METRICS,
     recompute_from_log,
     reports_match,
 )
@@ -313,27 +312,14 @@ class TestStreamingMatchesRecompute:
 
 
 class TestReportSerialization:
-    def test_volatile_metrics_are_opt_in(self, minicell_model, minicell_orders,
-                                         null_scenario):
-        r = run_single(minicell_model, minicell_orders, null_scenario, seed=1).report
-        doc = r.to_doc()
-        assert VOLATILE_METRICS  # non-empty set keeps this meaningful
-        for name in VOLATILE_METRICS:
-            assert name not in doc
-            assert name in r.to_doc(include_volatile=True)
-
     def test_doc_round_trip(self, minicell_model, minicell_orders, null_scenario):
         r = run_single(minicell_model, minicell_orders, null_scenario, seed=1).report
-        names = {f.name for f in fields(KpiReport)}
-        assert set(r.to_doc(include_volatile=True)) == names
-        assert set(r.to_doc()) == names - VOLATILE_METRICS
-        back = KpiReport.from_doc(r.to_doc(include_volatile=True))
+        # the doc holds every field: nothing in the report is left out of it
+        assert set(r.to_doc()) == {f.name for f in fields(KpiReport)}
+        back = KpiReport.from_doc(r.to_doc())
         assert back == r
         assert reports_match(r, back) == []
         assert back.scalar_metrics() == r.scalar_metrics()
-        # a stored artifact carries no latencies; they default to zero
-        stored = KpiReport.from_doc(r.to_doc())
-        assert stored == replace(r, **{name: 0.0 for name in VOLATILE_METRICS})
         # the doc holds copies: changing it leaves the report alone
         doc = r.to_doc()
         doc["utilization"]["M1"] = -1.0
