@@ -26,16 +26,11 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .canon import is_int, sha256_hex
 from .control import ProductOrder, ReferenceControl, load_orders_file
-from .interface import (
-    ControlClient,
-    InProcEndpoint,
-    RoundDriver,
-    RunRecorder,
-)
+from .interface import InProcEndpoint, RoundDriver, RunRecorder
 from .kernel import EmulationKernel
 from .kpi import KpiEngine, KpiReport
 from .messages import ControlCommand, SimEvent
@@ -157,9 +152,11 @@ def run_single(
 ) -> RunResult:
     """Execute one run over a recorded wire session.
 
-    By default the reference control is served in process over a lock-step
-    endpoint pair.  Pass ``endpoint`` to talk to a control served elsewhere
-    (over a socket, typically); its far side must already be listening.
+    By default the reference control is called in process, through an
+    ``InProcEndpoint``.  Pass ``endpoint`` to talk to a control served
+    elsewhere instead, typically by ``serve_control`` on the far side of a
+    socket, which must already be listening.  Either way the session writes
+    the same log bytes.
     """
     kernel = EmulationKernel(model)
     manager = ScenarioManager(scenario, seed)
@@ -168,28 +165,12 @@ def run_single(
     if attach_kpi:
         engine = KpiEngine()
         recorder.attach(engine.observe_record)
-
-    if endpoint is None:
-        control = ReferenceControl(model)
-        emu_ep, ctl_ep = InProcEndpoint.pair()
-        client = ControlClient(ctl_ep, control)
-
-        def pump() -> None:
-            while ctl_ep.has_line():
-                client.serve_one()
-
-    else:
-        emu_ep = endpoint
-
-        def pump() -> None:
-            pass
-
-    driver = RoundDriver(emu_ep, model.model_hash, recorder)
+    driver = RoundDriver(
+        endpoint or InProcEndpoint(ReferenceControl(model)), model.model_hash, recorder
+    )
 
     run_id = f"{scenario.id}-s{seed}"
     driver.handshake()
-    pump()
-    driver.finish_handshake()
     driver.send_run_meta(
         {
             "run_id": run_id,
@@ -200,16 +181,10 @@ def run_single(
             "machines": sorted(model.machines),
         }
     )
-    pump()
+    status, events = _drive(kernel, manager, driver, cap)
+    driver.end_run(kernel.clock, status)
 
-    status, events = _drive(kernel, manager, driver, pump, cap)
-
-    driver.send_run_end(kernel.clock, status)
-    pump()
-    driver.collect_closing()
-    driver.close()
-
-    log = recorder.log_bytes()  # hands the last received record to the engine
+    log = recorder.log_bytes()
     report: KpiReport | None = None
     if engine is not None and status == "completed":
         report = engine.finalize()
@@ -235,7 +210,6 @@ def _drive(
     kernel: EmulationKernel,
     manager: ScenarioManager,
     driver: RoundDriver,
-    pump: Callable[[], None],
     cap: int,
 ) -> tuple[str, int]:
     """Round loop; returns the run-end reason and the events delivered."""
@@ -260,10 +234,8 @@ def _drive(
             # Directives ride ahead of this round's event batch.
             directives.extend(firing.directives)
         driver.open_round(t, directives)
-        driver.send_batch(t, events, kernel.drain_notices())
+        commands, idle = driver.play_round(t, events, kernel.drain_notices())
         delivered += len(events)
-        pump()
-        commands, idle = driver.collect_reply()
         buffer.extend(commands)
         if not events and not commands and not queue:
             return ("completed" if idle else "stalled"), delivered

@@ -4,12 +4,13 @@ Wire format ("IL1"): one record per line, the ASCII prefix "IL1 " followed
 by a canonical JSON object and a newline, UTF-8 throughout.  Every record
 has exactly the keys {"v", "role", "round", "t", "kind", "body", "corr"}.
 A session log is the verbatim concatenation of wire lines in wire order,
-which makes the log itself the unit of replay: feeding it back through the
-replay transport re-creates the control side's inputs byte for byte.
+which makes the log itself the unit of replay: feeding its emulation and
+scenario records to a fresh control re-creates that control's inputs byte
+for byte.
 
-The emulation endpoint owns the clock and drives rounds; the control
-endpoint answers each event batch with its commands, then an end-of-round
-record, which ends the reply.  The round driver times each round from
+The emulation side owns the clock and drives rounds; the control side
+answers each event batch with its commands, then an end-of-round record,
+which ends the reply.  The round driver times each round from
 sending the event batch to receiving the end-of-round, so the control's
 decision latency is measured outside the control and never crosses the
 wire: two runs of one seed write the same log bytes.
@@ -22,23 +23,31 @@ accepted before or after the object, so a trailing space or a carriage
 return before the newline makes the line invalid.  Canonical lines never
 contain either.
 
+The round driver talks to its control through an endpoint, whether the
+control runs in process or over a socket.  An endpoint has three calls:
+``send_line_record(line, record)`` sends a line with the record it encodes,
+``recv_line_record()`` returns the next line from the control with its
+record, and ``close()`` ends the session.  A record handed to
+``send_line_record`` is the control's to read until the call returns; the
+driver reads nothing of it afterwards.
+
 Each line is encoded once, and decoded only by a reader that was not given
-its record.  A sender encodes a record once and hands the endpoint both the
-line and the record.  The in-process pipe carries the two together, so an
-in-process session decodes nothing: its receiver gets the sender's record,
-checked by ``check_record`` exactly as ``decode_line`` checks a parsed one.
-A socket carries only the line, and its receiver decodes it once.  The
-round driver gives the recorder each line with the record it sent or
-received, so the recorder never decodes.  Because those records are shared
-with the peer, the recorder passes them on to its observers only once the
-session has finished with them: when the driver receives the peer's next
-record, or when the log is taken.  Replay decodes the log once, while
-indexing it, and encodes only the command and end-of-round records it
-returns.  The other log readers decode one line at a time and drop each
-record once they have taken what they need from it: ``extract_command_log``
-keeps the matching lines, ``extract_event_stream`` the events, and
-``recompute_from_log`` the run metadata, dues, events and the control's
-end-of-run counters.
+its record.  In process, ``InProcEndpoint`` calls the control directly: a
+sent record is checked by ``check_record``, exactly as ``decode_line``
+checks a parsed one, and handed to the control at once.  The control's
+replies are encoded once and queued with their records until the driver
+reads them, so an in-process session decodes nothing.  A socket carries
+only the line, and its receiver decodes it once.  The round driver gives
+the recorder each line with the record it sent or received, so the
+recorder never decodes.  It records a sent line once the endpoint has
+returned, and a received one once it has finished reading it, so the
+recorder's observers get records the session is done with.  Replay
+decodes the log once, while indexing it, and encodes only the command and
+end-of-round records it returns.  The other log readers decode one line at
+a time and drop each record once they have taken what they need from it:
+``extract_command_log`` keeps the matching lines, ``extract_event_stream``
+the events, and ``recompute_from_log`` the run metadata, dues, events and
+the control's end-of-run counters.
 """
 
 from __future__ import annotations
@@ -73,6 +82,10 @@ class DecodeError(ValueError):
 
 class ProtocolError(RuntimeError):
     """A well-formed record arrived where the protocol forbids it."""
+
+
+class EndOfStream(Exception):
+    """The peer closed the wire."""
 
 
 class ReplayError(RuntimeError):
@@ -206,202 +219,26 @@ def extract_event_stream(log: bytes) -> list[SimEvent]:
     return events
 
 
-# -- transports ---------------------------------------------------------------
-
-
-class EndOfStream(Exception):
-    """The peer closed the wire."""
-
-
-class LineEndpoint:
-    """The endpoint contract.
-
-    A transport implements ``send_line`` and ``recv_line``.
-    ``send_line_record`` sends a line together with the record it encodes,
-    and ``recv_line_record`` returns the next inbound line with its record;
-    by default only the line crosses and the receiver decodes it.
-    ``send_record`` encodes a record and sends both; ``recv_record`` returns
-    the next inbound record alone.
-    """
-
-    def send_line(self, line: bytes) -> None:
-        raise NotImplementedError
-
-    def send_line_record(self, line: bytes, record: dict[str, Any]) -> None:
-        self.send_line(line)
-
-    def send_record(self, record: dict[str, Any]) -> None:
-        self.send_line_record(encode_record(record), record)
-
-    def recv_line(self) -> bytes:
-        raise NotImplementedError
-
-    def recv_line_record(self) -> tuple[bytes, dict[str, Any]]:
-        line = self.recv_line()
-        return line, decode_line(line)
-
-    def recv_record(self) -> dict[str, Any]:
-        return self.recv_line_record()[1]
-
-
-class InProcEndpoint(LineEndpoint):
-    """One side of an in-process, lock-step pipe.
-
-    Each line crosses together with the record it was encoded from, so the
-    receiver gets the sender's record and no line is decoded; the record
-    still passes ``check_record``.  A line sent alone with ``send_line`` is
-    decoded on receipt.
-    """
-
-    def __init__(self, inbox: deque, outbox: deque):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._closed = False
-
-    @staticmethod
-    def pair() -> tuple["InProcEndpoint", "InProcEndpoint"]:
-        a_to_b: deque = deque()
-        b_to_a: deque = deque()
-        return InProcEndpoint(b_to_a, a_to_b), InProcEndpoint(a_to_b, b_to_a)
-
-    def send_line(self, line: bytes) -> None:
-        self.send_line_record(line, None)
-
-    def send_line_record(self, line: bytes, record: dict[str, Any] | None) -> None:
-        if self._closed:
-            raise ProtocolError("endpoint is closed")
-        self._outbox.append((line, record))
-
-    def _pop(self) -> tuple[bytes, dict[str, Any] | None]:
-        if not self._inbox:
-            if self._closed or _CLOSE in self._outbox:
-                raise EndOfStream
-            raise ProtocolError("lock-step violation: no record is waiting")
-        item = self._inbox.popleft()
-        if item is _CLOSE:
-            raise EndOfStream
-        return item
-
-    def recv_line(self) -> bytes:
-        return self._pop()[0]
-
-    def recv_line_record(self) -> tuple[bytes, dict[str, Any]]:
-        line, record = self._pop()
-        return line, decode_line(line) if record is None else check_record(record)
-
-    def has_line(self) -> bool:
-        return bool(self._inbox) and self._inbox[0] is not _CLOSE
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.append(_CLOSE)
-
-
-_CLOSE = object()
-
-
-class SocketEndpoint(LineEndpoint):
-    """Line transport over a stream socket with a receive timeout."""
-
-    def __init__(self, sock: socket.socket, timeout: float | None = 5.0):
-        self._sock = sock
-        self._sock.settimeout(timeout)
-        self._buffer = bytearray()
-
-    def send_line(self, line: bytes) -> None:
-        self._sock.sendall(line)
-
-    def recv_line(self) -> bytes:
-        while True:
-            nl = self._buffer.find(b"\n")
-            if nl != -1:
-                line = bytes(self._buffer[: nl + 1])
-                del self._buffer[: nl + 1]
-                return line
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout as exc:
-                raise TimeoutError("peer did not answer within the receive timeout") from exc
-            if not chunk:
-                if self._buffer:
-                    raise DecodeError("stream closed mid-line")
-                raise EndOfStream
-            self._buffer += chunk
-
-    def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
-
-
-# -- recording ----------------------------------------------------------------
-
-
-class RunRecorder:
-    """Accumulates the session log and fans records out to observers.
-
-    Observers are read-only taps: they see each record, in wire order, only
-    after its line has been committed to the log, so they cannot affect the
-    session.  Each line comes with its record, the one its sender encoded
-    or its receiver got, so the recorder decodes nothing.  Those records
-    are shared with the session, so they are held back until the session is
-    done with them: ``release`` passes every held record to the observers,
-    and ``log_bytes`` releases before it returns the log.  Take the log
-    before reading anything the observers computed.
-    """
-
-    def __init__(self):
-        self._chunks: list[bytes] = []
-        self._observers: list[Callable[[dict[str, Any]], None]] = []
-        self._held: list[dict[str, Any]] = []
-
-    def attach(self, observer: Callable[[dict[str, Any]], None]) -> None:
-        self._observers.append(observer)
-
-    def record(self, line: bytes, record: dict[str, Any]) -> None:
-        self._chunks.append(line)
-        if self._observers:
-            self._held.append(record)
-
-    def release(self) -> None:
-        """Pass every held record to the observers, in wire order."""
-        held, self._held = self._held, []
-        for record in held:
-            for obs in self._observers:
-                obs(record)
-
-    def log_bytes(self) -> bytes:
-        self.release()
-        return b"".join(self._chunks)
-
-
 # -- control client -------------------------------------------------------------
 
 
 class ControlClient:
-    """Serves a ReferenceControl over a transport endpoint.
+    """Answers the emulation's records on behalf of a ReferenceControl.
 
-    Reads rounds (directives, then one event batch) and answers each with
-    command records and an end-of-round record.
+    ``handle`` takes one inbound record.  A round (directives, then one
+    event batch) is answered with command records and an end-of-round
+    record, and run-end with the control's end-of-run taps and a bye.  Each
+    reply record goes to ``send`` as it is made.
     """
 
-    def __init__(self, endpoint, control: ReferenceControl):
-        self._ep = endpoint
+    def __init__(self, send: Callable[[dict[str, Any]], None], control: ReferenceControl):
+        self._send = send
         self._control = control
         self._directives: list[ControlDirective] = []
         self._round = 0
 
-    def _send(self, record: dict[str, Any]) -> None:
-        self._ep.send_record(record)
-
-    def serve_one(self) -> bool:
-        """Handle the next inbound record; False when the session is over."""
-        try:
-            record = self._ep.recv_record()
-        except EndOfStream:
-            return False
+    def handle(self, record: dict[str, Any]) -> bool:
+        """Handle one inbound record; False once the session is over."""
         kind = record["kind"]
         if kind == "hello":
             self._control.check_model_hash(record["body"]["model_hash"])
@@ -457,10 +294,133 @@ class ControlClient:
             self._send(make_record(ROLE_CONTROL, round_no, t, "command", cmd.to_dict(), round_no))
         self._send(make_record(ROLE_CONTROL, round_no, t, "end-of-round", {"idle": idle}, round_no))
 
-    def serve_forever(self) -> None:
-        """Serve until the session ends; for threaded/socket use."""
-        while self.serve_one():
+
+def serve_control(endpoint, control: ReferenceControl) -> None:
+    """Serve ``control`` over ``endpoint`` until run-end or until the peer
+    closes the wire; for a control on the far side of a socket, typically
+    in its own thread."""
+    client = ControlClient(
+        lambda record: endpoint.send_line_record(encode_record(record), record), control
+    )
+    try:
+        while client.handle(endpoint.recv_line_record()[1]):
             pass
+    except EndOfStream:
+        pass
+
+
+# -- endpoints ------------------------------------------------------------------
+
+
+class InProcEndpoint:
+    """The driver's endpoint to a control served in process, by direct call.
+
+    ``send_line_record`` checks the record and hands it to the control at
+    once; the control's replies are encoded once and queued with their
+    records.  ``recv_line_record`` returns the next queued reply, checked by
+    ``check_record``, so nothing is decoded.  A receive with no reply
+    waiting breaks the lock step and raises ``ProtocolError``; once the
+    control has said bye, or the endpoint is closed, a receive with none
+    left raises ``EndOfStream`` and a send raises ``ProtocolError``.
+    """
+
+    def __init__(self, control: ReferenceControl):
+        self._replies: deque[tuple[bytes, dict[str, Any]]] = deque()
+        self._client = ControlClient(self._queue_reply, control)
+        self._open = True
+
+    def _queue_reply(self, record: dict[str, Any]) -> None:
+        self._replies.append((encode_record(record), record))
+
+    def send_line_record(self, line: bytes, record: dict[str, Any]) -> None:
+        if not self._open:
+            raise ProtocolError("the session has ended")
+        self._open = self._client.handle(check_record(record))
+
+    def recv_line_record(self) -> tuple[bytes, dict[str, Any]]:
+        if not self._replies:
+            if not self._open:
+                raise EndOfStream
+            raise ProtocolError("lock-step violation: no record is waiting")
+        line, record = self._replies.popleft()
+        return line, check_record(record)
+
+    def close(self) -> None:
+        self._open = False
+
+
+class SocketEndpoint:
+    """Line transport over a stream socket with a receive timeout.
+
+    Only the line crosses: ``recv_line_record`` decodes each line it reads.
+    """
+
+    def __init__(self, sock: socket.socket, timeout: float | None = 5.0):
+        self._sock = sock
+        self._sock.settimeout(timeout)
+        self._buffer = bytearray()
+
+    def send_line(self, line: bytes) -> None:
+        self._sock.sendall(line)
+
+    def send_line_record(self, line: bytes, record: dict[str, Any]) -> None:
+        self.send_line(line)
+
+    def recv_line(self) -> bytes:
+        while True:
+            nl = self._buffer.find(b"\n")
+            if nl != -1:
+                line = bytes(self._buffer[: nl + 1])
+                del self._buffer[: nl + 1]
+                return line
+            try:
+                chunk = self._sock.recv(65536)
+            except socket.timeout as exc:
+                raise TimeoutError("peer did not answer within the receive timeout") from exc
+            if not chunk:
+                if self._buffer:
+                    raise DecodeError("stream closed mid-line")
+                raise EndOfStream
+            self._buffer += chunk
+
+    def recv_line_record(self) -> tuple[bytes, dict[str, Any]]:
+        line = self.recv_line()
+        return line, decode_line(line)
+
+    def close(self) -> None:
+        try:
+            self._sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
+
+# -- recording ----------------------------------------------------------------
+
+
+class RunRecorder:
+    """Accumulates the session log and fans records out to observers.
+
+    Observers are read-only taps: each gets every record, in wire order, as
+    its line is committed to the log.  Each line comes with its record, the
+    one its sender encoded or its receiver got, so the recorder decodes
+    nothing.  The round driver records a record only once the session is
+    done with it, so an observer cannot affect the session.
+    """
+
+    def __init__(self):
+        self._chunks: list[bytes] = []
+        self._observers: list[Callable[[dict[str, Any]], None]] = []
+
+    def attach(self, observer: Callable[[dict[str, Any]], None]) -> None:
+        self._observers.append(observer)
+
+    def record(self, line: bytes, record: dict[str, Any]) -> None:
+        self._chunks.append(line)
+        for obs in self._observers:
+            obs(record)
+
+    def log_bytes(self) -> bytes:
+        return b"".join(self._chunks)
 
 
 # -- emulation-side round driver -------------------------------------------------
@@ -472,9 +432,10 @@ class RoundDriver:
     Owns the wire: sends hello, run metadata, per-round scenario records and
     event batches; collects the control's reply for each round.  Records
     both directions: each line it sends goes to the recorder with the
-    record it was encoded from, and each line it receives with the record
-    the endpoint hands over.  Does not know about the kernel; the bench
-    harness supplies batches and consumes commands.
+    record it was encoded from, once the endpoint has taken it, and each
+    line it receives with the record the endpoint hands over, once the
+    driver has read it.  Does not know about the kernel; the bench harness
+    supplies batches and consumes commands.
 
     Times each round on the host clock, from sending the event batch to
     receiving the end-of-round: ``round_ms`` holds one wall-clock figure
@@ -487,30 +448,29 @@ class RoundDriver:
         self._recorder = recorder
         self.round_no = 0
         self.round_ms: list[float] = []
-        self._batch_sent = 0.0
 
     def _send(self, record: dict[str, Any]) -> None:
         line = encode_record(record)
-        self._recorder.record(line, record)
         self._ep.send_line_record(line, record)
-
-    def _recv(self) -> dict[str, Any]:
-        line, record = self._ep.recv_line_record()
-        # The peer has answered, so it is done with every record sent before
-        # this one, and this driver is done with the record it received last.
-        self._recorder.release()
         self._recorder.record(line, record)
-        return record
+
+    def _recv(self) -> tuple[bytes, dict[str, Any]]:
+        """The control's next line and record; the caller records them once
+        it has read the record."""
+        try:
+            return self._ep.recv_line_record()
+        except EndOfStream:
+            raise ProtocolError("the control hung up before its bye") from None
 
     def handshake(self) -> None:
+        """Send hello and check the control's hello in reply."""
         self._send(make_record(ROLE_EMULATION, 0, 0, "hello", {"model_hash": self._model_hash}))
-
-    def finish_handshake(self) -> None:
-        record = self._recv()
+        line, record = self._recv()
         if record["kind"] != "hello" or record["role"] != ROLE_CONTROL:
             raise ProtocolError("expected the control's hello")
         if record["body"].get("model_hash") != self._model_hash:
             raise ProtocolError("control answered with a different model hash")
+        self._recorder.record(line, record)
 
     def send_run_meta(self, body: dict[str, Any]) -> None:
         self._send(make_record(ROLE_SCENARIO, 0, 0, "run-meta", body))
@@ -532,20 +492,21 @@ class RoundDriver:
             self._send(make_record(ROLE_SCENARIO, self.round_no, t, "directive", d.to_dict()))
         return self.round_no
 
-    def send_batch(self, t: int, events: Iterable[SimEvent], notices: Iterable[Notice]) -> None:
+    def play_round(
+        self, t: int, events: Iterable[SimEvent], notices: Iterable[Notice]
+    ) -> tuple[list[ControlCommand], bool]:
+        """Send the round's event batch and read the control's reply, up to
+        and including its end-of-round; return the commands and the idle
+        flag."""
         body = {
             "events": [e.to_dict() for e in events],
             "notices": [n.to_dict() for n in notices],
         }
+        sent = time.perf_counter()
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "event-batch", body))
-        self._batch_sent = time.perf_counter()
-
-    def collect_reply(self) -> tuple[list[ControlCommand], bool]:
-        """Read the control's commands for the current round, up to and
-        including its end-of-round; return them with the idle flag."""
         commands: list[ControlCommand] = []
         while True:
-            record = self._recv()
+            line, record = self._recv()
             if record["role"] != ROLE_CONTROL:
                 raise ProtocolError(f"unexpected {record['role']} record in a control reply")
             kind = record["kind"]
@@ -553,32 +514,28 @@ class RoundDriver:
                 raise ProtocolError(f"unexpected control record kind {kind!r}")
             if record["corr"] != self.round_no:
                 raise ProtocolError(f"{kind} correlates to the wrong round")
+            if kind == "command":
+                commands.append(ControlCommand.from_dict(record["body"]))
+            else:
+                self.round_ms.append((time.perf_counter() - sent) * 1000.0)
+                idle = bool(record["body"].get("idle"))
+            self._recorder.record(line, record)
             if kind == "end-of-round":
-                self.round_ms.append((time.perf_counter() - self._batch_sent) * 1000.0)
-                return commands, bool(record["body"].get("idle"))
-            commands.append(ControlCommand.from_dict(record["body"]))
+                return commands, idle
 
-    def send_run_end(self, t: int, reason: str) -> None:
+    def end_run(self, t: int, reason: str) -> None:
+        """Send run-end, read the control's final taps and its bye, and
+        close the endpoint."""
         self.round_no += 1
-        self._send(
-            make_record(
-                ROLE_EMULATION, self.round_no, t, "run-end", {"reason": reason}
-            )
-        )
-
-    def collect_closing(self) -> None:
-        """Read the control's final taps and bye."""
+        self._send(make_record(ROLE_EMULATION, self.round_no, t, "run-end", {"reason": reason}))
         while True:
-            try:
-                record = self._recv()
-            except EndOfStream:
-                return
-            if record["kind"] == "bye":
-                return
-            if record["kind"] != "tap":
-                raise ProtocolError(f"unexpected record {record['kind']!r} after run-end")
-
-    def close(self) -> None:
+            line, record = self._recv()
+            kind = record["kind"]
+            if kind not in ("tap", "bye"):
+                raise ProtocolError(f"unexpected record {kind!r} after run-end")
+            self._recorder.record(line, record)
+            if kind == "bye":
+                break
         self._ep.close()
 
 
@@ -589,66 +546,35 @@ def _truncated_replay(offset: int) -> Exception:
     return ReplayError(f"log truncated mid-line at byte {offset}")
 
 
-class ReplaySource:
-    """Serves the emulation/scenario side of a recorded session log.
-
-    A ControlClient can be pointed at a recorded log exactly as at a live
-    emulation.  Control-role lines in the log are skipped on recv (the new
-    control produces its own), and the records the control sends are
-    collected in ``sent`` instead of transmitted; nothing is encoded.  Each
-    log line is decoded once, while the log is indexed; ``recv_record`` hands
-    out that record.
-    """
-
-    def __init__(self, log: bytes):
-        self._records: list[dict[str, Any]] = []
-        self.sent: list[dict[str, Any]] = []
-        last_round = 0
-        complete = False
-        for offset, line in iter_log(log, _truncated_replay):
-            record = decode_line(line, offset)
-            if record["role"] in (ROLE_EMULATION, ROLE_SCENARIO):
-                if record["kind"] == "event-batch":
-                    if record["round"] != last_round + 1:
-                        raise ReplayError(
-                            f"round monotonicity violated at round {record['round']}"
-                        )
-                    last_round = record["round"]
-                if record["kind"] == "run-end":
-                    complete = True
-                self._records.append(record)
-        if self._records and not complete:
-            raise ReplayError("log is truncated: no run-end record")
-        self._cursor = 0
-
-    def recv_record(self) -> dict[str, Any]:
-        if self._cursor >= len(self._records):
-            raise EndOfStream
-        record = self._records[self._cursor]
-        self._cursor += 1
-        return record
-
-    def send_record(self, record: dict[str, Any]) -> None:
-        self.sent.append(record)
-
-    def has_line(self) -> bool:
-        return self._cursor < len(self._records)
-
-    def close(self) -> None:
-        pass
-
-
 def replay_session(log: bytes, control: ReferenceControl) -> bytes:
     """Re-run a recorded session against a fresh control.
 
-    Returns the replayed command log (command and end-of-round lines) for
-    byte comparison with ``extract_command_log`` of the original.
+    Indexes the log's emulation and scenario records first, decoding each
+    line once and refusing a log that is truncated, breaks round order or
+    has no run-end.  Then hands them to the control, up to its bye, and
+    returns the command log it answered with (command and end-of-round
+    lines) for byte comparison with ``extract_command_log`` of the original.
     """
-    source = ReplaySource(log)
-    client = ControlClient(source, control)
-    client.serve_forever()
+    records: list[dict[str, Any]] = []
+    last_round = 0
+    complete = False
+    for offset, line in iter_log(log, _truncated_replay):
+        record = decode_line(line, offset)
+        if record["role"] in (ROLE_EMULATION, ROLE_SCENARIO):
+            if record["kind"] == "event-batch":
+                if record["round"] != last_round + 1:
+                    raise ReplayError(f"round monotonicity violated at round {record['round']}")
+                last_round = record["round"]
+            if record["kind"] == "run-end":
+                complete = True
+            records.append(record)
+    if records and not complete:
+        raise ReplayError("log is truncated: no run-end record")
+    sent: list[dict[str, Any]] = []
+    client = ControlClient(sent.append, control)
+    for record in records:
+        if not client.handle(record):
+            break
     return b"".join(
-        encode_record(record)
-        for record in source.sent
-        if record["kind"] in ("command", "end-of-round")
+        encode_record(record) for record in sent if record["kind"] in ("command", "end-of-round")
     )

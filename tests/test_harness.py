@@ -19,6 +19,7 @@ from holobench.harness import (
     run_single,
     run_suite,
 )
+from holobench.kpi import COMPARED_METRICS
 
 
 PACKAGED_SUITE_DIGEST = "39e3670588091b45fad7674a3e5bf687f3f9227b8aba5bc7f737dc018ab7207c"
@@ -192,14 +193,11 @@ class TestCompare:
         assert float(ps9["makespan"]["mean"]) == 125.0
         assert float(ps9["makespan"]["baseline_mean"]) == 75.0
         assert float(ps9["makespan"]["delta_mean"]) == 50.0
-
-    def test_volatile_metrics_stay_out_of_comparison(self, suite, tmp_path):
-        out = str(tmp_path / "out")
-        run_suite(suite, out)
-        with open(os.path.join(out, "comparison.csv"), newline="") as f:
-            metrics = {r["metric"] for r in csv.DictReader(f)}
-        assert "decision_latency_ms_mean" not in metrics
-        assert "makespan" in metrics
+        # exactly the compared report fields, plus one utilization per machine
+        machines = suite.load_model().machines
+        assert {r["metric"] for r in rows} == set(COMPARED_METRICS) | {
+            f"utilization[{m}]" for m in machines
+        }
 
     def test_without_baseline(self, data_copy, tmp_path):
         p = data_copy / "minicell" / "suite.json"

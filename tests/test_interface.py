@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from holobench import harness, interface
+from holobench import interface
 from holobench.canon import canon_dumps
 from holobench.control import ControlProtocolError, ReferenceControl
 from holobench.harness import run_single
@@ -21,7 +21,6 @@ from holobench.interface import (
     ProtocolError,
     ControlClient,
     ReplayError,
-    ReplaySource,
     RunRecorder,
     SocketEndpoint,
     decode_line,
@@ -32,6 +31,7 @@ from holobench.interface import (
     make_record,
     parse_log,
     replay_session,
+    serve_control,
 )
 from holobench.kpi import KpiEngine, recompute_from_log, reports_match
 from holobench.model import load_model_doc
@@ -51,8 +51,9 @@ def socket_session(model, orders, scenario, seed):
     """``run_single`` against a control served over a socket pair from a
     thread."""
     left, right = socket.socketpair()
-    client = ControlClient(SocketEndpoint(right), ReferenceControl(model))
-    worker = threading.Thread(target=client.serve_forever)
+    worker = threading.Thread(
+        target=serve_control, args=(SocketEndpoint(right), ReferenceControl(model))
+    )
     worker.start()
     try:
         result = run_single(model, orders, scenario, seed, endpoint=SocketEndpoint(left))
@@ -194,19 +195,44 @@ class TestCodec:
 
 
 class TestInProc:
-    def test_lock_step(self):
-        a, b = InProcEndpoint.pair()
-        a.send_line(b"IL1 {}\n")
-        assert b.has_line()
-        assert b.recv_line() == b"IL1 {}\n"
-        with pytest.raises(ProtocolError, match="lock-step"):
-            b.recv_line()
+    """The driver's endpoint to an in-process control: each send is handled
+    at once, and each receive pops one queued reply."""
 
-    def test_close_signals_end_of_stream(self):
-        a, b = InProcEndpoint.pair()
-        a.close()
+    @staticmethod
+    def hello(model):
+        return rec(kind="hello", body={"model_hash": model.model_hash})
+
+    def test_lock_step(self, minicell_model):
+        ep = InProcEndpoint(ReferenceControl(minicell_model))
+        with pytest.raises(ProtocolError, match="lock-step"):
+            ep.recv_line_record()
+        hello = self.hello(minicell_model)
+        ep.send_line_record(encode_record(hello), hello)
+        line, record = ep.recv_line_record()
+        assert record["kind"] == "hello" and record["role"] == "control"
+        assert line == encode_record(record)
+        with pytest.raises(ProtocolError, match="lock-step"):
+            ep.recv_line_record()
+
+    def test_close_signals_end_of_stream(self, minicell_model):
+        ep = InProcEndpoint(ReferenceControl(minicell_model))
+        ep.close()
         with pytest.raises(EndOfStream):
-            b.recv_line()
+            ep.recv_line_record()
+        with pytest.raises(ProtocolError, match="ended"):
+            ep.send_line_record(b"", self.hello(minicell_model))
+
+    def test_session_ends_at_the_controls_bye(self, minicell_model):
+        ep = InProcEndpoint(ReferenceControl(minicell_model))
+        run_end = rec(kind="run-end", round_no=1, body={"reason": "completed"})
+        ep.send_line_record(encode_record(run_end), run_end)
+        kinds = []
+        with pytest.raises(EndOfStream):
+            while True:
+                kinds.append(ep.recv_line_record()[1]["kind"])
+        assert kinds[-1] == "bye" and set(kinds[:-1]) == {"tap"}
+        with pytest.raises(ProtocolError, match="ended"):
+            ep.send_line_record(encode_record(run_end), run_end)
 
 
 class TestSocket:
@@ -258,33 +284,15 @@ class TestRecorder:
     def test_log_is_verbatim_concatenation_and_observers_fire(self):
         recorder = RunRecorder()
         seen = []
-        recorder.attach(lambda record: seen.append(record["kind"]))
+        recorder.attach(seen.append)
         r1, r2 = rec(kind="hello", body={"model_hash": "x"}), rec(kind="bye", role="control")
         l1, l2 = encode_record(r1), encode_record(r2)
         recorder.record(l1, r1)
+        assert seen == [r1] and seen[0] is r1  # at once, and never decoded
         recorder.record(l2, r2)
         assert recorder.log_bytes() == l1 + l2
-        assert seen == ["hello", "bye"]
-
-    def test_shared_records_wait_for_release_or_the_log(self):
-        recorder = RunRecorder()
-        seen = []
-        recorder.attach(seen.append)
-        sent = rec(kind="hello", body={"model_hash": "x"})
-        meta = rec(kind="run-meta", role="scenario-manager")
-        received = rec(kind="hello", role="control", body={"model_hash": "x"})
-        recorder.record(encode_record(sent), sent)
-        recorder.record(encode_record(meta), meta)
-        assert seen == []  # the peer may still be reading them
-        recorder.release()
-        assert seen == [sent, meta]
-        assert seen[0] is sent and seen[1] is meta  # shared, never decoded
-        recorder.record(encode_record(received), received)
-        assert len(seen) == 2
-        log = recorder.log_bytes()
-        assert seen == [sent, meta, received] and seen[2] is received
-        assert recorder.log_bytes() == log
-        assert len(seen) == 3  # taking the log again delivers nothing twice
+        assert recorder.log_bytes() == l1 + l2
+        assert seen == [r1, r2]  # taking the log delivers nothing again
 
     def test_observers_see_every_wire_record_once_in_wire_order(
         self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
@@ -403,32 +411,38 @@ class TestDecodeOnce:
         assert sent_to_control and sent_to_control < len(records)
         assert sorted(decoded_in_run) == sorted(line for _, line in iter_log(remote.log))
 
-    def test_in_process_records_are_checked_and_bare_lines_decoded(self):
-        a, b = InProcEndpoint.pair()
-        good = rec(kind="hello", body={"model_hash": "x"})
-        a.send_record(good)
-        line, record = b.recv_line_record()
-        assert line == encode_record(good) and record is good
-        a.send_line(line)
-        line_again, decoded = b.recv_line_record()
-        assert line_again == line and decoded == good and decoded is not good
-        bad = rec(corr="x")
-        a.send_line_record(encode_record(rec()), bad)
-        with pytest.raises(DecodeError, match="corr"):
-            b.recv_line_record()
-
-    def test_replay_decodes_the_log_once(self, minicell_model, minicell_orders,
-                                         scenario_by_name, monkeypatch):
-        log = run_single(
-            minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3
-        ).log
-        lines = len(parse_log(log))
+    def test_in_process_records_are_checked_not_decoded(self, minicell_model, monkeypatch):
+        """The control gets the driver's own record once ``check_record``
+        has passed it, and the driver gets the control's reply records,
+        checked again on receipt."""
         calls = self._count_decodes(monkeypatch)
-        source = ReplaySource(log)
-        assert len(calls) == lines
-        ControlClient(source, ReferenceControl(minicell_model)).serve_forever()
-        assert len(calls) == lines  # the control reuses the index
-        assert [source.sent[0]["kind"], source.sent[-1]["kind"]] == ["hello", "bye"]
+        control = ReferenceControl(minicell_model)
+        ep = InProcEndpoint(control)
+        # A malformed record is refused before the control sees it: the
+        # wrong model hash would otherwise raise ControlProtocolError.
+        bad = rec(kind="hello", body={"model_hash": "0" * 64}, corr="x")
+        with pytest.raises(DecodeError, match="corr"):
+            ep.send_line_record(encode_record(rec()), bad)
+        with pytest.raises(ProtocolError, match="lock-step"):
+            ep.recv_line_record()
+        good = rec(kind="hello", body={"model_hash": minicell_model.model_hash})
+        ep.send_line_record(encode_record(good), good)
+        line, record = ep.recv_line_record()
+        assert line == encode_record(record) and record["body"]["policy"] == "reference-holonic"
+        assert calls == []
+
+    def test_in_process_replies_are_checked_on_receipt(self, minicell_model, monkeypatch):
+        class BadReply(ControlClient):
+            def handle(self, record):
+                self._send(rec(kind="hello", role="control", round_no=0, corr="x"))
+                return True
+
+        monkeypatch.setattr(interface, "ControlClient", BadReply)
+        ep = InProcEndpoint(ReferenceControl(minicell_model))
+        good = rec(kind="hello", body={"model_hash": minicell_model.model_hash})
+        ep.send_line_record(encode_record(good), good)
+        with pytest.raises(DecodeError, match="corr"):
+            ep.recv_line_record()
 
     def test_replay_session_never_decodes_what_the_control_sent(
         self, minicell_model, minicell_orders, ps9_scenario, monkeypatch
@@ -554,13 +568,13 @@ class TestReplay:
             line + b"\n" for line in log.split(b"\n")[:-6] if line
         )
         with pytest.raises(ReplayError, match="run-end"):
-            ReplaySource(without_tail)
+            replay_session(without_tail, ReferenceControl(minicell_model))
 
     def test_mid_line_truncation_is_rejected(self, minicell_model, minicell_orders,
                                              null_scenario):
         log = self._log(minicell_model, minicell_orders, null_scenario)
         with pytest.raises(ReplayError, match="truncated"):
-            ReplaySource(log[:-3])
+            replay_session(log[:-3], ReferenceControl(minicell_model))
 
     def test_round_monotonicity_is_enforced(self, minicell_model, minicell_orders,
                                             null_scenario):
@@ -575,42 +589,50 @@ class TestReplay:
         first = batches[0]
         shuffled = log.replace(first, first + first, 1)
         with pytest.raises(ReplayError, match="monotonicity"):
-            ReplaySource(bytes(shuffled))
+            replay_session(bytes(shuffled), ReferenceControl(minicell_model))
 
-    def test_empty_log_is_fine(self):
-        source = ReplaySource(b"")
-        assert not source.has_line()
+    def test_empty_log_is_fine(self, minicell_model):
+        assert replay_session(b"", ReferenceControl(minicell_model)) == b""
 
 
 class TestHandshake:
     def test_model_hash_mismatch_refused(self, minicell_model):
-        a, b = InProcEndpoint.pair()
-        ctl = ReferenceControl(minicell_model)
-        client = ControlClient(b, ctl)
-        a.send_line(encode_record(rec(kind="hello", body={"model_hash": "0" * 64})))
+        client = ControlClient([].append, ReferenceControl(minicell_model))
         with pytest.raises(ControlProtocolError, match="hash"):
-            client.serve_one()
+            client.handle(rec(kind="hello", body={"model_hash": "0" * 64}))
 
     def test_round_monotonicity_enforced_by_client(self, minicell_model):
-        a, b = InProcEndpoint.pair()
-        client = ControlClient(b, ReferenceControl(minicell_model))
-        a.send_line(encode_record(rec(round_no=2, body={"events": [], "notices": []})))
+        client = ControlClient([].append, ReferenceControl(minicell_model))
         with pytest.raises(ProtocolError, match="monotonicity"):
-            client.serve_one()
+            client.handle(rec(round_no=2, body={"events": [], "notices": []}))
 
     def test_unknown_kind_refused(self, minicell_model):
-        a, b = InProcEndpoint.pair()
-        client = ControlClient(b, ReferenceControl(minicell_model))
-        a.send_line(encode_record(rec(kind="mystery")))
+        client = ControlClient([].append, ReferenceControl(minicell_model))
         with pytest.raises(ProtocolError, match="mystery"):
-            client.serve_one()
+            client.handle(rec(kind="mystery"))
+
+    def test_client_answers_a_recorded_session_from_hello_to_bye(
+        self, minicell_model, minicell_orders, scenario_by_name
+    ):
+        log = run_single(
+            minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3
+        ).log
+        sent = []
+        client = ControlClient(sent.append, ReferenceControl(minicell_model))
+        handled = [client.handle(r) for r in parse_log(log) if r["role"] != "control"]
+        assert handled[:-1] == [True] * (len(handled) - 1) and handled[-1] is False
+        assert b"".join(map(encode_record, sent)) == b"".join(
+            line for _, line in iter_log(log) if decode_line(line)["role"] == "control"
+        )
 
 
 class TestReplyProtocol:
     """A round's reply ends at its end-of-round.  A command the control
-    sends after that is read first by the next collect, which refuses it:
-    the next round's reply checks its ``corr``, and after run-end only taps
-    and bye may come."""
+    sends after that is read first by the driver's next read, which
+    refuses it: the next round's reply checks its ``corr``, and after
+    run-end only taps and bye may come.  A control that hangs up before its
+    bye fails the run too: without the end-of-run taps, the report would
+    count no commands, directives or reschedules."""
 
     @pytest.mark.parametrize("late", ["first", "last"])
     def test_command_after_end_of_round_is_refused(
@@ -626,7 +648,65 @@ class TestReplyProtocol:
                     self._send(rec(kind="command", role="control", round_no=late_round,
                                    t=record["t"], corr=late_round))
 
-        monkeypatch.setattr(harness, "ControlClient", LateCommand)
+        monkeypatch.setattr(interface, "ControlClient", LateCommand)
         message = "wrong round" if late == "first" else "'command' after run-end"
         with pytest.raises(ProtocolError, match=message):
             run_single(minicell_model, minicell_orders, ps9_scenario, seed=1)
+
+    def test_control_that_hangs_up_before_bye_fails_the_run(
+        self, minicell_model, minicell_orders, ps9_scenario
+    ):
+        left, right = socket.socketpair()
+
+        def serve_until_run_end(endpoint):
+            client = ControlClient(
+                lambda record: endpoint.send_line_record(encode_record(record), record),
+                ReferenceControl(minicell_model),
+            )
+            while (record := endpoint.recv_line_record()[1])["kind"] != "run-end":
+                client.handle(record)
+            endpoint.close()  # no taps, no bye
+
+        worker = threading.Thread(target=serve_until_run_end, args=(SocketEndpoint(right),))
+        worker.start()
+        try:
+            with pytest.raises(ProtocolError, match="hung up before its bye"):
+                run_single(minicell_model, minicell_orders, ps9_scenario, seed=1,
+                           endpoint=SocketEndpoint(left))
+        finally:
+            worker.join(timeout=10)
+            left.close()
+            right.close()
+        assert not worker.is_alive()
+
+
+class TestRoundProbe:
+    """Round timing outside the program is read from ``RoundDriver.
+    open_round``: it must start each round, once, before that round's
+    event batch is sent, and never the run-end round."""
+
+    @pytest.mark.parametrize(
+        "name", ["null", "ps9", "reject_rework", "rush_order", "supply_shortage"]
+    )
+    def test_open_round_starts_each_round_before_its_batch(
+        self, minicell_model, minicell_orders, scenario_by_name, monkeypatch, name
+    ):
+        steps = []
+        open_round = interface.RoundDriver.open_round
+
+        def opening(driver, t, directives):
+            steps.append(("open", driver.round_no + 1))
+            return open_round(driver, t, directives)
+
+        class Watched(InProcEndpoint):
+            def send_line_record(self, line, record):
+                if record["kind"] == "event-batch":
+                    steps.append(("batch", record["round"]))
+                super().send_line_record(line, record)
+
+        monkeypatch.setattr(interface.RoundDriver, "open_round", opening)
+        result = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=3,
+                            endpoint=Watched(ReferenceControl(minicell_model)))
+        assert result.status == "completed"
+        assert sum(step == "open" for step, _ in steps) == result.rounds - 1
+        assert steps == [(step, r) for r in range(1, result.rounds) for step in ("open", "batch")]
