@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import json.encoder
-from typing import Any
+from types import UnionType
+from typing import Any, get_args, get_origin
 
 # The wire encodes one line per record, so canonical JSON goes straight to
 # CPython's C encoder, built once, instead of through ``JSONEncoder.encode``
@@ -33,6 +34,25 @@ def is_int(value: Any) -> bool:
     """Whether a JSON value is an integer.  ``true`` and ``false`` are not,
     though Python's ``bool`` subclasses ``int``."""
     return type(value) is int
+
+
+def fits(value: Any, hint: Any) -> bool:
+    """Whether a JSON value fits a resolved field type: ``Any``, ``X | None``,
+    ``dict[str, X]`` or a scalar type.  ``true`` and ``false`` fit only
+    ``Any``; an integer fits ``float``."""
+    if hint is Any:
+        return True
+    origin = get_origin(hint)
+    if origin is UnionType:
+        return any(fits(value, arg) for arg in get_args(hint))
+    if origin is dict:
+        _, value_hint = get_args(hint)
+        return isinstance(value, dict) and all(
+            isinstance(k, str) and fits(v, value_hint) for k, v in value.items()
+        )
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def canon_dumps(obj: Any) -> str:

@@ -19,7 +19,9 @@ scrapped) is enforced by both, so a mutated log is caught on recompute.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Iterable, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, get_type_hints
+
+from .canon import fits
 
 FLOW_EVENTS = "FLOW1"
 FLOW_CONTROL_KPI = "FLOW7"
@@ -98,7 +100,7 @@ class KpiReport:
         unknown = sorted(doc.keys() - names)
         if missing or unknown:
             raise ValueError(f"KPI report has missing keys {missing}, unknown keys {unknown}")
-        wrong = sorted(name for name, value in doc.items() if not _fits(value, _FIELD_TYPES[name]))
+        wrong = sorted(name for name, value in doc.items() if not fits(value, _FIELD_TYPES[name]))
         if wrong:
             raise ValueError(f"KPI report has values of the wrong type for keys {wrong}")
         return cls(**{k: dict(v) if isinstance(v, dict) else v for k, v in doc.items()})
@@ -112,18 +114,6 @@ class KpiReport:
 
 
 _FIELD_TYPES = get_type_hints(KpiReport)
-
-
-def _fits(value: Any, hint: Any) -> bool:
-    """Whether a JSON value has the shape of a report field's type."""
-    if get_origin(hint) is dict:
-        _, value_hint = get_args(hint)
-        return isinstance(value, dict) and all(
-            isinstance(k, str) and _fits(v, value_hint) for k, v in value.items()
-        )
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def reports_match(a: KpiReport, b: KpiReport, tol: float = 1e-9) -> list[str]:

@@ -4,8 +4,17 @@ A scenario is a declarative JSON document: named, categorized, with rules
 that bind triggers to actions.  Triggers fire on simulation time (at-time),
 on matching production events (on-event, with a field filter and an
 occurrence threshold), or a fixed delay after another trigger (after,
-nesting at most two deep).  Actions either inject a disturbance into the
+nesting at most two deep; the parser flattens a chain into its primitive
+trigger and the summed delay).  Actions either inject a disturbance into the
 emulation or direct the control system.
+
+An action payload is the dict form of its message class, where any value
+may be a placeholder: ``{"sample": name}`` draws from a distribution and
+``"$event.<field>"`` reads the triggering event.  At load, each payload is
+resolved with stand-ins (least draws, time 0, each event string its own
+reference), checked against the class's fields and their types, and built,
+so whatever loads also fires.  A firing whose ``$event.`` field is empty on
+its event is skipped, and the rule stays armed.
 
 All randomness is drawn from named distributions, each seeded from
 (run seed, scenario id, stream label), so streams are independent of one
@@ -24,24 +33,27 @@ import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any
+from typing import Any, Callable, get_type_hints
 
-from .canon import is_int
-from .messages import ControlDirective, Injection, SimEvent
+from .canon import fits, is_int
+from .messages import EVENT_KINDS, ControlDirective, Injection, MessageError, SimEvent
 
-CATEGORIES = (
-    "dynamic-reconfiguration",
-    "order-management",
-    "quality",
-    "supply",
-)
+CATEGORIES = ("dynamic-reconfiguration", "order-management", "quality", "supply")
 
 # sha256 of data/registry.json as shipped; checked at load time.
 REGISTRY_SHA256 = "7a2aa8496292085cec0b65fcc52a6f1b999af7dd9f074dc362380dd1dcb528da"
 
-TRIGGER_KINDS = frozenset({"at-time", "on-event", "after"})
-ACTION_KINDS = frozenset({"inject", "direct"})
-DISTRIBUTION_KINDS = frozenset({"constant", "uniform-int", "exponential-int"})
+TRIGGER_KINDS = ("at-time", "on-event", "after")
+DISTRIBUTION_KINDS = ("constant", "uniform-int", "exponential-int")
+
+# Per action kind: the key of its payload, the message class the payload
+# builds and that class's field types, resolved once here.
+_ACTIONS = {
+    "inject": ("injection", Injection, get_type_hints(Injection)),
+    "direct": ("directive", ControlDirective, get_type_hints(ControlDirective)),
+}
+
+EVENT_REFS = ("machine", "shuttle", "order", "node", "time")
 
 SCENARIO_KEYS = frozenset({"id", "category", "description", "rules", "distributions"})
 
@@ -54,6 +66,12 @@ class ScenarioError(ValueError):
 
 class RegistryError(ValueError):
     """Unknown disturbance label or damaged registry data."""
+
+
+def _only_keys(doc: dict[str, Any], keys: Any, path: str) -> None:
+    extra = doc.keys() - keys
+    if extra:
+        raise ScenarioError(f"{path} has unknown keys: {sorted(extra)}")
 
 
 # -- category registry -----------------------------------------------------------
@@ -157,22 +175,29 @@ class Distribution:
             return _uniform_int(rng, self.params["low"], self.params["high"])
         return _exponential_int(rng, self.params["mean"])
 
+    def least(self) -> int:
+        """The smallest value ``sample`` can return: the constant, the
+        uniform low, or 1 for an exponential."""
+        return self.params.get("value", self.params.get("low", 1))
+
 
 # -- triggers and rules --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Trigger:
+    """A primitive trigger: at-time or on-event."""
+
     kind: str
     time: int | None = None  # at-time
     event: str | None = None  # on-event
     where: dict[str, Any] = field(default_factory=dict)
     occurrence: int = 1
-    base: "Trigger | None" = None  # after
-    delay: int | None = None
 
     @classmethod
-    def from_doc(cls, doc: Any, path: str, depth: int = 0) -> "Trigger":
+    def from_doc(cls, doc: Any, path: str, depth: int = 0) -> tuple["Trigger", int]:
+        """The primitive trigger and the summed delay of the after-chain
+        above it (0 without one)."""
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ScenarioError(f"{path} must be an object with a kind")
         kind = doc["kind"]
@@ -182,15 +207,11 @@ class Trigger:
             t = doc.get("time")
             if not is_int(t) or t < 0:
                 raise ScenarioError(f"{path}.time must be a non-negative integer")
-            extra = set(doc) - {"kind", "time"}
-            if extra:
-                raise ScenarioError(f"{path} has unknown keys: {sorted(extra)}")
-            return cls(kind=kind, time=t)
+            _only_keys(doc, {"kind", "time"}, path)
+            return cls(kind=kind, time=t), 0
         if kind == "on-event":
-            from .messages import EVENT_KINDS
-
             event = doc.get("event")
-            if event not in EVENT_KINDS:
+            if not isinstance(event, str) or event not in EVENT_KINDS:
                 raise ScenarioError(f"{path}.event {event!r} is not a production event kind")
             where = doc.get("where", {})
             if not isinstance(where, dict):
@@ -201,10 +222,8 @@ class Trigger:
             occurrence = doc.get("occurrence", 1)
             if not is_int(occurrence) or occurrence < 1:
                 raise ScenarioError(f"{path}.occurrence must be a positive integer")
-            extra = set(doc) - {"kind", "event", "where", "occurrence"}
-            if extra:
-                raise ScenarioError(f"{path} has unknown keys: {sorted(extra)}")
-            return cls(kind=kind, event=event, where=dict(where), occurrence=occurrence)
+            _only_keys(doc, {"kind", "event", "where", "occurrence"}, path)
+            return cls(kind=kind, event=event, where=dict(where), occurrence=occurrence), 0
         # after
         if depth + 1 > MAX_AFTER_NESTING:
             raise ScenarioError(f"{path}: after-triggers nest at most {MAX_AFTER_NESTING} deep")
@@ -213,25 +232,14 @@ class Trigger:
             raise ScenarioError(f"{path}.delay must be a non-negative integer")
         if "base" not in doc:
             raise ScenarioError(f"{path}.base is required")
-        extra = set(doc) - {"kind", "base", "delay"}
-        if extra:
-            raise ScenarioError(f"{path} has unknown keys: {sorted(extra)}")
-        base = cls.from_doc(doc["base"], f"{path}.base", depth + 1)
-        return cls(kind=kind, base=base, delay=delay)
-
-
-def _chain(trigger: Trigger) -> tuple[Trigger, int]:
-    """Innermost primitive trigger and the summed after-delay above it."""
-    delay = 0
-    while trigger.kind == "after":
-        delay += trigger.delay
-        trigger = trigger.base
-    return trigger, delay
+        _only_keys(doc, {"kind", "base", "delay"}, path)
+        base, below = cls.from_doc(doc["base"], f"{path}.base", depth + 1)
+        return base, delay + below
 
 
 @dataclass(frozen=True)
 class Action:
-    kind: str  # inject | direct
+    kind: str  # a key of _ACTIONS
     payload: dict[str, Any]
 
     @classmethod
@@ -239,15 +247,13 @@ class Action:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ScenarioError(f"{path} must be an object with a kind")
         kind = doc["kind"]
-        if kind not in ACTION_KINDS:
+        if not isinstance(kind, str) or kind not in _ACTIONS:
             raise ScenarioError(f"{path}.kind {kind!r} is not an action kind")
-        key = "injection" if kind == "inject" else "directive"
+        key = _ACTIONS[kind][0]
         payload = doc.get(key)
         if not isinstance(payload, dict):
             raise ScenarioError(f"{path}.{key} must be an object")
-        extra = set(doc) - {"kind", key}
-        if extra:
-            raise ScenarioError(f"{path} has unknown keys: {sorted(extra)}")
+        _only_keys(doc, {"kind", key}, path)
         return cls(kind=kind, payload=payload)
 
 
@@ -257,6 +263,7 @@ class Rule:
     trigger: Trigger
     actions: tuple[Action, ...]
     max_occurrences: int = 1
+    delay: int = 0  # summed after-delay between the trigger and the firing
 
 
 @dataclass(frozen=True)
@@ -268,25 +275,37 @@ class Scenario:
     distributions: dict[str, Distribution]
 
 
-def _walk_refs(value: Any, path: str, scenario_dists: dict[str, Distribution],
-               allow_event_refs: bool) -> None:
+class _Unbound(Exception):
+    """A ``$event.`` reference names a field that is empty on the event."""
+
+
+def _resolve(value: Any, sample: Callable[[Any], int], event: SimEvent | None) -> Any:
+    """A payload value with each ``{"sample": name}`` replaced by
+    ``sample(name)`` and each ``"$event.<field>"`` by that field of
+    ``event``, walked depth first in key order."""
     if isinstance(value, dict):
         if set(value) == {"sample"}:
-            name = value["sample"]
-            if name not in scenario_dists:
-                raise ScenarioError(f"{path} samples unknown distribution {name!r}")
-            return
-        for k, v in value.items():
-            _walk_refs(v, f"{path}.{k}", scenario_dists, allow_event_refs)
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _walk_refs(v, f"{path}[{i}]", scenario_dists, allow_event_refs)
-    elif isinstance(value, str) and value.startswith("$event."):
+            return sample(value["sample"])
+        return {k: _resolve(v, sample, event) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_resolve(v, sample, event) for v in value]
+    if isinstance(value, str) and value.startswith("$event."):
         fld = value[len("$event.") :]
-        if fld not in ("machine", "shuttle", "order", "node", "time"):
-            raise ScenarioError(f"{path}: {value!r} names no event field")
-        if not allow_event_refs:
-            raise ScenarioError(f"{path}: {value!r} needs an on-event trigger")
+        if fld not in EVENT_REFS:
+            raise ScenarioError(f"{value!r} names no event field")
+        if event is None:
+            raise ScenarioError(f"{value!r} needs an on-event trigger")
+        resolved = getattr(event, fld)
+        if resolved is None:
+            raise _Unbound(value)
+        return resolved
+    return value
+
+
+# What ``$event.`` references resolve to at load: time 0, and each string
+# field its own reference, which target checks pass over.
+_STAND_IN = SimEvent(time=0, seq=0, kind="op-started",
+                     **{fld: f"$event.{fld}" for fld in EVENT_REFS if fld != "time"})
 
 
 def load_scenario(text: str, model=None, orders=None) -> Scenario:
@@ -305,10 +324,8 @@ def load_scenario(text: str, model=None, orders=None) -> Scenario:
 def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    extra = set(doc) - SCENARIO_KEYS
-    if extra:
-        # A scenario must not smuggle in model changes or other payloads.
-        raise ScenarioError(f"scenario has unknown keys: {sorted(extra)}")
+    # A scenario must not smuggle in model changes or other payloads.
+    _only_keys(doc, SCENARIO_KEYS, "scenario")
     sid = doc.get("id")
     if not isinstance(sid, str) or not sid:
         raise ScenarioError("scenario id must be a non-empty string")
@@ -332,18 +349,21 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
     for name, d in dists_doc.items():
         dists[name] = Distribution.from_doc(name, d)
 
+    def least(name: Any) -> int:
+        if not isinstance(name, str) or name not in dists:
+            raise ScenarioError(f"samples unknown distribution {name!r}")
+        return dists[name].least()
+
     rules: list[Rule] = []
     for i, rd in enumerate(rules_doc):
         path = f"rules[{i}]"
         if not isinstance(rd, dict):
             raise ScenarioError(f"{path} must be an object")
-        extra = set(rd) - {"id", "trigger", "actions", "max_occurrences"}
-        if extra:
-            raise ScenarioError(f"{path} has unknown keys: {sorted(extra)}")
+        _only_keys(rd, {"id", "trigger", "actions", "max_occurrences"}, path)
         rule_id = rd.get("id", f"rule{i}")
         if not isinstance(rule_id, str) or not rule_id:
             raise ScenarioError(f"{path}.id must be a non-empty string")
-        trigger = Trigger.from_doc(rd.get("trigger"), f"{path}.trigger")
+        trigger, delay = Trigger.from_doc(rd.get("trigger"), f"{path}.trigger")
         actions_doc = rd.get("actions")
         if not isinstance(actions_doc, list) or not actions_doc:
             raise ScenarioError(f"{path}.actions must be a non-empty list")
@@ -353,68 +373,56 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
         max_occ = rd.get("max_occurrences", 1)
         if not is_int(max_occ) or max_occ < 1:
             raise ScenarioError(f"{path}.max_occurrences must be a positive integer")
-        allow_event_refs = _chain(trigger)[0].kind == "on-event"
+        event = _STAND_IN if trigger.kind == "on-event" else None
         for j, a in enumerate(actions):
-            _walk_refs(a.payload, f"{path}.actions[{j}]", dists, allow_event_refs)
-            _validate_action_shape(a, f"{path}.actions[{j}]", model, orders)
-        rules.append(Rule(id=rule_id, trigger=trigger, actions=actions, max_occurrences=max_occ))
+            _check_action(a, f"{path}.actions[{j}]", least, event, model, orders)
+        rules.append(Rule(rule_id, trigger, actions, max_occ, delay))
     rule_ids = [r.id for r in rules]
     if len(set(rule_ids)) != len(rule_ids):
         raise ScenarioError("rule ids must be unique")
 
-    return Scenario(
-        id=sid,
-        category=category,
-        description=description,
-        rules=tuple(rules),
-        distributions=dists,
-    )
+    return Scenario(sid, category, description, tuple(rules), dists)
 
 
-def _is_placeholder(value: Any) -> bool:
-    if isinstance(value, dict) and set(value) == {"sample"}:
-        return True
-    return isinstance(value, str) and value.startswith("$event.")
+def _check_action(action: Action, path: str, least: Callable[[Any], int],
+                  event: SimEvent | None, model, orders) -> None:
+    """Build the action's message from its payload with every placeholder
+    stood in, then check its literal targets."""
+    key, cls, hints = _ACTIONS[action.kind]
+    path = f"{path}.{key}"
+    _only_keys(action.payload, hints, path)
+    try:
+        payload = {k: _resolve(v, least, event) for k, v in action.payload.items()}
+        wrong = sorted(k for k, v in payload.items() if not fits(v, hints[k]))
+        if wrong:
+            raise ScenarioError(f"values of the wrong type for keys {wrong}")
+        cls.from_dict(payload)
+    except (ScenarioError, MessageError, TypeError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    _validate_action_shape(payload, path, model, orders)
 
 
-def _validate_action_shape(action: Action, path: str, model, orders) -> None:
-    payload = action.payload
-    kind = payload.get("kind")
-    if action.kind == "inject":
-        from .messages import INJECTION_KINDS
+def _validate_action_shape(payload: dict[str, Any], path: str, model, orders) -> None:
+    """Check a stood-in payload's literal targets against the model and the
+    order book; ``$event.`` references pass."""
+    machine = payload.get("machine")
+    if model is not None and _literal(machine) and machine not in model.machines:
+        raise ScenarioError(f"{path}.machine {machine!r} is not in the model")
+    if payload["kind"] == "insert-order":
+        order = payload.get("order")
+        if not isinstance(order, dict):
+            raise ScenarioError(f"{path}.order must be an object")
+        if model is not None and isinstance(order.get("routing"), list):
+            for op in order["routing"]:
+                if _literal(op) and not model.capable_machines(op):
+                    raise ScenarioError(f"{path}.order: no machine performs {op!r}")
+    target = payload.get("order_id")
+    if orders is not None and _literal(target) and target not in {o.id for o in orders}:
+        raise ScenarioError(f"{path}.order_id {target!r} is not in the order book")
 
-        if kind not in INJECTION_KINDS:
-            raise ScenarioError(f"{path}.injection.kind {kind!r} is not an injection kind")
-        machine = payload.get("machine")
-        if model is not None and isinstance(machine, str) and not _is_placeholder(machine):
-            if machine not in model.machines:
-                raise ScenarioError(f"{path}.injection.machine {machine!r} is not in the model")
-    else:
-        from .messages import DIRECTIVE_KINDS
 
-        if kind not in DIRECTIVE_KINDS:
-            raise ScenarioError(f"{path}.directive.kind {kind!r} is not a directive kind")
-        machine = payload.get("machine")
-        if model is not None and isinstance(machine, str) and not _is_placeholder(machine):
-            if machine not in model.machines:
-                raise ScenarioError(f"{path}.directive.machine {machine!r} is not in the model")
-        if kind == "insert-order":
-            order = payload.get("order")
-            if not isinstance(order, dict):
-                raise ScenarioError(f"{path}.directive.order must be an object")
-            if model is not None and isinstance(order.get("routing"), list):
-                for op in order["routing"]:
-                    if isinstance(op, str) and not model.capable_machines(op):
-                        raise ScenarioError(
-                            f"{path}.directive.order: no machine performs {op!r}"
-                        )
-        if kind in ("cancel-order", "set-priority") and orders is not None:
-            target = payload.get("order_id")
-            if isinstance(target, str) and not _is_placeholder(target):
-                if target not in {o.id for o in orders}:
-                    raise ScenarioError(
-                        f"{path}.directive.order_id {target!r} is not in the order book"
-                    )
+def _literal(value: Any) -> bool:
+    return isinstance(value, str) and not value.startswith("$event.")
 
 
 def load_scenario_file(path: str, model=None, orders=None) -> Scenario:
@@ -445,64 +453,41 @@ class ScenarioManager:
         }
         self._fired: dict[str, int] = {r.id: 0 for r in scenario.rules}
         self._matches: dict[str, int] = {r.id: 0 for r in scenario.rules}
-        # Each trigger resolved once into its primitive and summed delay:
-        # at-time rules not yet fired as (rule, time, delay), and on-event
-        # rules by event kind as (rule, trigger, delay), both in rule order.
-        self._at_time: list[tuple[Rule, int, int]] = []
-        self._on_event: dict[str, list[tuple[Rule, Trigger, int]]] = {}
+        # At-time rules not yet fired, and on-event rules by event kind, both
+        # in rule order; the parser has already flattened after-chains.
+        self._at_time = [rule for rule in scenario.rules if rule.trigger.kind == "at-time"]
+        self._on_event: dict[str, list[Rule]] = {}
         for rule in scenario.rules:
-            prim, delay = _chain(rule.trigger)
-            if prim.kind == "at-time":
-                self._at_time.append((rule, prim.time, delay))
-            else:
-                self._on_event.setdefault(prim.event, []).append((rule, prim, delay))
+            if rule.trigger.kind == "on-event":
+                self._on_event.setdefault(rule.trigger.event, []).append(rule)
         # Matured after-triggers waiting for the clock: (due, order no, rule, event)
         self._delayed: list[tuple[int, int, Rule, SimEvent | None]] = []
         self._delay_counter = 0
 
-    # -- resolution ------------------------------------------------------------
-
     def _sample(self, name: str) -> int:
         return self.scenario.distributions[name].sample(self._rngs[name])
 
-    def _resolve(self, value: Any, event: SimEvent | None) -> Any:
-        if isinstance(value, dict):
-            if set(value) == {"sample"}:
-                return self._sample(value["sample"])
-            return {k: self._resolve(v, event) for k, v in value.items()}
-        if isinstance(value, list):
-            return [self._resolve(v, event) for v in value]
-        if isinstance(value, str) and value.startswith("$event."):
-            fld = value[len("$event.") :]
-            if event is None:
-                raise ScenarioError(f"{value!r} used without a triggering event")
-            resolved = getattr(event, fld)
-            if resolved is None:
-                raise ScenarioError(f"{value!r} is empty on the triggering event")
-            return resolved
-        return value
-
-    def _fire(self, rule: Rule, event: SimEvent | None) -> Firing:
-        self._fired[rule.id] += 1
+    def _fire(self, firings: list[Firing], rule: Rule, event: SimEvent | None) -> None:
         firing = Firing(rule_id=rule.id, injections=[], directives=[])
-        for action in rule.actions:
-            payload = self._resolve(action.payload, event)
-            if action.kind == "inject":
-                firing.injections.append(Injection.from_dict(payload))
-            else:
-                firing.directives.append(ControlDirective.from_dict(payload))
-        return firing
+        try:
+            for action in rule.actions:
+                payload = {k: _resolve(v, self._sample, event) for k, v in action.payload.items()}
+                message = _ACTIONS[action.kind][1].from_dict(payload)
+                (firing.injections if action.kind == "inject" else firing.directives).append(message)
+        except _Unbound:
+            return  # skip this firing, keep its draws; the rule stays armed
+        self._fired[rule.id] += 1
+        firings.append(firing)
 
     def _disarmed(self, rule: Rule) -> bool:
         return self._fired[rule.id] >= rule.max_occurrences
 
-    def _queue(self, firings: list[Firing], rule: Rule, event: SimEvent | None,
-               t: int, delay: int) -> None:
-        if delay == 0:
-            firings.append(self._fire(rule, event))
+    def _queue(self, firings: list[Firing], rule: Rule, event: SimEvent | None, t: int) -> None:
+        if rule.delay == 0:
+            self._fire(firings, rule, event)
         else:
             self._delay_counter += 1
-            self._delayed.append((t + delay, self._delay_counter, rule, event))
+            self._delayed.append((t + rule.delay, self._delay_counter, rule, event))
 
     # -- batch processing ---------------------------------------------------------
 
@@ -518,32 +503,30 @@ class ScenarioManager:
 
         if self._at_time:
             waiting = []
-            for entry in self._at_time:
-                rule, at, delay = entry
-                if t < at:
-                    waiting.append(entry)
+            for rule in self._at_time:
+                if t < rule.trigger.time:
+                    waiting.append(rule)
                 else:
-                    self._queue(firings, rule, None, t, delay)
+                    self._queue(firings, rule, None, t)
             self._at_time = waiting
 
         if self._delayed:
-            due = sorted(
-                (entry for entry in self._delayed if entry[0] <= t),
-                key=lambda entry: (entry[0], entry[1]),
-            )
+            # (due, order no) is unique, so the sort never compares rules
+            due = sorted(entry for entry in self._delayed if entry[0] <= t)
             self._delayed = [entry for entry in self._delayed if entry[0] > t]
             for _due, _n, rule, event in due:
                 if not self._disarmed(rule):
-                    firings.append(self._fire(rule, event))
+                    self._fire(firings, rule, event)
 
         for event in events:
-            for rule, prim, delay in self._on_event.get(event.kind, ()):
-                if self._disarmed(rule) or not self._event_matches(prim, event):
+            for rule in self._on_event.get(event.kind, ()):
+                trigger = rule.trigger
+                if self._disarmed(rule) or not self._event_matches(trigger, event):
                     continue
                 self._matches[rule.id] += 1
-                if self._matches[rule.id] < prim.occurrence:
+                if self._matches[rule.id] < trigger.occurrence:
                     continue
-                self._queue(firings, rule, event, t, delay)
+                self._queue(firings, rule, event, t)
 
         return firings
 

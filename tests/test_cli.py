@@ -196,6 +196,17 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "OK: scenario ps9" in out and "dynamic-reconfiguration" in out
 
+    def test_scenario_with_a_misspelt_payload_key(self, data_copy, tmp_path, capsys):
+        doc = json.loads((data_copy / "scenarios" / "ps9.json").read_text())
+        injection = doc["rules"][0]["actions"][0]["injection"]
+        injection["durration"] = injection.pop("duration")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        assert "rules[0].actions[0].injection has unknown keys: ['durration']" in (
+            capsys.readouterr().err
+        )
+
     def test_suite(self, suite_path, capsys):
         assert main(["validate", suite_path]) == 0
         assert "5 scenario(s) x 3 seed(s)" in capsys.readouterr().out

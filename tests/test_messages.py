@@ -2,12 +2,13 @@
 
 import json
 from dataclasses import MISSING, fields
+from typing import Any
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from holobench.canon import canon_dumps, doc_hash, sha256_hex
+from holobench.canon import canon_dumps, doc_hash, fits, sha256_hex
 from holobench.messages import (
     COMMAND_KINDS,
     DIRECTIVE_KINDS,
@@ -30,6 +31,27 @@ def test_canonical_json_is_stable():
     assert " " not in a
     assert "ü" in a  # no ascii escaping
     assert doc_hash({"k": 1}) == sha256_hex(canon_dumps({"k": 1}).encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "value, hint, ok",
+    [
+        (3, int, True),
+        (True, int, False),
+        (3, float, True),
+        ("3", int, False),
+        (None, int | None, True),
+        (5, int | None, True),
+        (False, int | None, False),
+        ({"a": [1]}, dict[str, Any] | None, True),
+        ({"a": 1}, dict[str, int], True),
+        ({"a": True}, dict[str, int], False),
+        ([], dict[str, Any] | None, False),
+        (True, Any, True),
+    ],
+)
+def test_fits_reads_resolved_field_types(value, hint, ok):
+    assert fits(value, hint) is ok
 
 
 def test_event_kinds_cover_lifecycle():

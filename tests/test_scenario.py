@@ -1,12 +1,18 @@
 """Scenario documents, seeded streams, trigger runtime and the label registry."""
 
 import json
+import re
 from collections import Counter
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holobench.messages import SimEvent
+from holobench.control import load_orders
+from holobench.harness import run_single
+from holobench.messages import DIRECTIVE_KINDS, EVENT_KINDS, INJECTION_KINDS, SimEvent
+from holobench.model import load_model
 from holobench.scenario import (
     CATEGORIES,
     REGISTRY_SHA256,
@@ -20,6 +26,11 @@ from holobench.scenario import (
     load_scenario_doc,
     stream_rng,
 )
+
+
+DATA = resources.files("holobench.data")
+MODEL = load_model((DATA / "minicell" / "model.json").read_text(encoding="utf-8"))
+ORDERS = load_orders((DATA / "minicell" / "orders.json").read_text(encoding="utf-8"))
 
 
 def ev(kind, time=0, seq=1, **kw):
@@ -146,6 +157,7 @@ class TestStreams:
             {"kind": "constant", "value": True},
             {"kind": "uniform-int", "low": False, "high": 2},
             {"kind": "exponential-int", "mean": True},
+            {"kind": ["constant"], "value": 1},
         ],
     )
     def test_distribution_validation(self, doc):
@@ -157,8 +169,10 @@ class TestTriggerParsing:
     def test_after_nesting_limit(self):
         inner = {"kind": "at-time", "time": 0}
         one = {"kind": "after", "base": inner, "delay": 1}
-        two = {"kind": "after", "base": one, "delay": 1}
-        Trigger.from_doc(two, "t")  # two levels are allowed
+        two = {"kind": "after", "base": one, "delay": 3}
+        # two levels are allowed, and flatten to the primitive and the summed delay
+        assert Trigger.from_doc(two, "t") == (Trigger(kind="at-time", time=0), 4)
+        assert Trigger.from_doc(inner, "t") == (Trigger(kind="at-time", time=0), 0)
         three = {"kind": "after", "base": two, "delay": 1}
         with pytest.raises(ScenarioError, match="nest"):
             Trigger.from_doc(three, "t")
@@ -177,6 +191,8 @@ class TestTriggerParsing:
             ({"kind": "at-time", "time": True}, "non-negative"),
             ({"kind": "on-event", "event": "op-started", "occurrence": True}, "positive"),
             ({"kind": "after", "base": {"kind": "at-time", "time": 1}, "delay": False}, "delay"),
+            ({"kind": ["at-time"], "time": 1}, "trigger kind"),
+            ({"kind": "on-event", "event": ["op-started"]}, "event kind"),
         ],
     )
     def test_trigger_validation(self, doc, fragment):
@@ -233,6 +249,16 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="unknown distribution"):
             load_scenario_doc(scenario_doc(rules=[rule]))
 
+    def test_unhashable_action_kind_and_sample_name(self):
+        rule = down_rule({"kind": "at-time", "time": 1})
+        rule["actions"][0]["kind"] = ["inject"]
+        with pytest.raises(ScenarioError, match="action kind"):
+            load_scenario_doc(scenario_doc(rules=[rule]))
+        rule = down_rule({"kind": "at-time", "time": 1})
+        rule["actions"][0]["injection"]["duration"] = {"sample": ["d"]}
+        with pytest.raises(ScenarioError, match="unknown distribution"):
+            load_scenario_doc(scenario_doc(rules=[rule]))
+
     def test_event_refs_need_an_event_trigger(self):
         rule = down_rule({"kind": "at-time", "time": 1})
         rule["actions"][0]["injection"]["machine"] = "$event.machine"
@@ -275,6 +301,209 @@ class TestScenarioLoading:
         }
         with pytest.raises(ScenarioError, match="order book"):
             load_scenario_doc(scenario_doc(rules=[rule]), orders=minicell_orders)
+
+
+def _inject(**injection):
+    return {"kind": "inject", "injection": injection}
+
+
+class TestActionPayloads:
+    """Each payload is built from its message class at load, placeholders
+    stood in, so a document that loads never fails when a rule fires."""
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            _inject(kind="product-reject", order="O1"),
+            _inject(kind="machine-down", machine="M1", duration=0),
+            _inject(kind="machine-down", duration=5),
+            _inject(kind="machine-down", machine="M1", duration="5"),
+            {"kind": "direct",
+             "directive": {"kind": "set-priority", "order_id": "O1", "priority": "high"}},
+            _inject(kind="machine-down", machine="M1", durration=5),
+            _inject(kind="machine-down", machine="M1", duration=True),
+            _inject(kind="machine-down", machine="$event.time", duration=5),
+            _inject(kind="machine-down", machine="M1", duration={"sample": "from_zero"}),
+            _inject(machine="M1", duration=5),
+            _inject(kind="machine-down", machine="M1", duration=5, policy=["scrap"]),
+            {"kind": "direct", "directive": {"kind": "evacuate"}},
+        ],
+        ids=[
+            "reject-without-policy",
+            "zero-duration",
+            "down-without-machine",
+            "string-duration",
+            "string-priority",
+            "misspelt-key",
+            "boolean-duration",
+            "event-time-in-a-string-field",
+            "sample-whose-least-is-zero",
+            "no-kind",
+            "list-policy",
+            "unknown-directive-kind",
+        ],
+    )
+    def test_payload_rejected_at_load_with_its_path(self, action):
+        rule = down_rule({"kind": "on-event", "event": "op-started"})
+        rule["actions"].append(action)
+        doc = scenario_doc(
+            rules=[rule], distributions={"from_zero": {"kind": "uniform-int", "low": 0, "high": 9}}
+        )
+        path = f"rules[0].actions[1].{'injection' if action['kind'] == 'inject' else 'directive'}"
+        for model, orders in ((None, None), (MODEL, ORDERS)):
+            with pytest.raises(ScenarioError, match=re.escape(path)):
+                load_scenario_doc(doc, model=model, orders=orders)
+
+    @pytest.mark.parametrize(
+        "dist, ok",
+        [
+            ({"kind": "constant", "value": 1}, True),
+            ({"kind": "constant", "value": 0}, False),
+            ({"kind": "uniform-int", "low": 1, "high": 9}, True),
+            ({"kind": "exponential-int", "mean": 1}, True),
+        ],
+    )
+    def test_samples_stand_in_as_their_least_value(self, dist, ok):
+        rule = down_rule({"kind": "at-time", "time": 1})
+        rule["actions"][0]["injection"]["duration"] = {"sample": "d"}
+        doc = scenario_doc(rules=[rule], distributions={"d": dist})
+        if ok:
+            load_scenario_doc(doc)
+        else:
+            with pytest.raises(ScenarioError, match="duration must be > 0"):
+                load_scenario_doc(doc)
+
+    def test_least_values(self):
+        least = [
+            Distribution.from_doc("d", doc).least()
+            for doc in (
+                {"kind": "constant", "value": 7},
+                {"kind": "uniform-int", "low": 3, "high": 9},
+                {"kind": "exponential-int", "mean": 30},
+            )
+        ]
+        assert least == [7, 3, 1]
+
+    def test_loading_draws_nothing_from_the_run_streams(self):
+        rule = down_rule({"kind": "at-time", "time": 0})
+        rule["actions"][0]["injection"]["duration"] = {"sample": "d"}
+        doc = scenario_doc(rules=[rule], distributions={"d": {"kind": "uniform-int",
+                                                               "low": 20, "high": 40}})
+        (firing,) = ScenarioManager(load_scenario_doc(doc), 1).process_batch(0, [])
+        rng = stream_rng(1, "sx", "d")
+        assert firing.injections[0].duration == Distribution.from_doc(
+            "d", doc["distributions"]["d"]).sample(rng)
+
+
+# -- generated documents over MiniCell --------------------------------------------
+
+_REFS = ("$event.machine", "$event.order", "$event.node", "$event.shuttle", "$event.time",
+         "$event.speed")
+_SAMPLE = st.fixed_dictionaries({"sample": st.sampled_from(["d", "d", "ghost"])})
+_INSERTED = st.fixed_dictionaries({
+    "id": st.just("R1"),
+    "routing": st.sampled_from([["A", "B"], ["B"], ["Z"]]),
+    "release": st.integers(0, 40) | _SAMPLE,
+    "due": st.just(90),
+})
+_VALUES = st.one_of(
+    st.integers(-1, 40),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["M1", "M2", "M9", "O1", "O7", "rework", "scrap", "", "5"]),
+    st.sampled_from(sorted(INJECTION_KINDS | DIRECTIVE_KINDS)),
+    st.sampled_from(_REFS),
+    _SAMPLE,
+    st.sampled_from([[], {}, 2.5]),
+    _INSERTED,
+)
+_FIELDS = {
+    "machine": st.sampled_from(["M1", "M2", "$event.machine"]),
+    "order": st.sampled_from(["O1", "O2", "$event.order"]),
+    "duration": st.integers(1, 40) | _SAMPLE | st.just("$event.time"),
+    "policy": st.sampled_from(["rework", "scrap"]),
+    "order_id": st.sampled_from(["O1", "O3", "$event.order"]),
+    "priority": st.integers(-2, 9) | _SAMPLE,
+}
+# The fields each action kind acts on.
+_SHAPES = {
+    "machine-down": ("machine", "duration"),
+    "machine-up": ("machine",),
+    "supply-shortage": ("machine", "duration"),
+    "supply-restore": ("machine",),
+    "product-reject": ("order", "policy"),
+    "insert-order": ("order",),
+    "cancel-order": ("order_id",),
+    "set-priority": ("order_id", "priority"),
+    "announce-breakdown": ("machine",),
+    "announce-supply-block": ("machine",),
+}
+_PRIMITIVE = st.one_of(
+    st.builds(lambda t: {"kind": "at-time", "time": t}, st.integers(0, 80)),
+    st.builds(lambda e, n: {"kind": "on-event", "event": e, "occurrence": n},
+              st.sampled_from(sorted(EVENT_KINDS)), st.integers(1, 3)),
+)
+_TRIGGERS = _PRIMITIVE | st.builds(
+    lambda base, delay: {"kind": "after", "base": base, "delay": delay},
+    _PRIMITIVE, st.integers(0, 20),
+)
+_DISTRIBUTIONS = st.sampled_from([
+    {"kind": "constant", "value": 0},
+    {"kind": "constant", "value": 30},
+    {"kind": "uniform-int", "low": 0, "high": 9},
+    {"kind": "uniform-int", "low": 5, "high": 40},
+    {"kind": "exponential-int", "mean": 20},
+])
+
+
+@st.composite
+def _actions(draw):
+    """A well-formed action, then up to two faults: a field set to any value
+    (a wrong type, a boolean, zero, a bad reference), a field dropped, a
+    misspelt key, or an unknown action kind."""
+    kind = draw(st.sampled_from(sorted(_SHAPES)))
+    payload = {"kind": kind}
+    for key in _SHAPES[kind]:
+        payload[key] = draw(_INSERTED if kind == "insert-order" else _FIELDS[key])
+    action = {"kind": "inject" if kind in INJECTION_KINDS else "direct"}
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["set", "set", "drop", "misspell", "kind"]))
+        if fault == "set":
+            payload[draw(st.sampled_from(["kind", *_FIELDS]))] = draw(_VALUES)
+        elif fault == "drop":
+            payload.pop(draw(st.sampled_from(sorted(payload))), None)
+        elif fault == "misspell":
+            payload["durration"] = draw(_VALUES)
+        else:
+            action["kind"] = draw(st.sampled_from(["inject", "direct", "explode"]))
+    action["directive" if action["kind"] == "direct" else "injection"] = payload
+    return action
+
+
+@st.composite
+def _scenario_docs(draw):
+    rules = [
+        {
+            "id": f"r{i}",
+            "trigger": draw(_TRIGGERS),
+            "actions": draw(st.lists(_actions(), min_size=1, max_size=2)),
+            "max_occurrences": draw(st.integers(1, 2)),
+        }
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    return scenario_doc(rules=rules, distributions={"d": draw(_DISTRIBUTIONS)})
+
+
+class TestWhateverLoadsRuns:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_scenario_docs(), seed=st.integers(0, 3))
+    def test_document_fails_at_load_or_runs_to_a_verdict(self, doc, seed):
+        try:
+            scenario = load_scenario_doc(doc, model=MODEL, orders=ORDERS)
+        except ScenarioError:
+            return
+        result = run_single(MODEL, ORDERS, scenario, seed)
+        assert result.status in ("completed", "stalled", "cap-exceeded")
 
 
 class TestManagerRuntime:
@@ -383,6 +612,25 @@ class TestManagerRuntime:
         # b is disarmed by its first match and skips the second op-started.
         assert [f.rule_id for f in firings] == ["t", "d", "a", "c", "b"]
         assert m.process_batch(9, [ev("op-started", machine="M1", time=9, seq=4)]) == []
+
+    def test_empty_event_field_skips_the_firing_and_keeps_the_rule_armed(self):
+        rule = down_rule({"kind": "on-event", "event": "order-released"})
+        rule["actions"][0]["injection"]["machine"] = "$event.machine"
+        m = self._manager([rule])
+        assert m.process_batch(0, [ev("order-released", order="O1")]) == []
+        (firing,) = m.process_batch(1, [ev("order-released", order="O2", machine="M2", seq=2)])
+        assert firing.injections[0].machine == "M2"
+
+    def test_empty_event_field_runs_to_a_verdict(self, minicell_model, minicell_orders,
+                                                 null_scenario):
+        rule = down_rule({"kind": "on-event", "event": "order-released"})
+        rule["actions"][0]["injection"]["machine"] = "$event.machine"
+        scenario = load_scenario_doc(scenario_doc(rules=[rule]), model=minicell_model,
+                                     orders=minicell_orders)
+        result = run_single(minicell_model, minicell_orders, scenario, 1)
+        null = run_single(minicell_model, minicell_orders, null_scenario, 1)
+        assert result.status == "completed"
+        assert (result.final_t, result.events) == (null.final_t, null.events)
 
     def test_null_scenario_never_fires(self, null_scenario):
         m = ScenarioManager(null_scenario, 1)
