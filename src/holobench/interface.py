@@ -24,27 +24,36 @@ return before the newline makes the line invalid.  Canonical lines never
 contain either.
 
 The round driver talks to its control through an endpoint, whether the
-control runs in process or over a socket.  An endpoint has three calls:
-``send_line_record(line, record)`` sends a line with the record it encodes,
-``recv_line_record()`` returns the next line from the control with its
-record, and ``close()`` ends the session.  A record handed to
-``send_line_record`` is the control's to read until the call returns; the
-driver reads nothing of it afterwards.
+control runs in process or over a socket.  Each line crosses in three
+parts: the line, the record it encodes, and the message the record's body
+encodes.  That message is ``(events, notices)`` for an event batch, a
+``ControlDirective`` for a directive, a ``ControlCommand`` for a command,
+and None for every other kind.  An endpoint has three calls:
+``send_line_record(line, record, message)`` sends all three,
+``recv_line_record()`` returns the next ``(line, record, message)`` from
+the control, and ``close()`` ends the session.  A record and a message
+handed to ``send_line_record`` are the control's to read until the call
+returns; the driver reads nothing of them afterwards.
 
 Each line is encoded once, and decoded only by a reader that was not given
-its record.  In process, ``InProcEndpoint`` calls the control directly: a
-sent record is checked by ``check_record``, exactly as ``decode_line``
-checks a parsed one, and handed to the control at once.  The control's
-replies are encoded once and queued with their records until the driver
-reads them, so an in-process session decodes nothing.  A socket carries
-only the line, and its receiver decodes it once.  The round driver gives
-the recorder each line with the record it sent or received, so the
-recorder never decodes.  It records a sent line once the endpoint has
-returned, and a received one once it has finished reading it, so the
-recorder's observers get records the session is done with.  Replay
-decodes the log once, while indexing it, and encodes only the command and
-end-of-round records it returns.  The other log readers decode one line at
-a time and drop each record once they have taken what they need from it:
+its record; a message is built from its record only by a reader that was
+not given the message, and only by ``message_of``.  In process,
+``InProcEndpoint`` calls the control directly: a sent record is checked by
+``check_record``, exactly as ``decode_line`` checks a parsed one, and
+handed to the control at once with the sender's own message objects, whose
+constructors have already checked them.  The control's replies are encoded
+once and queued with their records and its own commands until the driver
+reads them, so an in-process session decodes nothing and rebuilds no
+message.  A socket carries only the line: its receiver decodes it once and
+builds its message once.  The round driver gives the recorder each line
+with the record it sent or received, so the recorder never decodes.  It
+records a sent line once the endpoint has returned, and a received one
+once it has finished reading it, so the recorder's observers get records
+the session is done with.  Replay decodes the log once, while indexing it,
+builds each message as it hands the record over, and encodes only the
+command and end-of-round records it returns.  The other log readers decode
+one line at a time and drop each record once they have taken what they
+need from it:
 ``extract_command_log`` keeps the matching lines, ``extract_event_stream``
 the events, and ``recompute_from_log`` the run metadata, dues, events and
 the control's end-of-run counters.
@@ -209,6 +218,27 @@ def extract_command_log(log: bytes) -> bytes:
     return bytes(out)
 
 
+def message_of(record: dict[str, Any]) -> Any:
+    """The message a record's body encodes, built from the body:
+    ``(events, notices)`` for an event batch, a ``ControlDirective`` for a
+    directive, a ``ControlCommand`` for a command, None for any other kind.
+
+    The one place a session builds messages from records; an in-process
+    peer hands over the sender's own objects instead.
+    """
+    kind, body = record["kind"], record["body"]
+    if kind == "event-batch":
+        return (
+            [SimEvent.from_dict(d) for d in body["events"]],
+            [Notice.from_dict(d) for d in body.get("notices", [])],
+        )
+    if kind == "directive":
+        return ControlDirective.from_dict(body)
+    if kind == "command":
+        return ControlCommand.from_dict(body)
+    return None
+
+
 def extract_event_stream(log: bytes) -> list[SimEvent]:
     """The emulation's production events, in wire order."""
     events: list[SimEvent] = []
@@ -225,32 +255,27 @@ def extract_event_stream(log: bytes) -> list[SimEvent]:
 class ControlClient:
     """Answers the emulation's records on behalf of a ReferenceControl.
 
-    ``handle`` takes one inbound record.  A round (directives, then one
-    event batch) is answered with command records and an end-of-round
-    record, and run-end with the control's end-of-run taps and a bye.  Each
-    reply record goes to ``send`` as it is made.
+    ``handle`` takes one inbound record with its message.  A round
+    (directives, then one event batch) is answered with command records and
+    an end-of-round record, and run-end with the control's end-of-run taps
+    and a bye.  Each reply record goes to ``send`` as it is made, with its
+    message: the control's own command, or None.
     """
 
-    def __init__(self, send: Callable[[dict[str, Any]], None], control: ReferenceControl):
+    def __init__(self, send: Callable[[dict[str, Any], Any], None], control: ReferenceControl):
         self._send = send
         self._control = control
         self._directives: list[ControlDirective] = []
         self._round = 0
 
-    def handle(self, record: dict[str, Any]) -> bool:
-        """Handle one inbound record; False once the session is over."""
+    def handle(self, record: dict[str, Any], message: Any) -> bool:
+        """Handle one inbound record and its message; False once the
+        session is over."""
         kind = record["kind"]
         if kind == "hello":
             self._control.check_model_hash(record["body"]["model_hash"])
-            self._send(
-                make_record(
-                    ROLE_CONTROL,
-                    0,
-                    0,
-                    "hello",
-                    {"model_hash": self._control.model.model_hash, "policy": "reference-holonic"},
-                )
-            )
+            body = {"model_hash": self._control.model.model_hash, "policy": "reference-holonic"}
+            self._send(make_record(ROLE_CONTROL, 0, 0, "hello", body), None)
         elif kind == "run-meta":
             self._control.load_orders(
                 ProductOrder.from_dict(d) for d in record["body"].get("orders", [])
@@ -258,41 +283,36 @@ class ControlClient:
         elif kind == "injection":
             pass  # audit trail only
         elif kind == "directive":
-            self._directives.append(ControlDirective.from_dict(record["body"]))
+            self._directives.append(message)
         elif kind == "event-batch":
-            self._serve_round(record)
+            self._serve_round(record, message)
         elif kind == "run-end":
             round_no = record["round"]
             for i, (name, value) in enumerate(sorted(self._control.export_kpi().items())):
-                self._send(
-                    make_record(
-                        ROLE_CONTROL,
-                        round_no,
-                        record["t"],
-                        "tap",
-                        {"flow": "FLOW7", "name": name, "value": value, "i": i},
-                    )
-                )
-            self._send(make_record(ROLE_CONTROL, round_no, record["t"], "bye", {}))
+                body = {"flow": "FLOW7", "name": name, "value": value, "i": i}
+                self._send(make_record(ROLE_CONTROL, round_no, record["t"], "tap", body), None)
+            self._send(make_record(ROLE_CONTROL, round_no, record["t"], "bye", {}), None)
             return False
         else:
             raise ProtocolError(f"control cannot handle record kind {kind!r}")
         return True
 
-    def _serve_round(self, record: dict[str, Any]) -> None:
+    def _serve_round(self, record: dict[str, Any], message: Any) -> None:
         round_no, t = record["round"], record["t"]
         if round_no != self._round + 1:
             raise ProtocolError(
                 f"round monotonicity violated: got round {round_no} after {self._round}"
             )
         self._round = round_no
-        events = [SimEvent.from_dict(d) for d in record["body"]["events"]]
-        notices = [Notice.from_dict(d) for d in record["body"].get("notices", [])]
+        events, notices = message
         commands, idle = self._control.on_round(t, self._directives, events, notices)
         self._directives = []
         for cmd in commands:
-            self._send(make_record(ROLE_CONTROL, round_no, t, "command", cmd.to_dict(), round_no))
-        self._send(make_record(ROLE_CONTROL, round_no, t, "end-of-round", {"idle": idle}, round_no))
+            self._send(
+                make_record(ROLE_CONTROL, round_no, t, "command", cmd.to_dict(), round_no), cmd
+            )
+        end = make_record(ROLE_CONTROL, round_no, t, "end-of-round", {"idle": idle}, round_no)
+        self._send(end, None)
 
 
 def serve_control(endpoint, control: ReferenceControl) -> None:
@@ -300,10 +320,11 @@ def serve_control(endpoint, control: ReferenceControl) -> None:
     closes the wire; for a control on the far side of a socket, typically
     in its own thread."""
     client = ControlClient(
-        lambda record: endpoint.send_line_record(encode_record(record), record), control
+        lambda record, message: endpoint.send_line_record(encode_record(record), record, message),
+        control,
     )
     try:
-        while client.handle(endpoint.recv_line_record()[1]):
+        while client.handle(*endpoint.recv_line_record()[1:]):
             pass
     except EndOfStream:
         pass
@@ -316,34 +337,36 @@ class InProcEndpoint:
     """The driver's endpoint to a control served in process, by direct call.
 
     ``send_line_record`` checks the record and hands it to the control at
-    once; the control's replies are encoded once and queued with their
-    records.  ``recv_line_record`` returns the next queued reply, checked by
-    ``check_record``, so nothing is decoded.  A receive with no reply
-    waiting breaks the lock step and raises ``ProtocolError``; once the
-    control has said bye, or the endpoint is closed, a receive with none
-    left raises ``EndOfStream`` and a send raises ``ProtocolError``.
+    once, with the driver's own message objects.  The control's replies are
+    encoded once and queued with their records and the control's own
+    commands.  ``recv_line_record`` returns the next queued reply, checked
+    by ``check_record``, so nothing is decoded and no message is rebuilt.
+    A receive with no reply waiting breaks the lock step and raises
+    ``ProtocolError``; once the control has said bye, or the endpoint is
+    closed, a receive with none left raises ``EndOfStream`` and a send
+    raises ``ProtocolError``.
     """
 
     def __init__(self, control: ReferenceControl):
-        self._replies: deque[tuple[bytes, dict[str, Any]]] = deque()
+        self._replies: deque[tuple[bytes, dict[str, Any], Any]] = deque()
         self._client = ControlClient(self._queue_reply, control)
         self._open = True
 
-    def _queue_reply(self, record: dict[str, Any]) -> None:
-        self._replies.append((encode_record(record), record))
+    def _queue_reply(self, record: dict[str, Any], message: Any) -> None:
+        self._replies.append((encode_record(record), record, message))
 
-    def send_line_record(self, line: bytes, record: dict[str, Any]) -> None:
+    def send_line_record(self, line: bytes, record: dict[str, Any], message: Any) -> None:
         if not self._open:
             raise ProtocolError("the session has ended")
-        self._open = self._client.handle(check_record(record))
+        self._open = self._client.handle(check_record(record), message)
 
-    def recv_line_record(self) -> tuple[bytes, dict[str, Any]]:
+    def recv_line_record(self) -> tuple[bytes, dict[str, Any], Any]:
         if not self._replies:
             if not self._open:
                 raise EndOfStream
             raise ProtocolError("lock-step violation: no record is waiting")
-        line, record = self._replies.popleft()
-        return line, check_record(record)
+        line, record, message = self._replies.popleft()
+        return line, check_record(record), message
 
     def close(self) -> None:
         self._open = False
@@ -352,7 +375,8 @@ class InProcEndpoint:
 class SocketEndpoint:
     """Line transport over a stream socket with a receive timeout.
 
-    Only the line crosses: ``recv_line_record`` decodes each line it reads.
+    Only the line crosses: ``recv_line_record`` decodes each line it reads
+    and builds its message with ``message_of``.
     """
 
     def __init__(self, sock: socket.socket, timeout: float | None = 5.0):
@@ -363,7 +387,7 @@ class SocketEndpoint:
     def send_line(self, line: bytes) -> None:
         self._sock.sendall(line)
 
-    def send_line_record(self, line: bytes, record: dict[str, Any]) -> None:
+    def send_line_record(self, line: bytes, record: dict[str, Any], message: Any) -> None:
         self.send_line(line)
 
     def recv_line(self) -> bytes:
@@ -383,9 +407,10 @@ class SocketEndpoint:
                 raise EndOfStream
             self._buffer += chunk
 
-    def recv_line_record(self) -> tuple[bytes, dict[str, Any]]:
+    def recv_line_record(self) -> tuple[bytes, dict[str, Any], Any]:
         line = self.recv_line()
-        return line, decode_line(line)
+        record = decode_line(line)
+        return line, record, message_of(record)
 
     def close(self) -> None:
         try:
@@ -449,14 +474,14 @@ class RoundDriver:
         self.round_no = 0
         self.round_ms: list[float] = []
 
-    def _send(self, record: dict[str, Any]) -> None:
+    def _send(self, record: dict[str, Any], message: Any = None) -> None:
         line = encode_record(record)
-        self._ep.send_line_record(line, record)
+        self._ep.send_line_record(line, record, message)
         self._recorder.record(line, record)
 
-    def _recv(self) -> tuple[bytes, dict[str, Any]]:
-        """The control's next line and record; the caller records them once
-        it has read the record."""
+    def _recv(self) -> tuple[bytes, dict[str, Any], Any]:
+        """The control's next line, record and message; the caller records
+        the line once it has read the record."""
         try:
             return self._ep.recv_line_record()
         except EndOfStream:
@@ -465,7 +490,7 @@ class RoundDriver:
     def handshake(self) -> None:
         """Send hello and check the control's hello in reply."""
         self._send(make_record(ROLE_EMULATION, 0, 0, "hello", {"model_hash": self._model_hash}))
-        line, record = self._recv()
+        line, record, _ = self._recv()
         if record["kind"] != "hello" or record["role"] != ROLE_CONTROL:
             raise ProtocolError("expected the control's hello")
         if record["body"].get("model_hash") != self._model_hash:
@@ -489,7 +514,7 @@ class RoundDriver:
     def open_round(self, t: int, directives: Iterable[ControlDirective]) -> int:
         self.round_no += 1
         for d in directives:
-            self._send(make_record(ROLE_SCENARIO, self.round_no, t, "directive", d.to_dict()))
+            self._send(make_record(ROLE_SCENARIO, self.round_no, t, "directive", d.to_dict()), d)
         return self.round_no
 
     def play_round(
@@ -497,16 +522,19 @@ class RoundDriver:
     ) -> tuple[list[ControlCommand], bool]:
         """Send the round's event batch and read the control's reply, up to
         and including its end-of-round; return the commands and the idle
-        flag."""
+        flag.  The control gets the caller's events and notices in lists of
+        its own, and the commands returned are the control's own objects."""
+        events, notices = list(events), list(notices)
         body = {
             "events": [e.to_dict() for e in events],
             "notices": [n.to_dict() for n in notices],
         }
         sent = time.perf_counter()
-        self._send(make_record(ROLE_EMULATION, self.round_no, t, "event-batch", body))
+        self._send(make_record(ROLE_EMULATION, self.round_no, t, "event-batch", body),
+                   (events, notices))
         commands: list[ControlCommand] = []
         while True:
-            line, record = self._recv()
+            line, record, message = self._recv()
             if record["role"] != ROLE_CONTROL:
                 raise ProtocolError(f"unexpected {record['role']} record in a control reply")
             kind = record["kind"]
@@ -515,7 +543,7 @@ class RoundDriver:
             if record["corr"] != self.round_no:
                 raise ProtocolError(f"{kind} correlates to the wrong round")
             if kind == "command":
-                commands.append(ControlCommand.from_dict(record["body"]))
+                commands.append(message)
             else:
                 self.round_ms.append((time.perf_counter() - sent) * 1000.0)
                 idle = bool(record["body"].get("idle"))
@@ -529,7 +557,7 @@ class RoundDriver:
         self.round_no += 1
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "run-end", {"reason": reason}))
         while True:
-            line, record = self._recv()
+            line, record, _ = self._recv()
             kind = record["kind"]
             if kind not in ("tap", "bye"):
                 raise ProtocolError(f"unexpected record {kind!r} after run-end")
@@ -551,9 +579,10 @@ def replay_session(log: bytes, control: ReferenceControl) -> bytes:
 
     Indexes the log's emulation and scenario records first, decoding each
     line once and refusing a log that is truncated, breaks round order or
-    has no run-end.  Then hands them to the control, up to its bye, and
-    returns the command log it answered with (command and end-of-round
-    lines) for byte comparison with ``extract_command_log`` of the original.
+    has no run-end.  Then hands them to the control, each with the message
+    ``message_of`` builds from it, up to its bye, and returns the command
+    log it answered with (command and end-of-round lines) for byte
+    comparison with ``extract_command_log`` of the original.
     """
     records: list[dict[str, Any]] = []
     last_round = 0
@@ -571,9 +600,9 @@ def replay_session(log: bytes, control: ReferenceControl) -> bytes:
     if records and not complete:
         raise ReplayError("log is truncated: no run-end record")
     sent: list[dict[str, Any]] = []
-    client = ControlClient(sent.append, control)
+    client = ControlClient(lambda record, message: sent.append(record), control)
     for record in records:
-        if not client.handle(record):
+        if not client.handle(record, message_of(record)):
             break
     return b"".join(
         encode_record(record) for record in sent if record["kind"] in ("command", "end-of-round")

@@ -36,6 +36,7 @@ from importlib import resources
 from typing import Any, Callable, get_type_hints
 
 from .canon import fits, is_int
+from .control import OrderBookError, ProductOrder
 from .messages import EVENT_KINDS, ControlDirective, Injection, MessageError, SimEvent
 
 CATEGORIES = ("dynamic-reconfiguration", "order-management", "quality", "supply")
@@ -195,9 +196,11 @@ class Trigger:
     occurrence: int = 1
 
     @classmethod
-    def from_doc(cls, doc: Any, path: str, depth: int = 0) -> tuple["Trigger", int]:
+    def from_doc(cls, doc: Any, path: str, depth: int = 0, model=None) -> tuple["Trigger", int]:
         """The primitive trigger and the summed delay of the after-chain
-        above it (0 without one)."""
+        above it (0 without one).  With a model, each ``where`` machine,
+        shuttle and node must be a part of it; orders may be inserted
+        mid-run, so a ``where`` order is only checked to be a string."""
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ScenarioError(f"{path} must be an object with a kind")
         kind = doc["kind"]
@@ -216,9 +219,14 @@ class Trigger:
             where = doc.get("where", {})
             if not isinstance(where, dict):
                 raise ScenarioError(f"{path}.where must be an object")
-            for fld in where:
+            for fld, value in where.items():
                 if fld not in ("machine", "shuttle", "order", "node"):
                     raise ScenarioError(f"{path}.where.{fld} is not a filterable field")
+                if not isinstance(value, str):
+                    raise ScenarioError(f"{path}.where.{fld} must be a string")
+                # the model's machines, shuttles or nodes
+                if model is not None and fld != "order" and value not in getattr(model, fld + "s"):
+                    raise ScenarioError(f"{path}.where.{fld} {value!r} is not in the model")
             occurrence = doc.get("occurrence", 1)
             if not is_int(occurrence) or occurrence < 1:
                 raise ScenarioError(f"{path}.occurrence must be a positive integer")
@@ -233,7 +241,7 @@ class Trigger:
         if "base" not in doc:
             raise ScenarioError(f"{path}.base is required")
         _only_keys(doc, {"kind", "base", "delay"}, path)
-        base, below = cls.from_doc(doc["base"], f"{path}.base", depth + 1)
+        base, below = cls.from_doc(doc["base"], f"{path}.base", depth + 1, model)
         return base, delay + below
 
 
@@ -363,7 +371,7 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
         rule_id = rd.get("id", f"rule{i}")
         if not isinstance(rule_id, str) or not rule_id:
             raise ScenarioError(f"{path}.id must be a non-empty string")
-        trigger, delay = Trigger.from_doc(rd.get("trigger"), f"{path}.trigger")
+        trigger, delay = Trigger.from_doc(rd.get("trigger"), f"{path}.trigger", model=model)
         actions_doc = rd.get("actions")
         if not isinstance(actions_doc, list) or not actions_doc:
             raise ScenarioError(f"{path}.actions must be a non-empty list")
@@ -396,7 +404,7 @@ def _check_action(action: Action, path: str, least: Callable[[Any], int],
         wrong = sorted(k for k, v in payload.items() if not fits(v, hints[k]))
         if wrong:
             raise ScenarioError(f"values of the wrong type for keys {wrong}")
-        cls.from_dict(payload)
+        cls(**payload)
     except (ScenarioError, MessageError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     _validate_action_shape(payload, path, model, orders)
@@ -412,10 +420,18 @@ def _validate_action_shape(payload: dict[str, Any], path: str, model, orders) ->
         order = payload.get("order")
         if not isinstance(order, dict):
             raise ScenarioError(f"{path}.order must be an object")
-        if model is not None and isinstance(order.get("routing"), list):
-            for op in order["routing"]:
+        # The control builds the order as the book loader does, and drops
+        # one it refuses or whose id it already holds.
+        try:
+            spec = ProductOrder.from_dict(order)
+        except OrderBookError as exc:
+            raise ScenarioError(f"{path}.order: {exc}") from None
+        if model is not None:
+            for op in spec.routing:
                 if _literal(op) and not model.capable_machines(op):
                     raise ScenarioError(f"{path}.order: no machine performs {op!r}")
+        if orders is not None and _literal(spec.id) and spec.id in {o.id for o in orders}:
+            raise ScenarioError(f"{path}.order: id {spec.id!r} is already in the order book")
     target = payload.get("order_id")
     if orders is not None and _literal(target) and target not in {o.id for o in orders}:
         raise ScenarioError(f"{path}.order_id {target!r} is not in the order book")
@@ -471,8 +487,10 @@ class ScenarioManager:
         firing = Firing(rule_id=rule.id, injections=[], directives=[])
         try:
             for action in rule.actions:
+                # Keys were checked at load, and _resolve builds new dicts
+                # and lists, so the class takes the payload as it is.
                 payload = {k: _resolve(v, self._sample, event) for k, v in action.payload.items()}
-                message = _ACTIONS[action.kind][1].from_dict(payload)
+                message = _ACTIONS[action.kind][1](**payload)
                 (firing.injections if action.kind == "inject" else firing.directives).append(message)
         except _Unbound:
             return  # skip this firing, keep its draws; the rule stays armed

@@ -5,6 +5,7 @@ import json
 import socket
 import threading
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,11 +30,13 @@ from holobench.interface import (
     extract_event_stream,
     iter_log,
     make_record,
+    message_of,
     parse_log,
     replay_session,
     serve_control,
 )
 from holobench.kpi import KpiEngine, recompute_from_log, reports_match
+from holobench.messages import ControlCommand, ControlDirective, Injection, Notice, SimEvent
 from holobench.model import load_model_doc
 from holobench.scenario import load_scenario_doc
 from test_control import ORACLE_SHOP, oracle_sessions
@@ -41,6 +44,9 @@ from test_control import ORACLE_SHOP, oracle_sessions
 
 # Every reader that decodes a whole session log.
 LOG_READERS = [parse_log, extract_command_log, extract_event_stream, recompute_from_log]
+
+MINICELL_SCENARIOS = ["null", "ps9", "reject_rework", "rush_order", "supply_shortage"]
+WIRE_MESSAGES = (SimEvent, ControlCommand, ControlDirective, Injection, Notice)
 
 
 def rec(kind="event-batch", role="emulation", round_no=1, t=0, body=None, corr=None):
@@ -207,10 +213,10 @@ class TestInProc:
         with pytest.raises(ProtocolError, match="lock-step"):
             ep.recv_line_record()
         hello = self.hello(minicell_model)
-        ep.send_line_record(encode_record(hello), hello)
-        line, record = ep.recv_line_record()
+        ep.send_line_record(encode_record(hello), hello, None)
+        line, record, message = ep.recv_line_record()
         assert record["kind"] == "hello" and record["role"] == "control"
-        assert line == encode_record(record)
+        assert line == encode_record(record) and message is None
         with pytest.raises(ProtocolError, match="lock-step"):
             ep.recv_line_record()
 
@@ -220,19 +226,19 @@ class TestInProc:
         with pytest.raises(EndOfStream):
             ep.recv_line_record()
         with pytest.raises(ProtocolError, match="ended"):
-            ep.send_line_record(b"", self.hello(minicell_model))
+            ep.send_line_record(b"", self.hello(minicell_model), None)
 
     def test_session_ends_at_the_controls_bye(self, minicell_model):
         ep = InProcEndpoint(ReferenceControl(minicell_model))
         run_end = rec(kind="run-end", round_no=1, body={"reason": "completed"})
-        ep.send_line_record(encode_record(run_end), run_end)
+        ep.send_line_record(encode_record(run_end), run_end, None)
         kinds = []
         with pytest.raises(EndOfStream):
             while True:
                 kinds.append(ep.recv_line_record()[1]["kind"])
         assert kinds[-1] == "bye" and set(kinds[:-1]) == {"tap"}
         with pytest.raises(ProtocolError, match="ended"):
-            ep.send_line_record(encode_record(run_end), run_end)
+            ep.send_line_record(encode_record(run_end), run_end, None)
 
 
 class TestSocket:
@@ -266,12 +272,18 @@ class TestSocket:
             b.recv_line()
         b.close()
 
-    @pytest.mark.parametrize("name, seed", [("null", 1), ("supply_shortage", 3)])
+    @pytest.mark.parametrize(
+        "name, seed",
+        [("null", 1), ("ps9", 2), ("reject_rework", 3), ("rush_order", 1),
+         ("supply_shortage", 3)],
+    )
     def test_session_over_sockets_writes_the_in_process_bytes(
         self, minicell_model, minicell_orders, scenario_by_name, name, seed
     ):
-        """A control served over a socket decodes every line it reads, and
-        the session it serves is the in-process one, byte for byte."""
+        """A control served over a socket decodes every line it reads and
+        builds its messages from the records, where in process it reads the
+        sender's own objects; either way the session is the same, byte for
+        byte, with directives, injections and rejected parts."""
         scenario = scenario_by_name(name)
         remote = socket_session(minicell_model, minicell_orders, scenario, seed)
         local = run_single(minicell_model, minicell_orders, scenario, seed)
@@ -422,25 +434,25 @@ class TestDecodeOnce:
         # wrong model hash would otherwise raise ControlProtocolError.
         bad = rec(kind="hello", body={"model_hash": "0" * 64}, corr="x")
         with pytest.raises(DecodeError, match="corr"):
-            ep.send_line_record(encode_record(rec()), bad)
+            ep.send_line_record(encode_record(rec()), bad, None)
         with pytest.raises(ProtocolError, match="lock-step"):
             ep.recv_line_record()
         good = rec(kind="hello", body={"model_hash": minicell_model.model_hash})
-        ep.send_line_record(encode_record(good), good)
-        line, record = ep.recv_line_record()
+        ep.send_line_record(encode_record(good), good, None)
+        line, record, _ = ep.recv_line_record()
         assert line == encode_record(record) and record["body"]["policy"] == "reference-holonic"
         assert calls == []
 
     def test_in_process_replies_are_checked_on_receipt(self, minicell_model, monkeypatch):
         class BadReply(ControlClient):
-            def handle(self, record):
-                self._send(rec(kind="hello", role="control", round_no=0, corr="x"))
+            def handle(self, record, message):
+                self._send(rec(kind="hello", role="control", round_no=0, corr="x"), None)
                 return True
 
         monkeypatch.setattr(interface, "ControlClient", BadReply)
         ep = InProcEndpoint(ReferenceControl(minicell_model))
         good = rec(kind="hello", body={"model_hash": minicell_model.model_hash})
-        ep.send_line_record(encode_record(good), good)
+        ep.send_line_record(encode_record(good), good, None)
         with pytest.raises(DecodeError, match="corr"):
             ep.recv_line_record()
 
@@ -472,6 +484,109 @@ class TestDecodeOnce:
         calls = self._count_decodes(monkeypatch)
         reader(log)
         assert calls == [line for _, line in iter_log(log)]
+
+
+def count_message_builds(monkeypatch):
+    """Count ``from_dict`` calls on each wire message class, by class name;
+    a socket session counts from both of its threads."""
+    built, lock = Counter(), threading.Lock()
+    for cls in WIRE_MESSAGES:
+        build = vars(cls)["from_dict"].__func__
+
+        def counting(owner, d, build=build):
+            with lock:
+                built[owner.__name__] += 1
+            return build(owner, d)
+
+        monkeypatch.setattr(cls, "from_dict", classmethod(counting))
+    return built
+
+
+class TestMessagesCross:
+    """In process, each message crosses as its sender's own object: the
+    control reads the kernel's events and notices and the scenario
+    manager's directives, and the kernel runs the control's commands.  A
+    reader that has only the line builds the message from its record with
+    ``message_of``."""
+
+    def test_in_process_session_builds_no_message_from_a_record(
+        self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
+    ):
+        scenarios = [scenario_by_name(name) for name in MINICELL_SCENARIOS]
+        built = count_message_builds(monkeypatch)
+        for scenario in scenarios:
+            result = run_single(minicell_model, minicell_orders, scenario, seed=3)
+            assert result.status == "completed"
+        assert built == Counter()
+        # A socket peer and replay still build every message they read.
+        remote = socket_session(minicell_model, minicell_orders, scenarios[-1], seed=3)
+        records = parse_log(remote.log)
+        events = sum(len(r["body"]["events"]) for r in records if r["kind"] == "event-batch")
+        kinds = Counter(r["kind"] for r in records)
+        assert events and kinds["command"] and kinds["directive"]
+        assert built == Counter(SimEvent=events, ControlCommand=kinds["command"],
+                                ControlDirective=kinds["directive"])
+        built.clear()
+        replayed = replay_session(remote.log, ReferenceControl(minicell_model))
+        assert replayed == extract_command_log(remote.log)
+        assert built == Counter(SimEvent=events, ControlDirective=kinds["directive"])
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(session=oracle_sessions())
+    def test_each_handed_over_message_is_what_a_socket_peer_builds(self, session):
+        book, scenario_doc, seed = session
+        model = load_model_doc(ORACLE_SHOP)
+        scenario = load_scenario_doc(scenario_doc, model=model, orders=book)
+        handed = Counter()
+
+        class Checked(InProcEndpoint):
+            def send_line_record(self, line, record, message):
+                assert message == message_of(record)
+                handed[record["kind"]] += 1
+                super().send_line_record(line, record, message)
+
+            def recv_line_record(self):
+                line, record, message = super().recv_line_record()
+                assert message == message_of(record)
+                handed[record["kind"]] += 1
+                return line, record, message
+
+        checked = run_single(model, book, scenario, seed, endpoint=Checked(ReferenceControl(model)))
+        assert checked.log == run_single(model, book, scenario, seed).log
+        assert handed["event-batch"] and handed["command"]
+
+    def test_control_that_mutates_handed_over_messages_cannot_change_the_session(
+        self, minicell_model, minicell_orders, scenario_by_name
+    ):
+        """The driver encodes each message before handing it over and
+        reads nothing of it afterwards, so a control that tears every
+        event's ``info`` and every directive's ``order`` apart once it has
+        decided leaves the log bytes and the KPI report alone."""
+        torn = Counter()
+
+        class Tearing(ReferenceControl):
+            def on_round(self, now, directives, events, notices):
+                directives = list(directives)
+                result = super().on_round(now, directives, events, notices)
+                for ev in events:
+                    ev.info.clear()
+                    ev.info["torn"] = True
+                    torn["info"] += 1
+                for d in directives:
+                    if d.order is not None:
+                        d.order.clear()
+                        d.order["torn"] = True
+                        torn["order"] += 1
+                return result
+
+        for name in MINICELL_SCENARIOS:
+            scenario = scenario_by_name(name)
+            clean = run_single(minicell_model, minicell_orders, scenario, seed=3)
+            tearing = run_single(minicell_model, minicell_orders, scenario, seed=3,
+                                 endpoint=InProcEndpoint(Tearing(minicell_model)))
+            assert tearing.log == clean.log
+            assert tearing.report == clean.report is not None
+        assert torn["info"] and torn["order"]
 
 
 def traced_peak(reader, log):
@@ -597,19 +712,19 @@ class TestReplay:
 
 class TestHandshake:
     def test_model_hash_mismatch_refused(self, minicell_model):
-        client = ControlClient([].append, ReferenceControl(minicell_model))
+        client = ControlClient(lambda record, message: None, ReferenceControl(minicell_model))
         with pytest.raises(ControlProtocolError, match="hash"):
-            client.handle(rec(kind="hello", body={"model_hash": "0" * 64}))
+            client.handle(rec(kind="hello", body={"model_hash": "0" * 64}), None)
 
     def test_round_monotonicity_enforced_by_client(self, minicell_model):
-        client = ControlClient([].append, ReferenceControl(minicell_model))
+        client = ControlClient(lambda record, message: None, ReferenceControl(minicell_model))
         with pytest.raises(ProtocolError, match="monotonicity"):
-            client.handle(rec(round_no=2, body={"events": [], "notices": []}))
+            client.handle(rec(round_no=2, body={"events": [], "notices": []}), ([], []))
 
     def test_unknown_kind_refused(self, minicell_model):
-        client = ControlClient([].append, ReferenceControl(minicell_model))
+        client = ControlClient(lambda record, message: None, ReferenceControl(minicell_model))
         with pytest.raises(ProtocolError, match="mystery"):
-            client.handle(rec(kind="mystery"))
+            client.handle(rec(kind="mystery"), None)
 
     def test_client_answers_a_recorded_session_from_hello_to_bye(
         self, minicell_model, minicell_orders, scenario_by_name
@@ -618,8 +733,10 @@ class TestHandshake:
             minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3
         ).log
         sent = []
-        client = ControlClient(sent.append, ReferenceControl(minicell_model))
-        handled = [client.handle(r) for r in parse_log(log) if r["role"] != "control"]
+        client = ControlClient(lambda record, message: sent.append(record),
+                               ReferenceControl(minicell_model))
+        handled = [client.handle(r, message_of(r)) for r in parse_log(log)
+                   if r["role"] != "control"]
         assert handled[:-1] == [True] * (len(handled) - 1) and handled[-1] is False
         assert b"".join(map(encode_record, sent)) == b"".join(
             line for _, line in iter_log(log) if decode_line(line)["role"] == "control"
@@ -642,11 +759,11 @@ class TestReplyProtocol:
         late_round = 1 if late == "first" else rounds - 1  # the last round is run-end
 
         class LateCommand(ControlClient):
-            def _serve_round(self, record):
-                super()._serve_round(record)
+            def _serve_round(self, record, message):
+                super()._serve_round(record, message)
                 if record["round"] == late_round:
                     self._send(rec(kind="command", role="control", round_no=late_round,
-                                   t=record["t"], corr=late_round))
+                                   t=record["t"], corr=late_round), None)
 
         monkeypatch.setattr(interface, "ControlClient", LateCommand)
         message = "wrong round" if late == "first" else "'command' after run-end"
@@ -660,11 +777,12 @@ class TestReplyProtocol:
 
         def serve_until_run_end(endpoint):
             client = ControlClient(
-                lambda record: endpoint.send_line_record(encode_record(record), record),
+                lambda record, message: endpoint.send_line_record(
+                    encode_record(record), record, message),
                 ReferenceControl(minicell_model),
             )
-            while (record := endpoint.recv_line_record()[1])["kind"] != "run-end":
-                client.handle(record)
+            while (received := endpoint.recv_line_record())[1]["kind"] != "run-end":
+                client.handle(*received[1:])
             endpoint.close()  # no taps, no bye
 
         worker = threading.Thread(target=serve_until_run_end, args=(SocketEndpoint(right),))
@@ -699,10 +817,10 @@ class TestRoundProbe:
             return open_round(driver, t, directives)
 
         class Watched(InProcEndpoint):
-            def send_line_record(self, line, record):
+            def send_line_record(self, line, record, message):
                 if record["kind"] == "event-batch":
                     steps.append(("batch", record["round"]))
-                super().send_line_record(line, record)
+                super().send_line_record(line, record, message)
 
         monkeypatch.setattr(interface.RoundDriver, "open_round", opening)
         result = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=3,

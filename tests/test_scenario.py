@@ -193,11 +193,34 @@ class TestTriggerParsing:
             ({"kind": "after", "base": {"kind": "at-time", "time": 1}, "delay": False}, "delay"),
             ({"kind": ["at-time"], "time": 1}, "trigger kind"),
             ({"kind": "on-event", "event": ["op-started"]}, "event kind"),
+            ({"kind": "on-event", "event": "op-started", "where": {"machine": 5}}, "string"),
+            ({"kind": "on-event", "event": "order-released", "where": {"order": None}},
+             "string"),
         ],
     )
     def test_trigger_validation(self, doc, fragment):
         with pytest.raises(ScenarioError, match=fragment):
             Trigger.from_doc(doc, "t")
+
+    @pytest.mark.parametrize(
+        "where", [{"machine": "M9"}, {"shuttle": "S9"}, {"node": "M1", "machine": "X"},
+                  {"node": "DOCK"}],
+    )
+    def test_where_names_a_part_of_the_model(self, where):
+        """A filter the run can never match is refused with the model, and
+        not without it; under an after-trigger too."""
+        doc = {"kind": "after", "delay": 1,
+               "base": {"kind": "on-event", "event": "shuttle-arrived", "where": where}}
+        Trigger.from_doc(doc, "t")
+        with pytest.raises(ScenarioError, match=r"t\.base\.where\.\w+ '\w+' is not in the model"):
+            Trigger.from_doc(doc, "t", model=MODEL)
+
+    def test_where_order_is_only_type_checked(self):
+        """An order filter may name an order a rule inserts mid-run."""
+        doc = {"kind": "on-event", "event": "order-completed",
+               "where": {"order": "R1", "machine": "M1", "shuttle": "S1", "node": "IN"}}
+        trigger, _ = Trigger.from_doc(doc, "t", model=MODEL)
+        assert trigger.where["order"] == "R1"
 
 
 class TestScenarioLoading:
@@ -327,6 +350,12 @@ class TestActionPayloads:
             _inject(machine="M1", duration=5),
             _inject(kind="machine-down", machine="M1", duration=5, policy=["scrap"]),
             {"kind": "direct", "directive": {"kind": "evacuate"}},
+            {"kind": "direct", "directive": {"kind": "insert-order", "order": {
+                "id": "R1", "routing": ["A"], "release": -1, "due": 90}}},
+            {"kind": "direct", "directive": {"kind": "insert-order", "order": {
+                "id": "R1", "routing": "A", "release": 0, "due": 90}}},
+            {"kind": "direct", "directive": {"kind": "insert-order", "order": {
+                "id": "R1", "routing": ["A"], "release": "$event.order", "due": 90}}},
         ],
         ids=[
             "reject-without-policy",
@@ -341,6 +370,9 @@ class TestActionPayloads:
             "no-kind",
             "list-policy",
             "unknown-directive-kind",
+            "insert-order-negative-release",
+            "insert-order-routing-not-a-list",
+            "insert-order-event-string-as-release",
         ],
     )
     def test_payload_rejected_at_load_with_its_path(self, action):
@@ -353,6 +385,21 @@ class TestActionPayloads:
         for model, orders in ((None, None), (MODEL, ORDERS)):
             with pytest.raises(ScenarioError, match=re.escape(path)):
                 load_scenario_doc(doc, model=model, orders=orders)
+
+    def test_insert_order_id_already_in_the_book(self):
+        """The control keeps the book's order and drops the inserted one,
+        so with the book at hand the loader refuses it."""
+        rule = {"id": "r1", "trigger": {"kind": "at-time", "time": 1},
+                "actions": [{"kind": "direct", "directive": {"kind": "insert-order", "order": {
+                    "id": "O1", "routing": ["A"], "release": 0, "due": 90}}}]}
+        doc = scenario_doc(rules=[rule])
+        load_scenario_doc(doc, model=MODEL)
+        with pytest.raises(ScenarioError, match=re.escape(
+                "rules[0].actions[0].directive.order: id 'O1' is already in the order book")):
+            load_scenario_doc(doc, model=MODEL, orders=ORDERS)
+        rule["actions"][0]["directive"]["order"]["id"] = "$event.order"
+        rule["trigger"] = {"kind": "on-event", "event": "order-released"}
+        load_scenario_doc(doc, model=MODEL, orders=ORDERS)
 
     @pytest.mark.parametrize(
         "dist, ok",
