@@ -7,6 +7,11 @@ a recorded wire session, then reduces the tapped streams to KPI reports and
 compares every scenario against the null (no-disturbance) baseline with
 mean/min/max aggregates.
 
+Each finished run's log and report wait in one unlinked spill file in the
+artifact directory until the last session ends; then the per-run files are
+written from it, one at a time.  A suite's memory is thus bounded by its
+largest session plus a small manifest entry per run.
+
 Artifacts are byte-reproducible: manifest, reports, comparison table,
 summary and session logs carry no timestamps or machine-local paths.  The
 round driver times each round from outside the control; those wall-clock
@@ -23,6 +28,7 @@ import json
 import logging
 import operator
 import os
+import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -277,43 +283,56 @@ def run_suite(
                 f"registry says {expected!r}"
             )
 
-    results: list[RunResult] = []
-    for sc in scenarios:
-        for seed in use_seeds:
-            started = time.perf_counter()
-            r = run_single(model, orders, sc, seed, cap=use_cap)
-            logger.info(
-                "run %s: %s, %d rounds, %d events, %.3f s",
-                r.run_id, r.status, r.rounds, r.events, time.perf_counter() - started,
-            )
-            results.append(r)
+    # Each finished run leaves its log and report bytes in one unlinked
+    # spill file, so only one session's results are in memory at a time.
+    # The per-run files are created after the last session: creating them
+    # between sessions made a 1,000-run suite 15-30% slower.
+    runs_doc: list[dict[str, Any]] = []
+    timing: dict[str, dict[str, float]] = {}
+    lengths: list[tuple[int, int]] = []  # per run: its log's and its report's bytes
+    os.makedirs(out_dir, exist_ok=True)
+    with tempfile.TemporaryFile(dir=out_dir) as spill:
+        for sc in scenarios:
+            for seed in use_seeds:
+                started = time.perf_counter()
+                r = run_single(model, orders, sc, seed, cap=use_cap)
+                logger.info(
+                    "run %s: %s, %d rounds, %d events, %.3f s",
+                    r.run_id, r.status, r.rounds, r.events, time.perf_counter() - started,
+                )
+                report = b"" if r.report is None else _json_text(r.report.to_doc()).encode()
+                spill.write(r.log)
+                spill.write(report)
+                lengths.append((len(r.log), len(report)))
+                runs_doc.append(
+                    {
+                        "run_id": r.run_id,
+                        "scenario": r.scenario_id,
+                        "category": r.category,
+                        "seed": r.seed,
+                        "status": r.status,
+                        "rounds": r.rounds,
+                        "final_t": r.final_t,
+                        "makespan": r.report.makespan if r.report else None,
+                        "log": f"logs/{r.run_id}.il1.log",
+                        "report": None if r.report is None else f"reports/{r.run_id}.json",
+                    }
+                )
+                timing[r.run_id] = {
+                    "decision_latency_ms_mean": r.decision_latency_ms_mean,
+                    "decision_latency_ms_max": r.decision_latency_ms_max,
+                }
+                del r, report  # free the log before the next session
 
-    os.makedirs(os.path.join(out_dir, "logs"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "reports"), exist_ok=True)
-
-    runs_doc = []
-    for r in results:
-        log_rel = f"logs/{r.run_id}.il1.log"
-        with open(os.path.join(out_dir, log_rel), "wb") as f:
-            f.write(r.log)
-        report_rel = None
-        if r.report is not None:
-            report_rel = f"reports/{r.run_id}.json"
-            _write_json(os.path.join(out_dir, report_rel), r.report.to_doc())
-        runs_doc.append(
-            {
-                "run_id": r.run_id,
-                "scenario": r.scenario_id,
-                "category": r.category,
-                "seed": r.seed,
-                "status": r.status,
-                "rounds": r.rounds,
-                "final_t": r.final_t,
-                "makespan": r.report.makespan if r.report else None,
-                "log": log_rel,
-                "report": report_rel,
-            }
-        )
+        os.makedirs(os.path.join(out_dir, "logs"), exist_ok=True)
+        os.makedirs(os.path.join(out_dir, "reports"), exist_ok=True)
+        spill.seek(0)
+        for run, (log_len, report_len) in zip(runs_doc, lengths):
+            with open(os.path.join(out_dir, run["log"]), "wb") as f:
+                f.write(spill.read(log_len))
+            if run["report"] is not None:
+                with open(os.path.join(out_dir, run["report"]), "wb") as f:
+                    f.write(spill.read(report_len))
 
     manifest = {
         "suite": suite.id,
@@ -328,24 +347,18 @@ def run_suite(
         "runs": runs_doc,
     }
     _write_json(manifest_path, manifest)
-    _write_json(
-        os.path.join(out_dir, "timing.json"),
-        {
-            r.run_id: {
-                "decision_latency_ms_mean": r.decision_latency_ms_mean,
-                "decision_latency_ms_max": r.decision_latency_ms_max,
-            }
-            for r in results
-        },
-    )
+    _write_json(os.path.join(out_dir, "timing.json"), timing)
     compare(out_dir)
     return manifest
 
 
+def _json_text(doc: Any) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: str, doc: Any) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(_json_text(doc))
 
 
 def _read_json(path: str) -> Any:

@@ -70,7 +70,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .canon import canon_dumps
 from .control import ProductOrder, ReferenceControl
-from .messages import ControlCommand, ControlDirective, Notice, SimEvent
+from .messages import ControlCommand, ControlDirective, MessageError, Notice, SimEvent
 
 WIRE_PREFIX = b"IL1 "
 WIRE_VERSION = "1"
@@ -410,7 +410,13 @@ class SocketEndpoint:
     def recv_line_record(self) -> tuple[bytes, dict[str, Any], Any]:
         line = self.recv_line()
         record = decode_line(line)
-        return line, record, message_of(record)
+        try:
+            message = message_of(record)
+        except (KeyError, TypeError, AttributeError, MessageError) as exc:
+            raise ProtocolError(
+                f"{record['role']} {record['kind']} body builds no message: {exc!r}"
+            ) from exc
+        return line, record, message
 
     def close(self) -> None:
         try:

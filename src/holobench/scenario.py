@@ -363,6 +363,7 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
         return dists[name].least()
 
     rules: list[Rule] = []
+    inserted: dict[str, str] = {}  # literal insert-order id -> the path inserting it
     for i, rd in enumerate(rules_doc):
         path = f"rules[{i}]"
         if not isinstance(rd, dict):
@@ -383,7 +384,20 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
             raise ScenarioError(f"{path}.max_occurrences must be a positive integer")
         event = _STAND_IN if trigger.kind == "on-event" else None
         for j, a in enumerate(actions):
-            _check_action(a, f"{path}.actions[{j}]", least, event, model, orders)
+            payload = _check_action(a, f"{path}.actions[{j}]", least, event, model, orders)
+            if payload["kind"] != "insert-order" or not _literal(payload["order"]["id"]):
+                continue
+            # The control drops an insert whose id it already holds, so a
+            # literal id inserted twice would lose every firing after the
+            # first.  An at-time rule fires once, whatever its max_occurrences.
+            oid, where = payload["order"]["id"], f"{path}.actions[{j}].directive.order"
+            if trigger.kind == "on-event" and max_occ > 1:
+                raise ScenarioError(
+                    f"{where}: id {oid!r} is inserted by a rule that fires up to {max_occ} times"
+                )
+            if oid in inserted:
+                raise ScenarioError(f"{where}: id {oid!r} is inserted by {inserted[oid]} too")
+            inserted[oid] = where
         rules.append(Rule(rule_id, trigger, actions, max_occ, delay))
     rule_ids = [r.id for r in rules]
     if len(set(rule_ids)) != len(rule_ids):
@@ -393,9 +407,9 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
 
 
 def _check_action(action: Action, path: str, least: Callable[[Any], int],
-                  event: SimEvent | None, model, orders) -> None:
+                  event: SimEvent | None, model, orders) -> dict[str, Any]:
     """Build the action's message from its payload with every placeholder
-    stood in, then check its literal targets."""
+    stood in, then check its literal targets; returns the stood-in payload."""
     key, cls, hints = _ACTIONS[action.kind]
     path = f"{path}.{key}"
     _only_keys(action.payload, hints, path)
@@ -408,6 +422,7 @@ def _check_action(action: Action, path: str, least: Callable[[Any], int],
     except (ScenarioError, MessageError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     _validate_action_shape(payload, path, model, orders)
+    return payload
 
 
 def _validate_action_shape(payload: dict[str, Any], path: str, model, orders) -> None:

@@ -4,11 +4,14 @@ import csv
 import json
 import os
 import shutil
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import holobench
+from holobench import harness
 from holobench.harness import (
     ArtifactError,
     SuiteError,
@@ -104,6 +107,9 @@ class TestRunSuite:
     def test_cardinality_and_layout(self, suite, tmp_path):
         out = str(tmp_path / "out")
         manifest = run_suite(suite, out)
+        assert sorted(os.listdir(out)) == [
+            "comparison.csv", "logs", "manifest.json", "reports", "summary.txt", "timing.json"
+        ]
         assert len(manifest["runs"]) == 15  # 5 scenarios x 3 seeds
         assert all(r["status"] == "completed" for r in manifest["runs"])
         for r in manifest["runs"]:
@@ -167,6 +173,33 @@ class TestRunSuite:
         with pytest.raises(SuiteError, match="registry"):
             run_suite(suite, str(tmp_path / "out"))
 
+    def test_a_failing_run_leaves_nothing(self, suite, tmp_path, monkeypatch):
+        """Finished runs wait in an unlinked spill file that is closed, with
+        nothing written, when a later run raises."""
+        calls = []
+
+        def third_run_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("session died")
+            return run_single(*args, **kwargs)
+
+        spills = []
+
+        def recording_spill(*args, **kwargs):
+            spills.append(temporary_file(*args, **kwargs))
+            return spills[-1]
+
+        temporary_file = tempfile.TemporaryFile
+        monkeypatch.setattr(harness, "run_single", third_run_fails)
+        monkeypatch.setattr(tempfile, "TemporaryFile", recording_spill)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="session died"):
+            run_suite(suite, str(out))
+        assert len(calls) == 3
+        assert len(spills) == 1 and spills[0].closed
+        assert list(out.iterdir()) == []
+
     def test_cap_exceeded_is_reported(self, suite, tmp_path):
         manifest = run_suite(suite, str(tmp_path / "out"), cap=1, force=False)
         assert all(r["status"] == "cap-exceeded" for r in manifest["runs"])
@@ -174,6 +207,25 @@ class TestRunSuite:
         # summary still renders, flagging the incomplete runs
         with open(os.path.join(str(tmp_path / "out"), "summary.txt")) as f:
             assert "incomplete" in f.read()
+
+
+class TestSuiteMemory:
+    def test_peak_grows_by_one_session_not_by_the_suite(self, suite, tmp_path):
+        """Each finished run waits on disk, so four times the seeds add only
+        a manifest entry per run to the traced peak, not the runs' logs."""
+        run_suite(suite, str(tmp_path / "warm"), seeds=(1,))  # first-use caches
+        peaks, log_bytes = [], []
+        for seeds in ((1,), (1, 2, 3, 4)):
+            out = tmp_path / f"seeds{len(seeds)}"
+            tracemalloc.start()
+            try:
+                run_suite(suite, str(out), seeds=seeds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            log_bytes.append(sum(p.stat().st_size for p in (out / "logs").iterdir()))
+        added = log_bytes[1] - log_bytes[0]
+        assert peaks[1] - peaks[0] < added / 2, (peaks, added)
 
 
 class TestCompare:

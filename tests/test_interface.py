@@ -36,7 +36,14 @@ from holobench.interface import (
     serve_control,
 )
 from holobench.kpi import KpiEngine, recompute_from_log, reports_match
-from holobench.messages import ControlCommand, ControlDirective, Injection, Notice, SimEvent
+from holobench.messages import (
+    ControlCommand,
+    ControlDirective,
+    Injection,
+    MessageError,
+    Notice,
+    SimEvent,
+)
 from holobench.model import load_model_doc
 from holobench.scenario import load_scenario_doc
 from test_control import ORACLE_SHOP, oracle_sessions
@@ -244,33 +251,52 @@ class TestInProc:
 class TestSocket:
     def test_lines_cross_a_real_socket(self):
         left, right = socket.socketpair()
-        a, b = SocketEndpoint(left), SocketEndpoint(right)
-        line = encode_record(rec())
-        a.send_line(line)
-        a.send_line(line)
-        assert b.recv_line() == line
-        assert b.recv_line() == line
-        a.close()
-        with pytest.raises(EndOfStream):
-            b.recv_line()
-        b.close()
+        with left, right:
+            a, b = SocketEndpoint(left), SocketEndpoint(right)
+            line = encode_record(rec())
+            a.send_line(line)
+            a.send_line(line)
+            assert b.recv_line() == line
+            assert b.recv_line() == line
+            a.close()
+            with pytest.raises(EndOfStream):
+                b.recv_line()
+            b.close()
 
     def test_recv_timeout(self):
         left, right = socket.socketpair()
-        b = SocketEndpoint(right, timeout=0.05)
-        with pytest.raises(TimeoutError):
-            b.recv_line()
-        left.close()
-        b.close()
+        with left, right:
+            b = SocketEndpoint(right, timeout=0.05)
+            with pytest.raises(TimeoutError):
+                b.recv_line()
 
     def test_mid_line_close_is_a_decode_error(self):
         left, right = socket.socketpair()
-        b = SocketEndpoint(right, timeout=1.0)
-        left.sendall(b"IL1 {")  # no newline, then gone
-        left.close()
-        with pytest.raises(DecodeError, match="mid-line"):
-            b.recv_line()
-        b.close()
+        with right:
+            b = SocketEndpoint(right, timeout=1.0)
+            left.sendall(b"IL1 {")  # no newline, then gone
+            left.close()
+            with pytest.raises(DecodeError, match="mid-line"):
+                b.recv_line()
+
+    @pytest.mark.parametrize(
+        "record, cause",
+        [
+            (rec(role="control", body={}), KeyError),
+            (rec(kind="command", role="control", body={"kind": "fly"}, corr=7), MessageError),
+        ],
+        ids=["event-batch-without-events", "unknown-command-kind"],
+    )
+    def test_body_that_builds_no_message_is_a_protocol_error(self, record, cause):
+        """The message is built as the line arrives, before the receiver
+        checks role, kind and corr, so a bad body is still named as a
+        protocol fault of its record kind."""
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(encode_record(record))
+            with pytest.raises(ProtocolError, match=f"control {record['kind']} body") as info:
+                SocketEndpoint(right, timeout=1.0).recv_line_record()
+            assert isinstance(info.value.__cause__, cause)
 
     @pytest.mark.parametrize(
         "name, seed",

@@ -330,6 +330,18 @@ def _inject(**injection):
     return {"kind": "inject", "injection": injection}
 
 
+def _insert_rule(trigger, *ids, rule_id="r1", max_occurrences=None):
+    """A rule inserting one order per id, each with the same small body."""
+    rule = {"id": rule_id, "trigger": trigger, "actions": [
+        {"kind": "direct", "directive": {"kind": "insert-order", "order": {
+            "id": oid, "routing": ["A"], "release": 0, "due": 90}}}
+        for oid in ids
+    ]}
+    if max_occurrences is not None:
+        rule["max_occurrences"] = max_occurrences
+    return rule
+
+
 class TestActionPayloads:
     """Each payload is built from its message class at load, placeholders
     stood in, so a document that loads never fails when a rule fires."""
@@ -400,6 +412,51 @@ class TestActionPayloads:
         rule["actions"][0]["directive"]["order"]["id"] = "$event.order"
         rule["trigger"] = {"kind": "on-event", "event": "order-released"}
         load_scenario_doc(doc, model=MODEL, orders=ORDERS)
+
+    @pytest.mark.parametrize(
+        "rules, message",
+        [
+            ([_insert_rule({"kind": "on-event", "event": "op-started"}, "R1",
+                           max_occurrences=2)],
+             "rules[0].actions[0].directive.order: id 'R1' is inserted by a rule that "
+             "fires up to 2 times"),
+            ([_insert_rule({"kind": "after", "delay": 3,
+                            "base": {"kind": "on-event", "event": "op-finished"}}, "R1",
+                           max_occurrences=3)],
+             "rules[0].actions[0].directive.order: id 'R1' is inserted by a rule that "
+             "fires up to 3 times"),
+            ([_insert_rule({"kind": "at-time", "time": 1}, "R1", "R1")],
+             "rules[0].actions[1].directive.order: id 'R1' is inserted by "
+             "rules[0].actions[0].directive.order too"),
+            ([_insert_rule({"kind": "at-time", "time": 1}, "R1"),
+              _insert_rule({"kind": "on-event", "event": "op-started"}, "R2", "R1",
+                           rule_id="r2")],
+             "rules[1].actions[1].directive.order: id 'R1' is inserted by "
+             "rules[0].actions[0].directive.order too"),
+        ],
+        ids=["repeating-on-event-rule", "repeating-after-chain", "twice-in-one-rule",
+             "once-in-each-of-two-rules"],
+    )
+    def test_insert_order_id_that_can_be_inserted_twice(self, rules, message):
+        """The control drops an insert whose id it already holds, so every
+        firing after the first would be lost without a word."""
+        for model, orders in ((None, None), (MODEL, ORDERS)):
+            with pytest.raises(ScenarioError, match=re.escape(message)):
+                load_scenario_doc(scenario_doc(rules=rules), model=model, orders=orders)
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            [_insert_rule({"kind": "at-time", "time": 1}, "R1", max_occurrences=2)],
+            [_insert_rule({"kind": "on-event", "event": "order-released"}, "$event.order",
+                          "$event.order", max_occurrences=2)],
+            [_insert_rule({"kind": "at-time", "time": 1}, "R1"),
+             _insert_rule({"kind": "on-event", "event": "op-started"}, "R2", rule_id="r2")],
+        ],
+        ids=["at-time-fires-once", "event-ids", "distinct-literal-ids"],
+    )
+    def test_insert_order_ids_inserted_at_most_once_still_load(self, rules):
+        load_scenario_doc(scenario_doc(rules=rules), model=MODEL, orders=ORDERS)
 
     @pytest.mark.parametrize(
         "dist, ok",
