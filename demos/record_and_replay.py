@@ -17,7 +17,7 @@ from pathlib import Path
 import holobench
 from holobench.control import ReferenceControl, load_orders_file
 from holobench.harness import run_single
-from holobench.interface import decode_line, encode_record, extract_command_log, replay_session
+from holobench.interface import encode_record, extract_command_log, iter_records, replay_session
 from holobench.kpi import ConservationError, recompute_from_log, reports_match
 from holobench.model import load_model_file
 from holobench.scenario import load_scenario_file
@@ -53,8 +53,7 @@ def main():
 
     # Now lose one completion record and let conservation notice.
     mutated = bytearray()
-    for line in result.log.splitlines(keepends=True):
-        record = decode_line(bytes(line))
+    for line, record in iter_records(result.log):
         if record["kind"] == "event-batch":
             events = [e for e in record["body"]["events"]
                       if not (e["kind"] == "order-completed" and e["order"] == "O2")]

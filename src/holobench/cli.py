@@ -88,7 +88,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     bad = [r["run_id"] for r in manifest["runs"] if r["status"] != "completed"]
     with open(os.path.join(args.out, "summary.txt"), encoding="utf-8") as f:
         print(f.read(), end="")
-    print(f"artifact digest: {harness.artifact_digest(args.out)}")
+    try:
+        print(f"artifact digest: {harness.artifact_digest(args.out)}")
+    except harness.ArtifactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     if bad:
         print(f"error: {len(bad)} run(s) did not complete: {', '.join(bad)}", file=sys.stderr)
         return EXIT_FAILURE

@@ -254,17 +254,28 @@ def run_suite(
     cap: int | None = None,
     force: bool = False,
 ) -> dict[str, Any]:
-    """Execute the full suite and write artifacts; returns the manifest."""
+    """Execute the full suite and write artifacts; returns the manifest.
+
+    With ``force``, the log and report files the old manifest names are
+    removed before the new ones are written; no other file is touched.
+    """
     use_seeds = seeds if seeds is not None else suite.seeds
     if len(set(use_seeds)) != len(use_seeds):
         raise SuiteError(f"seeds contain duplicates: {list(use_seeds)}")
     use_cap = cap if cap is not None else suite.cap
 
     manifest_path = os.path.join(out_dir, "manifest.json")
-    if os.path.exists(manifest_path) and not force:
-        raise ArtifactError(
-            f"{out_dir} already holds benchmark artifacts; pass force to overwrite"
-        )
+    stale: list[str] = []
+    if os.path.exists(manifest_path):
+        if not force:
+            raise ArtifactError(
+                f"{out_dir} already holds benchmark artifacts; pass force to overwrite"
+            )
+        for run in _read_manifest(out_dir)["runs"]:
+            for sub, key in (("logs", "log"), ("reports", "report")):
+                name = run.get(key)
+                if isinstance(name, str) and os.path.dirname(name) == sub:
+                    stale.append(os.path.join(out_dir, name))
 
     model = suite.load_model()
     orders = suite.load_orders()
@@ -326,6 +337,9 @@ def run_suite(
 
         os.makedirs(os.path.join(out_dir, "logs"), exist_ok=True)
         os.makedirs(os.path.join(out_dir, "reports"), exist_ok=True)
+        for path in stale:
+            if os.path.isfile(path):
+                os.remove(path)
         spill.seek(0)
         for run, (log_len, report_len) in zip(runs_doc, lengths):
             with open(os.path.join(out_dir, run["log"]), "wb") as f:
@@ -373,16 +387,7 @@ def compare(out_dir: str) -> dict[str, Any]:
     returns the comparison structure.  Only mean/min/max across seeds are
     reported; single-seed scenarios simply repeat the value.
     """
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise ArtifactError(f"{out_dir} holds no manifest.json")
-    manifest = _read_json(manifest_path)
-    _check_fields(manifest, _MANIFEST_FIELDS, manifest_path)
-    for i, sc in enumerate(manifest["scenarios"]):
-        _check_fields(sc, _SCENARIO_FIELDS, f"{manifest_path}: scenarios[{i}]")
-    for i, run in enumerate(manifest["runs"]):
-        _check_fields(run, _RUN_FIELDS, f"{manifest_path}: runs[{i}]")
-
+    manifest = _read_manifest(out_dir)
     by_scenario: dict[str, list[dict[str, float]]] = {}
     categories: dict[str, str | None] = {}
     incomplete: dict[str, int] = {}
@@ -465,6 +470,23 @@ _OPTIONAL_STR = (str, type(None))
 _MANIFEST_FIELDS = {"suite": str, "model_hash": str, "seeds": list, "scenarios": list, "runs": list}
 _SCENARIO_FIELDS = {"id": str, "category": _OPTIONAL_STR}
 _RUN_FIELDS = {"scenario": str, "category": _OPTIONAL_STR, "report": _OPTIONAL_STR}
+
+
+def _read_manifest(out_dir: str) -> dict[str, Any]:
+    """The directory's manifest, with the fields that are read checked."""
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if not os.path.exists(manifest_path):
+        raise ArtifactError(f"{out_dir} holds no manifest.json")
+    try:
+        manifest = _read_json(manifest_path)
+    except ValueError as exc:
+        raise ArtifactError(f"{manifest_path}: {exc}") from exc
+    _check_fields(manifest, _MANIFEST_FIELDS, manifest_path)
+    for i, sc in enumerate(manifest["scenarios"]):
+        _check_fields(sc, _SCENARIO_FIELDS, f"{manifest_path}: scenarios[{i}]")
+    for i, run in enumerate(manifest["runs"]):
+        _check_fields(run, _RUN_FIELDS, f"{manifest_path}: runs[{i}]")
+    return manifest
 
 
 def _check_fields(doc: Any, spec: dict[str, Any], where: str) -> None:
@@ -555,13 +577,22 @@ def artifact_digest(out_dir: str) -> str:
     which vary between otherwise identical runs.  Session logs are
     byte-stable too, but they stay out: adding them would move every
     recorded digest, a contract change to make on its own.
+
+    The reports hashed are exactly those the manifest names: a stray file in
+    ``reports/``, or a named report that is missing, raises ``ArtifactError``.
     """
-    names = [n for n in HASHED_ARTIFACTS if os.path.exists(os.path.join(out_dir, n))]
+    named = {run["report"] for run in _read_manifest(out_dir)["runs"]} - {None}
     reports_dir = os.path.join(out_dir, "reports")
-    if os.path.isdir(reports_dir):
-        names.extend(sorted(f"reports/{p}" for p in os.listdir(reports_dir)))
+    present = os.listdir(reports_dir) if os.path.isdir(reports_dir) else []
+    listed = {f"reports/{p}" for p in present}
+    if listed != named:
+        raise ArtifactError(
+            f"{out_dir} does not hold exactly the reports its manifest names: "
+            f"stray {sorted(listed - named)}, missing {sorted(named - listed)}"
+        )
+    names = [n for n in HASHED_ARTIFACTS if os.path.exists(os.path.join(out_dir, n))]
     digest_lines = []
-    for name in names:
+    for name in names + sorted(listed):
         with open(os.path.join(out_dir, name), "rb") as f:
             digest_lines.append(f"{name}\0{sha256_hex(f.read())}")
     return sha256_hex("\n".join(digest_lines).encode("utf-8"))

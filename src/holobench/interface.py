@@ -49,11 +49,12 @@ builds its message once.  The round driver gives the recorder each line
 with the record it sent or received, so the recorder never decodes.  It
 records a sent line once the endpoint has returned, and a received one
 once it has finished reading it, so the recorder's observers get records
-the session is done with.  Replay decodes the log once, while indexing it,
-builds each message as it hands the record over, and encodes only the
-command and end-of-round records it returns.  The other log readers decode
-one line at a time and drop each record once they have taken what they
-need from it:
+the session is done with.  Every log reader walks ``iter_records``, which
+decodes each line once, as it yields it.  Replay indexes the whole log
+before the control sees a record, builds each message as it hands the
+record over, and encodes only the command and end-of-round records it
+returns.  The other readers drop each record once they have taken what
+they need from it:
 ``extract_command_log`` keeps the matching lines, ``extract_event_stream``
 the events, and ``recompute_from_log`` the run metadata, dues, events and
 the control's end-of-run counters.
@@ -186,12 +187,13 @@ def _no_newline(offset: int) -> Exception:
     return DecodeError("log ends without a newline", offset)
 
 
-def iter_log(
+def iter_records(
     log: bytes, truncated: Callable[[int], Exception] = _no_newline
-) -> Iterator[tuple[int, bytes]]:
-    """Yield ``(byte offset, line)`` for each newline-terminated line of a log.
+) -> Iterator[tuple[bytes, dict[str, Any]]]:
+    """Yield ``(line, record)`` for each newline-terminated line of a log.
 
-    A tail without a newline raises ``truncated(offset)`` once the complete
+    A broken line raises ``DecodeError`` at its byte offset, and a tail
+    without a newline raises ``truncated(offset)``, each once the complete
     lines before it have been yielded.
     """
     offset = 0
@@ -199,20 +201,15 @@ def iter_log(
         end = log.find(b"\n", offset)
         if end == -1:
             raise truncated(offset)
-        yield offset, log[offset : end + 1]
+        line = log[offset : end + 1]
+        yield line, decode_line(line, offset)
         offset = end + 1
-
-
-def parse_log(log: bytes) -> list[dict[str, Any]]:
-    """Decode a session log into records, enforcing the line discipline."""
-    return [decode_line(line, offset) for offset, line in iter_log(log)]
 
 
 def extract_command_log(log: bytes) -> bytes:
     """Control-role command and end-of-round lines, verbatim."""
     out = bytearray()
-    for offset, line in iter_log(log):
-        record = decode_line(line, offset)
+    for line, record in iter_records(log):
         if record["role"] == ROLE_CONTROL and record["kind"] in ("command", "end-of-round"):
             out += line
     return bytes(out)
@@ -242,8 +239,7 @@ def message_of(record: dict[str, Any]) -> Any:
 def extract_event_stream(log: bytes) -> list[SimEvent]:
     """The emulation's production events, in wire order."""
     events: list[SimEvent] = []
-    for offset, line in iter_log(log):
-        record = decode_line(line, offset)
+    for _, record in iter_records(log):
         if record["role"] == ROLE_EMULATION and record["kind"] == "event-batch":
             events.extend(SimEvent.from_dict(d) for d in record["body"]["events"])
     return events
@@ -317,8 +313,8 @@ class ControlClient:
 
 def serve_control(endpoint, control: ReferenceControl) -> None:
     """Serve ``control`` over ``endpoint`` until run-end or until the peer
-    closes the wire; for a control on the far side of a socket, typically
-    in its own thread."""
+    closes the wire, then close the endpoint; for a control on the far side
+    of a socket, typically in its own thread."""
     client = ControlClient(
         lambda record, message: endpoint.send_line_record(encode_record(record), record, message),
         control,
@@ -328,6 +324,8 @@ def serve_control(endpoint, control: ReferenceControl) -> None:
             pass
     except EndOfStream:
         pass
+    finally:
+        endpoint.close()
 
 
 # -- endpoints ------------------------------------------------------------------
@@ -419,10 +417,12 @@ class SocketEndpoint:
         return line, record, message
 
     def close(self) -> None:
+        """Shut down the write side, then close the socket."""
         try:
             self._sock.shutdown(socket.SHUT_WR)
         except OSError:
             pass
+        self._sock.close()
 
 
 # -- recording ----------------------------------------------------------------
@@ -593,8 +593,7 @@ def replay_session(log: bytes, control: ReferenceControl) -> bytes:
     records: list[dict[str, Any]] = []
     last_round = 0
     complete = False
-    for offset, line in iter_log(log, _truncated_replay):
-        record = decode_line(line, offset)
+    for _, record in iter_records(log, _truncated_replay):
         if record["role"] in (ROLE_EMULATION, ROLE_SCENARIO):
             if record["kind"] == "event-batch":
                 if record["round"] != last_round + 1:

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable, get_type_hints
 
 from .canon import fits
+from .interface import iter_records
 
 FLOW_EVENTS = "FLOW1"
 FLOW_CONTROL_KPI = "FLOW7"
@@ -353,14 +354,11 @@ def recompute_from_log(log: bytes) -> KpiReport:
     ``seq``) and the control's counters are kept for the whole-log folds
     below.
     """
-    from .interface import decode_line, iter_log  # local import to avoid a module cycle
-
     meta: dict[str, Any] = {}
     dues: dict[str, int] = {}
     events: dict[int, dict[str, Any]] = {}  # seq -> event, deduplicated
     control_kpi: dict[str, int] = {}
-    for offset, line in iter_log(log):
-        record = decode_line(line, offset)
+    for _, record in iter_records(log):
         kind = record["kind"]
         if kind == "run-meta":
             meta = record["body"]

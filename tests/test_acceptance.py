@@ -20,11 +20,10 @@ from holobench.canon import canon_dumps
 from holobench.control import ReferenceControl, load_orders_file
 from holobench.harness import artifact_digest, load_suite, run_single, run_suite
 from holobench.interface import (
-    decode_line,
     encode_record,
     extract_command_log,
     extract_event_stream,
-    parse_log,
+    iter_records,
     replay_session,
 )
 from holobench.kpi import ConservationError, recompute_from_log, reports_match
@@ -136,7 +135,7 @@ def test_c5_leanness(bench):
     _, model, _, _ = bench
     hashes = set()
     for result in all_runs(bench):
-        for record in parse_log(result.log):
+        for _, record in iter_records(result.log):
             if record["kind"] == "hello":
                 hashes.add(record["body"]["model_hash"])
     assert hashes == {model.model_hash}
@@ -159,8 +158,7 @@ def test_c6_conservation(bench):
     assert report.released == report.completed + report.cancelled + report.scrapped
     mutated = bytearray()
     removed = 0
-    for line in result.log.splitlines(keepends=True):
-        record = decode_line(bytes(line))
+    for line, record in iter_records(result.log):
         if removed == 0 and record["kind"] == "event-batch":
             events = record["body"]["events"]
             survivors = [e for e in events if e["kind"] != "order-completed"]
@@ -248,5 +246,5 @@ def test_c9_passive_taps(bench):
     assert with_kpi.report is not None and without.report is None
     assert with_kpi.log == without.log
     # and the log itself is canonical: re-encoding every line is a no-op
-    for line in with_kpi.log.splitlines(keepends=True):
-        assert encode_record(decode_line(bytes(line))) == line
+    for line, record in iter_records(with_kpi.log):
+        assert encode_record(record) == line

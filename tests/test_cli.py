@@ -60,6 +60,16 @@ class TestRun:
         assert "force" in capsys.readouterr().err
         assert main(["run", suite_path, "--out", out, "--force"]) == 0
 
+    def test_run_into_a_directory_with_a_stray_report_keeps_it_and_fails(
+        self, suite_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        (out / "reports").mkdir(parents=True)
+        (out / "reports" / "keep.txt").write_text("not holobench's\n")
+        assert main(["run", suite_path, "--out", str(out), "--seeds", "1"]) == 1
+        assert "stray ['reports/keep.txt']" in capsys.readouterr().err
+        assert (out / "reports" / "keep.txt").read_text() == "not holobench's\n"
+
     def test_run_digest_is_stable(self, suite_path, tmp_path, capsys):
         main(["run", suite_path, "--out", str(tmp_path / "a")])
         first = capsys.readouterr().out

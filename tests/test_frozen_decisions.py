@@ -15,7 +15,7 @@ import pytest
 
 from holobench.control import ProductOrder
 from holobench.harness import run_single
-from holobench.interface import extract_command_log, parse_log
+from holobench.interface import extract_command_log, iter_records
 from holobench.model import load_model_doc
 from holobench.scenario import load_scenario
 
@@ -173,7 +173,7 @@ def frozen_run():
 
 def test_scenario_exercises_every_reaction(frozen_run):
     assert frozen_run.status == "completed"
-    records = parse_log(frozen_run.log)
+    records = [record for _, record in iter_records(frozen_run.log)]
     directives = {r["body"]["kind"] for r in records if r["kind"] == "directive"}
     assert directives == {"insert-order", "cancel-order", "set-priority",
                           "announce-breakdown", "announce-supply-block"}

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import tempfile
 import tracemalloc
@@ -157,6 +158,79 @@ class TestRunSuite:
         with pytest.raises(ArtifactError, match="force"):
             run_suite(suite, out)
         run_suite(suite, out, force=True)  # explicit consent overwrites
+
+    def test_forced_rerun_digests_as_a_fresh_run(self, suite, tmp_path):
+        """A forced rerun with other seeds leaves none of the old runs'
+        files behind, so its digest is a fresh directory's."""
+        used, fresh = str(tmp_path / "used"), str(tmp_path / "fresh")
+        run_suite(suite, used, seeds=(1,))
+        manifest = run_suite(suite, used, seeds=(2,), force=True)
+        run_suite(suite, fresh, seeds=(2,))
+        assert artifact_digest(used) == artifact_digest(fresh)
+        for sub, key in (("logs", "log"), ("reports", "report")):
+            assert sorted(os.listdir(os.path.join(used, sub))) == sorted(
+                os.path.basename(run[key]) for run in manifest["runs"]
+            )
+
+    def test_a_run_removes_no_file_its_old_manifest_does_not_name(self, suite, tmp_path):
+        """Without an old manifest nothing is removed; with one (forced),
+        only the log and report files it names are."""
+        out = tmp_path / "out"
+        for keep in ("logs/keep.txt", "reports/keep.txt", "reports/keep-dir/x"):
+            (out / keep).parent.mkdir(parents=True, exist_ok=True)
+            (out / keep).write_text("not holobench's\n")
+        run_suite(suite, str(out), seeds=(1,))
+        with pytest.raises(ArtifactError, match=re.escape("stray ['reports/keep-dir', ")):
+            artifact_digest(str(out))
+        run_suite(suite, str(out), seeds=(2,), force=True)
+        for keep in ("logs/keep.txt", "reports/keep.txt", "reports/keep-dir/x"):
+            assert (out / keep).read_text() == "not holobench's\n"
+        assert not [p for p in os.listdir(out / "reports") if p.endswith("-s1.json")]
+
+    def test_a_forced_run_removes_nothing_outside_logs_and_reports(self, suite, tmp_path):
+        out = tmp_path / "out"
+        manifest = run_suite(suite, str(out), seeds=(1,))
+        (tmp_path / "outside.txt").write_text("keep\n")
+        manifest["runs"][0]["log"] = "logs/../../outside.txt"
+        manifest["runs"][1]["report"] = "summary.txt"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        run_suite(suite, str(out), seeds=(1,), force=True)
+        assert (tmp_path / "outside.txt").read_text() == "keep\n"
+
+    def test_a_forced_run_over_a_broken_manifest_runs_no_session(
+        self, suite, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        run_suite(suite, str(out), seeds=(1,))
+        (out / "manifest.json").write_text("{not json")
+        sessions = []
+        monkeypatch.setattr(harness, "run_single", lambda *a, **k: sessions.append(a))
+        with pytest.raises(ArtifactError, match="manifest.json"):
+            run_suite(suite, str(out), seeds=(2,), force=True)
+        assert sessions == []
+
+    @pytest.mark.parametrize("damage", ["stray", "missing", "no-reports-dir"])
+    def test_digest_hashes_exactly_the_reports_the_manifest_names(
+        self, suite, tmp_path, damage
+    ):
+        out = str(tmp_path / "out")
+        manifest = run_suite(suite, out, seeds=(1,))
+        report = manifest["runs"][0]["report"]
+        if damage == "stray":
+            shutil.copy(os.path.join(out, report), os.path.join(out, "reports", "old-s9.json"))
+            expected = "stray ['reports/old-s9.json'], missing []"
+        elif damage == "missing":
+            os.remove(os.path.join(out, report))
+            expected = f"stray [], missing [{report!r}]"
+        else:
+            shutil.rmtree(os.path.join(out, "reports"))
+            expected = f"stray [], missing [{report!r}, "
+        with pytest.raises(ArtifactError, match=re.escape(expected)):
+            artifact_digest(out)
+
+    def test_digest_needs_a_manifest(self, tmp_path):
+        with pytest.raises(ArtifactError, match="manifest"):
+            artifact_digest(str(tmp_path))
 
     def test_seed_override_and_duplicate_guard(self, suite, tmp_path):
         manifest = run_suite(suite, str(tmp_path / "out"), seeds=(7,))

@@ -28,10 +28,9 @@ from holobench.interface import (
     encode_record,
     extract_command_log,
     extract_event_stream,
-    iter_log,
+    iter_records,
     make_record,
     message_of,
-    parse_log,
     replay_session,
     serve_control,
 )
@@ -49,8 +48,13 @@ from holobench.scenario import load_scenario_doc
 from test_control import ORACLE_SHOP, oracle_sessions
 
 
+def records_of(log):
+    """Every record of a session log, read with ``iter_records``."""
+    return [record for _, record in iter_records(log)]
+
+
 # Every reader that decodes a whole session log.
-LOG_READERS = [parse_log, extract_command_log, extract_event_stream, recompute_from_log]
+LOG_READERS = [records_of, extract_command_log, extract_event_stream, recompute_from_log]
 
 MINICELL_SCENARIOS = ["null", "ps9", "reject_rework", "rush_order", "supply_shortage"]
 WIRE_MESSAGES = (SimEvent, ControlCommand, ControlDirective, Injection, Notice)
@@ -76,6 +80,27 @@ def socket_session(model, orders, scenario, seed):
         right.close()
     assert not worker.is_alive()
     return result
+
+
+wire_records = st.builds(
+    make_record,
+    role=st.sampled_from(["emulation", "control", "scenario-manager"]),
+    round_no=st.integers(min_value=0, max_value=10**6),
+    t=st.integers(min_value=0, max_value=10**9),
+    kind=st.sampled_from(["hello", "event-batch", "command", "tap", "bye"]),
+    body=st.dictionaries(
+        st.text(min_size=1, max_size=6),
+        st.one_of(
+            st.integers(),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.text(max_size=12),
+            st.none(),
+            st.lists(st.integers(), max_size=3),
+        ),
+        max_size=5,
+    ),
+    corr=st.none() | st.integers(min_value=0, max_value=10**6),
+)
 
 
 # Documents the codec must write exactly as json.dumps does: non-ASCII and
@@ -141,27 +166,9 @@ class TestCodec:
         with pytest.raises(DecodeError, match=fragment):
             decode_line(line)
 
-    @given(
-        role=st.sampled_from(["emulation", "control", "scenario-manager"]),
-        round_no=st.integers(min_value=0, max_value=10**6),
-        t=st.integers(min_value=0, max_value=10**9),
-        kind=st.sampled_from(["hello", "event-batch", "command", "tap", "bye"]),
-        corr=st.none() | st.integers(min_value=0, max_value=10**6),
-        body=st.dictionaries(
-            st.text(min_size=1, max_size=6),
-            st.one_of(
-                st.integers(),
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.text(max_size=12),
-                st.none(),
-                st.lists(st.integers(), max_size=3),
-            ),
-            max_size=5,
-        ),
-    )
-    def test_round_trip_property(self, role, round_no, t, kind, corr, body):
-        r = make_record(role, round_no, t, kind, body, corr)
-        assert decode_line(encode_record(r)) == json.loads(json.dumps(r))
+    @given(record=wire_records)
+    def test_round_trip_property(self, record):
+        assert decode_line(encode_record(record)) == json.loads(json.dumps(record))
 
     @given(doc=json_docs)
     def test_canonical_text_is_what_json_dumps_writes(self, doc):
@@ -173,24 +180,39 @@ class TestCodec:
         assert repr(decode_line(line)) == repr(json.loads(line[len(b"IL1 ") :]))
 
     @pytest.mark.parametrize("reader", LOG_READERS)
-    def test_parse_log_reports_byte_offset(self, reader):
+    def test_readers_report_the_byte_offset(self, reader):
         good = encode_record(rec(body={"events": []}))
         log = good + b"IL1 broken\n"
         with pytest.raises(DecodeError) as e:
             reader(log)
         assert e.value.offset == len(good)
 
-    def test_iter_log_yields_offsets_and_reports_the_truncated_tail(self):
+    def test_iter_records_yields_lines_and_reports_the_truncated_tail(self):
         a, b = encode_record(rec()), encode_record(rec(kind="bye"))
-        assert list(iter_log(a + b)) == [(0, a), (len(a), b)]
-        assert list(iter_log(b"")) == []
-        lines = iter_log(a + b[:-1], lambda offset: ReplayError(f"tail at {offset}"))
-        assert next(lines) == (0, a)
+        assert list(iter_records(a + b)) == [(a, rec()), (b, rec(kind="bye"))]
+        assert list(iter_records(b"")) == []
+        lines = iter_records(a + b[:-1], lambda offset: ReplayError(f"tail at {offset}"))
+        assert next(lines) == (a, rec())
         with pytest.raises(ReplayError, match=f"tail at {len(a)}"):
             next(lines)
 
+    @given(records=st.lists(wire_records, min_size=1, max_size=6), cut=st.integers(min_value=0))
+    def test_iter_records_gives_back_each_line_and_record(self, records, cut):
+        lines = [encode_record(r) for r in records]
+        log = b"".join(lines)
+        expected = [(line, json.loads(json.dumps(r))) for line, r in zip(lines, records)]
+        assert list(iter_records(log)) == expected
+        # Cut the log inside its last line, leaving 1 to len - 1 of its bytes.
+        last = len(log) - len(lines[-1])
+        torn = log[: last + 1 + cut % (len(lines[-1]) - 1)]
+        got = []
+        with pytest.raises(DecodeError, match="log ends without a newline") as e:
+            got.extend(iter_records(torn))
+        assert e.value.offset == last
+        assert got == expected[:-1]
+
     @pytest.mark.parametrize("reader", LOG_READERS)
-    def test_parse_log_requires_trailing_newline(self, reader):
+    def test_readers_require_a_trailing_newline(self, reader):
         good = encode_record(rec(body={"events": []}))
         with pytest.raises(DecodeError, match="log ends without a newline") as e:
             reader(good + good[:-1])
@@ -298,6 +320,25 @@ class TestSocket:
                 SocketEndpoint(right, timeout=1.0).recv_line_record()
             assert isinstance(info.value.__cause__, cause)
 
+    def test_readme_socket_pair_session_closes_both_sockets(
+        self, minicell_model, minicell_orders, ps9_scenario
+    ):
+        """The README's socket-pair example, closing nothing by hand: the
+        driver closes its endpoint at run end, and ``serve_control`` closes
+        its own when it returns."""
+        left, right = socket.socketpair()
+        worker = threading.Thread(
+            target=serve_control, args=(SocketEndpoint(right), ReferenceControl(minicell_model))
+        )
+        worker.start()
+        result = run_single(
+            minicell_model, minicell_orders, ps9_scenario, seed=1, endpoint=SocketEndpoint(left)
+        )
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert result.status == "completed"
+        assert left.fileno() == right.fileno() == -1
+
     @pytest.mark.parametrize(
         "name, seed",
         [("null", 1), ("ps9", 2), ("reject_rework", 3), ("rush_order", 1),
@@ -353,7 +394,7 @@ class TestRecorder:
             minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3
         )
         assert result.status == "completed"
-        records = parse_log(result.log)
+        records = records_of(result.log)
         assert [r["kind"] for r in seen] == [r["kind"] for r in records]
         assert seen == records
         assert [r["kind"] for r in seen[-2:]] == ["tap", "bye"]
@@ -381,7 +422,7 @@ class TestRecorder:
             result = run_single(model, book, scenario, seed)
         finally:
             KpiEngine.observe_record = observe
-        assert seen == parse_log(result.log)
+        assert seen == records_of(result.log)
 
     def test_tap_that_mutates_records_cannot_change_the_session(
         self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
@@ -414,7 +455,7 @@ class TestRecorder:
         monkeypatch.setattr(KpiEngine, "observe_record", tear)
         tapped = run_single(minicell_model, minicell_orders, scenario, seed=3)
         assert tapped.log == clean.log
-        assert len(torn) == len(parse_log(clean.log))
+        assert len(torn) == len(records_of(clean.log))
 
 
 class TestDecodeOnce:
@@ -444,10 +485,10 @@ class TestDecodeOnce:
         remote = socket_session(minicell_model, minicell_orders, scenario, seed=3)
         decoded_in_run = list(calls)
         monkeypatch.undo()
-        records = parse_log(remote.log)
+        records = records_of(remote.log)
         sent_to_control = sum(r["role"] != "control" for r in records)
         assert sent_to_control and sent_to_control < len(records)
-        assert sorted(decoded_in_run) == sorted(line for _, line in iter_log(remote.log))
+        assert sorted(decoded_in_run) == sorted(line for line, _ in iter_records(remote.log))
 
     def test_in_process_records_are_checked_not_decoded(self, minicell_model, monkeypatch):
         """The control gets the driver's own record once ``check_record``
@@ -498,7 +539,7 @@ class TestDecodeOnce:
         # only the command and end-of-round records it returns are encoded
         assert len(encoded) == replayed.count(b"\n") == 52
         monkeypatch.undo()
-        records = parse_log(log)
+        records = records_of(log)
         assert sum(r["role"] == "control" for r in records) == 57
         assert replayed == extract_command_log(log)
 
@@ -507,9 +548,10 @@ class TestDecodeOnce:
         self, minicell_model, minicell_orders, ps9_scenario, monkeypatch, reader
     ):
         log = run_single(minicell_model, minicell_orders, ps9_scenario, seed=1).log
+        lines = [line for line, _ in iter_records(log)]
         calls = self._count_decodes(monkeypatch)
         reader(log)
-        assert calls == [line for _, line in iter_log(log)]
+        assert calls == lines
 
 
 def count_message_builds(monkeypatch):
@@ -546,7 +588,7 @@ class TestMessagesCross:
         assert built == Counter()
         # A socket peer and replay still build every message they read.
         remote = socket_session(minicell_model, minicell_orders, scenarios[-1], seed=3)
-        records = parse_log(remote.log)
+        records = records_of(remote.log)
         events = sum(len(r["body"]["events"]) for r in records if r["kind"] == "event-batch")
         kinds = Counter(r["kind"] for r in records)
         assert events and kinds["command"] and kinds["directive"]
@@ -629,7 +671,7 @@ def traced_peak(reader, log):
 class TestReaderMemory:
     """The log readers decode one line at a time and keep only what they
     return, so their peak is a small multiple of the log.  Decoding the
-    whole log first, as ``parse_log`` does, peaks at about 7-8 times it."""
+    whole log first, as ``records_of`` does, peaks at about 7-8 times it."""
 
     @pytest.mark.parametrize(
         "name", ["null", "ps9", "reject_rework", "rush_order", "supply_shortage"]
@@ -640,6 +682,7 @@ class TestReaderMemory:
         log = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=3).log
         assert traced_peak(recompute_from_log, log) <= 3 * len(log)
         assert traced_peak(extract_event_stream, log) <= 2 * len(log)
+        assert traced_peak(extract_command_log, log) <= 2 * len(log)
 
 
 class TestOldFormatLogs:
@@ -650,9 +693,8 @@ class TestOldFormatLogs:
     @staticmethod
     def with_latency_taps(log):
         old = bytearray()
-        for _, line in iter_log(log):
+        for line, record in iter_records(log):
             old += line
-            record = decode_line(line)
             if record["kind"] == "end-of-round":
                 body = {"flow": "FLOW2", "name": "decision_latency_ms", "value": 0.25,
                         "i": record["round"]}
@@ -668,7 +710,7 @@ class TestOldFormatLogs:
     ):
         result = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=2)
         old = self.with_latency_taps(result.log)
-        rounds = sum(r["kind"] == "event-batch" for r in parse_log(result.log))
+        rounds = sum(r["kind"] == "event-batch" for r in records_of(result.log))
         assert old.count(b'"FLOW2"') == rounds > 0
         assert recompute_from_log(old) == recompute_from_log(result.log) == result.report
         assert extract_command_log(old) == extract_command_log(result.log)
@@ -677,7 +719,7 @@ class TestOldFormatLogs:
         assert replayed == replay_session(result.log, ReferenceControl(minicell_model))
         assert replayed == extract_command_log(result.log)
         engine = KpiEngine()
-        for record in parse_log(old):
+        for record in records_of(old):
             engine.observe_record(record)
         assert reports_match(engine.finalize(), result.report) == []
 
@@ -722,8 +764,7 @@ class TestReplay:
         log = self._log(minicell_model, minicell_orders, null_scenario)
         shuffled = bytearray()
         batches = []
-        for record_line in log.splitlines(keepends=True):
-            record = decode_line(record_line)
+        for record_line, record in iter_records(log):
             if record["role"] == "emulation" and record["kind"] == "event-batch":
                 batches.append(record_line)
         # duplicate the first batch line right after itself: same round twice
@@ -761,11 +802,11 @@ class TestHandshake:
         sent = []
         client = ControlClient(lambda record, message: sent.append(record),
                                ReferenceControl(minicell_model))
-        handled = [client.handle(r, message_of(r)) for r in parse_log(log)
+        handled = [client.handle(r, message_of(r)) for r in records_of(log)
                    if r["role"] != "control"]
         assert handled[:-1] == [True] * (len(handled) - 1) and handled[-1] is False
         assert b"".join(map(encode_record, sent)) == b"".join(
-            line for _, line in iter_log(log) if decode_line(line)["role"] == "control"
+            line for line, record in iter_records(log) if record["role"] == "control"
         )
 
 

@@ -6,7 +6,7 @@ from dataclasses import fields
 import pytest
 
 from holobench.harness import run_single
-from holobench.interface import decode_line, encode_record, make_record, parse_log
+from holobench.interface import encode_record, iter_records, make_record
 from holobench.kpi import (
     ConservationError,
     KpiEngine,
@@ -284,8 +284,7 @@ class TestConservation:
         recompute_from_log(result.log)  # intact log is conservative
         kept = []
         dropped = 0
-        for line in result.log.splitlines(keepends=True):
-            record = decode_line(line)
+        for line, record in iter_records(result.log):
             if (dropped == 0 and record["kind"] == "event-batch"
                     and any(e["kind"] == "order-completed"
                             for e in record["body"]["events"])):
@@ -374,8 +373,7 @@ def drop_first_event(log, kind):
     """The log with the first event of ``kind`` cut out of its batch."""
     out = []
     dropped = False
-    for line in log.splitlines(keepends=True):
-        record = decode_line(line)
+    for line, record in iter_records(log):
         if not dropped and record["kind"] == "event-batch":
             events = record["body"]["events"]
             for i, e in enumerate(events):
@@ -408,5 +406,5 @@ class TestRecomputeIsAsStrictAsTheEngine:
             recompute_from_log(mutated)
         eng = KpiEngine()
         with pytest.raises(StreamError, match=message):
-            for record in parse_log(mutated):
+            for _, record in iter_records(mutated):
                 eng.observe_record(record)
