@@ -162,7 +162,8 @@ def run_single(
     ``InProcEndpoint``.  Pass ``endpoint`` to talk to a control served
     elsewhere instead, typically by ``serve_control`` on the far side of a
     socket, which must already be listening.  Either way the session writes
-    the same log bytes.
+    the same log bytes, and the endpoint is closed when the session ends or
+    fails.
     """
     kernel = EmulationKernel(model)
     manager = ScenarioManager(scenario, seed)
@@ -171,24 +172,26 @@ def run_single(
     if attach_kpi:
         engine = KpiEngine()
         recorder.attach(engine.observe_record)
-    driver = RoundDriver(
-        endpoint or InProcEndpoint(ReferenceControl(model)), model.model_hash, recorder
-    )
+    endpoint = endpoint or InProcEndpoint(ReferenceControl(model))
+    driver = RoundDriver(endpoint, model.model_hash, recorder)
 
     run_id = f"{scenario.id}-s{seed}"
-    driver.handshake()
-    driver.send_run_meta(
-        {
-            "run_id": run_id,
-            "scenario": scenario.id,
-            "seed": seed,
-            "cap": cap,
-            "orders": [o.to_dict() for o in orders],
-            "machines": sorted(model.machines),
-        }
-    )
-    status, events = _drive(kernel, manager, driver, cap)
-    driver.end_run(kernel.clock, status)
+    try:
+        driver.handshake()
+        driver.send_run_meta(
+            {
+                "run_id": run_id,
+                "scenario": scenario.id,
+                "seed": seed,
+                "cap": cap,
+                "orders": [o.to_dict() for o in orders],
+                "machines": sorted(model.machines),
+            }
+        )
+        status, events = _drive(kernel, manager, driver, cap)
+        driver.end_run(kernel.clock, status)
+    finally:
+        endpoint.close()
 
     log = recorder.log_bytes()
     report: KpiReport | None = None

@@ -558,8 +558,7 @@ class RoundDriver:
                 return commands, idle
 
     def end_run(self, t: int, reason: str) -> None:
-        """Send run-end, read the control's final taps and its bye, and
-        close the endpoint."""
+        """Send run-end and read the control's final taps and its bye."""
         self.round_no += 1
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "run-end", {"reason": reason}))
         while True:
@@ -569,8 +568,7 @@ class RoundDriver:
                 raise ProtocolError(f"unexpected record {kind!r} after run-end")
             self._recorder.record(line, record)
             if kind == "bye":
-                break
-        self._ep.close()
+                return
 
 
 # -- replay -------------------------------------------------------------------

@@ -15,6 +15,9 @@ Commands are applied at the current clock: the events they cause carry the
 same tick as the batch that prompted them.  Invalid commands and no-op
 injections never raise; they produce notices that ride along with the next
 event batch.
+
+A scheduled happening is live exactly while ``_live`` maps its (kind,
+subject) to its push id; firing or cancelling it drops the mapping.
 """
 
 from __future__ import annotations
@@ -28,20 +31,12 @@ from .messages import ControlCommand, Injection, Notice, SimEvent
 from .model import ShopModel
 
 
-class KernelError(RuntimeError):
-    """Internal invariant violation: a pending entry of an unknown kind."""
-
-
 @dataclass
 class _Machine:
     down: bool = False
-    down_token: int = 0
     blocked: bool = False
-    block_token: int = 0
     busy_order: str | None = None
     busy_operation: str | None = None
-    busy_token: int = 0
-    busy_finish: int | None = None
 
     @property
     def busy(self) -> bool:
@@ -50,7 +45,6 @@ class _Machine:
     def clear_busy(self) -> None:
         self.busy_order = None
         self.busy_operation = None
-        self.busy_finish = None
 
 
 @dataclass
@@ -58,7 +52,6 @@ class _Shuttle:
     node: str | None  # None while in transit
     cargo: str | None = None
     dest: str | None = None
-    arrive: int | None = None
 
     @property
     def moving(self) -> bool:
@@ -92,38 +85,28 @@ class EmulationKernel:
         }
         self._products: dict[str, _Product] = {}
         self._released: set[str] = set()
-        # Heap entries: (time, kind, subject, push_id, token).  push_id makes
-        # keys unique; token marks the episode so stale entries can be skipped.
-        self._pending: list[tuple[int, str, str, int, int]] = []
+        # Heap entries: (time, kind, subject, push_id); push_id makes keys unique.
+        self._pending: list[tuple[int, str, str, int]] = []
+        self._live: dict[tuple[str, str], int] = {}
         self._push_counter = 0
         self._notices: list[Notice] = []
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, time: int, kind: str, subject: str, token: int) -> None:
+    def _schedule(self, time: int, kind: str, subject: str) -> None:
         self._push_counter += 1
-        heapq.heappush(self._pending, (time, kind, subject, self._push_counter, token))
+        self._live[kind, subject] = self._push_counter
+        heapq.heappush(self._pending, (time, kind, subject, self._push_counter))
 
-    def _is_stale(self, kind: str, subject: str, token: int) -> bool:
-        if kind == _ARRIVE:
-            return not self._shuttles[subject].moving
-        m = self._machines[subject]
-        if kind == _OP_FINISH:
-            return m.busy_order is None or m.busy_token != token
-        if kind == _MACHINE_UP:
-            return not m.down or m.down_token != token
-        if kind == _SUPPLY_RESTORE:
-            return not m.blocked or m.block_token != token
-        raise KernelError(f"unknown pending kind {kind!r}")
+    def _is_live(self, entry: tuple[int, str, str, int]) -> bool:
+        return self._live.get(entry[1:3]) == entry[3]
 
     def has_pending(self) -> bool:
         """True if any scheduled happening is still live."""
         while self._pending:
-            _t, kind, subject, _pid, token = self._pending[0]
-            if self._is_stale(kind, subject, token):
-                heapq.heappop(self._pending)
-                continue
-            return True
+            if self._is_live(self._pending[0]):
+                return True
+            heapq.heappop(self._pending)
         return False
 
     # -- advancing ----------------------------------------------------------
@@ -143,14 +126,15 @@ class EmulationKernel:
             return self._seal(raw)
         while self.has_pending():
             t = self._pending[0][0]
-            group: list[tuple[int, str, str, int, int]] = []
+            group: list[tuple[int, str, str, int]] = []
             while self._pending and self._pending[0][0] == t:
                 group.append(heapq.heappop(self._pending))
             self.clock = t
-            for _t, kind, subject, _pid, token in group:
-                if self._is_stale(kind, subject, token):
-                    continue
-                raw.extend(self._fire(kind, subject))
+            for entry in group:
+                if self._is_live(entry):
+                    _t, kind, subject, _pid = entry
+                    del self._live[kind, subject]
+                    raw.extend(self._fire(kind, subject))
             if raw:
                 return self._seal(raw)
         return []
@@ -180,14 +164,12 @@ class EmulationKernel:
             return self._fire_op_finish(subject)
         if kind == _MACHINE_UP:
             return self._fire_machine_up(subject)
-        if kind == _SUPPLY_RESTORE:
-            return self._fire_supply_restore(subject)
-        raise KernelError(f"unknown pending kind {kind!r}")
+        return self._fire_supply_restore(subject)
 
     def _fire_arrive(self, sid: str) -> list[dict[str, Any]]:
         sh = self._shuttles[sid]
         dest, cargo = sh.dest, sh.cargo
-        sh.node, sh.dest, sh.arrive, sh.cargo = dest, None, None, None
+        sh.node, sh.dest, sh.cargo = dest, None, None
         out: list[dict[str, Any]] = [{"kind": "shuttle-arrived", "shuttle": sid, "node": dest}]
         if cargo is not None:
             out[0]["order"] = cargo
@@ -217,13 +199,13 @@ class EmulationKernel:
     def _fire_machine_up(self, mid: str) -> list[dict[str, Any]]:
         m = self._machines[mid]
         m.down = False
-        m.down_token += 1
+        self._live.pop((_MACHINE_UP, mid), None)
         return [{"kind": "machine-up", "machine": mid, "node": self.model.machines[mid].node}]
 
     def _fire_supply_restore(self, mid: str) -> list[dict[str, Any]]:
         m = self._machines[mid]
         m.blocked = False
-        m.block_token += 1
+        self._live.pop((_SUPPLY_RESTORE, mid), None)
         return [{"kind": "supply-restored", "machine": mid, "node": self.model.machines[mid].node}]
 
     # -- commands -----------------------------------------------------------
@@ -283,13 +265,13 @@ class EmulationKernel:
             if product.node != sh.node:
                 return self._reject(cmd, f"carry order {cargo!r} is not at {sh.node!r}")
         origin = sh.node
-        sh.node, sh.dest, sh.arrive = None, dest, self.clock + travel
+        sh.node, sh.dest = None, dest
         ev: dict[str, Any] = {"kind": "shuttle-departed", "shuttle": sid, "node": origin}
         if cargo is not None and product is not None:
             sh.cargo = cargo
             product.shuttle, product.node = sid, None
             ev["order"] = cargo
-        self._schedule(sh.arrive, _ARRIVE, sid, 0)
+        self._schedule(self.clock + travel, _ARRIVE, sid)
         return [ev]
 
     def _cmd_start(self, cmd: ControlCommand) -> list[dict[str, Any]]:
@@ -313,11 +295,9 @@ class EmulationKernel:
             return self._reject(cmd, f"order {order!r} is not available")
         if p.node != spec.node:
             return self._reject(cmd, f"order {order!r} is not at machine {mid!r}")
-        m.busy_token += 1
         m.busy_order, m.busy_operation = order, op
-        m.busy_finish = self.clock + spec.operations[op]
         p.processing = mid
-        self._schedule(m.busy_finish, _OP_FINISH, mid, m.busy_token)
+        self._schedule(self.clock + spec.operations[op], _OP_FINISH, mid)
         return [
             {
                 "kind": "op-started",
@@ -373,15 +353,15 @@ class EmulationKernel:
         if m.down:
             return self._ignore(inj, f"machine {mid!r} is already down")
         m.down = True
-        m.down_token += 1
         info: dict[str, Any] = {}
         if m.busy_order is not None:
             # Preemption loses all progress; the product waits at the machine.
             self._products[m.busy_order].processing = None
             info["preempted"] = m.busy_order
             m.clear_busy()
+            del self._live[_OP_FINISH, mid]
         if inj.duration is not None:
-            self._schedule(self.clock + inj.duration, _MACHINE_UP, mid, m.down_token)
+            self._schedule(self.clock + inj.duration, _MACHINE_UP, mid)
             info["duration"] = inj.duration
         ev: dict[str, Any] = {
             "kind": "machine-down",
@@ -405,14 +385,13 @@ class EmulationKernel:
         if m.blocked:
             return self._ignore(inj, f"machine {mid!r} is already supply-blocked")
         m.blocked = True
-        m.block_token += 1
         ev: dict[str, Any] = {
             "kind": "supply-blocked",
             "machine": mid,
             "node": self.model.machines[mid].node,
         }
         if inj.duration is not None:
-            self._schedule(self.clock + inj.duration, _SUPPLY_RESTORE, mid, m.block_token)
+            self._schedule(self.clock + inj.duration, _SUPPLY_RESTORE, mid)
             ev["info"] = {"duration": inj.duration}
         return [ev]
 
@@ -437,6 +416,7 @@ class EmulationKernel:
             # Abort the running operation; the product stays at the machine.
             mid = p.processing
             self._machines[mid].clear_busy()
+            del self._live[_OP_FINISH, mid]
             p.processing = None
             ev["machine"] = mid
             ev["node"] = p.node
@@ -459,7 +439,9 @@ class EmulationKernel:
     # -- snapshot --------------------------------------------------------------
 
     def snapshot(self) -> str:
-        """Full state as canonical JSON; equal strings mean equal state."""
+        """Full state as canonical JSON; equal strings mean equal state.
+
+        Pending lists the live entries only, those ``_live`` still maps."""
         doc = {
             "clock": self.clock,
             "next_seq": self._next_seq,
@@ -468,7 +450,7 @@ class EmulationKernel:
             "shuttles": {sid: asdict(s) for sid, s in sorted(self._shuttles.items())},
             "products": {oid: asdict(p) for oid, p in sorted(self._products.items())},
             "released": sorted(self._released),
-            "pending": sorted(self._pending),
+            "pending": sorted(e for e in self._pending if self._is_live(e)),
             "push_counter": self._push_counter,
             "notices": [n.to_dict() for n in self._notices],
         }

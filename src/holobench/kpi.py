@@ -284,13 +284,13 @@ class KpiEngine:
             )
         makespan = max(self._completed.values(), default=0)
         horizon = makespan
-        busy = dict(self._busy)
+        busy = {m: list(spans) for m, spans in self._busy.items()}
         for machine, (start, _) in self._busy_open.items():
             busy.setdefault(machine, []).append((start, horizon))
-        down = dict(self._down)
+        down = {m: list(spans) for m, spans in self._down.items()}
         for machine, start in self._down_open.items():
             down.setdefault(machine, []).append((start, horizon))
-        blocked = dict(self._blocked)
+        blocked = {m: list(spans) for m, spans in self._blocked.items()}
         for machine, start in self._blocked_open.items():
             blocked.setdefault(machine, []).append((start, horizon))
 

@@ -45,7 +45,7 @@ from holobench.messages import (
 )
 from holobench.model import load_model_doc
 from holobench.scenario import load_scenario_doc
-from test_control import ORACLE_SHOP, oracle_sessions
+from strategies import ORACLE_SHOP, oracle_sessions
 
 
 def records_of(log):
@@ -337,6 +337,27 @@ class TestSocket:
         worker.join(timeout=10)
         assert not worker.is_alive()
         assert result.status == "completed"
+        assert left.fileno() == right.fileno() == -1
+
+    def test_failed_session_closes_the_driver_socket(
+        self, minicell_model, minicell_orders, ps9_scenario
+    ):
+        """A control that reads the hello and hangs up fails the session,
+        and ``run_single`` still closes its endpoint."""
+        left, right = socket.socketpair()
+
+        def hang_up(endpoint):
+            endpoint.recv_line()
+            endpoint.close()
+
+        worker = threading.Thread(target=hang_up, args=(SocketEndpoint(right),))
+        worker.start()
+        with pytest.raises(ProtocolError, match="the control hung up before its bye"):
+            run_single(
+                minicell_model, minicell_orders, ps9_scenario, seed=1, endpoint=SocketEndpoint(left)
+            )
+        worker.join(timeout=10)
+        assert not worker.is_alive()
         assert left.fileno() == right.fileno() == -1
 
     @pytest.mark.parametrize(

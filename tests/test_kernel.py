@@ -218,6 +218,30 @@ class TestInjections:
         assert up.kind == "machine-up" and up.time == 0
         assert k.advance() == []  # the +50 timer is stale now
 
+    @pytest.mark.parametrize("second", [100, None])
+    @pytest.mark.parametrize(
+        "down, up, fired, flag",
+        [
+            ("machine-down", "machine-up", "machine-up", "down"),
+            ("supply-shortage", "supply-restore", "supply-restored", "blocked"),
+        ],
+    )
+    def test_explicit_end_then_start_again_keeps_only_the_new_timer(
+        self, line_model, down, up, fired, flag, second
+    ):
+        """The +50 timer dies with the explicit end; a second start
+        schedules only its own end, or none without a duration."""
+        k = EmulationKernel(line_model)
+        k.apply_injection(Injection(kind=down, machine="M1", duration=50))
+        k.apply_injection(Injection(kind=up, machine="M1"))
+        k.apply_injection(Injection(kind=down, machine="M1", duration=second))
+        if second is None:
+            assert k.advance() == [] and state(k)["machines"]["M1"][flag]
+        else:
+            (ev,) = k.advance()
+            assert (ev.kind, ev.time) == (fired, 100)
+            assert k.advance() == []
+
     def test_explicit_supply_restore_then_restore_again_is_ignored(self, line_model):
         k = EmulationKernel(line_model)
         (blocked,) = k.apply_injection(Injection(kind="supply-shortage", machine="M1"))
@@ -265,6 +289,9 @@ class TestInjections:
         assert ev.machine == "M1" and ev.info["policy"] == "rework"
         assert state(k)["machines"]["M1"]["busy_order"] is None
         assert state(k)["products"]["O1"] == {"node": "M1", "shuttle": None, "processing": None}
+        # the aborted operation's finish at 15 never fires
+        assert k.advance() == []
+        assert not k.has_pending()
 
     def test_reject_scrap_removes_product(self, line_model):
         k = EmulationKernel(line_model)
@@ -300,8 +327,9 @@ class TestSnapshot:
         assert doc["clock"] == 0 and doc["next_seq"] == 1
 
 
-# Random command scripts. Invalid commands only produce notices, so any
-# generated script is safe to apply; determinism must hold regardless.
+# Random scripts of commands and injections. Invalid commands and no-op
+# injections only produce notices, so any generated script is safe to apply;
+# determinism and the liveness of scheduled happenings must hold regardless.
 _cmd = st.one_of(
     st.builds(release, st.sampled_from(["O1", "O2", "O3"])),
     st.builds(
@@ -317,28 +345,80 @@ _cmd = st.one_of(
         st.sampled_from(["O1", "O2", "O3"]),
     ),
 )
+_machine = st.sampled_from(["M1", "M2"])
+_inj = st.one_of(
+    st.builds(Injection, st.sampled_from(["machine-down", "supply-shortage"]), _machine,
+              duration=st.none() | st.integers(1, 30)),
+    st.builds(Injection, st.sampled_from(["machine-up", "supply-restore"]), _machine),
+    st.builds(Injection, st.just("product-reject"), order=st.sampled_from(["O1", "O2"]),
+              policy=st.sampled_from(["rework", "scrap"])),
+)
 
 
-@settings(max_examples=60, deadline=None)
-@given(script=st.lists(st.lists(_cmd, max_size=3), max_size=12))
+def check_liveness(model, stream):
+    """Every op-finished ends an op-started on its machine that no
+    machine-down or product-rejected cut short, and after its operation's
+    duration; every timed machine-up or supply-restored comes exactly its
+    duration after the down or block, unless an explicit one came first."""
+    running = {}  # machine -> (order, operation, start time)
+    timers = {"machine-up": {}, "supply-restored": {}}  # machine -> due tick or None
+    for explicit, e in stream:
+        if e.kind == "op-started":
+            running[e.machine] = (e.order, e.info["operation"], e.time)
+        elif e.kind == "op-finished":
+            order, op, started = running.pop(e.machine)
+            assert order == e.order
+            assert e.time == started + model.machines[e.machine].operations[op]
+        elif e.kind == "product-rejected" and e.machine is not None:
+            assert running.pop(e.machine)[0] == e.order
+        elif e.kind in ("machine-down", "supply-blocked"):
+            if e.kind == "machine-down":
+                running.pop(e.machine, None)
+            duration = (e.info or {}).get("duration")
+            up = "machine-up" if e.kind == "machine-down" else "supply-restored"
+            timers[up][e.machine] = None if duration is None else e.time + duration
+        elif e.kind in timers:
+            due = timers[e.kind].pop(e.machine)
+            assert explicit or due == e.time
+    assert not running
+    for pending in timers.values():
+        assert all(due is None for due in pending.values())
+
+
+# A step is a command batch, a tuple of injections at the current clock, or
+# None for a bare advance to the next happening.  Restarting O1 on M1 or O2
+# on M2 is drawn on its own, so that operations often run into injections.
+_step = st.one_of(
+    st.lists(_cmd, min_size=1, max_size=3),
+    st.sampled_from([[start("M1", "A", "O1")], [start("M2", "B", "O2")]]),
+    st.lists(_inj, min_size=1, max_size=3).map(tuple),
+    st.none(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=st.lists(_step, max_size=24))
 def test_determinism_under_random_scripts(minicell_model_doc, script):
     def run():
         k = EmulationKernel(load_model_doc(minicell_model_doc))
-        stream = []
-        for cmds in script:
-            stream.extend(k.advance(cmds))
-            stream.extend(k.advance())
+        # O1 and O2 start out waiting at M1 and M2, so that starts can succeed.
+        stream = [(False, e) for e in k.advance([
+            release("O1"), release("O2"), move("S1", "M1", "O1"), move("S2", "M2", "O2"),
+        ]) + k.advance()]
+        for step in script:
+            if isinstance(step, tuple):
+                for inj in step:
+                    stream.extend((True, e) for e in k.apply_injection(inj))
+            else:
+                stream.extend((False, e) for e in k.advance(step or ()))
             k.drain_notices()
-        while True:
-            batch = k.advance()
-            if not batch:
-                break
-            stream.extend(batch)
+        while batch := k.advance():
+            stream.extend((False, e) for e in batch)
         return stream, k.snapshot()
 
     sa, snap_a = run()
     sb, snap_b = run()
     assert sa == sb
     assert snap_a == snap_b
-    seqs = [e.seq for e in sa]
-    assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+    assert [e.seq for _, e in sa] == list(range(1, len(sa) + 1))
+    check_liveness(load_model_doc(minicell_model_doc), sa)

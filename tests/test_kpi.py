@@ -133,6 +133,31 @@ class TestFormulas:
         assert r.machine_down == {"M1": 0, "M2": 5}
         assert r.makespan == 12
 
+    def test_finalize_twice_gives_the_same_report(self):
+        # M2 is down 1-2 and again from 3, M1 blocked from 4; both intervals
+        # are still open when O1 completes at 6.
+        eng = KpiEngine()
+        eng.observe_record(meta([
+            {"id": "O1", "routing": ["A"], "release": 0, "due": 99, "priority": 0},
+        ], machines=("M1", "M2")))
+        eng.observe_record(batch(1, 0, [
+            {"time": 0, "seq": 1, "kind": "order-released", "order": "O1", "node": "IN"},
+        ]))
+        for seq, (t, kind, machine) in enumerate([
+            (1, "machine-down", "M2"), (2, "machine-up", "M2"),
+            (3, "machine-down", "M2"), (4, "supply-blocked", "M1"),
+        ], start=2):
+            eng.observe_record(batch(seq, t, [
+                {"time": t, "seq": seq, "kind": kind, "machine": machine, "node": machine},
+            ]))
+        eng.observe_record(batch(6, 6, [
+            {"time": 6, "seq": 6, "kind": "order-completed", "order": "O1", "node": "OUT"},
+        ]))
+        first = eng.finalize()
+        assert first.machine_down == {"M1": 0, "M2": 4}
+        assert first.machine_blocked == {"M1": 2, "M2": 0}
+        assert eng.finalize() == first
+
     def test_scrap_in_process_and_open_down_and_block_intervals(self):
         # O1 is scrapped on M1 mid-operation; M1 goes down and M2 supply-blocked
         # at t=3, and neither recovers before O2 completes at t=12.
