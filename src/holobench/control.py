@@ -30,7 +30,8 @@ walks the other waiting products merged by rank with the queues of those
 machines, and once no shuttle is idle and unassigned it serves only the
 products that already hold one.  Invariant: every round issues exactly the
 commands, in exactly the order, that the dispatch and transport rules above
-give when applied to every holon.
+give when applied to every holon.  A holon closes in one place, which frees
+its shuttle.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from typing import Any, Iterable
 
@@ -136,9 +137,7 @@ class _OrderHolon:
     assigned_shuttle: str | None = None
     cancel_requested: bool = False
     cancel_sent: bool = False
-    done: bool = False
-    cancelled: bool = False
-    scrapped: bool = False
+    open_: bool = True  # False once completed, cancelled or scrapped
     place: list[_OrderHolon] | None = field(default=None, repr=False, compare=False)
     rank: tuple[int, int, str] = field(init=False, repr=False, compare=False)
 
@@ -147,10 +146,6 @@ class _OrderHolon:
 
     def rerank(self) -> None:
         self.rank = (-self.spec.priority, self.spec.due, self.spec.id)
-
-    @property
-    def open_(self) -> bool:
-        return not (self.done or self.cancelled or self.scrapped)
 
     @property
     def next_operation(self) -> str | None:
@@ -181,9 +176,7 @@ class _ResourceHolon:
 @dataclass
 class _ShuttleBelief:
     id: str
-    node: str | None
-    moving: bool = False
-    cargo: str | None = None
+    node: str | None  # None while moving
     assigned_order: str | None = None
 
 
@@ -260,8 +253,7 @@ class ReferenceControl:
             self._touched.append(h)
             if not h.released and not h.release_sent:
                 # Never hit the floor; cancel is a pure book operation.
-                h.cancelled = True
-                self._open -= 1
+                self._close(h)
             self.stats.directives_handled += 1
         elif d.kind == "set-priority":
             h = self._orders.get(d.order_id or "")
@@ -290,33 +282,31 @@ class ReferenceControl:
             r.blocked = True
             self.stats.directives_handled += 1
 
+    def _close(self, h: _OrderHolon) -> None:
+        """End ``h`` (completed, cancelled or scrapped) and free its shuttle."""
+        if h.open_:
+            h.open_ = False
+            self._open -= 1
+        if h.assigned_shuttle:
+            self._shuttles[h.assigned_shuttle].assigned_order = None
+            h.assigned_shuttle = None
+
     def _apply_event(self, ev: SimEvent) -> None:
         h = self._orders.get(ev.order) if ev.order else None
-        was_open = h is not None and h.open_
-        self._apply_event_to(ev, h)
         if h is not None:
             self._touched.append(h)
-        if was_open and not h.open_:
-            self._open -= 1
-
-    def _apply_event_to(self, ev: SimEvent, h: _OrderHolon | None) -> None:
         if ev.kind == "order-released":
             if h is not None:
                 h.released = True
                 h.node = ev.node
         elif ev.kind == "shuttle-departed":
-            s = self._shuttles[ev.shuttle]
-            s.moving = True
-            s.node = None
+            self._shuttles[ev.shuttle].node = None
             if ev.order and h is not None:
-                s.cargo = ev.order
                 h.in_transit = True
                 h.node = None
         elif ev.kind == "shuttle-arrived":
             s = self._shuttles[ev.shuttle]
-            s.moving = False
             s.node = ev.node
-            s.cargo = None
             # A fetch arrival (no order aboard) keeps the claim so the carry
             # leg is issued next round; a delivery releases the shuttle.
             if ev.order and h is not None:
@@ -371,26 +361,15 @@ class ReferenceControl:
                 self.stats.reschedules += 1
             policy = ev.info.get("policy")
             if policy == "scrap":
-                h.scrapped = True
-                if h.assigned_shuttle:
-                    self._shuttles[h.assigned_shuttle].assigned_order = None
-                    h.assigned_shuttle = None
+                self._close(h)
             elif policy == "rework":
                 # Rework repeats the spoiled step: the running one if caught
                 # in process, otherwise the step just finished.
                 if not was_processing:
                     h.progress = max(0, h.progress - 1)
-        elif ev.kind == "order-completed":
+        elif ev.kind in ("order-completed", "order-cancelled"):
             if h is not None:
-                h.done = True
-                h.node = None
-                if h.assigned_shuttle:
-                    self._shuttles[h.assigned_shuttle].assigned_order = None
-                    h.assigned_shuttle = None
-        elif ev.kind == "order-cancelled":
-            if h is not None:
-                h.cancelled = True
-                h.node = None
+                self._close(h)
 
     def _apply_notice(self, n: Notice) -> None:
         if n.kind != "command-rejected" or n.command is None:
@@ -544,7 +523,7 @@ class ReferenceControl:
 
         free = sum(
             1 for s in self._shuttles.values()
-            if not s.moving and s.assigned_order is None and s.node is not None
+            if s.assigned_order is None and s.node is not None
         )
         held: list[_OrderHolon] = []
         for h in heapq.merge(self._movers, *stuck, key=_rank) if stuck else self._movers:
@@ -602,10 +581,10 @@ class ReferenceControl:
     def _pick_shuttle(self, h: _OrderHolon) -> _ShuttleBelief | None:
         if h.assigned_shuttle is not None:
             s = self._shuttles[h.assigned_shuttle]
-            return None if s.moving else s
+            return None if s.node is None else s
         best: tuple[int, str] | None = None
         for sid, s in self._shuttles.items():
-            if s.moving or s.assigned_order is not None or s.node is None:
+            if s.assigned_order is not None or s.node is None:
                 continue
             travel = self.model.travel_time(s.node, h.node) if h.node else None
             if travel is None:
@@ -640,8 +619,4 @@ class ReferenceControl:
 
     def export_kpi(self) -> dict[str, int]:
         """End-of-run counters published on the wire as final taps."""
-        return {
-            "commands_issued": self.stats.commands_issued,
-            "directives_handled": self.stats.directives_handled,
-            "reschedules": self.stats.reschedules,
-        }
+        return asdict(self.stats)

@@ -133,7 +133,6 @@ class ControlCommand:
     machine: str | None = None
     order: str | None = None
     operation: str | None = None
-    holon: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in COMMAND_KINDS:

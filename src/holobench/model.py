@@ -44,7 +44,6 @@ class ShopModel:
 
     machines: dict[str, MachineSpec]
     nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], int]
     shuttles: dict[str, ShuttleSpec]
     input_station: str
     output_station: str
@@ -195,7 +194,6 @@ def load_model_doc(doc: Any) -> ShopModel:
     return ShopModel(
         machines=machines,
         nodes=nodes,
-        edges=edges,
         shuttles=shuttles,
         input_station=input_station,
         output_station=output_station,

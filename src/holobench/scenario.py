@@ -478,7 +478,6 @@ class ScenarioManager:
 
     def __init__(self, scenario: Scenario, run_seed: int):
         self.scenario = scenario
-        self.run_seed = run_seed
         self._rngs = {
             name: stream_rng(run_seed, scenario.id, name) for name in scenario.distributions
         }

@@ -139,6 +139,18 @@ class TestRun:
                      str(tmp_path / "out")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, named", [
+        ("--seeds", ",", "--seeds must name at least one seed"),
+        ("--cap", "0", "--cap must be positive"),
+    ])
+    def test_empty_seeds_or_nonpositive_cap_is_a_usage_error(
+        self, suite_path, tmp_path, capsys, option, value, named
+    ):
+        out = tmp_path / "out"
+        assert main(["run", suite_path, "--out", str(out), option, value]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_compare_reprints_summary(self, suite_path, tmp_path, capsys):
@@ -228,6 +240,10 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 1
         assert "ghost" in capsys.readouterr().err
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path / "nope.json")]) == 1
+        assert "nope.json" in capsys.readouterr().err
 
     def test_not_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

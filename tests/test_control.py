@@ -196,6 +196,30 @@ class TestDirectives:
         commands, _ = control.on_round(0, [d], batch, [])
         assert ("cancel-order", "O1") in [(c.kind, c.order) for c in commands]
 
+    def test_cancel_frees_the_shuttle_on_its_fetch_leg(self, line_model):
+        control = ReferenceControl(line_model)
+        control.load_orders([order("O1"), order("O2", release=50, due=90)])
+        control.on_round(0, [], [], [])
+        park = [ev("shuttle-departed", shuttle="S1", node="IN", seq=1),
+                ev("shuttle-arrived", shuttle="S1", node="OUT", seq=2, time=10)]
+        assert control.on_round(10, [], park, [])[0] == []
+        released = [ev("order-released", order="O1", node="IN", seq=3, time=10)]
+        (fetch,) = control.on_round(10, [], released, [])[0]
+        assert (fetch.shuttle, fetch.destination, fetch.carry) == ("S1", "IN", None)
+        d = ControlDirective(kind="cancel-order", order_id="O1")
+        (cancel,) = control.on_round(11, [d], [], [])[0]
+        assert (cancel.kind, cancel.order) == ("cancel-order", "O1")
+        leg = [ev("shuttle-departed", shuttle="S1", node="OUT", seq=4, time=11),
+               ev("order-cancelled", order="O1", node="IN", seq=5, time=11),
+               ev("shuttle-arrived", shuttle="S1", node="IN", seq=6, time=21)]
+        assert control.on_round(21, [], leg, [])[0] == []
+        (release,) = control.on_round(50, [], [], [])[0]
+        assert (release.kind, release.order) == ("release-order", "O2")
+        released = [ev("order-released", order="O2", node="IN", seq=7, time=50)]
+        (carry,) = control.on_round(50, [], released, [])[0]
+        # S1 is no longer reserved by the cancelled O1
+        assert (carry.shuttle, carry.destination, carry.carry) == ("S1", "M1", "O2")
+
     def test_set_priority_reorders_dispatch(self, control):
         control.load_orders([order("O1", due=10), order("O2", due=20)])
         control.on_round(0, [], [], [])
@@ -251,6 +275,19 @@ class TestBeliefRepair:
                    command=first.to_dict())
         (again,) = control.on_round(0, [], [], [n])[0]
         assert again.kind == "release-order" and again.order == "O1"
+
+    def test_rejected_cancel_is_retried(self, control):
+        control.load_orders([order("O1")])
+        control.on_round(0, [], [], [])
+        d = ControlDirective(kind="cancel-order", order_id="O1")
+        batch = [ev("order-released", order="O1", node="IN")]
+        (first,) = control.on_round(0, [d], batch, [])[0]
+        assert (first.kind, first.order) == ("cancel-order", "O1")
+        assert control.on_round(1, [], [], [])[0] == []
+        n = Notice(time=1, kind="command-rejected", reason="nope",
+                   command=first.to_dict())
+        (again,) = control.on_round(1, [], [], [n])[0]
+        assert again == first
 
     def test_rework_at_rest_repeats_the_step(self, control):
         control.load_orders([order("O1", routing=("A", "B"))])
@@ -627,7 +664,7 @@ class FullScanControl(ReferenceControl):
 
         free = sum(
             1 for s in self._shuttles.values()
-            if not s.moving and s.assigned_order is None and s.node is not None
+            if s.assigned_order is None and s.node is not None
         )
         for h in waiting:
             if h.dispatched_to or (h.assigned_shuttle is None and not free):

@@ -858,6 +858,30 @@ class TestReplyProtocol:
         with pytest.raises(ProtocolError, match=message):
             run_single(minicell_model, minicell_orders, ps9_scenario, seed=1)
 
+    @pytest.mark.parametrize("answering, reply, refusal", [
+        ("hello", rec(kind="bye", role="control", round_no=0), "expected the control's hello"),
+        ("hello", rec(kind="hello", role="control", round_no=0, body={"model_hash": "0" * 64}),
+         "different model hash"),
+        ("event-batch", rec(kind="command", role="scenario", corr=1),
+         "unexpected scenario record in a control reply"),
+        ("event-batch", rec(kind="tap", role="control", corr=1),
+         "unexpected control record kind 'tap'"),
+    ])
+    def test_driver_refuses_a_reply_out_of_protocol(
+        self, minicell_model, minicell_orders, ps9_scenario, monkeypatch,
+        answering, reply, refusal,
+    ):
+        class WrongReply(ControlClient):
+            def handle(self, record, message):
+                if record["kind"] != answering:
+                    return super().handle(record, message)
+                self._send(reply, None)
+                return True
+
+        monkeypatch.setattr(interface, "ControlClient", WrongReply)
+        with pytest.raises(ProtocolError, match=refusal):
+            run_single(minicell_model, minicell_orders, ps9_scenario, seed=1)
+
     def test_control_that_hangs_up_before_bye_fails_the_run(
         self, minicell_model, minicell_orders, ps9_scenario
     ):

@@ -393,6 +393,26 @@ class TestReportSerialization:
         diffs = reports_match(a, b)
         assert any("makespan" in d for d in diffs)
 
+    @pytest.mark.parametrize("change, named", [
+        (lambda r: r.utilization.update(M1=0.5 + 1e-6), "utilization[M1]"),
+        (lambda r: r.machine_busy.update(M1=7), "machine_busy[M1]"),
+        (lambda r: r.machine_down.update(M2=3), "machine_down[M2]"),
+        (lambda r: setattr(r, "lead_time_mean", 12.0 + 1e-6), "lead_time_mean"),
+        (lambda r: setattr(r, "completed", 2), "completed"),
+        (lambda r: r.utilization.update(M1=0.5 + 1e-12), None),
+        (lambda r: setattr(r, "lead_time_mean", 12.0 + 1e-12), None),
+        (lambda r: setattr(r, "duplicates_dropped", 5), None),
+    ])
+    def test_each_difference_beyond_tol_is_named_once(self, change, named):
+        a = synthetic_engine().finalize()
+        b = synthetic_engine().finalize()
+        change(b)
+        diffs = reports_match(a, b)
+        if named is None:
+            assert diffs == []
+        else:
+            assert len(diffs) == 1 and diffs[0].startswith(named + ": ")
+
 
 def drop_first_event(log, kind):
     """The log with the first event of ``kind`` cut out of its batch."""

@@ -95,7 +95,6 @@ MESSAGES = {
         ControlCommand,
         kind=st.sampled_from(sorted(COMMAND_KINDS)),
         shuttle=_id, destination=_id, carry=_id, machine=_id, order=_id, operation=_id,
-        holon=_id,
     ),
     ControlDirective: st.builds(
         ControlDirective,
