@@ -15,12 +15,17 @@ from typing import Any, get_args, get_origin
 # ensure_ascii=False)`` uses: lexicographic keys, no whitespace, UTF-8 text
 # left unescaped, NaN and infinities written as ``NaN``/``Infinity``.  No
 # circular-reference markers: records and documents are trees.
-if json.encoder.c_make_encoder is None:
+if json.encoder.c_make_encoder is None or json.encoder.c_encode_basestring is None:
     raise ImportError("holobench needs CPython's C json encoder (json.encoder.c_make_encoder)")
+
+# Canonical JSON text of one string, quotes included: what ``canon_dumps``
+# writes for a string, key or value.
+canon_str = json.encoder.c_encode_basestring
+
 _c_encode = json.encoder.c_make_encoder(
     None,  # markers
     json.JSONEncoder().default,
-    json.encoder.c_encode_basestring,
+    canon_str,
     None,  # indent
     ":",  # key separator
     ",",  # item separator

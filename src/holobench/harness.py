@@ -39,7 +39,7 @@ from .control import ProductOrder, ReferenceControl, load_orders_file
 from .interface import InProcEndpoint, RoundDriver, RunRecorder
 from .kernel import EmulationKernel
 from .kpi import KpiEngine, KpiReport
-from .messages import ControlCommand, SimEvent
+from .messages import ControlCommand, EventBatch
 from .model import ShopModel, load_model_file
 from .scenario import CategoryRegistry, RegistryError, Scenario, ScenarioManager, load_scenario_file
 
@@ -222,7 +222,7 @@ def _drive(
     cap: int,
 ) -> tuple[str, int]:
     """Round loop; returns the run-end reason and the events delivered."""
-    queue: deque[tuple[int, list[SimEvent]]] = deque()
+    queue: deque[tuple[int, EventBatch]] = deque()
     buffer: list[ControlCommand] = []
     delivered = 0
     while True:

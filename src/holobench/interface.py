@@ -35,29 +35,34 @@ the control, and ``close()`` ends the session.  A record and a message
 handed to ``send_line_record`` are the control's to read until the call
 returns; the driver reads nothing of them afterwards.
 
-Each line is encoded once, and decoded only by a reader that was not given
-its record; a message is built from its record only by a reader that was
-not given the message, and only by ``message_of``.  In process,
-``InProcEndpoint`` calls the control directly: a sent record is checked by
-``check_record``, exactly as ``decode_line`` checks a parsed one, and
-handed to the control at once with the sender's own message objects, whose
-constructors have already checked them.  The control's replies are encoded
-once and queued with their records and its own commands until the driver
-reads them, so an in-process session decodes nothing and rebuilds no
-message.  A socket carries only the line: its receiver decodes it once and
-builds its message once.  The round driver gives the recorder each line
-with the record it sent or received, so the recorder never decodes.  It
-records a sent line once the endpoint has returned, and a received one
-once it has finished reading it, so the recorder's observers get records
-the session is done with.  Every log reader walks ``iter_records``, which
-decodes each line once, as it yields it.  Replay indexes the whole log
-before the control sees a record, builds each message as it hands the
-record over, and encodes only the command and end-of-round records it
-returns.  The other readers drop each record once they have taken what
-they need from it:
-``extract_command_log`` keeps the matching lines, ``extract_event_stream``
-the events, and ``recompute_from_log`` the run metadata, dues, events and
-the control's end-of-run counters.
+A record's shape is checked by ``check_record`` where the record is
+encoded, by ``encode_record``, and where it is decoded, by ``decode_line``,
+so no line is written that a reader would refuse.  ``InProcEndpoint``
+checks each record it is sent once more, as that record comes from outside
+it.  Each line is encoded once, and decoded only by a reader that was not
+given its record; a message is built from its record only by a reader that
+was not given the message, and only by ``message_of``.  An event batch's
+events go on the wire as the bodies the kernel built with them
+(``EventBatch``), so no event is turned back into a dict to be sent.  In
+process, ``InProcEndpoint`` calls the control directly: a sent record is
+checked and handed to the control at once with the sender's own message
+objects, whose constructors have already checked them.  The control's
+replies are encoded, and so checked, once and queued with their records and
+its own commands until the driver reads them, so an in-process session
+decodes nothing and rebuilds no message.  A socket carries only the line:
+its receiver decodes it once and builds its message once.  The round driver
+gives the recorder each line with the record it sent or received, so the
+recorder never decodes.  It records a sent line once the endpoint has
+returned, and a received one once it has finished reading it, so the
+recorder's observers get records the session is done with.  Every log
+reader walks ``iter_records``, which decodes each line once, as it yields
+it.  Replay indexes the whole log before the control sees a record, builds
+each message as it hands the record over, and encodes only the command and
+end-of-round records it returns.  The other readers drop each record once
+they have taken what they need from it: ``extract_command_log`` keeps the
+matching lines, ``extract_event_stream`` the events, and
+``recompute_from_log`` the run metadata, dues, events and the control's
+end-of-run counters.
 """
 
 from __future__ import annotations
@@ -69,9 +74,9 @@ import time
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator
 
-from .canon import canon_dumps
+from .canon import canon_dumps, canon_str
 from .control import ProductOrder, ReferenceControl
-from .messages import ControlCommand, ControlDirective, MessageError, Notice, SimEvent
+from .messages import ControlCommand, ControlDirective, EventBatch, MessageError, Notice, SimEvent
 
 WIRE_PREFIX = b"IL1 "
 WIRE_VERSION = "1"
@@ -119,10 +124,27 @@ def make_record(
     }
 
 
+_LINE_HEAD = WIRE_PREFIX.decode("ascii") + '{"body":'
+_LINE_TAIL = ',"v":' + canon_str(WIRE_VERSION) + "}\n"
+
+
 def encode_record(record: dict[str, Any]) -> bytes:
-    if record.keys() != RECORD_KEYS:
-        raise DecodeError(f"record keys must be exactly {sorted(RECORD_KEYS)}")
-    return WIRE_PREFIX + canon_dumps(record).encode("utf-8") + b"\n"
+    """The wire line of a record: its canonical JSON after the prefix.
+
+    The record is checked first, by ``check_record``, so no line is written
+    that ``decode_line`` would refuse.  Its keys are then fixed, so the body
+    is the only part that needs the canonical encoder: it is spliced into
+    the envelope with the other keys in sorted order, strings written by
+    ``canon_str`` and integers, which the check has told from booleans, by
+    ``str``.  The bytes are ``canon_dumps`` of the whole record.
+    """
+    check_record(record)
+    corr = record["corr"]
+    return (
+        f'{_LINE_HEAD}{canon_dumps(record["body"])},"corr":{"null" if corr is None else corr}'
+        f',"kind":{canon_str(record["kind"])},"role":{canon_str(record["role"])}'
+        f',"round":{record["round"]},"t":{record["t"]}{_LINE_TAIL}'
+    ).encode("utf-8")
 
 
 # Lines are parsed by CPython's C scanner, built once, instead of through
@@ -334,11 +356,12 @@ def serve_control(endpoint, control: ReferenceControl) -> None:
 class InProcEndpoint:
     """The driver's endpoint to a control served in process, by direct call.
 
-    ``send_line_record`` checks the record and hands it to the control at
-    once, with the driver's own message objects.  The control's replies are
-    encoded once and queued with their records and the control's own
-    commands.  ``recv_line_record`` returns the next queued reply, checked
-    by ``check_record``, so nothing is decoded and no message is rebuilt.
+    ``send_line_record`` checks the record, which comes from outside the
+    endpoint, and hands it to the control at once, with the driver's own
+    message objects.  The control's replies are encoded, which checks them,
+    once and queued with their records and the control's own commands.
+    ``recv_line_record`` returns the next queued reply as it is, so nothing
+    is decoded or checked twice and no message is rebuilt.
     A receive with no reply waiting breaks the lock step and raises
     ``ProtocolError``; once the control has said bye, or the endpoint is
     closed, a receive with none left raises ``EndOfStream`` and a send
@@ -363,8 +386,7 @@ class InProcEndpoint:
             if not self._open:
                 raise EndOfStream
             raise ProtocolError("lock-step violation: no record is waiting")
-        line, record, message = self._replies.popleft()
-        return line, check_record(record), message
+        return self._replies.popleft()
 
     def close(self) -> None:
         self._open = False
@@ -524,17 +546,17 @@ class RoundDriver:
         return self.round_no
 
     def play_round(
-        self, t: int, events: Iterable[SimEvent], notices: Iterable[Notice]
+        self, t: int, batch: EventBatch, notices: Iterable[Notice]
     ) -> tuple[list[ControlCommand], bool]:
         """Send the round's event batch and read the control's reply, up to
         and including its end-of-round; return the commands and the idle
-        flag.  The control gets the caller's events and notices in lists of
-        its own, and the commands returned are the control's own objects."""
-        events, notices = list(events), list(notices)
-        body = {
-            "events": [e.to_dict() for e in events],
-            "notices": [n.to_dict() for n in notices],
-        }
+        flag.  The batch's bodies, which the kernel built with its events,
+        are the record's events, so no event is converted here; notices are
+        rare and go through ``to_dict``.  The control gets the batch's
+        events and the notices in lists of its own, and the commands
+        returned are the control's own objects."""
+        events, notices = list(batch), list(notices)
+        body = {"events": batch.bodies, "notices": [n.to_dict() for n in notices]}
         sent = time.perf_counter()
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "event-batch", body),
                    (events, notices))

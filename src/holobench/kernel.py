@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 from .canon import canon_dumps
-from .messages import ControlCommand, Injection, Notice, SimEvent
+from .messages import ControlCommand, EventBatch, Injection, Notice, SimEvent
 from .model import ShopModel
 
 
@@ -111,13 +111,14 @@ class EmulationKernel:
 
     # -- advancing ----------------------------------------------------------
 
-    def advance(self, commands: Iterable[ControlCommand] = ()) -> list[SimEvent]:
+    def advance(self, commands: Iterable[ControlCommand] = ()) -> EventBatch:
         """Apply commands, or advance time to the next live happening.
 
-        Returns one batch of events, all at the same tick.  If the commands
-        produce events, the batch is at the current clock and time does not
-        move.  Otherwise the clock jumps to the earliest scheduled happening.
-        An empty list means nothing is left to do.
+        Returns one batch of events, all at the same tick, with each event's
+        wire body (see ``EventBatch``).  If the commands produce events, the
+        batch is at the current clock and time does not move.  Otherwise the
+        clock jumps to the earliest scheduled happening.  An empty batch
+        means nothing is left to do.
         """
         raw: list[dict[str, Any]] = []
         for cmd in commands:
@@ -137,9 +138,17 @@ class EmulationKernel:
                     raw.extend(self._fire(kind, subject))
             if raw:
                 return self._seal(raw)
-        return []
+        return EventBatch([], [])
 
-    def _seal(self, raw: list[dict[str, Any]]) -> list[SimEvent]:
+    def _seal(self, raw: list[dict[str, Any]]) -> EventBatch:
+        """Order a tick's raw event dicts, stamp each with (time, seq) and
+        build its event; each stamped dict becomes that event's wire body.
+
+        A raw dict holds no None value and no empty ``info``, so its stamped
+        form equals the event's ``to_dict()``.  The body gets its own copy
+        of ``info``, so that event and body share no mutable dict.
+        """
+
         def key(d: dict[str, Any]) -> tuple[str, str, str, str, str]:
             return (
                 d["kind"],
@@ -149,11 +158,16 @@ class EmulationKernel:
                 d.get("node") or "",
             )
 
+        bodies = sorted(raw, key=key)
         events: list[SimEvent] = []
-        for d in sorted(raw, key=key):
-            events.append(SimEvent(time=self.clock, seq=self._next_seq, **d))
+        for d in bodies:
+            d["time"] = self.clock
+            d["seq"] = self._next_seq
             self._next_seq += 1
-        return events
+            events.append(SimEvent(**d))
+            if "info" in d:
+                d["info"] = dict(d["info"])
+        return EventBatch(events, bodies)
 
     # -- scheduled happenings -----------------------------------------------
 
@@ -331,8 +345,9 @@ class EmulationKernel:
         )
         return []
 
-    def apply_injection(self, inj: Injection) -> list[SimEvent]:
-        """Apply a disturbance at the current clock; returns its events."""
+    def apply_injection(self, inj: Injection) -> EventBatch:
+        """Apply a disturbance at the current clock; returns its events, as
+        ``advance`` does."""
         if inj.kind == "product-reject":
             raw = self._inj_reject(inj)
         elif inj.machine not in self._machines:

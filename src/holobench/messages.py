@@ -115,6 +115,22 @@ class SimEvent:
             raise MessageError("time and seq must be non-negative")
 
 
+class EventBatch(list):
+    """One kernel batch: a list of ``SimEvent``s with their wire bodies.
+
+    ``bodies[i]`` is the dict form of ``self[i]``, equal to its ``to_dict()``
+    and sharing no mutable dict with it, so the batch goes on the wire
+    without a second conversion.  As a list, a batch compares, iterates and
+    measures like its events alone.
+    """
+
+    __slots__ = ("bodies",)
+
+    def __init__(self, events: list[SimEvent], bodies: list[dict[str, Any]]):
+        super().__init__(events)
+        self.bodies = bodies
+
+
 @wire_message
 @dataclass(frozen=True)
 class ControlCommand:

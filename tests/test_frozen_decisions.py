@@ -27,6 +27,10 @@ SEED = 3
 
 COMMAND_LOG_SHA256 = "27026ee5eac4d1186313d913e8000d0aefc0b1bcd33ac1fd8d3c7833d795d35c"
 CONTROL_KPI_SHA256 = "f20933d8170e04a897015d57c6aa5d0ff745f59f816af9b5ed5badb1db9dd656"
+# The whole session log (769,730 bytes, 4,208 lines): event-batch bytes the
+# KPI report does not read, such as ``node`` or ``info.operation``, are
+# pinned here and nowhere else.
+SESSION_LOG_SHA256 = "205c450533e397203bcafef8b5449d3d510e63ff0cad5b21748f3d85b5ecc122"
 
 
 def _lcg(state: int):
@@ -196,6 +200,11 @@ def test_log_is_byte_stable(frozen_run):
 def test_command_log_is_frozen(frozen_run):
     digest = hashlib.sha256(extract_command_log(frozen_run.log)).hexdigest()
     assert digest == COMMAND_LOG_SHA256
+
+
+def test_session_log_is_frozen(frozen_run):
+    assert len(frozen_run.log) == 769_730 and frozen_run.log.count(b"\n") == 4_208
+    assert hashlib.sha256(frozen_run.log).hexdigest() == SESSION_LOG_SHA256
 
 
 def test_control_counters_are_frozen(frozen_run):

@@ -12,10 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holobench import interface
-from holobench.canon import canon_dumps
+from holobench.canon import canon_bytes, canon_dumps
 from holobench.control import ControlProtocolError, ReferenceControl
 from holobench.harness import run_single
 from holobench.interface import (
+    WIRE_PREFIX,
     DecodeError,
     EndOfStream,
     InProcEndpoint,
@@ -106,10 +107,13 @@ wire_records = st.builds(
 # Documents the codec must write exactly as json.dumps does: non-ASCII and
 # control-character text, integers past 64 bits, floats with NaN and the
 # infinities, null and booleans, nested in objects and arrays.
+json_texts = st.text() | st.text(
+    alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from("\"\\\u2028é€😀")
+)
+big_ints = st.integers(min_value=-(10**40), max_value=10**40)
 json_scalars = (
-    st.text()
-    | st.text(alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from("\"\\\u2028é€😀"))
-    | st.integers(min_value=-(10**40), max_value=10**40)
+    json_texts
+    | big_ints
     | st.floats()
     | st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0])
     | st.none()
@@ -121,6 +125,50 @@ json_docs = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=12,
 )
+
+# Records ``check_record`` accepts, with every envelope field drawn wide:
+# role and kind from text with quotes, backslashes, control characters and
+# non-ASCII, round, t and corr from negative and very large integers, and
+# bodies of nested JSON.  NaN is left out of bodies so that a decoded
+# record can equal its source.
+checked_records = st.builds(
+    make_record,
+    role=json_texts,
+    round_no=big_ints,
+    t=big_ints,
+    kind=json_texts,
+    body=st.dictionaries(
+        st.text(max_size=6),
+        st.recursive(
+            json_texts | big_ints | st.floats(allow_nan=False) | st.none() | st.booleans(),
+            lambda children: st.lists(children, max_size=4)
+            | st.dictionaries(st.text(max_size=6), children, max_size=4),
+            max_leaves=12,
+        ),
+        max_size=4,
+    ),
+    corr=st.none() | big_ints,
+)
+
+_DELETED = object()  # marks a key taken out of the record
+
+# (field, value, what the refusal names) for records the codec must refuse:
+# JSON true and false are not integers, though Python's bool is one.
+ENVELOPE_REFUSALS = [
+    *((field, value, "round and t") for field in ("round", "t")
+      for value in (True, False, "7", 7.0, None)),
+    *(("corr", value, "corr") for value in (True, False, "7", 7.0)),
+    ("role", 7, "role and kind"),
+    ("role", None, "role and kind"),
+    ("kind", ["command"], "role and kind"),
+    ("body", [], "body"),
+    ("body", "x", "body"),
+    ("body", None, "body"),
+    ("v", "2", "version"),
+    ("v", 1, "version"),
+    ("extra", 1, "keys"),
+    ("corr", _DELETED, "keys"),
+]
 
 
 class TestCodec:
@@ -165,6 +213,30 @@ class TestCodec:
     def test_decode_errors(self, line, fragment):
         with pytest.raises(DecodeError, match=fragment):
             decode_line(line)
+
+    @given(record=checked_records)
+    def test_encode_writes_the_canonical_record(self, record):
+        """The spliced envelope is the canonical text of the whole record,
+        and decodes back to it."""
+        line = encode_record(record)
+        assert line == WIRE_PREFIX + canon_bytes(record) + b"\n"
+        assert decode_line(line) == record
+
+    @pytest.mark.parametrize("field, value, fragment", ENVELOPE_REFUSALS)
+    @settings(max_examples=10)
+    @given(record=checked_records)
+    def test_encode_refuses_what_decode_refuses(self, record, field, value, fragment):
+        """No line is written that ``decode_line`` would refuse: encoding
+        fails with the error decoding the canonical text would raise."""
+        if value is _DELETED:
+            del record[field]
+        else:
+            record[field] = value
+        with pytest.raises(DecodeError, match=fragment) as refused:
+            encode_record(record)
+        with pytest.raises(DecodeError) as undecodable:
+            decode_line(WIRE_PREFIX + canon_bytes(record) + b"\n")
+        assert str(refused.value) == str(undecodable.value)
 
     @given(record=wire_records)
     def test_round_trip_property(self, record):
@@ -531,7 +603,9 @@ class TestDecodeOnce:
         assert line == encode_record(record) and record["body"]["policy"] == "reference-holonic"
         assert calls == []
 
-    def test_in_process_replies_are_checked_on_receipt(self, minicell_model, monkeypatch):
+    def test_in_process_replies_are_checked_when_encoded(self, minicell_model, monkeypatch):
+        """A malformed reply is refused as the control encodes it, so no
+        line is queued for the driver to receive."""
         class BadReply(ControlClient):
             def handle(self, record, message):
                 self._send(rec(kind="hello", role="control", round_no=0, corr="x"), None)
@@ -540,8 +614,9 @@ class TestDecodeOnce:
         monkeypatch.setattr(interface, "ControlClient", BadReply)
         ep = InProcEndpoint(ReferenceControl(minicell_model))
         good = rec(kind="hello", body={"model_hash": minicell_model.model_hash})
-        ep.send_line_record(encode_record(good), good, None)
         with pytest.raises(DecodeError, match="corr"):
+            ep.send_line_record(encode_record(good), good, None)
+        with pytest.raises(ProtocolError, match="lock-step"):
             ep.recv_line_record()
 
     def test_replay_session_never_decodes_what_the_control_sent(

@@ -399,20 +399,27 @@ _step = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(script=st.lists(_step, max_size=24))
 def test_determinism_under_random_scripts(minicell_model_doc, script):
+    def wire_checked(batch):
+        """Each event's wire body is its ``to_dict()``, with an ``info`` of
+        its own: a raw event dict holds no None and no empty ``info``."""
+        assert batch.bodies == [e.to_dict() for e in batch]
+        assert all(b.get("info") is not e.info for b, e in zip(batch.bodies, batch))
+        return batch
+
     def run():
         k = EmulationKernel(load_model_doc(minicell_model_doc))
         # O1 and O2 start out waiting at M1 and M2, so that starts can succeed.
-        stream = [(False, e) for e in k.advance([
+        stream = [(False, e) for e in wire_checked(k.advance([
             release("O1"), release("O2"), move("S1", "M1", "O1"), move("S2", "M2", "O2"),
-        ]) + k.advance()]
+        ])) + wire_checked(k.advance())]
         for step in script:
             if isinstance(step, tuple):
                 for inj in step:
-                    stream.extend((True, e) for e in k.apply_injection(inj))
+                    stream.extend((True, e) for e in wire_checked(k.apply_injection(inj)))
             else:
-                stream.extend((False, e) for e in k.advance(step or ()))
+                stream.extend((False, e) for e in wire_checked(k.advance(step or ())))
             k.drain_notices()
-        while batch := k.advance():
+        while batch := wire_checked(k.advance()):
             stream.extend((False, e) for e in batch)
         return stream, k.snapshot()
 
