@@ -24,45 +24,32 @@ return before the newline makes the line invalid.  Canonical lines never
 contain either.
 
 The round driver talks to its control through an endpoint, whether the
-control runs in process or over a socket.  Each line crosses in three
-parts: the line, the record it encodes, and the message the record's body
-encodes.  That message is ``(events, notices)`` for an event batch, a
-``ControlDirective`` for a directive, a ``ControlCommand`` for a command,
-and None for every other kind.  An endpoint has three calls:
-``send_line_record(line, record, message)`` sends all three,
-``recv_line_record()`` returns the next ``(line, record, message)`` from
-the control, and ``close()`` ends the session.  A record and a message
-handed to ``send_line_record`` are the control's to read until the call
-returns; the driver reads nothing of them afterwards.
+control runs in process or over a socket.  An endpoint has two calls and
+``close()``: ``send(record, message)`` encodes the record, delivers it and
+returns its line, and ``recv()`` returns the control's next ``(line,
+record, message)``.  The message is what the record's body encodes:
+``(events, notices)`` for an event batch, a ``ControlDirective`` for a
+directive, a ``ControlCommand`` for a command, and None for every other
+kind.  A record and a message handed to ``send`` are the control's to read
+until it returns; the driver reads nothing of them afterwards.
 
-A record's shape is checked by ``check_record`` where the record is
-encoded, by ``encode_record``, and where it is decoded, by ``decode_line``,
-so no line is written that a reader would refuse.  ``InProcEndpoint``
-checks each record it is sent once more, as that record comes from outside
-it.  Each line is encoded once, and decoded only by a reader that was not
-given its record; a message is built from its record only by a reader that
-was not given the message, and only by ``message_of``.  An event batch's
-events go on the wire as the bodies the kernel built with them
-(``EventBatch``), so no event is turned back into a dict to be sent.  In
-process, ``InProcEndpoint`` calls the control directly: a sent record is
-checked and handed to the control at once with the sender's own message
-objects, whose constructors have already checked them.  The control's
-replies are encoded, and so checked, once and queued with their records and
-its own commands until the driver reads them, so an in-process session
-decodes nothing and rebuilds no message.  A socket carries only the line:
-its receiver decodes it once and builds its message once.  The round driver
-gives the recorder each line with the record it sent or received, so the
-recorder never decodes.  It records a sent line once the endpoint has
-returned, and a received one once it has finished reading it, so the
-recorder's observers get records the session is done with.  Every log
-reader walks ``iter_records``, which decodes each line once, as it yields
-it.  Replay indexes the whole log before the control sees a record, builds
-each message as it hands the record over, and encodes only the command and
-end-of-round records it returns.  The other readers drop each record once
-they have taken what they need from it: ``extract_command_log`` keeps the
-matching lines, ``extract_event_stream`` the events, and
-``recompute_from_log`` the run metadata, dues, events and the control's
-end-of-run counters.
+Each line is encoded once, by ``encode_record``, and decoded only by a
+reader that was not given its record, by ``decode_line``; both check the
+record's shape with ``check_record``, and nothing else does.  A message is
+built from its record only by a reader that was not given the message,
+and only by ``message_of``.  An event batch's events go on the wire as the
+bodies the kernel built with them (``EventBatch``).  In process, the
+control is called directly with the sender's own record and message
+objects, and its replies are encoded once and queued with their records
+and its own commands, so an in-process session decodes nothing and
+rebuilds no message.  A socket carries only the line; its receiver
+decodes it and builds its message once.  The round driver hands the
+recorder each line with the record it sent or received, once the session
+is done with it, so the recorder never decodes.  Every log reader walks
+``iter_records``, which decodes each line once, as it yields it, and
+keeps only what it needs; replay indexes the whole log before the control
+sees a record and encodes only the command and end-of-round records the
+control returns.
 """
 
 from __future__ import annotations
@@ -263,7 +250,7 @@ def extract_event_stream(log: bytes) -> list[SimEvent]:
     events: list[SimEvent] = []
     for _, record in iter_records(log):
         if record["role"] == ROLE_EMULATION and record["kind"] == "event-batch":
-            events.extend(SimEvent.from_dict(d) for d in record["body"]["events"])
+            events.extend(message_of(record)[0])
     return events
 
 
@@ -337,12 +324,9 @@ def serve_control(endpoint, control: ReferenceControl) -> None:
     """Serve ``control`` over ``endpoint`` until run-end or until the peer
     closes the wire, then close the endpoint; for a control on the far side
     of a socket, typically in its own thread."""
-    client = ControlClient(
-        lambda record, message: endpoint.send_line_record(encode_record(record), record, message),
-        control,
-    )
+    client = ControlClient(endpoint.send, control)
     try:
-        while client.handle(*endpoint.recv_line_record()[1:]):
+        while client.handle(*endpoint.recv()[1:]):
             pass
     except EndOfStream:
         pass
@@ -356,13 +340,10 @@ def serve_control(endpoint, control: ReferenceControl) -> None:
 class InProcEndpoint:
     """The driver's endpoint to a control served in process, by direct call.
 
-    ``send_line_record`` checks the record, which comes from outside the
-    endpoint, and hands it to the control at once, with the driver's own
-    message objects.  The control's replies are encoded, which checks them,
-    once and queued with their records and the control's own commands.
-    ``recv_line_record`` returns the next queued reply as it is, so nothing
-    is decoded or checked twice and no message is rebuilt.
-    A receive with no reply waiting breaks the lock step and raises
+    ``send`` encodes the record, then hands it to the control with the
+    driver's own message.  The control's replies are encoded and queued
+    with their records and messages, and ``recv`` pops the next one.  A
+    receive with no reply waiting breaks the lock step and raises
     ``ProtocolError``; once the control has said bye, or the endpoint is
     closed, a receive with none left raises ``EndOfStream`` and a send
     raises ``ProtocolError``.
@@ -376,12 +357,14 @@ class InProcEndpoint:
     def _queue_reply(self, record: dict[str, Any], message: Any) -> None:
         self._replies.append((encode_record(record), record, message))
 
-    def send_line_record(self, line: bytes, record: dict[str, Any], message: Any) -> None:
+    def send(self, record: dict[str, Any], message: Any) -> bytes:
         if not self._open:
             raise ProtocolError("the session has ended")
-        self._open = self._client.handle(check_record(record), message)
+        line = encode_record(record)
+        self._open = self._client.handle(record, message)
+        return line
 
-    def recv_line_record(self) -> tuple[bytes, dict[str, Any], Any]:
+    def recv(self) -> tuple[bytes, dict[str, Any], Any]:
         if not self._replies:
             if not self._open:
                 raise EndOfStream
@@ -395,8 +378,8 @@ class InProcEndpoint:
 class SocketEndpoint:
     """Line transport over a stream socket with a receive timeout.
 
-    Only the line crosses: ``recv_line_record`` decodes each line it reads
-    and builds its message with ``message_of``.
+    Only the line crosses: ``send`` writes the record's line, and ``recv``
+    decodes each line it reads and builds its message with ``message_of``.
     """
 
     def __init__(self, sock: socket.socket, timeout: float | None = 5.0):
@@ -404,11 +387,10 @@ class SocketEndpoint:
         self._sock.settimeout(timeout)
         self._buffer = bytearray()
 
-    def send_line(self, line: bytes) -> None:
+    def send(self, record: dict[str, Any], message: Any) -> bytes:
+        line = encode_record(record)
         self._sock.sendall(line)
-
-    def send_line_record(self, line: bytes, record: dict[str, Any], message: Any) -> None:
-        self.send_line(line)
+        return line
 
     def recv_line(self) -> bytes:
         while True:
@@ -427,7 +409,7 @@ class SocketEndpoint:
                 raise EndOfStream
             self._buffer += chunk
 
-    def recv_line_record(self) -> tuple[bytes, dict[str, Any], Any]:
+    def recv(self) -> tuple[bytes, dict[str, Any], Any]:
         line = self.recv_line()
         record = decode_line(line)
         try:
@@ -503,23 +485,25 @@ class RoundDriver:
         self.round_ms: list[float] = []
 
     def _send(self, record: dict[str, Any], message: Any = None) -> None:
-        line = encode_record(record)
-        self._ep.send_line_record(line, record, message)
-        self._recorder.record(line, record)
+        self._recorder.record(self._ep.send(record, message), record)
 
     def _recv(self) -> tuple[bytes, dict[str, Any], Any]:
-        """The control's next line, record and message; the caller records
-        the line once it has read the record."""
+        """The control's next line, record and message, refusing a record
+        of another role; the caller records the line once it has read the
+        record."""
         try:
-            return self._ep.recv_line_record()
+            line, record, message = self._ep.recv()
         except EndOfStream:
             raise ProtocolError("the control hung up before its bye") from None
+        if record["role"] != ROLE_CONTROL:
+            raise ProtocolError(f"unexpected {record['role']} record in a control reply")
+        return line, record, message
 
     def handshake(self) -> None:
         """Send hello and check the control's hello in reply."""
         self._send(make_record(ROLE_EMULATION, 0, 0, "hello", {"model_hash": self._model_hash}))
         line, record, _ = self._recv()
-        if record["kind"] != "hello" or record["role"] != ROLE_CONTROL:
+        if record["kind"] != "hello":
             raise ProtocolError("expected the control's hello")
         if record["body"].get("model_hash") != self._model_hash:
             raise ProtocolError("control answered with a different model hash")
@@ -563,8 +547,6 @@ class RoundDriver:
         commands: list[ControlCommand] = []
         while True:
             line, record, message = self._recv()
-            if record["role"] != ROLE_CONTROL:
-                raise ProtocolError(f"unexpected {record['role']} record in a control reply")
             kind = record["kind"]
             if kind not in ("command", "end-of-round"):
                 raise ProtocolError(f"unexpected control record kind {kind!r}")

@@ -1,9 +1,66 @@
-"""Hypothesis strategies shared by the test modules: generated sessions
-on a small three-machine shop."""
+"""Hypothesis strategies shared by the test modules: wire messages, and
+generated sessions on a small three-machine shop."""
 
 from hypothesis import strategies as st
 
 from holobench.control import ProductOrder
+from holobench.messages import (
+    COMMAND_KINDS,
+    DIRECTIVE_KINDS,
+    EVENT_KINDS,
+    INJECTION_KINDS,
+    REJECT_POLICIES,
+    ControlCommand,
+    ControlDirective,
+    Injection,
+    Notice,
+    SimEvent,
+)
+
+# One strategy per wire message class, each drawing every field.
+_id = st.none() | st.text(min_size=1, max_size=8)
+_payload = st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6), max_size=3)
+
+MESSAGES = {
+    SimEvent: st.builds(
+        SimEvent,
+        time=st.integers(min_value=0, max_value=10**9),
+        seq=st.integers(min_value=0, max_value=10**9),
+        kind=st.sampled_from(sorted(EVENT_KINDS)),
+        machine=_id, shuttle=_id, order=_id, node=_id, info=_payload,
+    ),
+    ControlCommand: st.builds(
+        ControlCommand,
+        kind=st.sampled_from(sorted(COMMAND_KINDS)),
+        shuttle=_id, destination=_id, carry=_id, machine=_id, order=_id, operation=_id,
+    ),
+    ControlDirective: st.builds(
+        ControlDirective,
+        kind=st.sampled_from(sorted(DIRECTIVE_KINDS)),
+        order=st.none() | _payload, order_id=_id, priority=st.none() | st.integers(),
+        machine=_id,
+    ),
+    Injection: st.one_of(
+        st.builds(
+            Injection,
+            kind=st.sampled_from(sorted(INJECTION_KINDS - {"product-reject"})),
+            machine=st.text(min_size=1, max_size=8),
+            duration=st.none() | st.integers(min_value=1),
+        ),
+        st.builds(
+            Injection,
+            kind=st.just("product-reject"), machine=_id, order=st.text(min_size=1, max_size=8),
+            policy=st.sampled_from(sorted(REJECT_POLICIES)),
+        ),
+    ),
+    Notice: st.builds(
+        Notice,
+        time=st.integers(min_value=0),
+        kind=st.sampled_from(["command-rejected", "injection-ignored"]),
+        reason=st.text(max_size=12),
+        command=st.none() | _payload, injection=st.none() | _payload,
+    ),
+}
 
 
 # M2 shares A with M1 and B with M3; the shuttles start at opposite ends.

@@ -2,10 +2,12 @@
 
 import copy
 import json
+import re
 import socket
 import threading
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,7 +48,7 @@ from holobench.messages import (
 )
 from holobench.model import load_model_doc
 from holobench.scenario import load_scenario_doc
-from strategies import ORACLE_SHOP, oracle_sessions
+from strategies import MESSAGES, ORACLE_SHOP, oracle_sessions
 
 
 def records_of(log):
@@ -148,6 +150,19 @@ checked_records = st.builds(
         max_size=4,
     ),
     corr=st.none() | big_ints,
+)
+
+# (kind, body) pairs whose body builds a message: an event batch of events
+# and notices, a command or a directive.
+message_bodies = st.one_of(
+    st.builds(
+        lambda events, notices: ("event-batch", {"events": [e.to_dict() for e in events],
+                                                 "notices": [n.to_dict() for n in notices]}),
+        st.lists(MESSAGES[SimEvent], max_size=3),
+        st.lists(MESSAGES[Notice], max_size=2),
+    ),
+    MESSAGES[ControlCommand].map(lambda cmd: ("command", cmd.to_dict())),
+    MESSAGES[ControlDirective].map(lambda d: ("directive", d.to_dict())),
 )
 
 _DELETED = object()  # marks a key taken out of the record
@@ -312,34 +327,34 @@ class TestInProc:
     def test_lock_step(self, minicell_model):
         ep = InProcEndpoint(ReferenceControl(minicell_model))
         with pytest.raises(ProtocolError, match="lock-step"):
-            ep.recv_line_record()
+            ep.recv()
         hello = self.hello(minicell_model)
-        ep.send_line_record(encode_record(hello), hello, None)
-        line, record, message = ep.recv_line_record()
+        assert ep.send(hello, None) == encode_record(hello)
+        line, record, message = ep.recv()
         assert record["kind"] == "hello" and record["role"] == "control"
         assert line == encode_record(record) and message is None
         with pytest.raises(ProtocolError, match="lock-step"):
-            ep.recv_line_record()
+            ep.recv()
 
     def test_close_signals_end_of_stream(self, minicell_model):
         ep = InProcEndpoint(ReferenceControl(minicell_model))
         ep.close()
         with pytest.raises(EndOfStream):
-            ep.recv_line_record()
+            ep.recv()
         with pytest.raises(ProtocolError, match="ended"):
-            ep.send_line_record(b"", self.hello(minicell_model), None)
+            ep.send(self.hello(minicell_model), None)
 
     def test_session_ends_at_the_controls_bye(self, minicell_model):
         ep = InProcEndpoint(ReferenceControl(minicell_model))
         run_end = rec(kind="run-end", round_no=1, body={"reason": "completed"})
-        ep.send_line_record(encode_record(run_end), run_end, None)
+        ep.send(run_end, None)
         kinds = []
         with pytest.raises(EndOfStream):
             while True:
-                kinds.append(ep.recv_line_record()[1]["kind"])
+                kinds.append(ep.recv()[1]["kind"])
         assert kinds[-1] == "bye" and set(kinds[:-1]) == {"tap"}
         with pytest.raises(ProtocolError, match="ended"):
-            ep.send_line_record(encode_record(run_end), run_end, None)
+            ep.send(run_end, None)
 
 
 class TestSocket:
@@ -348,8 +363,8 @@ class TestSocket:
         with left, right:
             a, b = SocketEndpoint(left), SocketEndpoint(right)
             line = encode_record(rec())
-            a.send_line(line)
-            a.send_line(line)
+            assert a.send(rec(), None) == line
+            assert a.send(rec(), None) == line
             assert b.recv_line() == line
             assert b.recv_line() == line
             a.close()
@@ -389,27 +404,63 @@ class TestSocket:
         with left, right:
             left.sendall(encode_record(record))
             with pytest.raises(ProtocolError, match=f"control {record['kind']} body") as info:
-                SocketEndpoint(right, timeout=1.0).recv_line_record()
+                SocketEndpoint(right, timeout=1.0).recv()
             assert isinstance(info.value.__cause__, cause)
 
-    def test_readme_socket_pair_session_closes_both_sockets(
-        self, minicell_model, minicell_orders, ps9_scenario
-    ):
-        """The README's socket-pair example, closing nothing by hand: the
-        driver closes its endpoint at run end, and ``serve_control`` closes
-        its own when it returns."""
+    @given(record=checked_records, kind_body=st.none() | message_bodies)
+    def test_send_writes_the_encoded_line_and_recv_gives_it_back(self, record, kind_body):
+        """``send`` returns and writes exactly ``encode_record``'s line, and
+        the peer reads back the line, the record and ``message_of``'s
+        message, or refuses a body that builds none."""
+        if kind_body is not None:
+            record["kind"], record["body"] = kind_body
         left, right = socket.socketpair()
-        worker = threading.Thread(
-            target=serve_control, args=(SocketEndpoint(right), ReferenceControl(minicell_model))
-        )
-        worker.start()
-        result = run_single(
-            minicell_model, minicell_orders, ps9_scenario, seed=1, endpoint=SocketEndpoint(left)
-        )
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert result.status == "completed"
-        assert left.fileno() == right.fileno() == -1
+        with left, right:
+            a, b = SocketEndpoint(left), SocketEndpoint(right, timeout=1.0)
+            line = a.send(record, None)
+            assert line == encode_record(record)
+            try:
+                message = message_of(record)
+            except (KeyError, TypeError, AttributeError, MessageError):
+                with pytest.raises(ProtocolError, match="builds no message"):
+                    b.recv()
+            else:
+                assert b.recv() == (line, record, message)
+            a.close()
+            with pytest.raises(EndOfStream):
+                b.recv_line()
+
+    @given(record=checked_records, refusal=st.sampled_from(ENVELOPE_REFUSALS))
+    def test_send_refuses_what_decode_refuses_and_writes_nothing(self, record, refusal):
+        field, value, fragment = refusal
+        if value is _DELETED:
+            del record[field]
+        else:
+            record[field] = value
+        left, right = socket.socketpair()
+        with left, right:
+            a, b = SocketEndpoint(left), SocketEndpoint(right, timeout=1.0)
+            with pytest.raises(DecodeError, match=fragment):
+                a.send(record, None)
+            a.close()
+            with pytest.raises(EndOfStream):
+                b.recv_line()
+
+    def test_readme_python_examples_run_and_close_both_sockets(self, monkeypatch):
+        """The README's Python blocks, run in order from the repository
+        root, close nothing by hand: the driver closes its endpoint at run
+        end, and ``serve_control`` closes its own when it returns."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                            re.MULTILINE | re.DOTALL)
+        assert len(blocks) == 2
+        monkeypatch.chdir(readme.parent)
+        namespace: dict = {}
+        for block in blocks:
+            exec(compile(block, str(readme), "exec"), namespace)
+        assert namespace["result"].status == "completed"
+        assert not namespace["server"].is_alive()
+        assert namespace["left"].fileno() == namespace["right"].fileno() == -1
 
     def test_failed_session_closes_the_driver_socket(
         self, minicell_model, minicell_orders, ps9_scenario
@@ -584,9 +635,9 @@ class TestDecodeOnce:
         assert sorted(decoded_in_run) == sorted(line for line, _ in iter_records(remote.log))
 
     def test_in_process_records_are_checked_not_decoded(self, minicell_model, monkeypatch):
-        """The control gets the driver's own record once ``check_record``
-        has passed it, and the driver gets the control's reply records,
-        checked again on receipt."""
+        """The control gets the driver's own record once ``send`` has
+        encoded it, which checks it, and the driver gets the control's
+        reply records, checked as they were encoded."""
         calls = self._count_decodes(monkeypatch)
         control = ReferenceControl(minicell_model)
         ep = InProcEndpoint(control)
@@ -594,14 +645,31 @@ class TestDecodeOnce:
         # wrong model hash would otherwise raise ControlProtocolError.
         bad = rec(kind="hello", body={"model_hash": "0" * 64}, corr="x")
         with pytest.raises(DecodeError, match="corr"):
-            ep.send_line_record(encode_record(rec()), bad, None)
+            ep.send(bad, None)
         with pytest.raises(ProtocolError, match="lock-step"):
-            ep.recv_line_record()
+            ep.recv()
         good = rec(kind="hello", body={"model_hash": minicell_model.model_hash})
-        ep.send_line_record(encode_record(good), good, None)
-        line, record, _ = ep.recv_line_record()
+        ep.send(good, None)
+        line, record, _ = ep.recv()
         assert line == encode_record(record) and record["body"]["policy"] == "reference-holonic"
         assert calls == []
+
+    def test_in_process_session_checks_each_line_once(
+        self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
+    ):
+        """Each record is checked where it is encoded and nowhere else, so
+        an in-process session makes one ``check_record`` call per line."""
+        checks = []
+        check = interface.check_record
+
+        def counting(record, offset=0):
+            checks.append(record)
+            return check(record, offset)
+
+        monkeypatch.setattr(interface, "check_record", counting)
+        log = run_single(minicell_model, minicell_orders, scenario_by_name("supply_shortage"),
+                         seed=3).log
+        assert len(checks) == log.count(b"\n") > 0
 
     def test_in_process_replies_are_checked_when_encoded(self, minicell_model, monkeypatch):
         """A malformed reply is refused as the control encodes it, so no
@@ -615,9 +683,9 @@ class TestDecodeOnce:
         ep = InProcEndpoint(ReferenceControl(minicell_model))
         good = rec(kind="hello", body={"model_hash": minicell_model.model_hash})
         with pytest.raises(DecodeError, match="corr"):
-            ep.send_line_record(encode_record(good), good, None)
+            ep.send(good, None)
         with pytest.raises(ProtocolError, match="lock-step"):
-            ep.recv_line_record()
+            ep.recv()
 
     def test_replay_session_never_decodes_what_the_control_sent(
         self, minicell_model, minicell_orders, ps9_scenario, monkeypatch
@@ -704,13 +772,13 @@ class TestMessagesCross:
         handed = Counter()
 
         class Checked(InProcEndpoint):
-            def send_line_record(self, line, record, message):
+            def send(self, record, message):
                 assert message == message_of(record)
                 handed[record["kind"]] += 1
-                super().send_line_record(line, record, message)
+                return super().send(record, message)
 
-            def recv_line_record(self):
-                line, record, message = super().recv_line_record()
+            def recv(self):
+                line, record, message = super().recv()
                 assert message == message_of(record)
                 handed[record["kind"]] += 1
                 return line, record, message
@@ -941,6 +1009,11 @@ class TestReplyProtocol:
          "unexpected scenario record in a control reply"),
         ("event-batch", rec(kind="tap", role="control", corr=1),
          "unexpected control record kind 'tap'"),
+        ("run-end", rec(kind="tap", role="emulation", body={
+            "flow": "FLOW7", "name": "commands_issued", "value": 999, "i": 0}),
+         "unexpected emulation record in a control reply"),
+        ("run-end", rec(kind="bye", role="scenario-manager"),
+         "unexpected scenario-manager record in a control reply"),
     ])
     def test_driver_refuses_a_reply_out_of_protocol(
         self, minicell_model, minicell_orders, ps9_scenario, monkeypatch,
@@ -963,12 +1036,8 @@ class TestReplyProtocol:
         left, right = socket.socketpair()
 
         def serve_until_run_end(endpoint):
-            client = ControlClient(
-                lambda record, message: endpoint.send_line_record(
-                    encode_record(record), record, message),
-                ReferenceControl(minicell_model),
-            )
-            while (received := endpoint.recv_line_record())[1]["kind"] != "run-end":
+            client = ControlClient(endpoint.send, ReferenceControl(minicell_model))
+            while (received := endpoint.recv())[1]["kind"] != "run-end":
                 client.handle(*received[1:])
             endpoint.close()  # no taps, no bye
 
@@ -1004,10 +1073,10 @@ class TestRoundProbe:
             return open_round(driver, t, directives)
 
         class Watched(InProcEndpoint):
-            def send_line_record(self, line, record, message):
+            def send(self, record, message):
                 if record["kind"] == "event-batch":
                     steps.append(("batch", record["round"]))
-                super().send_line_record(line, record, message)
+                return super().send(record, message)
 
         monkeypatch.setattr(interface.RoundDriver, "open_round", opening)
         result = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=3,

@@ -14,7 +14,6 @@ from holobench.messages import (
     DIRECTIVE_KINDS,
     EVENT_KINDS,
     INJECTION_KINDS,
-    REJECT_POLICIES,
     ControlCommand,
     ControlDirective,
     Injection,
@@ -22,6 +21,7 @@ from holobench.messages import (
     Notice,
     SimEvent,
 )
+from strategies import MESSAGES
 
 
 def test_canonical_json_is_stable():
@@ -79,50 +79,6 @@ def test_event_dict_round_trip_drops_empty_fields():
 
 
 MESSAGE_CLASSES = (SimEvent, ControlCommand, ControlDirective, Injection, Notice)
-
-_id = st.none() | st.text(min_size=1, max_size=8)
-_payload = st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6), max_size=3)
-
-MESSAGES = {
-    SimEvent: st.builds(
-        SimEvent,
-        time=st.integers(min_value=0, max_value=10**9),
-        seq=st.integers(min_value=0, max_value=10**9),
-        kind=st.sampled_from(sorted(EVENT_KINDS)),
-        machine=_id, shuttle=_id, order=_id, node=_id, info=_payload,
-    ),
-    ControlCommand: st.builds(
-        ControlCommand,
-        kind=st.sampled_from(sorted(COMMAND_KINDS)),
-        shuttle=_id, destination=_id, carry=_id, machine=_id, order=_id, operation=_id,
-    ),
-    ControlDirective: st.builds(
-        ControlDirective,
-        kind=st.sampled_from(sorted(DIRECTIVE_KINDS)),
-        order=st.none() | _payload, order_id=_id, priority=st.none() | st.integers(),
-        machine=_id,
-    ),
-    Injection: st.one_of(
-        st.builds(
-            Injection,
-            kind=st.sampled_from(sorted(INJECTION_KINDS - {"product-reject"})),
-            machine=st.text(min_size=1, max_size=8),
-            duration=st.none() | st.integers(min_value=1),
-        ),
-        st.builds(
-            Injection,
-            kind=st.just("product-reject"), machine=_id, order=st.text(min_size=1, max_size=8),
-            policy=st.sampled_from(sorted(REJECT_POLICIES)),
-        ),
-    ),
-    Notice: st.builds(
-        Notice,
-        time=st.integers(min_value=0),
-        kind=st.sampled_from(["command-rejected", "injection-ignored"]),
-        reason=st.text(max_size=12),
-        command=st.none() | _payload, injection=st.none() | _payload,
-    ),
-}
 
 
 def _default(f):
