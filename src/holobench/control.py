@@ -44,7 +44,7 @@ from operator import attrgetter
 from typing import Any, Iterable
 
 from .canon import is_int
-from .messages import ControlCommand, ControlDirective, Notice, SimEvent
+from .messages import ControlDirective, Notice
 from .model import ShopModel
 
 
@@ -291,65 +291,66 @@ class ReferenceControl:
             self._shuttles[h.assigned_shuttle].assigned_order = None
             h.assigned_shuttle = None
 
-    def _apply_event(self, ev: SimEvent) -> None:
-        h = self._orders.get(ev.order) if ev.order else None
+    def _apply_event(self, ev: dict[str, Any]) -> None:
+        kind, order = ev["kind"], ev.get("order")
+        h = self._orders.get(order) if order else None
         if h is not None:
             self._touched.append(h)
-        if ev.kind == "order-released":
+        if kind == "order-released":
             if h is not None:
                 h.released = True
-                h.node = ev.node
-        elif ev.kind == "shuttle-departed":
-            self._shuttles[ev.shuttle].node = None
-            if ev.order and h is not None:
+                h.node = ev.get("node")
+        elif kind == "shuttle-departed":
+            self._shuttles[ev["shuttle"]].node = None
+            if h is not None:
                 h.in_transit = True
                 h.node = None
-        elif ev.kind == "shuttle-arrived":
-            s = self._shuttles[ev.shuttle]
-            s.node = ev.node
+        elif kind == "shuttle-arrived":
+            s = self._shuttles[ev["shuttle"]]
+            s.node = ev.get("node")
             # A fetch arrival (no order aboard) keeps the claim so the carry
             # leg is issued next round; a delivery releases the shuttle.
-            if ev.order and h is not None:
+            if h is not None:
                 h.in_transit = False
-                h.node = ev.node
-                if h.assigned_shuttle == ev.shuttle:
+                h.node = s.node
+                if h.assigned_shuttle == s.id:
                     h.assigned_shuttle = None
                     s.assigned_order = None
-        elif ev.kind == "op-started":
-            r = self._machines[ev.machine]
-            r.busy_order = ev.order
+        elif kind == "op-started":
+            r = self._machines[ev["machine"]]
+            r.busy_order = order
             r.claimed = False
             if h is not None:
-                h.processing_at = ev.machine
+                h.processing_at = r.id
                 h.dispatched_to = None
-        elif ev.kind == "op-finished":
-            r = self._machines[ev.machine]
+        elif kind == "op-finished":
+            r = self._machines[ev["machine"]]
             r.busy_order = None
             if h is not None:
                 h.processing_at = None
                 h.progress += 1
                 h.node = r.node
-        elif ev.kind == "machine-down":
-            r = self._machines[ev.machine]
+        elif kind == "machine-down":
+            r = self._machines[ev["machine"]]
             r.up = False
             r.claimed = False
-            preempted = ev.info.get("preempted") or r.busy_order
+            preempted = (ev.get("info") or {}).get("preempted") or r.busy_order
             r.busy_order = None
             if preempted:
                 ph = self._orders.get(preempted)
-                if ph is not None and ph.processing_at == ev.machine:
+                if ph is not None and ph.processing_at == r.id:
                     # Progress on the interrupted step is lost.
                     ph.processing_at = None
                     ph.node = r.node
                     self._touched.append(ph)
                     self.stats.reschedules += 1
-        elif ev.kind == "machine-up":
-            self._machines[ev.machine].up = True
-        elif ev.kind == "supply-blocked":
-            self._machines[ev.machine].blocked = True
-        elif ev.kind == "supply-restored":
-            self._machines[ev.machine].blocked = False
-        elif ev.kind == "product-rejected":
+        elif kind == "machine-up":
+            self._machines[ev["machine"]].up = True
+        elif kind == "supply-blocked":
+            self._machines[ev["machine"]].blocked = True
+        elif kind == "supply-restored":
+            self._machines[ev["machine"]].blocked = False
+        elif kind == "product-rejected":
             if h is None:
                 return
             was_processing = h.processing_at
@@ -359,7 +360,7 @@ class ReferenceControl:
                 h.processing_at = None
                 h.node = r.node
                 self.stats.reschedules += 1
-            policy = ev.info.get("policy")
+            policy = (ev.get("info") or {}).get("policy")
             if policy == "scrap":
                 self._close(h)
             elif policy == "rework":
@@ -367,7 +368,7 @@ class ReferenceControl:
                 # in process, otherwise the step just finished.
                 if not was_processing:
                     h.progress = max(0, h.progress - 1)
-        elif ev.kind in ("order-completed", "order-cancelled"):
+        elif kind in ("order-completed", "order-cancelled"):
             if h is not None:
                 self._close(h)
 
@@ -433,7 +434,7 @@ class ReferenceControl:
                 reachable.append((travel, mid))
         return [self._machines[mid] for _, mid in sorted(reachable)]
 
-    def _release_due(self, now: int, commands: list[ControlCommand]) -> None:
+    def _release_due(self, now: int, commands: list[dict[str, Any]]) -> None:
         """Release, in id order, every order whose release time has come."""
         if not self._unreleased or self._unreleased[0].spec.release > now:
             return
@@ -451,7 +452,7 @@ class ReferenceControl:
                 due.append(h)
         self._unreleased[:scanned] = kept
         for h in sorted(due, key=lambda h: h.spec.id):
-            commands.append(ControlCommand(kind="release-order", order=h.spec.id))
+            commands.append({"kind": "release-order", "order": h.spec.id})
             h.release_sent = True
 
     def _place(self, h: _OrderHolon) -> list[_OrderHolon] | None:
@@ -486,8 +487,8 @@ class ReferenceControl:
             h.place = place
         self._touched.clear()
 
-    def _decide(self, now: int) -> list[ControlCommand]:
-        commands: list[ControlCommand] = []
+    def _decide(self, now: int) -> list[dict[str, Any]]:
+        commands: list[dict[str, Any]] = []
         self._release_due(now, commands)
         if self._touched or self._resort:
             self._reindex()
@@ -499,7 +500,7 @@ class ReferenceControl:
                 and h.processing_at is None
                 and h.node is not None
             ):
-                commands.append(ControlCommand(kind="cancel-order", order=h.spec.id))
+                commands.append({"kind": "cancel-order", "order": h.spec.id})
                 h.cancel_sent = True
 
         # Queued products can only be sent on from a machine believed down or
@@ -512,11 +513,10 @@ class ReferenceControl:
                 stuck.append(r.queue)
             elif r.busy_order is None and not r.claimed:
                 h = r.queue[0]
-                commands.append(
-                    ControlCommand(
-                        kind="start-op", machine=r.id, order=h.spec.id, operation=h.next_operation,
-                    )
-                )
+                commands.append({
+                    "kind": "start-op", "machine": r.id, "order": h.spec.id,
+                    "operation": h.next_operation,
+                })
                 h.dispatched_to = r.id
                 r.claimed = True
                 self._touched.append(h)
@@ -554,7 +554,7 @@ class ReferenceControl:
                 held.append(h)
         return held
 
-    def _transport(self, h: _OrderHolon, commands: list[ControlCommand]) -> bool:
+    def _transport(self, h: _OrderHolon, commands: list[dict[str, Any]]) -> bool:
         """Issue the move ``h`` needs, if any; True when it took a free shuttle."""
         dest = self._dest_for(h)
         if dest is None or dest == h.node:
@@ -564,16 +564,12 @@ class ReferenceControl:
             return False
         took_free = h.assigned_shuttle is None
         if shuttle.node == h.node:
-            commands.append(
-                ControlCommand(
-                    kind="move-shuttle", shuttle=shuttle.id,
-                    destination=dest, carry=h.spec.id,
-                )
-            )
+            commands.append({
+                "kind": "move-shuttle", "shuttle": shuttle.id, "destination": dest,
+                "carry": h.spec.id,
+            })
         else:
-            commands.append(
-                ControlCommand(kind="move-shuttle", shuttle=shuttle.id, destination=h.node)
-            )
+            commands.append({"kind": "move-shuttle", "shuttle": shuttle.id, "destination": h.node})
         shuttle.assigned_order = h.spec.id
         h.assigned_shuttle = shuttle.id
         return took_free
@@ -602,10 +598,10 @@ class ReferenceControl:
         self,
         now: int,
         directives: Iterable[ControlDirective],
-        events: Iterable[SimEvent],
+        events: Iterable[dict[str, Any]],
         notices: Iterable[Notice],
-    ) -> tuple[list[ControlCommand], bool]:
-        """Process one round of inputs; returns (commands, idle)."""
+    ) -> tuple[list[dict[str, Any]], bool]:
+        """One round: directives, event bodies and notices in; (command bodies, idle) out."""
         for d in directives:
             self._apply_directive(d)
         for ev in events:

@@ -25,31 +25,28 @@ contain either.
 
 The round driver talks to its control through an endpoint, whether the
 control runs in process or over a socket.  An endpoint has two calls and
-``close()``: ``send(record, message)`` encodes the record, delivers it and
-returns its line, and ``recv()`` returns the control's next ``(line,
-record, message)``.  The message is what the record's body encodes:
-``(events, notices)`` for an event batch, a ``ControlDirective`` for a
-directive, a ``ControlCommand`` for a command, and None for every other
-kind.  A record and a message handed to ``send`` are the control's to read
-until it returns; the driver reads nothing of them afterwards.
+``close()``: ``send(record)`` encodes, delivers and returns the record's
+line, and ``recv()`` returns the control's next ``(line, record)``.  The
+driver reads nothing of a record it has sent.
 
 Each line is encoded once, by ``encode_record``, and decoded only by a
 reader that was not given its record, by ``decode_line``; both check the
-record's shape with ``check_record``, and nothing else does.  A message is
-built from its record only by a reader that was not given the message,
-and only by ``message_of``.  An event batch's events go on the wire as the
-bodies the kernel built with them (``EventBatch``).  In process, the
-control is called directly with the sender's own record and message
-objects, and its replies are encoded once and queued with their records
-and its own commands, so an in-process session decodes nothing and
-rebuilds no message.  A socket carries only the line; its receiver
-decodes it and builds its message once.  The round driver hands the
-recorder each line with the record it sent or received, once the session
-is done with it, so the recorder never decodes.  Every log reader walks
-``iter_records``, which decodes each line once, as it yields it, and
-keeps only what it needs; replay indexes the whole log before the control
-sees a record and encodes only the command and end-of-round records the
-control returns.
+record's shape with ``check_record``, and nothing else does.  Events and
+commands cross as bodies: a batch's ``events`` are the kernel's own event
+bodies, and a command record's body is the control's own command.  Where a
+body is received, on every path, its message class's ``check_body`` checks
+it and it is copied: ``ControlClient`` hands the control a checked copy of
+each event and builds the rare directives and notices with ``from_dict``,
+and the round driver hands the kernel a checked copy of each command.  A
+body that fails raises ``ProtocolError``.  In process, the control gets the
+driver's own record and its replies are queued with their records, so the
+session decodes nothing; a socket carries only the line, decoded once by
+its receiver.  The recorder gets each line with its record once the
+session is done with it.  Every log reader walks ``iter_records``, which
+decodes each line once, as it yields it; a reader of events refuses a bad
+event body with ``DecodeError`` at its line's byte offset.  Replay indexes
+the whole log before the control sees a record and encodes only the
+command and end-of-round records the control returns.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .canon import canon_dumps, canon_str
 from .control import ProductOrder, ReferenceControl
-from .messages import ControlCommand, ControlDirective, EventBatch, MessageError, Notice, SimEvent
+from .messages import ControlCommand, ControlDirective, MessageError, Notice, SimEvent
 
 WIRE_PREFIX = b"IL1 "
 WIRE_VERSION = "1"
@@ -224,33 +221,29 @@ def extract_command_log(log: bytes) -> bytes:
     return bytes(out)
 
 
-def message_of(record: dict[str, Any]) -> Any:
-    """The message a record's body encodes, built from the body:
-    ``(events, notices)`` for an event batch, a ``ControlDirective`` for a
-    directive, a ``ControlCommand`` for a command, None for any other kind.
-
-    The one place a session builds messages from records; an in-process
-    peer hands over the sender's own objects instead.
-    """
-    kind, body = record["kind"], record["body"]
-    if kind == "event-batch":
-        return (
-            [SimEvent.from_dict(d) for d in body["events"]],
-            [Notice.from_dict(d) for d in body.get("notices", [])],
-        )
-    if kind == "directive":
-        return ControlDirective.from_dict(body)
-    if kind == "command":
-        return ControlCommand.from_dict(body)
-    return None
+def batch_events(record: dict[str, Any], offset: int = 0) -> list[dict[str, Any]]:
+    """The event bodies of an event-batch record, each checked by
+    ``SimEvent.check_body``; a body without an events list, or with an
+    event that fails its check, raises ``DecodeError`` at ``offset``."""
+    events = record["body"].get("events")
+    if type(events) is not list:
+        raise DecodeError("event-batch body must hold an events list", offset)
+    try:
+        for body in events:
+            SimEvent.check_body(body)
+    except MessageError as exc:
+        raise DecodeError(f"event-batch event refused: {exc}", offset) from None
+    return events
 
 
 def extract_event_stream(log: bytes) -> list[SimEvent]:
     """The emulation's production events, in wire order."""
     events: list[SimEvent] = []
-    for _, record in iter_records(log):
+    offset = 0
+    for line, record in iter_records(log):
         if record["role"] == ROLE_EMULATION and record["kind"] == "event-batch":
-            events.extend(message_of(record)[0])
+            events.extend(SimEvent.from_dict(d) for d in batch_events(record, offset))
+        offset += len(line)
     return events
 
 
@@ -260,27 +253,25 @@ def extract_event_stream(log: bytes) -> list[SimEvent]:
 class ControlClient:
     """Answers the emulation's records on behalf of a ReferenceControl.
 
-    ``handle`` takes one inbound record with its message.  A round
-    (directives, then one event batch) is answered with command records and
-    an end-of-round record, and run-end with the control's end-of-run taps
-    and a bye.  Each reply record goes to ``send`` as it is made, with its
-    message: the control's own command, or None.
+    ``handle`` takes one inbound record.  A round (directives, then one
+    event batch) is answered with command records and an end-of-round
+    record, and run-end with the control's end-of-run taps and a bye.  Each
+    reply record goes to ``send`` as it is made.
     """
 
-    def __init__(self, send: Callable[[dict[str, Any], Any], None], control: ReferenceControl):
+    def __init__(self, send: Callable[[dict[str, Any]], None], control: ReferenceControl):
         self._send = send
         self._control = control
         self._directives: list[ControlDirective] = []
         self._round = 0
 
-    def handle(self, record: dict[str, Any], message: Any) -> bool:
-        """Handle one inbound record and its message; False once the
-        session is over."""
+    def handle(self, record: dict[str, Any]) -> bool:
+        """Handle one inbound record; False once the session is over."""
         kind = record["kind"]
         if kind == "hello":
             self._control.check_model_hash(record["body"]["model_hash"])
             body = {"model_hash": self._control.model.model_hash, "policy": "reference-holonic"}
-            self._send(make_record(ROLE_CONTROL, 0, 0, "hello", body), None)
+            self._send(make_record(ROLE_CONTROL, 0, 0, "hello", body))
         elif kind == "run-meta":
             self._control.load_orders(
                 ProductOrder.from_dict(d) for d in record["body"].get("orders", [])
@@ -288,36 +279,51 @@ class ControlClient:
         elif kind == "injection":
             pass  # audit trail only
         elif kind == "directive":
-            self._directives.append(message)
+            self._directives.append(_built(ControlDirective.from_dict, record))
         elif kind == "event-batch":
-            self._serve_round(record, message)
+            self._serve_round(record)
         elif kind == "run-end":
             round_no = record["round"]
             for i, (name, value) in enumerate(sorted(self._control.export_kpi().items())):
                 body = {"flow": "FLOW7", "name": name, "value": value, "i": i}
-                self._send(make_record(ROLE_CONTROL, round_no, record["t"], "tap", body), None)
-            self._send(make_record(ROLE_CONTROL, round_no, record["t"], "bye", {}), None)
+                self._send(make_record(ROLE_CONTROL, round_no, record["t"], "tap", body))
+            self._send(make_record(ROLE_CONTROL, round_no, record["t"], "bye", {}))
             return False
         else:
             raise ProtocolError(f"control cannot handle record kind {kind!r}")
         return True
 
-    def _serve_round(self, record: dict[str, Any], message: Any) -> None:
+    def _serve_round(self, record: dict[str, Any]) -> None:
         round_no, t = record["round"], record["t"]
         if round_no != self._round + 1:
             raise ProtocolError(
                 f"round monotonicity violated: got round {round_no} after {self._round}"
             )
         self._round = round_no
-        events, notices = message
+        events, notices = _built(_round_inputs, record)
         commands, idle = self._control.on_round(t, self._directives, events, notices)
         self._directives = []
         for cmd in commands:
-            self._send(
-                make_record(ROLE_CONTROL, round_no, t, "command", cmd.to_dict(), round_no), cmd
-            )
+            self._send(make_record(ROLE_CONTROL, round_no, t, "command", cmd, round_no))
         end = make_record(ROLE_CONTROL, round_no, t, "end-of-round", {"idle": idle}, round_no)
-        self._send(end, None)
+        self._send(end)
+
+
+def _round_inputs(body: dict[str, Any]) -> tuple[list[dict[str, Any]], list[Notice]]:
+    """A checked copy of each event of a batch body, and its notices."""
+    notices = [Notice.from_dict(d) for d in body.get("notices", ())]
+    return [SimEvent.copy_body(d) for d in body["events"]], notices
+
+
+def _built(build: Callable[[Any], Any], record: dict[str, Any]) -> Any:
+    """``build`` of the record's body, or ``ProtocolError`` naming the
+    record's role and kind when the body builds nothing."""
+    try:
+        return build(record["body"])
+    except (KeyError, TypeError, AttributeError, MessageError) as exc:
+        raise ProtocolError(
+            f"{record['role']} {record['kind']} body builds no message: {exc!r}"
+        ) from exc
 
 
 def serve_control(endpoint, control: ReferenceControl) -> None:
@@ -326,7 +332,7 @@ def serve_control(endpoint, control: ReferenceControl) -> None:
     of a socket, typically in its own thread."""
     client = ControlClient(endpoint.send, control)
     try:
-        while client.handle(*endpoint.recv()[1:]):
+        while client.handle(endpoint.recv()[1]):
             pass
     except EndOfStream:
         pass
@@ -340,31 +346,30 @@ def serve_control(endpoint, control: ReferenceControl) -> None:
 class InProcEndpoint:
     """The driver's endpoint to a control served in process, by direct call.
 
-    ``send`` encodes the record, then hands it to the control with the
-    driver's own message.  The control's replies are encoded and queued
-    with their records and messages, and ``recv`` pops the next one.  A
-    receive with no reply waiting breaks the lock step and raises
-    ``ProtocolError``; once the control has said bye, or the endpoint is
-    closed, a receive with none left raises ``EndOfStream`` and a send
-    raises ``ProtocolError``.
+    ``send`` encodes the record, then hands it to the control.  The
+    control's replies are encoded and queued with their records, and
+    ``recv`` pops the next one.  A receive with no reply waiting breaks the
+    lock step and raises ``ProtocolError``; once the control has said bye,
+    or the endpoint is closed, a receive with none left raises
+    ``EndOfStream`` and a send raises ``ProtocolError``.
     """
 
     def __init__(self, control: ReferenceControl):
-        self._replies: deque[tuple[bytes, dict[str, Any], Any]] = deque()
+        self._replies: deque[tuple[bytes, dict[str, Any]]] = deque()
         self._client = ControlClient(self._queue_reply, control)
         self._open = True
 
-    def _queue_reply(self, record: dict[str, Any], message: Any) -> None:
-        self._replies.append((encode_record(record), record, message))
+    def _queue_reply(self, record: dict[str, Any]) -> None:
+        self._replies.append((encode_record(record), record))
 
-    def send(self, record: dict[str, Any], message: Any) -> bytes:
+    def send(self, record: dict[str, Any]) -> bytes:
         if not self._open:
             raise ProtocolError("the session has ended")
         line = encode_record(record)
-        self._open = self._client.handle(record, message)
+        self._open = self._client.handle(record)
         return line
 
-    def recv(self) -> tuple[bytes, dict[str, Any], Any]:
+    def recv(self) -> tuple[bytes, dict[str, Any]]:
         if not self._replies:
             if not self._open:
                 raise EndOfStream
@@ -379,7 +384,7 @@ class SocketEndpoint:
     """Line transport over a stream socket with a receive timeout.
 
     Only the line crosses: ``send`` writes the record's line, and ``recv``
-    decodes each line it reads and builds its message with ``message_of``.
+    decodes each line it reads.
     """
 
     def __init__(self, sock: socket.socket, timeout: float | None = 5.0):
@@ -387,7 +392,7 @@ class SocketEndpoint:
         self._sock.settimeout(timeout)
         self._buffer = bytearray()
 
-    def send(self, record: dict[str, Any], message: Any) -> bytes:
+    def send(self, record: dict[str, Any]) -> bytes:
         line = encode_record(record)
         self._sock.sendall(line)
         return line
@@ -409,16 +414,9 @@ class SocketEndpoint:
                 raise EndOfStream
             self._buffer += chunk
 
-    def recv(self) -> tuple[bytes, dict[str, Any], Any]:
+    def recv(self) -> tuple[bytes, dict[str, Any]]:
         line = self.recv_line()
-        record = decode_line(line)
-        try:
-            message = message_of(record)
-        except (KeyError, TypeError, AttributeError, MessageError) as exc:
-            raise ProtocolError(
-                f"{record['role']} {record['kind']} body builds no message: {exc!r}"
-            ) from exc
-        return line, record, message
+        return line, decode_line(line)
 
     def close(self) -> None:
         """Shut down the write side, then close the socket."""
@@ -484,25 +482,24 @@ class RoundDriver:
         self.round_no = 0
         self.round_ms: list[float] = []
 
-    def _send(self, record: dict[str, Any], message: Any = None) -> None:
-        self._recorder.record(self._ep.send(record, message), record)
+    def _send(self, record: dict[str, Any]) -> None:
+        self._recorder.record(self._ep.send(record), record)
 
-    def _recv(self) -> tuple[bytes, dict[str, Any], Any]:
-        """The control's next line, record and message, refusing a record
-        of another role; the caller records the line once it has read the
-        record."""
+    def _recv(self) -> tuple[bytes, dict[str, Any]]:
+        """The control's next line and record, refusing a record of another
+        role; the caller records the line once it has read the record."""
         try:
-            line, record, message = self._ep.recv()
+            line, record = self._ep.recv()
         except EndOfStream:
             raise ProtocolError("the control hung up before its bye") from None
         if record["role"] != ROLE_CONTROL:
             raise ProtocolError(f"unexpected {record['role']} record in a control reply")
-        return line, record, message
+        return line, record
 
     def handshake(self) -> None:
         """Send hello and check the control's hello in reply."""
         self._send(make_record(ROLE_EMULATION, 0, 0, "hello", {"model_hash": self._model_hash}))
-        line, record, _ = self._recv()
+        line, record = self._recv()
         if record["kind"] != "hello":
             raise ProtocolError("expected the control's hello")
         if record["body"].get("model_hash") != self._model_hash:
@@ -526,37 +523,35 @@ class RoundDriver:
     def open_round(self, t: int, directives: Iterable[ControlDirective]) -> int:
         self.round_no += 1
         for d in directives:
-            self._send(make_record(ROLE_SCENARIO, self.round_no, t, "directive", d.to_dict()), d)
+            self._send(make_record(ROLE_SCENARIO, self.round_no, t, "directive", d.to_dict()))
         return self.round_no
 
     def play_round(
-        self, t: int, batch: EventBatch, notices: Iterable[Notice]
-    ) -> tuple[list[ControlCommand], bool]:
+        self, t: int, events: list[dict[str, Any]], notices: Iterable[Notice]
+    ) -> tuple[list[dict[str, Any]], bool]:
         """Send the round's event batch and read the control's reply, up to
         and including its end-of-round; return the commands and the idle
-        flag.  The batch's bodies, which the kernel built with its events,
-        are the record's events, so no event is converted here; notices are
-        rare and go through ``to_dict``.  The control gets the batch's
-        events and the notices in lists of its own, and the commands
-        returned are the control's own objects."""
-        events, notices = list(batch), list(notices)
-        body = {"events": batch.bodies, "notices": [n.to_dict() for n in notices]}
+        flag.  The kernel's event bodies are the batch's events; notices go
+        through ``to_dict``.  Each command is a checked copy of the control's
+        body.  An ``idle`` other than true or false raises ``ProtocolError``."""
+        body = {"events": events, "notices": [n.to_dict() for n in notices]}
         sent = time.perf_counter()
-        self._send(make_record(ROLE_EMULATION, self.round_no, t, "event-batch", body),
-                   (events, notices))
-        commands: list[ControlCommand] = []
+        self._send(make_record(ROLE_EMULATION, self.round_no, t, "event-batch", body))
+        commands: list[dict[str, Any]] = []
         while True:
-            line, record, message = self._recv()
+            line, record = self._recv()
             kind = record["kind"]
             if kind not in ("command", "end-of-round"):
                 raise ProtocolError(f"unexpected control record kind {kind!r}")
             if record["corr"] != self.round_no:
                 raise ProtocolError(f"{kind} correlates to the wrong round")
             if kind == "command":
-                commands.append(message)
+                commands.append(_built(ControlCommand.copy_body, record))
             else:
                 self.round_ms.append((time.perf_counter() - sent) * 1000.0)
-                idle = bool(record["body"].get("idle"))
+                idle = record["body"].get("idle")
+                if type(idle) is not bool:
+                    raise ProtocolError(f"end-of-round idle must be true or false, not {idle!r}")
             self._recorder.record(line, record)
             if kind == "end-of-round":
                 return commands, idle
@@ -566,7 +561,7 @@ class RoundDriver:
         self.round_no += 1
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "run-end", {"reason": reason}))
         while True:
-            line, record, _ = self._recv()
+            line, record = self._recv()
             kind = record["kind"]
             if kind not in ("tap", "bye"):
                 raise ProtocolError(f"unexpected record {kind!r} after run-end")
@@ -587,10 +582,10 @@ def replay_session(log: bytes, control: ReferenceControl) -> bytes:
 
     Indexes the log's emulation and scenario records first, decoding each
     line once and refusing a log that is truncated, breaks round order or
-    has no run-end.  Then hands them to the control, each with the message
-    ``message_of`` builds from it, up to its bye, and returns the command
-    log it answered with (command and end-of-round lines) for byte
-    comparison with ``extract_command_log`` of the original.
+    has no run-end.  Then hands them to the control, up to its bye, and
+    returns the command log it answered with (command and end-of-round
+    lines) for byte comparison with ``extract_command_log`` of the
+    original.
     """
     records: list[dict[str, Any]] = []
     last_round = 0
@@ -607,9 +602,9 @@ def replay_session(log: bytes, control: ReferenceControl) -> bytes:
     if records and not complete:
         raise ReplayError("log is truncated: no run-end record")
     sent: list[dict[str, Any]] = []
-    client = ControlClient(lambda record, message: sent.append(record), control)
+    client = ControlClient(sent.append, control)
     for record in records:
-        if not client.handle(record, message_of(record)):
+        if not client.handle(record):
             break
     return b"".join(
         encode_record(record) for record in sent if record["kind"] in ("command", "end-of-round")

@@ -11,6 +11,8 @@ tick are processed in one step, and the resulting events are ordered by
 (kind, machine, shuttle, order, node) before sequence numbers are assigned,
 so a run is reproducible bit for bit.
 
+Events and commands are the dict forms of ``SimEvent`` and ``ControlCommand``:
+a batch's event bodies go on the wire as they are.
 Commands are applied at the current clock: the events they cause carry the
 same tick as the batch that prompted them.  Invalid commands and no-op
 injections never raise; they produce notices that ride along with the next
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 from .canon import canon_dumps
-from .messages import ControlCommand, EventBatch, Injection, Notice, SimEvent
+from .messages import Injection, Notice
 from .model import ShopModel
 
 
@@ -111,14 +113,13 @@ class EmulationKernel:
 
     # -- advancing ----------------------------------------------------------
 
-    def advance(self, commands: Iterable[ControlCommand] = ()) -> EventBatch:
-        """Apply commands, or advance time to the next live happening.
+    def advance(self, commands: Iterable[dict[str, Any]] = ()) -> list[dict[str, Any]]:
+        """Apply command bodies, or advance time to the next live happening.
 
-        Returns one batch of events, all at the same tick, with each event's
-        wire body (see ``EventBatch``).  If the commands produce events, the
-        batch is at the current clock and time does not move.  Otherwise the
-        clock jumps to the earliest scheduled happening.  An empty batch
-        means nothing is left to do.
+        Returns one batch of event bodies, all at the same tick.  If the
+        commands produce events, the batch is at the current clock and time
+        does not move.  Otherwise the clock jumps to the earliest scheduled
+        happening.  An empty batch means nothing is left to do.
         """
         raw: list[dict[str, Any]] = []
         for cmd in commands:
@@ -138,15 +139,14 @@ class EmulationKernel:
                     raw.extend(self._fire(kind, subject))
             if raw:
                 return self._seal(raw)
-        return EventBatch([], [])
+        return []
 
-    def _seal(self, raw: list[dict[str, Any]]) -> EventBatch:
-        """Order a tick's raw event dicts, stamp each with (time, seq) and
-        build its event; each stamped dict becomes that event's wire body.
+    def _seal(self, raw: list[dict[str, Any]]) -> list[dict[str, Any]]:
+        """Order a tick's raw event dicts and stamp each with (time, seq).
 
         A raw dict holds no None value and no empty ``info``, so its stamped
-        form equals the event's ``to_dict()``.  The body gets its own copy
-        of ``info``, so that event and body share no mutable dict.
+        form is the event's ``to_dict()``, its wire body.  The kernel keeps
+        no reference to it.
         """
 
         def key(d: dict[str, Any]) -> tuple[str, str, str, str, str]:
@@ -158,16 +158,12 @@ class EmulationKernel:
                 d.get("node") or "",
             )
 
-        bodies = sorted(raw, key=key)
-        events: list[SimEvent] = []
-        for d in bodies:
+        raw.sort(key=key)
+        for d in raw:
             d["time"] = self.clock
             d["seq"] = self._next_seq
             self._next_seq += 1
-            events.append(SimEvent(**d))
-            if "info" in d:
-                d["info"] = dict(d["info"])
-        return EventBatch(events, bodies)
+        return raw
 
     # -- scheduled happenings -----------------------------------------------
 
@@ -224,25 +220,26 @@ class EmulationKernel:
 
     # -- commands -----------------------------------------------------------
 
-    def _reject(self, cmd: ControlCommand, reason: str) -> list[dict[str, Any]]:
+    def _reject(self, cmd: dict[str, Any], reason: str) -> list[dict[str, Any]]:
         self._notices.append(
-            Notice(time=self.clock, kind="command-rejected", reason=reason, command=cmd.to_dict())
+            Notice(time=self.clock, kind="command-rejected", reason=reason, command=dict(cmd))
         )
         return []
 
-    def _apply_command(self, cmd: ControlCommand) -> list[dict[str, Any]]:
-        if cmd.kind == "release-order":
+    def _apply_command(self, cmd: dict[str, Any]) -> list[dict[str, Any]]:
+        kind = cmd["kind"]
+        if kind == "release-order":
             return self._cmd_release(cmd)
-        if cmd.kind == "move-shuttle":
+        if kind == "move-shuttle":
             return self._cmd_move(cmd)
-        if cmd.kind == "start-op":
+        if kind == "start-op":
             return self._cmd_start(cmd)
-        if cmd.kind == "cancel-order":
+        if kind == "cancel-order":
             return self._cmd_cancel(cmd)
-        return self._reject(cmd, f"{cmd.kind} is not an emulation command")
+        return self._reject(cmd, f"{kind} is not an emulation command")
 
-    def _cmd_release(self, cmd: ControlCommand) -> list[dict[str, Any]]:
-        order = cmd.order
+    def _cmd_release(self, cmd: dict[str, Any]) -> list[dict[str, Any]]:
+        order = cmd.get("order")
         if order is None:
             return self._reject(cmd, "release-order requires an order id")
         if order in self._released:
@@ -252,8 +249,8 @@ class EmulationKernel:
         self._products[order] = _Product(node=node)
         return [{"kind": "order-released", "order": order, "node": node}]
 
-    def _cmd_move(self, cmd: ControlCommand) -> list[dict[str, Any]]:
-        sid, dest = cmd.shuttle, cmd.destination
+    def _cmd_move(self, cmd: dict[str, Any]) -> list[dict[str, Any]]:
+        sid, dest = cmd.get("shuttle"), cmd.get("destination")
         if sid not in self._shuttles:
             return self._reject(cmd, f"unknown shuttle {sid!r}")
         sh = self._shuttles[sid]
@@ -266,7 +263,7 @@ class EmulationKernel:
         travel = self.model.travel_time(sh.node, dest)
         if travel is None:
             return self._reject(cmd, f"no route from {sh.node!r} to {dest!r}")
-        cargo = cmd.carry
+        cargo = cmd.get("carry")
         product: _Product | None = None
         if cargo is not None:
             product = self._products.get(cargo)
@@ -288,8 +285,8 @@ class EmulationKernel:
         self._schedule(self.clock + travel, _ARRIVE, sid)
         return [ev]
 
-    def _cmd_start(self, cmd: ControlCommand) -> list[dict[str, Any]]:
-        mid, order, op = cmd.machine, cmd.order, cmd.operation
+    def _cmd_start(self, cmd: dict[str, Any]) -> list[dict[str, Any]]:
+        mid, order, op = cmd.get("machine"), cmd.get("order"), cmd.get("operation")
         if mid not in self._machines:
             return self._reject(cmd, f"unknown machine {mid!r}")
         m = self._machines[mid]
@@ -322,8 +319,8 @@ class EmulationKernel:
             }
         ]
 
-    def _cmd_cancel(self, cmd: ControlCommand) -> list[dict[str, Any]]:
-        order = cmd.order
+    def _cmd_cancel(self, cmd: dict[str, Any]) -> list[dict[str, Any]]:
+        order = cmd.get("order")
         p = self._products.get(order)
         if p is None:
             return self._reject(cmd, f"order {order!r} is not on the floor")
@@ -345,7 +342,7 @@ class EmulationKernel:
         )
         return []
 
-    def apply_injection(self, inj: Injection) -> EventBatch:
+    def apply_injection(self, inj: Injection) -> list[dict[str, Any]]:
         """Apply a disturbance at the current clock; returns its events, as
         ``advance`` does."""
         if inj.kind == "product-reject":

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable, get_type_hints
 
 from .canon import fits
-from .interface import iter_records
+from .interface import batch_events, iter_records
 
 FLOW_EVENTS = "FLOW1"
 FLOW_CONTROL_KPI = "FLOW7"
@@ -350,15 +350,16 @@ def recompute_from_log(log: bytes) -> KpiReport:
     event that contradicts the machine's state raises ``StreamError``.
 
     The log is decoded one line at a time, and each record is folded in and
-    dropped: only the run-meta body, the dues, the events (deduplicated by
-    ``seq``) and the control's counters are kept for the whole-log folds
-    below.
+    dropped: only the run-meta body, the dues, the events (checked, see
+    ``batch_events``, and deduplicated by ``seq``) and the control's
+    counters are kept for the whole-log folds below.
     """
     meta: dict[str, Any] = {}
     dues: dict[str, int] = {}
     events: dict[int, dict[str, Any]] = {}  # seq -> event, deduplicated
     control_kpi: dict[str, int] = {}
-    for _, record in iter_records(log):
+    offset = 0
+    for line, record in iter_records(log):
         kind = record["kind"]
         if kind == "run-meta":
             meta = record["body"]
@@ -369,10 +370,11 @@ def recompute_from_log(log: bytes) -> KpiReport:
             if "id" in od and "due" in od:
                 dues[od["id"]] = od["due"]
         elif kind == "event-batch":
-            for ed in record["body"]["events"]:
+            for ed in batch_events(record, offset):
                 events.setdefault(ed["seq"], ed)
         elif kind == "tap" and record["body"].get("flow") == FLOW_CONTROL_KPI:
             control_kpi[record["body"]["name"]] = record["body"]["value"]
+        offset += len(line)
 
     ordered = [events[s] for s in sorted(events)]
 

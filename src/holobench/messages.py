@@ -3,13 +3,16 @@
 These are the payloads that cross the interface layer between the emulation,
 the control system, and the scenario manager.  Event kinds form a closed set;
 every event carries the pair (time, seq) that totally orders the stream.
-Each class gets its dict form from ``wire_message``, driven by its fields.
+Each class gets its dict form and that form's check from ``wire_message``,
+driven by its fields.  The classes are the schemas of the wire bodies: on
+the live path events and commands cross as their dict forms, and only the
+rare directives, injections and notices are built as objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any
+from typing import Any, Callable
 
 # Closed vocabulary of production events emitted by the emulation.
 EVENT_KINDS = frozenset(
@@ -54,44 +57,95 @@ class MessageError(ValueError):
     """Malformed or inconsistent message payload."""
 
 
-def wire_message(cls):
-    """Give a message dataclass its ``to_dict`` and ``from_dict``.
+def wire_message(label: str, kinds: frozenset[str] | None = None,
+                 rule: Callable[[dict[str, Any]], None] | None = None):
+    """Give a message dataclass its ``to_dict``, ``from_dict``, ``check_body``
+    and ``copy_body``, read from its fields once; ``label`` names it in errors.
 
-    ``to_dict`` leaves out every field whose value equals its default;
-    ``from_dict`` ignores keys that name no field.  Dict values are copied
-    both ways.  Both are set on the class itself, ``from_dict`` as a
-    classmethod.
+    ``to_dict`` leaves out every field equal to its default; ``from_dict``
+    ignores keys that name no field; both copy dict values.  ``check_body``
+    returns a body holding every field without a default, a ``kind`` in
+    ``kinds`` (if given), non-negative integers as ``time`` and ``seq``, and
+    a dict or None in each dict field, that passes ``rule``.  Building a
+    message checks its fields so too, so a body passes exactly when
+    ``from_dict`` builds from it.  ``copy_body`` copies a checked body as
+    ``from_dict`` takes it.
     """
-    spec = tuple(
-        (f.name, f.default if f.default_factory is MISSING else f.default_factory())
-        for f in fields(cls)
-    )
-    names = frozenset(name for name, _ in spec)
 
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {}
-        for name, default in spec:
-            value = getattr(self, name)
-            # the identity test settles the common case, a field left at None
-            if value is not default and value != default:
-                d[name] = dict(value) if type(value) is dict else value
-        return d
+    def wrap(cls):
+        spec = tuple(
+            (f.name, f.default if f.default_factory is MISSING else f.default_factory())
+            for f in fields(cls)
+        )
+        names = frozenset(name for name, _ in spec)
+        counters = tuple(name for name in ("time", "seq") if name in names)
+        # the fields without a default that check_body reads nowhere else
+        required = tuple(f.name for f in fields(cls) if f.default is f.default_factory is MISSING
+                         and f.name != "kind" and f.name not in counters)
+        # annotations are strings here (``from __future__ import annotations``)
+        objects = [f.name for f in fields(cls) if f.type.startswith("dict")]
 
-    def from_dict(cls, d: dict[str, Any]):
-        kwargs: dict[str, Any] = {}
-        for name, value in d.items():
-            if name in names:
-                kwargs[name] = dict(value) if type(value) is dict else value
-        return cls(**kwargs)
+        def to_dict(self) -> dict[str, Any]:
+            d: dict[str, Any] = {}
+            for name, default in spec:
+                value = getattr(self, name)
+                # the identity test settles the common case, a field left at None
+                if value is not default and value != default:
+                    d[name] = dict(value) if type(value) is dict else value
+            return d
 
-    cls.to_dict = to_dict
-    cls.from_dict = classmethod(from_dict)
-    return cls
+        def from_dict(cls, d: dict[str, Any]):
+            return cls(**{name: value for name, value in copy_body(d).items() if name in names})
+
+        def check_body(body: Any) -> dict[str, Any]:
+            if type(body) is not dict:
+                raise MessageError(f"{label} body must be an object")
+            try:
+                kind = body["kind"]
+                for name in counters:
+                    value = body[name]
+                    if type(value) is not int or value < 0:
+                        raise MessageError(f"{label} {name} must be a non-negative integer")
+                for name in required:
+                    body[name]
+            except KeyError as exc:
+                raise MessageError(f"{label} body lacks {exc.args[0]!r}") from None
+            if kinds is not None and (type(kind) is not str or kind not in kinds):
+                raise MessageError(f"unknown {label} kind {kind!r}")
+            for name in objects:
+                value = body.get(name)
+                if value is not None and type(value) is not dict:
+                    raise MessageError(f"{label} {name} must be an object")
+            if rule is not None:
+                rule(body)
+            return body
+
+        def copy_body(body: Any) -> dict[str, Any]:
+            copy = dict(check_body(body))
+            for name in objects:
+                if copy.get(name) is not None:
+                    copy[name] = dict(copy[name])
+            return copy
+
+        cls.to_dict = to_dict
+        cls.from_dict = classmethod(from_dict)
+        cls.check_body = staticmethod(check_body)
+        cls.copy_body = staticmethod(copy_body)
+        return cls
+
+    return wrap
 
 
-@wire_message
+class _Message:
+    """Base of the wire messages: building one checks its fields as a body."""
+
+    def __post_init__(self) -> None:
+        self.check_body(vars(self))
+
+
+@wire_message("event", EVENT_KINDS)
 @dataclass(frozen=True)
-class SimEvent:
+class SimEvent(_Message):
     """One timestamped production event.
 
     (time, seq) strictly increases across a run's stream; seq has no gaps.
@@ -108,32 +162,10 @@ class SimEvent:
     node: str | None = None
     info: dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise MessageError(f"unknown event kind {self.kind!r}")
-        if self.time < 0 or self.seq < 0:
-            raise MessageError("time and seq must be non-negative")
 
-
-class EventBatch(list):
-    """One kernel batch: a list of ``SimEvent``s with their wire bodies.
-
-    ``bodies[i]`` is the dict form of ``self[i]``, equal to its ``to_dict()``
-    and sharing no mutable dict with it, so the batch goes on the wire
-    without a second conversion.  As a list, a batch compares, iterates and
-    measures like its events alone.
-    """
-
-    __slots__ = ("bodies",)
-
-    def __init__(self, events: list[SimEvent], bodies: list[dict[str, Any]]):
-        super().__init__(events)
-        self.bodies = bodies
-
-
-@wire_message
+@wire_message("command", COMMAND_KINDS)
 @dataclass(frozen=True)
-class ControlCommand:
+class ControlCommand(_Message):
     """A control decision sent to the emulation.
 
     move-shuttle may name a ``carry`` order to load at the shuttle's current
@@ -150,14 +182,10 @@ class ControlCommand:
     order: str | None = None
     operation: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in COMMAND_KINDS:
-            raise MessageError(f"unknown command kind {self.kind!r}")
 
-
-@wire_message
+@wire_message("directive", DIRECTIVE_KINDS)
 @dataclass(frozen=True)
-class ControlDirective:
+class ControlDirective(_Message):
     """A scenario-manager instruction to the control system."""
 
     kind: str
@@ -166,14 +194,25 @@ class ControlDirective:
     priority: int | None = None
     machine: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in DIRECTIVE_KINDS:
-            raise MessageError(f"unknown directive kind {self.kind!r}")
+
+def _injection_rule(body: dict[str, Any]) -> None:
+    """A positive duration; a product-reject's order and policy, else a machine."""
+    duration = body.get("duration")
+    if duration is not None and (type(duration) is not int or duration <= 0):
+        raise MessageError("injection duration must be > 0")
+    if body["kind"] == "product-reject":
+        policy = body.get("policy")
+        if type(policy) is not str or policy not in REJECT_POLICIES:
+            raise MessageError(f"product-reject policy must be one of {sorted(REJECT_POLICIES)}")
+        if body.get("order") is None:
+            raise MessageError("product-reject requires an order target")
+    elif body.get("machine") is None:
+        raise MessageError(f"{body['kind']} requires a machine target")
 
 
-@wire_message
+@wire_message("injection", INJECTION_KINDS, _injection_rule)
 @dataclass(frozen=True)
-class Injection:
+class Injection(_Message):
     """A disturbance applied directly to the emulation."""
 
     kind: str
@@ -182,23 +221,10 @@ class Injection:
     duration: int | None = None
     policy: str | None = None  # product-reject: rework | scrap
 
-    def __post_init__(self) -> None:
-        if self.kind not in INJECTION_KINDS:
-            raise MessageError(f"unknown injection kind {self.kind!r}")
-        if self.duration is not None and self.duration <= 0:
-            raise MessageError("injection duration must be > 0")
-        if self.kind == "product-reject":
-            if self.policy not in REJECT_POLICIES:
-                raise MessageError(f"product-reject policy must be one of {sorted(REJECT_POLICIES)}")
-            if self.order is None:
-                raise MessageError("product-reject requires an order target")
-        elif self.machine is None:
-            raise MessageError(f"{self.kind} requires a machine target")
 
-
-@wire_message
+@wire_message("notice")
 @dataclass(frozen=True)
-class Notice:
+class Notice(_Message):
     """Emulation-side notification outside the production event stream.
 
     Covers rejected commands and ignored injections; delivered with the next

@@ -37,7 +37,7 @@ from typing import Any, Callable, get_type_hints
 
 from .canon import fits, is_int
 from .control import OrderBookError, ProductOrder
-from .messages import EVENT_KINDS, ControlDirective, Injection, MessageError, SimEvent
+from .messages import EVENT_KINDS, ControlDirective, Injection, MessageError
 
 CATEGORIES = ("dynamic-reconfiguration", "order-management", "quality", "supply")
 
@@ -287,10 +287,10 @@ class _Unbound(Exception):
     """A ``$event.`` reference names a field that is empty on the event."""
 
 
-def _resolve(value: Any, sample: Callable[[Any], int], event: SimEvent | None) -> Any:
+def _resolve(value: Any, sample: Callable[[Any], int], event: dict[str, Any] | None) -> Any:
     """A payload value with each ``{"sample": name}`` replaced by
     ``sample(name)`` and each ``"$event.<field>"`` by that field of
-    ``event``, walked depth first in key order."""
+    ``event``, an event body, walked depth first in key order."""
     if isinstance(value, dict):
         if set(value) == {"sample"}:
             return sample(value["sample"])
@@ -303,7 +303,7 @@ def _resolve(value: Any, sample: Callable[[Any], int], event: SimEvent | None) -
             raise ScenarioError(f"{value!r} names no event field")
         if event is None:
             raise ScenarioError(f"{value!r} needs an on-event trigger")
-        resolved = getattr(event, fld)
+        resolved = event.get(fld)
         if resolved is None:
             raise _Unbound(value)
         return resolved
@@ -312,8 +312,7 @@ def _resolve(value: Any, sample: Callable[[Any], int], event: SimEvent | None) -
 
 # What ``$event.`` references resolve to at load: time 0, and each string
 # field its own reference, which target checks pass over.
-_STAND_IN = SimEvent(time=0, seq=0, kind="op-started",
-                     **{fld: f"$event.{fld}" for fld in EVENT_REFS if fld != "time"})
+_STAND_IN = {"time": 0, **{fld: f"$event.{fld}" for fld in EVENT_REFS if fld != "time"}}
 
 
 def load_scenario(text: str, model=None, orders=None) -> Scenario:
@@ -407,7 +406,7 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
 
 
 def _check_action(action: Action, path: str, least: Callable[[Any], int],
-                  event: SimEvent | None, model, orders) -> dict[str, Any]:
+                  event: dict[str, Any] | None, model, orders) -> dict[str, Any]:
     """Build the action's message from its payload with every placeholder
     stood in, then check its literal targets; returns the stood-in payload."""
     key, cls, hints = _ACTIONS[action.kind]
@@ -491,13 +490,13 @@ class ScenarioManager:
             if rule.trigger.kind == "on-event":
                 self._on_event.setdefault(rule.trigger.event, []).append(rule)
         # Matured after-triggers waiting for the clock: (due, order no, rule, event)
-        self._delayed: list[tuple[int, int, Rule, SimEvent | None]] = []
+        self._delayed: list[tuple[int, int, Rule, dict[str, Any] | None]] = []
         self._delay_counter = 0
 
     def _sample(self, name: str) -> int:
         return self.scenario.distributions[name].sample(self._rngs[name])
 
-    def _fire(self, firings: list[Firing], rule: Rule, event: SimEvent | None) -> None:
+    def _fire(self, firings: list[Firing], rule: Rule, event: dict[str, Any] | None) -> None:
         firing = Firing(rule_id=rule.id, injections=[], directives=[])
         try:
             for action in rule.actions:
@@ -514,17 +513,19 @@ class ScenarioManager:
     def _disarmed(self, rule: Rule) -> bool:
         return self._fired[rule.id] >= rule.max_occurrences
 
-    def _queue(self, firings: list[Firing], rule: Rule, event: SimEvent | None, t: int) -> None:
+    def _queue(self, firings: list[Firing], rule: Rule, event: dict | None, t: int) -> None:
         if rule.delay == 0:
             self._fire(firings, rule, event)
         else:
+            # The batch's bodies go on the wire, so a delayed firing keeps its own.
             self._delay_counter += 1
+            event = None if event is None else dict(event)
             self._delayed.append((t + rule.delay, self._delay_counter, rule, event))
 
     # -- batch processing ---------------------------------------------------------
 
-    def process_batch(self, t: int, events: list[SimEvent]) -> list[Firing]:
-        """Fire every rule the batch triggers, in deterministic order.
+    def process_batch(self, t: int, events: list[dict[str, Any]]) -> list[Firing]:
+        """Fire every rule a batch of event bodies triggers, in deterministic order.
 
         Time-based fires come first (rule order), then matured delayed fires
         (maturation order), then event-based fires in (event, rule) order.
@@ -551,7 +552,7 @@ class ScenarioManager:
                     self._fire(firings, rule, event)
 
         for event in events:
-            for rule in self._on_event.get(event.kind, ()):
+            for rule in self._on_event.get(event["kind"], ()):
                 trigger = rule.trigger
                 if self._disarmed(rule) or not self._event_matches(trigger, event):
                     continue
@@ -563,8 +564,8 @@ class ScenarioManager:
         return firings
 
     @staticmethod
-    def _event_matches(trigger: Trigger, event: SimEvent) -> bool:
+    def _event_matches(trigger: Trigger, event: dict[str, Any]) -> bool:
         for fld, expected in trigger.where.items():
-            if getattr(event, fld) != expected:
+            if event.get(fld) != expected:
                 return False
         return True

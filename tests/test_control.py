@@ -16,7 +16,7 @@ from holobench.control import (
 from holobench.harness import run_single
 from holobench.interface import extract_command_log, replay_session
 from holobench.kernel import EmulationKernel
-from holobench.messages import ControlCommand, ControlDirective, Notice, SimEvent
+from holobench.messages import ControlDirective, Notice, SimEvent
 from holobench.model import load_model, load_model_doc
 from holobench.scenario import load_scenario_doc
 from strategies import ORACLE_SHOP, oracle_sessions
@@ -30,7 +30,12 @@ def order(oid, routing=("A",), release=0, due=60, priority=0):
 def ev(kind, **kw):
     kw.setdefault("time", 0)
     kw.setdefault("seq", 1)
-    return SimEvent(kind=kind, **kw)
+    return SimEvent(kind=kind, **kw).to_dict()
+
+
+def fields(cmd, *names):
+    """The named fields of a command body, None where it leaves one out."""
+    return tuple(cmd.get(name) for name in names)
 
 
 def drive_to_completion(model, orders, cap=500):
@@ -46,7 +51,7 @@ def drive_to_completion(model, orders, cap=500):
         notices = kernel.drain_notices()
         if not batch and not notices and not commands and not kernel.has_pending():
             break
-        now = batch[0].time if batch else kernel.clock
+        now = batch[0]["time"] if batch else kernel.clock
         commands, idle = ctl.on_round(now, [], batch, notices)
     else:
         raise AssertionError("loop did not converge")
@@ -88,7 +93,7 @@ class TestDispatch:
     def test_bootstrap_releases_in_id_order(self, control):
         control.load_orders([order("O2"), order("O1")])
         commands, idle = control.on_round(0, [], [], [])
-        assert [(c.kind, c.order) for c in commands] == [
+        assert [(c["kind"], c.get("order")) for c in commands] == [
             ("release-order", "O1"),
             ("release-order", "O2"),
         ]
@@ -98,16 +103,16 @@ class TestDispatch:
         control.load_orders([order("O1", release=30)])
         assert control.on_round(0, [], [], [])[0] == []
         (cmd,) = control.on_round(30, [], [], [])[0]
-        assert cmd.kind == "release-order"
+        assert cmd["kind"] == "release-order"
 
     def test_released_order_gets_carry_move(self, control):
         control.load_orders([order("O1", routing=("A",))])
         control.on_round(0, [], [], [])
         (cmd,) = control.on_round(0, [], [ev("order-released", order="O1", node="IN")], [])[0]
         # shuttle and product share a node: a single loaded move
-        assert cmd.kind == "move-shuttle"
-        assert cmd.carry == "O1" and cmd.destination == "M1"
-        assert cmd.shuttle == "S1"  # id tiebreak among the idle pair at IN
+        assert cmd["kind"] == "move-shuttle"
+        assert cmd.get("carry") == "O1" and cmd.get("destination") == "M1"
+        assert cmd.get("shuttle") == "S1"  # id tiebreak among the idle pair at IN
 
     def test_fetch_then_carry_when_apart(self, control):
         control.load_orders([order("O1", routing=("B",))])
@@ -116,13 +121,13 @@ class TestDispatch:
         (fetch,) = control.on_round(
             0, [], [ev("order-released", order="O1", node="M1")], []
         )[0]
-        assert (fetch.kind, fetch.carry, fetch.destination) == ("move-shuttle", None, "M1")
+        assert fields(fetch, "kind", "carry", "destination") == ("move-shuttle", None, "M1")
         arrive = [
             ev("shuttle-departed", shuttle="S1", node="IN"),
             ev("shuttle-arrived", shuttle="S1", node="M1", seq=2),
         ]
         (carry,) = control.on_round(5, [], arrive, [])[0]
-        assert (carry.carry, carry.destination) == ("O1", "M2")
+        assert (carry.get("carry"), carry.get("destination")) == ("O1", "M2")
 
     def test_rank_prefers_priority_then_due(self, control):
         control.load_orders([
@@ -137,7 +142,7 @@ class TestDispatch:
         ]
         commands, _ = control.on_round(0, [], released, [])
         # two shuttles: O2 (priority) and O3 (earlier due) win them
-        carried = {c.carry for c in commands if c.kind == "move-shuttle"}
+        carried = {c.get("carry") for c in commands if c["kind"] == "move-shuttle"}
         assert carried == {"O2", "O3"}
 
     def test_start_issued_when_product_waits_at_machine(self, control):
@@ -149,7 +154,7 @@ class TestDispatch:
             ev("shuttle-arrived", shuttle="S1", order="O1", node="M1", seq=3),
         ]
         (cmd,) = control.on_round(5, [], batch, [])[0]
-        assert (cmd.kind, cmd.machine, cmd.operation, cmd.order) == (
+        assert (cmd["kind"], cmd.get("machine"), cmd.get("operation"), cmd.get("order")) == (
             "start-op", "M1", "A", "O1",
         )
 
@@ -162,7 +167,7 @@ class TestDispatch:
         ]
         assert control.on_round(0, [], batch, [])[0] == []
         (cmd,) = control.on_round(9, [], [ev("machine-up", machine="M1", node="M1", time=9)], [])[0]
-        assert cmd.kind == "start-op"
+        assert cmd["kind"] == "start-op"
 
 
 class TestDirectives:
@@ -171,7 +176,7 @@ class TestDirectives:
             "id": "OX", "routing": ["A"], "release": 0, "due": 99, "priority": 1,
         })
         commands, _ = control.on_round(0, [d], [], [])
-        assert [(c.kind, c.order) for c in commands] == [("release-order", "OX")]
+        assert [(c["kind"], c.get("order")) for c in commands] == [("release-order", "OX")]
         assert control.export_kpi()["directives_handled"] == 1
 
     def test_insert_order_without_capable_machine_is_dropped(self, control):
@@ -194,7 +199,7 @@ class TestDirectives:
         batch = [ev("order-released", order="O1", node="IN")]
         d = ControlDirective(kind="cancel-order", order_id="O1")
         commands, _ = control.on_round(0, [d], batch, [])
-        assert ("cancel-order", "O1") in [(c.kind, c.order) for c in commands]
+        assert ("cancel-order", "O1") in [(c["kind"], c.get("order")) for c in commands]
 
     def test_cancel_frees_the_shuttle_on_its_fetch_leg(self, line_model):
         control = ReferenceControl(line_model)
@@ -205,20 +210,20 @@ class TestDirectives:
         assert control.on_round(10, [], park, [])[0] == []
         released = [ev("order-released", order="O1", node="IN", seq=3, time=10)]
         (fetch,) = control.on_round(10, [], released, [])[0]
-        assert (fetch.shuttle, fetch.destination, fetch.carry) == ("S1", "IN", None)
+        assert fields(fetch, "shuttle", "destination", "carry") == ("S1", "IN", None)
         d = ControlDirective(kind="cancel-order", order_id="O1")
         (cancel,) = control.on_round(11, [d], [], [])[0]
-        assert (cancel.kind, cancel.order) == ("cancel-order", "O1")
+        assert (cancel["kind"], cancel.get("order")) == ("cancel-order", "O1")
         leg = [ev("shuttle-departed", shuttle="S1", node="OUT", seq=4, time=11),
                ev("order-cancelled", order="O1", node="IN", seq=5, time=11),
                ev("shuttle-arrived", shuttle="S1", node="IN", seq=6, time=21)]
         assert control.on_round(21, [], leg, [])[0] == []
         (release,) = control.on_round(50, [], [], [])[0]
-        assert (release.kind, release.order) == ("release-order", "O2")
+        assert (release["kind"], release.get("order")) == ("release-order", "O2")
         released = [ev("order-released", order="O2", node="IN", seq=7, time=50)]
         (carry,) = control.on_round(50, [], released, [])[0]
         # S1 is no longer reserved by the cancelled O1
-        assert (carry.shuttle, carry.destination, carry.carry) == ("S1", "M1", "O2")
+        assert fields(carry, "shuttle", "destination", "carry") == ("S1", "M1", "O2")
 
     def test_set_priority_reorders_dispatch(self, control):
         control.load_orders([order("O1", due=10), order("O2", due=20)])
@@ -229,8 +234,8 @@ class TestDirectives:
         ]
         d = ControlDirective(kind="set-priority", order_id="O2", priority=9)
         commands, _ = control.on_round(0, [d], released, [])
-        moves = [c for c in commands if c.kind == "move-shuttle"]
-        assert moves[0].carry == "O2"
+        moves = [c for c in commands if c["kind"] == "move-shuttle"]
+        assert moves[0]["carry"] == "O2"
 
     def test_announce_breakdown_steers_beliefs(self, control):
         control.load_orders([order("O1")])
@@ -255,7 +260,7 @@ class TestBeliefRepair:
         assert control.export_kpi()["reschedules"] == 1
         # recovery restarts the same step from zero
         (cmd,) = control.on_round(8, [], [ev("machine-up", machine="M1", node="M1", time=8)], [])[0]
-        assert (cmd.kind, cmd.operation) == ("start-op", "A")
+        assert (cmd["kind"], cmd.get("operation")) == ("start-op", "A")
 
     def test_rejected_start_retries_and_counts(self, control):
         control.load_orders([order("O1")])
@@ -265,16 +270,16 @@ class TestBeliefRepair:
                    command={"kind": "start-op", "machine": "M1", "order": "O1",
                             "operation": "A"})
         (cmd,) = control.on_round(0, [], [], [n])[0]
-        assert cmd.kind == "start-op"
+        assert cmd["kind"] == "start-op"
         assert control.export_kpi()["reschedules"] == 1
 
     def test_rejected_release_is_retried(self, control):
         control.load_orders([order("O1")])
         (first,) = control.on_round(0, [], [], [])[0]
         n = Notice(time=0, kind="command-rejected", reason="nope",
-                   command=first.to_dict())
+                   command=first)
         (again,) = control.on_round(0, [], [], [n])[0]
-        assert again.kind == "release-order" and again.order == "O1"
+        assert again["kind"] == "release-order" and again.get("order") == "O1"
 
     def test_rejected_cancel_is_retried(self, control):
         control.load_orders([order("O1")])
@@ -282,10 +287,10 @@ class TestBeliefRepair:
         d = ControlDirective(kind="cancel-order", order_id="O1")
         batch = [ev("order-released", order="O1", node="IN")]
         (first,) = control.on_round(0, [d], batch, [])[0]
-        assert (first.kind, first.order) == ("cancel-order", "O1")
+        assert (first["kind"], first.get("order")) == ("cancel-order", "O1")
         assert control.on_round(1, [], [], [])[0] == []
         n = Notice(time=1, kind="command-rejected", reason="nope",
-                   command=first.to_dict())
+                   command=first)
         (again,) = control.on_round(1, [], [], [n])[0]
         assert again == first
 
@@ -302,7 +307,7 @@ class TestBeliefRepair:
                     info={"policy": "rework"})
         commands, _ = control.on_round(10, [], [reject], [])
         # progress dropped back to step A, still at its machine
-        assert ("start-op", "A") in [(c.kind, c.operation) for c in commands]
+        assert ("start-op", "A") in [(c["kind"], c.get("operation")) for c in commands]
 
     def test_scrap_closes_the_holon(self, control):
         control.load_orders([order("O1")])
@@ -335,7 +340,7 @@ TWIN_MODEL = {
 
 
 def rejected(cmd):
-    return Notice(time=0, kind="command-rejected", reason="test", command=cmd.to_dict())
+    return Notice(time=0, kind="command-rejected", reason="test", command=dict(cmd))
 
 
 class TestDecisionIndexes:
@@ -347,17 +352,17 @@ class TestDecisionIndexes:
         released = [ev("order-released", order=o, node="M1", seq=i + 1)
                     for i, o in enumerate(["O1", "O2", "O3"])]
         (start,) = control.on_round(0, [], released, [])[0]
-        assert (start.kind, start.order) == ("start-op", "O1")
+        assert (start["kind"], start.get("order")) == ("start-op", "O1")
         walk = [ev("op-started", machine="M1", order="O1", node="M1", seq=4),
                 ev("op-finished", machine="M1", order="O1", node="M1", seq=5, time=10)]
         promote = ControlDirective(kind="set-priority", order_id="O3", priority=9)
         commands, _ = control.on_round(10, [promote], walk, [])
-        starts = [c.order for c in commands if c.kind == "start-op"]
+        starts = [c.get("order") for c in commands if c["kind"] == "start-op"]
         assert starts == ["O3"]
 
     def test_insert_order_sorting_before_pending_releases(self, control):
         control.load_orders([order("O2"), order("O3", release=50), order("O5", release=20)])
-        assert [c.order for c in control.on_round(0, [], [], [])[0]] == ["O2"]
+        assert [c.get("order") for c in control.on_round(0, [], [], [])[0]] == ["O2"]
         inserts = [
             ControlDirective(kind="insert-order", order={
                 "id": oid, "routing": ["A"], "release": release, "due": 99})
@@ -365,11 +370,11 @@ class TestDecisionIndexes:
         ]
         assert control.on_round(10, inserts, [], [])[0] == []
         commands, _ = control.on_round(20, [], [], [])
-        assert [(c.kind, c.order) for c in commands] == [
+        assert [(c["kind"], c.get("order")) for c in commands] == [
             ("release-order", "O4"), ("release-order", "O5"),
         ]
         commands, _ = control.on_round(50, [], [], [])
-        assert [(c.kind, c.order) for c in commands] == [
+        assert [(c["kind"], c.get("order")) for c in commands] == [
             ("release-order", "O1"), ("release-order", "O3"),
         ]
 
@@ -377,7 +382,7 @@ class TestDecisionIndexes:
         control.load_orders([order("O1")])
         control.on_round(0, [], [], [])
         (move,) = control.on_round(0, [], [ev("order-released", order="O1", node="IN")], [])[0]
-        assert (move.shuttle, move.carry) == ("S1", "O1")
+        assert (move.get("shuttle"), move.get("carry")) == ("S1", "O1")
         (again,) = control.on_round(1, [], [], [rejected(move)])[0]
         assert again == move
         assert control.export_kpi()["reschedules"] == 1
@@ -387,19 +392,19 @@ class TestDecisionIndexes:
         control.load_orders([order("O1"), order("O2", release=1), order("O3", release=2)])
         control.on_round(0, [], [], [])
         (m1,) = control.on_round(0, [], [ev("order-released", order="O1", node="IN")], [])[0]
-        assert (m1.carry, m1.destination) == ("O1", "M1")
+        assert (m1.get("carry"), m1.get("destination")) == ("O1", "M1")
         down = [ev("shuttle-departed", shuttle="S1", order="O1", node="IN", time=1, seq=2),
                 ev("machine-down", machine="M1", node="M1", time=1, seq=3)]
         control.on_round(1, [], down, [])  # releases O2
         (m2,) = control.on_round(
             1, [], [ev("order-released", order="O2", node="IN", time=1, seq=4)], [])[0]
-        assert (m2.carry, m2.destination) == ("O2", "M2")
+        assert (m2.get("carry"), m2.get("destination")) == ("O2", "M2")
         up = [ev("shuttle-departed", shuttle="S2", order="O2", node="IN", time=2, seq=5),
               ev("machine-up", machine="M1", node="M1", time=2, seq=6)]
         control.on_round(2, [], up, [])  # releases O3
         (m3,) = control.on_round(
             2, [], [ev("order-released", order="O3", node="IN", time=2, seq=7)], [])[0]
-        assert (m3.carry, m3.destination) == ("O3", "M1")
+        assert (m3.get("carry"), m3.get("destination")) == ("O3", "M1")
 
     def test_closed_holons_never_reappear(self, control):
         control.load_orders([order("O1"), order("O2"), order("O3", release=90)])
@@ -419,10 +424,10 @@ class TestDecisionIndexes:
                       for o in ("O1", "O2")]
         assert control.on_round(11, directives, [], [])[0] == []
         commands, idle = control.on_round(90, [], [], [])
-        assert [(c.kind, c.order) for c in commands] == [("release-order", "O3")]
+        assert [(c["kind"], c.get("order")) for c in commands] == [("release-order", "O3")]
         commands, idle = control.on_round(
             90, [], [ev("order-released", order="O3", node="IN", time=90, seq=7)], [])
-        assert {c.carry for c in commands} == {"O3"} and not idle
+        assert {c.get("carry") for c in commands} == {"O3"} and not idle
 
     @staticmethod
     def _queued_behind_o1(control):
@@ -432,7 +437,7 @@ class TestDecisionIndexes:
         released = [ev("order-released", order=o, node="M1", seq=i + 1)
                     for i, o in enumerate(["O1", "O2"])]
         (start,) = control.on_round(0, [], released, [])[0]
-        assert (start.machine, start.order) == ("M1", "O1")
+        assert (start.get("machine"), start.get("order")) == ("M1", "O1")
         settle = [ev("op-started", machine="M1", order="O1", node="M1", seq=3),
                   ev("shuttle-departed", shuttle="S1", node="IN", seq=4),
                   ev("shuttle-arrived", shuttle="S1", node="M1", seq=5, time=3)]
@@ -454,14 +459,14 @@ class TestDecisionIndexes:
         else:
             directives, events = [], [ev(disturbance, machine="M1", node="M1", seq=6, time=4)]
         commands = control.on_round(4, directives, events, [])[0]
-        assert [(c.kind, c.shuttle, c.destination, c.carry) for c in commands] == [
+        assert [fields(c, "kind", "shuttle", "destination", "carry") for c in commands] == [
             ("move-shuttle", *m) for m in moved
         ]
         # The moves are refused and the machine restarts: nothing moves again.
         back = [ev(restore, machine="M1", node="M1", seq=7, time=5)]
         commands = control.on_round(5, [], back, [rejected(c) for c in commands])[0]
         if disturbance == "machine-down":  # the preempted O1 restarts first
-            assert [(c.kind, c.order) for c in commands] == [("start-op", "O1")]
+            assert [(c["kind"], c.get("order")) for c in commands] == [("start-op", "O1")]
             control.on_round(5, [], [ev("op-started", machine="M1", order="O1",
                                         node="M1", seq=8, time=5)], [])
         else:
@@ -470,7 +475,7 @@ class TestDecisionIndexes:
         # sent to the output station from its machine's node.
         done = [ev("op-finished", machine="M1", order="O1", node="M1", seq=9, time=15)]
         commands = control.on_round(15, [], done, [])[0]
-        assert [(c.kind, c.machine, c.order, c.shuttle, c.destination, c.carry)
+        assert [fields(c, "kind", "machine", "order", "shuttle", "destination", "carry")
                 for c in commands] == [
             ("start-op", "M1", "O2", None, None, None),
             ("move-shuttle", None, None, "S1", "OUT", "O1"),
@@ -481,7 +486,7 @@ class TestDecisionIndexes:
         self._queued_behind_o1(control)
         done = [ev("op-finished", machine="M1", order="O1", node="M1", seq=6, time=10)]
         start, carry = control.on_round(10, [], done, [])[0]
-        assert (start.order, carry.carry, carry.destination) == ("O2", "O1", "OUT")
+        assert (start["order"], *fields(carry, "carry", "destination")) == ("O2", "O1", "OUT")
         control.on_round(10, [], [ev("op-started", machine="M1", order="O2",
                                      node="M1", seq=7, time=10)], [])
         reject = ev("product-rejected", order="O1", node="M1", seq=8, time=11,
@@ -489,7 +494,7 @@ class TestDecisionIndexes:
         assert control.on_round(11, [], [reject], [rejected(carry)])[0] == []
         finish = ev("op-finished", machine="M1", order="O2", node="M1", seq=9, time=20)
         commands = control.on_round(20, [], [finish], [])[0]
-        assert [(c.kind, c.machine, c.order, c.carry) for c in commands] == [
+        assert [fields(c, "kind", "machine", "order", "carry") for c in commands] == [
             ("start-op", "M1", "O1", None), ("move-shuttle", None, None, "O2"),
         ]
 
@@ -499,7 +504,8 @@ class TestDecisionIndexes:
         reject = ev("product-rejected", order="O1", node="M1", seq=6, time=4,
                     info={"policy": "rework"})
         commands = control.on_round(4, [], [reject], [])[0]
-        assert [(c.kind, c.machine, c.order) for c in commands] == [("start-op", "M1", "O1")]
+        assert [fields(c, "kind", "machine", "order") for c in commands] == [
+            ("start-op", "M1", "O1")]
 
     def test_set_priority_reorders_a_machine_queue(self):
         control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
@@ -520,9 +526,9 @@ class TestDecisionIndexes:
             walk = [ev("op-finished", machine="M1", order=running, node="M1",
                        seq=10 + 2 * i, time=t)]
             commands = control.on_round(t, [], walk, [])[0]
-            (start,) = [c for c in commands if c.kind == "start-op"]
-            starts.append(start.order)
-            control.on_round(t, [], [ev("op-started", machine="M1", order=start.order,
+            (start,) = [c for c in commands if c["kind"] == "start-op"]
+            starts.append(start.get("order"))
+            control.on_round(t, [], [ev("op-started", machine="M1", order=start.get("order"),
                                         node="M1", seq=11 + 2 * i, time=t)], [])
         assert starts == ["O4", "O3", "O2"]
 
@@ -539,18 +545,18 @@ class TestDecisionIndexes:
         self._queued_behind_o1(control)
         cancel = ControlDirective(kind="cancel-order", order_id="O2")
         commands = control.on_round(4, [cancel], [], [])[0]
-        assert [(c.kind, c.order) for c in commands] == [("cancel-order", "O2")]
+        assert [(c["kind"], c.get("order")) for c in commands] == [("cancel-order", "O2")]
         # Cancelled, O2 is no longer offered to M1 once O1 is done.
         done = [ev("op-finished", machine="M1", order="O1", node="M1", seq=6, time=10)]
         commands = control.on_round(10, [], done, [])[0]
-        assert [c.kind for c in commands] == ["move-shuttle"]
+        assert [c["kind"] for c in commands] == ["move-shuttle"]
 
     def test_dispatched_product_stays_when_its_machine_stops_before_starting(self):
         control = ReferenceControl(load_model(json.dumps(TWIN_MODEL)))
         control.load_orders([order("O1")])
         control.on_round(0, [], [], [])
         (start,) = control.on_round(0, [], [ev("order-released", order="O1", node="M1")], [])[0]
-        assert start.kind == "start-op"
+        assert start["kind"] == "start-op"
         assert control.on_round(1, [], [], [])[0] == []
         blocked = [ev("supply-blocked", machine="M1", node="M1", seq=2, time=2)]
         assert control.on_round(2, [], blocked, [])[0] == []
@@ -568,7 +574,7 @@ class TestDecisionIndexes:
         promote = ControlDirective(kind="set-priority", order_id="O3", priority=9)
         (start,) = control.on_round(
             5, [promote], [ev("machine-up", machine="M1", node="M1", seq=4, time=5)], [])[0]
-        assert (start.kind, start.machine, start.order) == ("start-op", "M1", "O3")
+        assert (start["kind"], start.get("machine"), start.get("order")) == ("start-op", "M1", "O3")
 
     @pytest.mark.parametrize("last_closure", ["completed", "cancelled-before-release"])
     def test_idle_exactly_when_last_holon_closes(self, control, last_closure):
@@ -594,9 +600,9 @@ class TestClosedLoop:
     def test_minicell_runs_to_completion(self, minicell_model, minicell_orders):
         stream, ctl, idle = drive_to_completion(minicell_model, minicell_orders)
         assert idle
-        done = [e for e in stream if e.kind == "order-completed"]
-        assert sorted(e.order for e in done) == ["O1", "O2", "O3"]
-        assert max(e.time for e in stream) == 75
+        done = [e for e in stream if e["kind"] == "order-completed"]
+        assert sorted(e.get("order") for e in done) == ["O1", "O2", "O3"]
+        assert max(e["time"] for e in stream) == 75
         assert ctl.export_kpi()["reschedules"] == 0
 
     def test_lone_shuttle_copes(self, line_model):
@@ -605,9 +611,9 @@ class TestClosedLoop:
             [order("O1", due=40), order("O2", due=80)],
         )
         assert idle
-        done = [e.order for e in stream if e.kind == "order-completed"]
+        done = [e.get("order") for e in stream if e["kind"] == "order-completed"]
         assert sorted(done) == ["O1", "O2"]
-        seqs = [e.seq for e in stream]
+        seqs = [e["seq"] for e in stream]
         assert seqs == list(range(1, len(seqs) + 1))
 
 
@@ -621,7 +627,7 @@ class FullScanControl(ReferenceControl):
     """
 
     def _decide(self, now):
-        commands: list[ControlCommand] = []
+        commands: list[dict] = []
         self._release_due(now, commands)
         self._ranked = sorted(
             (h for h in self._orders.values() if h.open_ and h.released),
@@ -644,7 +650,7 @@ class FullScanControl(ReferenceControl):
                     and h.processing_at is None
                     and h.node is not None
                 ):
-                    commands.append(ControlCommand(kind="cancel-order", order=h.spec.id))
+                    commands.append({"kind": "cancel-order", "order": h.spec.id})
                     h.cancel_sent = True
             elif not (h.in_transit or h.processing_at or h.dispatched_to or h.node is None):
                 waiting.append(h)
@@ -654,11 +660,10 @@ class FullScanControl(ReferenceControl):
 
         for mid in sorted(picks):
             h = picks[mid]
-            commands.append(
-                ControlCommand(
-                    kind="start-op", machine=mid, order=h.spec.id, operation=h.next_operation,
-                )
-            )
+            commands.append({
+                "kind": "start-op", "machine": mid, "order": h.spec.id,
+                "operation": h.next_operation,
+            })
             h.dispatched_to = mid
             self._machines[mid].claimed = True
 
@@ -678,15 +683,13 @@ class FullScanControl(ReferenceControl):
             if h.assigned_shuttle is None:
                 free -= 1
             if shuttle.node == h.node:
-                commands.append(
-                    ControlCommand(
-                        kind="move-shuttle", shuttle=shuttle.id,
-                        destination=dest, carry=h.spec.id,
-                    )
-                )
+                commands.append({
+                    "kind": "move-shuttle", "shuttle": shuttle.id, "destination": dest,
+                    "carry": h.spec.id,
+                })
             else:
                 commands.append(
-                    ControlCommand(kind="move-shuttle", shuttle=shuttle.id, destination=h.node)
+                    {"kind": "move-shuttle", "shuttle": shuttle.id, "destination": h.node}
                 )
             shuttle.assigned_order = h.spec.id
             h.assigned_shuttle = shuttle.id

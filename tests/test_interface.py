@@ -25,6 +25,7 @@ from holobench.interface import (
     ProtocolError,
     ControlClient,
     ReplayError,
+    RoundDriver,
     RunRecorder,
     SocketEndpoint,
     decode_line,
@@ -33,7 +34,6 @@ from holobench.interface import (
     extract_event_stream,
     iter_records,
     make_record,
-    message_of,
     replay_session,
     serve_control,
 )
@@ -67,12 +67,12 @@ def rec(kind="event-batch", role="emulation", round_no=1, t=0, body=None, corr=N
     return make_record(role, round_no, t, kind, body if body is not None else {}, corr)
 
 
-def socket_session(model, orders, scenario, seed):
-    """``run_single`` against a control served over a socket pair from a
-    thread."""
+def socket_session(model, orders, scenario, seed, control=None):
+    """``run_single`` against a control (by default a ``ReferenceControl``)
+    served over a socket pair from a thread."""
     left, right = socket.socketpair()
     worker = threading.Thread(
-        target=serve_control, args=(SocketEndpoint(right), ReferenceControl(model))
+        target=serve_control, args=(SocketEndpoint(right), control or ReferenceControl(model))
     )
     worker.start()
     try:
@@ -164,6 +164,15 @@ message_bodies = st.one_of(
     MESSAGES[ControlCommand].map(lambda cmd: ("command", cmd.to_dict())),
     MESSAGES[ControlDirective].map(lambda d: ("directive", d.to_dict())),
 )
+
+# Event-batch bodies that decode but hold no valid events.
+BAD_BATCH_BODIES = [
+    {},  # no events list
+    {"events": {"time": 0}},
+    {"events": [{"time": 0, "kind": "op-started"}]},  # an event without seq
+    {"events": [{"time": "0", "seq": 1, "kind": "op-started"}]},
+    {"events": [7]},
+]
 
 _DELETED = object()  # marks a key taken out of the record
 
@@ -266,10 +275,15 @@ class TestCodec:
         # and True from 1, and both sides keep the payload's key order.
         assert repr(decode_line(line)) == repr(json.loads(line[len(b"IL1 ") :]))
 
-    @pytest.mark.parametrize("reader", LOG_READERS)
-    def test_readers_report_the_byte_offset(self, reader):
+    @pytest.mark.parametrize("reader, bad", [
+        *((reader, b"IL1 broken\n") for reader in LOG_READERS),
+        # A well-formed line whose event body is bad, for the readers of events.
+        *((reader, encode_record(rec(body=body)))
+          for reader in (extract_event_stream, recompute_from_log) for body in BAD_BATCH_BODIES),
+    ])
+    def test_readers_report_the_byte_offset(self, reader, bad):
         good = encode_record(rec(body={"events": []}))
-        log = good + b"IL1 broken\n"
+        log = good + bad
         with pytest.raises(DecodeError) as e:
             reader(log)
         assert e.value.offset == len(good)
@@ -329,10 +343,10 @@ class TestInProc:
         with pytest.raises(ProtocolError, match="lock-step"):
             ep.recv()
         hello = self.hello(minicell_model)
-        assert ep.send(hello, None) == encode_record(hello)
-        line, record, message = ep.recv()
+        assert ep.send(hello) == encode_record(hello)
+        line, record = ep.recv()
         assert record["kind"] == "hello" and record["role"] == "control"
-        assert line == encode_record(record) and message is None
+        assert line == encode_record(record)
         with pytest.raises(ProtocolError, match="lock-step"):
             ep.recv()
 
@@ -342,19 +356,19 @@ class TestInProc:
         with pytest.raises(EndOfStream):
             ep.recv()
         with pytest.raises(ProtocolError, match="ended"):
-            ep.send(self.hello(minicell_model), None)
+            ep.send(self.hello(minicell_model))
 
     def test_session_ends_at_the_controls_bye(self, minicell_model):
         ep = InProcEndpoint(ReferenceControl(minicell_model))
         run_end = rec(kind="run-end", round_no=1, body={"reason": "completed"})
-        ep.send(run_end, None)
+        ep.send(run_end)
         kinds = []
         with pytest.raises(EndOfStream):
             while True:
                 kinds.append(ep.recv()[1]["kind"])
         assert kinds[-1] == "bye" and set(kinds[:-1]) == {"tap"}
         with pytest.raises(ProtocolError, match="ended"):
-            ep.send(run_end, None)
+            ep.send(run_end)
 
 
 class TestSocket:
@@ -363,8 +377,8 @@ class TestSocket:
         with left, right:
             a, b = SocketEndpoint(left), SocketEndpoint(right)
             line = encode_record(rec())
-            assert a.send(rec(), None) == line
-            assert a.send(rec(), None) == line
+            assert a.send(rec()) == line
+            assert a.send(rec()) == line
             assert b.recv_line() == line
             assert b.recv_line() == line
             a.close()
@@ -391,41 +405,70 @@ class TestSocket:
     @pytest.mark.parametrize(
         "record, cause",
         [
-            (rec(role="control", body={}), KeyError),
+            (rec(body={}), KeyError),
+            (rec(body={"events": [{"time": 0, "seq": True, "kind": "op-started"}]}),
+             MessageError),
             (rec(kind="command", role="control", body={"kind": "fly"}, corr=7), MessageError),
         ],
-        ids=["event-batch-without-events", "unknown-command-kind"],
+        ids=["event-batch-without-events", "event-with-a-boolean-seq", "unknown-command-kind"],
     )
-    def test_body_that_builds_no_message_is_a_protocol_error(self, record, cause):
-        """The message is built as the line arrives, before the receiver
-        checks role, kind and corr, so a bad body is still named as a
-        protocol fault of its record kind."""
+    def test_body_that_builds_no_message_is_a_protocol_error(
+        self, minicell_model, record, cause
+    ):
+        """The endpoint only decodes; the body is checked where it is read,
+        by the control's client for an event batch and by the round driver
+        for a command, and a bad one is named as a protocol fault of its
+        record kind."""
         left, right = socket.socketpair()
         with left, right:
             left.sendall(encode_record(record))
-            with pytest.raises(ProtocolError, match=f"control {record['kind']} body") as info:
-                SocketEndpoint(right, timeout=1.0).recv()
+            endpoint = SocketEndpoint(right, timeout=1.0)
+            line, received = endpoint.recv()
+            assert line == encode_record(record) and received == record
+            fault = f"{record['role']} {record['kind']} body builds no message"
+            if record["kind"] == "event-batch":
+                client = ControlClient(lambda reply: None, ReferenceControl(minicell_model))
+                with pytest.raises(ProtocolError, match=fault) as info:
+                    client.handle(received)
+            else:
+                driver = RoundDriver(endpoint, "0" * 64, RunRecorder())
+                driver.round_no = record["corr"]
+                left.sendall(encode_record(record))  # the reply to the driver's batch
+                with pytest.raises(ProtocolError, match=fault) as info:
+                    driver.play_round(0, [], [])
             assert isinstance(info.value.__cause__, cause)
+
+    @pytest.mark.parametrize("idle, ok", [
+        (True, True), (False, True), ("false", False), (1, False), (0, False), (None, False),
+    ])
+    def test_end_of_round_idle_must_be_a_json_boolean(self, idle, ok):
+        """A socket control's ``"idle": "false"`` or ``1`` would otherwise
+        read as idle and end the run ``completed``."""
+        left, right = socket.socketpair()
+        with left, right:
+            driver = RoundDriver(SocketEndpoint(left, timeout=1.0), "0" * 64, RunRecorder())
+            driver.round_no = 1
+            body = {} if idle is None else {"idle": idle}
+            right.sendall(encode_record(rec(kind="end-of-round", role="control", body=body,
+                                            corr=1)))
+            if ok:
+                assert driver.play_round(0, [], []) == ([], idle)
+            else:
+                with pytest.raises(ProtocolError, match="idle must be true or false"):
+                    driver.play_round(0, [], [])
 
     @given(record=checked_records, kind_body=st.none() | message_bodies)
     def test_send_writes_the_encoded_line_and_recv_gives_it_back(self, record, kind_body):
         """``send`` returns and writes exactly ``encode_record``'s line, and
-        the peer reads back the line, the record and ``message_of``'s
-        message, or refuses a body that builds none."""
+        the peer reads back the line and the record, whatever its body."""
         if kind_body is not None:
             record["kind"], record["body"] = kind_body
         left, right = socket.socketpair()
         with left, right:
             a, b = SocketEndpoint(left), SocketEndpoint(right, timeout=1.0)
-            line = a.send(record, None)
+            line = a.send(record)
             assert line == encode_record(record)
-            try:
-                message = message_of(record)
-            except (KeyError, TypeError, AttributeError, MessageError):
-                with pytest.raises(ProtocolError, match="builds no message"):
-                    b.recv()
-            else:
-                assert b.recv() == (line, record, message)
+            assert b.recv() == (line, record)
             a.close()
             with pytest.raises(EndOfStream):
                 b.recv_line()
@@ -441,7 +484,7 @@ class TestSocket:
         with left, right:
             a, b = SocketEndpoint(left), SocketEndpoint(right, timeout=1.0)
             with pytest.raises(DecodeError, match=fragment):
-                a.send(record, None)
+                a.send(record)
             a.close()
             with pytest.raises(EndOfStream):
                 b.recv_line()
@@ -491,14 +534,26 @@ class TestSocket:
     def test_session_over_sockets_writes_the_in_process_bytes(
         self, minicell_model, minicell_orders, scenario_by_name, name, seed
     ):
-        """A control served over a socket decodes every line it reads and
-        builds its messages from the records, where in process it reads the
-        sender's own objects; either way the session is the same, byte for
-        byte, with directives, injections and rejected parts."""
+        """A control served over a socket decodes every line it reads, where
+        in process it reads the sender's own records; either way the session
+        is the same, byte for byte, with directives, injections and rejected
+        parts."""
         scenario = scenario_by_name(name)
         remote = socket_session(minicell_model, minicell_orders, scenario, seed)
         local = run_single(minicell_model, minicell_orders, scenario, seed)
         assert remote.status == local.status == "completed"
+        assert remote.log == local.log
+        assert remote.report == local.report
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(session=oracle_sessions())
+    def test_generated_sessions_over_sockets_write_the_in_process_bytes(self, session):
+        book, scenario_doc, seed = session
+        model = load_model_doc(ORACLE_SHOP)
+        scenario = load_scenario_doc(scenario_doc, model=model, orders=book)
+        remote = socket_session(model, book, scenario, seed)
+        local = run_single(model, book, scenario, seed)
+        assert remote.status == local.status
         assert remote.log == local.log
         assert remote.report == local.report
 
@@ -645,12 +700,12 @@ class TestDecodeOnce:
         # wrong model hash would otherwise raise ControlProtocolError.
         bad = rec(kind="hello", body={"model_hash": "0" * 64}, corr="x")
         with pytest.raises(DecodeError, match="corr"):
-            ep.send(bad, None)
+            ep.send(bad)
         with pytest.raises(ProtocolError, match="lock-step"):
             ep.recv()
         good = rec(kind="hello", body={"model_hash": minicell_model.model_hash})
-        ep.send(good, None)
-        line, record, _ = ep.recv()
+        ep.send(good)
+        line, record = ep.recv()
         assert line == encode_record(record) and record["body"]["policy"] == "reference-holonic"
         assert calls == []
 
@@ -675,15 +730,15 @@ class TestDecodeOnce:
         """A malformed reply is refused as the control encodes it, so no
         line is queued for the driver to receive."""
         class BadReply(ControlClient):
-            def handle(self, record, message):
-                self._send(rec(kind="hello", role="control", round_no=0, corr="x"), None)
+            def handle(self, record):
+                self._send(rec(kind="hello", role="control", round_no=0, corr="x"))
                 return True
 
         monkeypatch.setattr(interface, "ControlClient", BadReply)
         ep = InProcEndpoint(ReferenceControl(minicell_model))
         good = rec(kind="hello", body={"model_hash": minicell_model.model_hash})
         with pytest.raises(DecodeError, match="corr"):
-            ep.send(good, None)
+            ep.send(good)
         with pytest.raises(ProtocolError, match="lock-step"):
             ep.recv()
 
@@ -735,81 +790,106 @@ def count_message_builds(monkeypatch):
 
 
 class TestMessagesCross:
-    """In process, each message crosses as its sender's own object: the
-    control reads the kernel's events and notices and the scenario
-    manager's directives, and the kernel runs the control's commands.  A
-    reader that has only the line builds the message from its record with
-    ``message_of``."""
+    """Events and commands cross as their bodies: the control gets its own
+    checked copy of each event body and builds the directives and notices
+    with ``from_dict``, and the kernel runs a checked copy of each of the
+    control's command bodies.  The same happens in process, over a socket
+    and in replay."""
 
-    def test_in_process_session_builds_no_message_from_a_record(
+    def test_no_session_builds_an_event_or_command(
         self, minicell_model, minicell_orders, scenario_by_name, monkeypatch
     ):
         scenarios = [scenario_by_name(name) for name in MINICELL_SCENARIOS]
         built = count_message_builds(monkeypatch)
+
+        def rare_messages(log):
+            """What each session builds: one directive per directive record,
+            one notice per notice."""
+            records = records_of(log)
+            notices = sum(len(r["body"]["notices"]) for r in records
+                          if r["kind"] == "event-batch")
+            return Counter(ControlDirective=sum(r["kind"] == "directive" for r in records),
+                           Notice=notices)
+
+        expected = Counter()
         for scenario in scenarios:
             result = run_single(minicell_model, minicell_orders, scenario, seed=3)
             assert result.status == "completed"
-        assert built == Counter()
-        # A socket peer and replay still build every message they read.
+            expected += rare_messages(result.log)
+        assert built == expected and expected["ControlDirective"]
+        built.clear()
         remote = socket_session(minicell_model, minicell_orders, scenarios[-1], seed=3)
-        records = records_of(remote.log)
-        events = sum(len(r["body"]["events"]) for r in records if r["kind"] == "event-batch")
-        kinds = Counter(r["kind"] for r in records)
-        assert events and kinds["command"] and kinds["directive"]
-        assert built == Counter(SimEvent=events, ControlCommand=kinds["command"],
-                                ControlDirective=kinds["directive"])
+        assert built == rare_messages(remote.log)
         built.clear()
         replayed = replay_session(remote.log, ReferenceControl(minicell_model))
         assert replayed == extract_command_log(remote.log)
-        assert built == Counter(SimEvent=events, ControlDirective=kinds["directive"])
+        assert built == rare_messages(remote.log)
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(session=oracle_sessions())
     def test_each_handed_over_message_is_what_a_socket_peer_builds(self, session):
+        """In process the control reads the driver's own records; its
+        inputs and its commands are still exactly those of a control served
+        over a socket, which decodes every line."""
         book, scenario_doc, seed = session
         model = load_model_doc(ORACLE_SHOP)
         scenario = load_scenario_doc(scenario_doc, model=model, orders=book)
-        handed = Counter()
 
-        class Checked(InProcEndpoint):
-            def send(self, record, message):
-                assert message == message_of(record)
-                handed[record["kind"]] += 1
-                return super().send(record, message)
+        class Recording(ReferenceControl):
+            def __init__(self, model):
+                super().__init__(model)
+                self.seen = []
 
-            def recv(self):
-                line, record, message = super().recv()
-                assert message == message_of(record)
-                handed[record["kind"]] += 1
-                return line, record, message
+            def on_round(self, now, directives, events, notices):
+                directives = list(directives)
+                inputs = copy.deepcopy((now, directives, events, notices))
+                commands, idle = super().on_round(now, directives, events, notices)
+                self.seen.append((inputs, copy.deepcopy(commands), idle))
+                return commands, idle
 
-        checked = run_single(model, book, scenario, seed, endpoint=Checked(ReferenceControl(model)))
-        assert checked.log == run_single(model, book, scenario, seed).log
-        assert handed["event-batch"] and handed["command"]
+        local, remote = Recording(model), Recording(model)
+        checked = run_single(model, book, scenario, seed, endpoint=InProcEndpoint(local))
+        assert checked.log == socket_session(model, book, scenario, seed, remote).log
+        assert local.seen == remote.seen
+        assert any(events for (_, _, events, _), _, _ in local.seen)
+        assert any(commands for _, commands, _ in local.seen)
 
     def test_control_that_mutates_handed_over_messages_cannot_change_the_session(
         self, minicell_model, minicell_orders, scenario_by_name
     ):
-        """The driver encodes each message before handing it over and
-        reads nothing of it afterwards, so a control that tears every
-        event's ``info`` and every directive's ``order`` apart once it has
-        decided leaves the log bytes and the KPI report alone."""
+        """The driver encodes each record before handing it over and reads
+        nothing of it afterwards, the control gets copies of the event
+        bodies, and the kernel runs copies of the command bodies.  So a
+        control that tears apart every event it was handed (its ``info``
+        first), every directive's ``order``, and in the next round its own
+        command bodies leaves the log bytes and the KPI report alone."""
         torn = Counter()
 
         class Tearing(ReferenceControl):
+            sent = []
+
             def on_round(self, now, directives, events, notices):
+                for cmd in self.sent:
+                    cmd.clear()
+                    cmd["kind"] = "torn"
+                    torn["command"] += 1
                 directives = list(directives)
-                result = super().on_round(now, directives, events, notices)
+                commands, idle = super().on_round(now, directives, events, notices)
                 for ev in events:
-                    ev.info.clear()
-                    ev.info["torn"] = True
-                    torn["info"] += 1
+                    if "info" in ev:
+                        ev["info"].clear()
+                        ev["info"]["torn"] = True
+                        torn["info"] += 1
+                    ev.clear()
+                    ev["kind"] = "torn"
+                    torn["event"] += 1
                 for d in directives:
                     if d.order is not None:
                         d.order.clear()
                         d.order["torn"] = True
                         torn["order"] += 1
-                return result
+                self.sent = commands
+                return commands, idle
 
         for name in MINICELL_SCENARIOS:
             scenario = scenario_by_name(name)
@@ -818,7 +898,7 @@ class TestMessagesCross:
                                  endpoint=InProcEndpoint(Tearing(minicell_model)))
             assert tearing.log == clean.log
             assert tearing.report == clean.report is not None
-        assert torn["info"] and torn["order"]
+        assert torn["event"] and torn["info"] and torn["order"] and torn["command"]
 
 
 def traced_peak(reader, log):
@@ -943,19 +1023,19 @@ class TestReplay:
 
 class TestHandshake:
     def test_model_hash_mismatch_refused(self, minicell_model):
-        client = ControlClient(lambda record, message: None, ReferenceControl(minicell_model))
+        client = ControlClient(lambda record: None, ReferenceControl(minicell_model))
         with pytest.raises(ControlProtocolError, match="hash"):
-            client.handle(rec(kind="hello", body={"model_hash": "0" * 64}), None)
+            client.handle(rec(kind="hello", body={"model_hash": "0" * 64}))
 
     def test_round_monotonicity_enforced_by_client(self, minicell_model):
-        client = ControlClient(lambda record, message: None, ReferenceControl(minicell_model))
+        client = ControlClient(lambda record: None, ReferenceControl(minicell_model))
         with pytest.raises(ProtocolError, match="monotonicity"):
-            client.handle(rec(round_no=2, body={"events": [], "notices": []}), ([], []))
+            client.handle(rec(round_no=2, body={"events": [], "notices": []}))
 
     def test_unknown_kind_refused(self, minicell_model):
-        client = ControlClient(lambda record, message: None, ReferenceControl(minicell_model))
+        client = ControlClient(lambda record: None, ReferenceControl(minicell_model))
         with pytest.raises(ProtocolError, match="mystery"):
-            client.handle(rec(kind="mystery"), None)
+            client.handle(rec(kind="mystery"))
 
     def test_client_answers_a_recorded_session_from_hello_to_bye(
         self, minicell_model, minicell_orders, scenario_by_name
@@ -964,10 +1044,8 @@ class TestHandshake:
             minicell_model, minicell_orders, scenario_by_name("supply_shortage"), seed=3
         ).log
         sent = []
-        client = ControlClient(lambda record, message: sent.append(record),
-                               ReferenceControl(minicell_model))
-        handled = [client.handle(r, message_of(r)) for r in records_of(log)
-                   if r["role"] != "control"]
+        client = ControlClient(sent.append, ReferenceControl(minicell_model))
+        handled = [client.handle(r) for r in records_of(log) if r["role"] != "control"]
         assert handled[:-1] == [True] * (len(handled) - 1) and handled[-1] is False
         assert b"".join(map(encode_record, sent)) == b"".join(
             line for line, record in iter_records(log) if record["role"] == "control"
@@ -990,11 +1068,11 @@ class TestReplyProtocol:
         late_round = 1 if late == "first" else rounds - 1  # the last round is run-end
 
         class LateCommand(ControlClient):
-            def _serve_round(self, record, message):
-                super()._serve_round(record, message)
+            def _serve_round(self, record):
+                super()._serve_round(record)
                 if record["round"] == late_round:
                     self._send(rec(kind="command", role="control", round_no=late_round,
-                                   t=record["t"], corr=late_round), None)
+                                   t=record["t"], corr=late_round))
 
         monkeypatch.setattr(interface, "ControlClient", LateCommand)
         message = "wrong round" if late == "first" else "'command' after run-end"
@@ -1020,10 +1098,10 @@ class TestReplyProtocol:
         answering, reply, refusal,
     ):
         class WrongReply(ControlClient):
-            def handle(self, record, message):
+            def handle(self, record):
                 if record["kind"] != answering:
-                    return super().handle(record, message)
-                self._send(reply, None)
+                    return super().handle(record)
+                self._send(reply)
                 return True
 
         monkeypatch.setattr(interface, "ControlClient", WrongReply)
@@ -1038,7 +1116,7 @@ class TestReplyProtocol:
         def serve_until_run_end(endpoint):
             client = ControlClient(endpoint.send, ReferenceControl(minicell_model))
             while (received := endpoint.recv())[1]["kind"] != "run-end":
-                client.handle(*received[1:])
+                client.handle(received[1])
             endpoint.close()  # no taps, no bye
 
         worker = threading.Thread(target=serve_until_run_end, args=(SocketEndpoint(right),))
@@ -1073,10 +1151,10 @@ class TestRoundProbe:
             return open_round(driver, t, directives)
 
         class Watched(InProcEndpoint):
-            def send(self, record, message):
+            def send(self, record):
                 if record["kind"] == "event-batch":
                     steps.append(("batch", record["round"]))
-                return super().send(record, message)
+                return super().send(record)
 
         monkeypatch.setattr(interface.RoundDriver, "open_round", opening)
         result = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=3,

@@ -8,24 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holobench.kernel import EmulationKernel
-from holobench.messages import ControlCommand, Injection
+from holobench.messages import ControlCommand, Injection, SimEvent
 from holobench.model import load_model_doc
 
 
 def release(order):
-    return ControlCommand(kind="release-order", order=order)
+    return ControlCommand(kind="release-order", order=order).to_dict()
 
 
 def move(shuttle, dest, carry=None):
-    return ControlCommand(kind="move-shuttle", shuttle=shuttle, destination=dest, carry=carry)
+    return ControlCommand(
+        kind="move-shuttle", shuttle=shuttle, destination=dest, carry=carry
+    ).to_dict()
 
 
 def start(machine, op, order):
-    return ControlCommand(kind="start-op", machine=machine, operation=op, order=order)
+    return ControlCommand(kind="start-op", machine=machine, operation=op, order=order).to_dict()
+
+
+def cancel(order):
+    return ControlCommand(kind="cancel-order", order=order).to_dict()
 
 
 def kinds(events):
-    return [e.kind for e in events]
+    return [e["kind"] for e in events]
 
 
 def state(kernel):
@@ -49,7 +55,7 @@ class TestHappyPath:
     def test_hand_traced_timeline(self, line_model):
         k = EmulationKernel(line_model)
         b = drive_one_order(k)
-        assert [ev.time for batch in b for ev in batch] == [0, 0, 5, 5, 15, 15, 20, 20]
+        assert [ev["time"] for batch in b for ev in batch] == [0, 0, 5, 5, 15, 15, 20, 20]
         assert kinds(b[0]) == ["order-released"]
         assert kinds(b[1]) == ["shuttle-departed"]
         assert kinds(b[2]) == ["shuttle-arrived"]
@@ -65,19 +71,19 @@ class TestHappyPath:
 
     def test_seqs_are_gapless_from_one(self, line_model):
         k = EmulationKernel(line_model)
-        seqs = [ev.seq for batch in drive_one_order(k) for ev in batch]
+        seqs = [ev["seq"] for batch in drive_one_order(k) for ev in batch]
         assert seqs == list(range(1, len(seqs) + 1))
 
     def test_events_in_batch_share_tick(self, line_model):
         k = EmulationKernel(line_model)
         for batch in drive_one_order(k):
-            assert len({ev.time for ev in batch}) <= 1
+            assert len({ev["time"] for ev in batch}) <= 1
 
     def test_same_tick_batch_orders_by_kind_then_subjects(self, minicell_model):
         k = EmulationKernel(minicell_model)
         # ties within a kind break on the subject ids, not on command order
         released = k.advance([release("O1"), release("O0")])
-        assert [ev.order for ev in released] == ["O0", "O1"]
+        assert [ev["order"] for ev in released] == ["O0", "O1"]
         k.advance([move("S2", "M2", carry="O0")])
         k.advance()  # t=5: S2 at M2
         k.advance([start("M2", "B", "O0"), move("S1", "M1", carry="O1")])  # M2 ends at 20
@@ -88,13 +94,14 @@ class TestHappyPath:
         # The arrival leaves the pending queue first, yet the batch is sorted
         # by kind, then machine, shuttle, order and node, and numbered after.
         batch = k.advance()
-        assert [(ev.kind, ev.machine, ev.shuttle, ev.order) for ev in batch] == [
+        assert [(ev["kind"], ev.get("machine"), ev.get("shuttle"), ev.get("order"))
+                for ev in batch] == [
             ("op-finished", "M1", None, "O1"),
             ("op-finished", "M2", None, "O0"),
             ("shuttle-arrived", None, "S2", None),
         ]
-        assert {ev.time for ev in batch} == {20}
-        assert [ev.seq for ev in batch] == [batch[0].seq + i for i in range(3)]
+        assert {ev["time"] for ev in batch} == {20}
+        assert [ev["seq"] for ev in batch] == [batch[0]["seq"] + i for i in range(3)]
 
     def test_commands_do_not_move_clock(self, line_model):
         k = EmulationKernel(line_model)
@@ -168,12 +175,12 @@ class TestRejections:
         k.advance([move("S1", "M1", carry="O1")])
         k.advance()
         k.advance([start("M1", "A", "O1")])
-        out = k.advance([ControlCommand(kind="cancel-order", order="O1")])
+        out = k.advance([cancel("O1")])
         assert kinds(out) == ["op-finished"]
         assert "processed" in k.drain_notices()[0].reason
         # once finished the cancel goes through
-        (ev,) = k.advance([ControlCommand(kind="cancel-order", order="O1")])
-        assert ev.kind == "order-cancelled"
+        (ev,) = k.advance([cancel("O1")])
+        assert ev["kind"] == "order-cancelled"
         assert state(k)["products"] == {}
 
 
@@ -185,16 +192,16 @@ class TestInjections:
         k.advance()
         k.advance([start("M1", "A", "O1")])  # would finish at 15
         (ev,) = k.apply_injection(Injection(kind="machine-down", machine="M1", duration=30))
-        assert ev.kind == "machine-down" and ev.time == 5
-        assert ev.info == {"preempted": "O1", "duration": 30}
+        assert ev["kind"] == "machine-down" and ev["time"] == 5
+        assert ev["info"] == {"preempted": "O1", "duration": 30}
         assert state(k)["machines"]["M1"]["busy_order"] is None
         # stale op-finish at 15 must not fire; next happening is machine-up
         (up,) = k.advance()
-        assert (up.kind, up.time) == ("machine-up", 35)
+        assert (up["kind"], up["time"]) == ("machine-up", 35)
         # progress was lost; restart runs the full duration again
         k.advance([start("M1", "A", "O1")])
         (fin,) = k.advance()
-        assert (fin.kind, fin.time) == ("op-finished", 45)
+        assert (fin["kind"], fin["time"]) == ("op-finished", 45)
 
     def test_down_blocks_start(self, line_model):
         k = EmulationKernel(line_model)
@@ -215,7 +222,7 @@ class TestInjections:
         k = EmulationKernel(line_model)
         k.apply_injection(Injection(kind="machine-down", machine="M1", duration=50))
         (up,) = k.apply_injection(Injection(kind="machine-up", machine="M1"))
-        assert up.kind == "machine-up" and up.time == 0
+        assert up["kind"] == "machine-up" and up["time"] == 0
         assert k.advance() == []  # the +50 timer is stale now
 
     @pytest.mark.parametrize("second", [100, None])
@@ -239,15 +246,15 @@ class TestInjections:
             assert k.advance() == [] and state(k)["machines"]["M1"][flag]
         else:
             (ev,) = k.advance()
-            assert (ev.kind, ev.time) == (fired, 100)
+            assert (ev["kind"], ev["time"]) == (fired, 100)
             assert k.advance() == []
 
     def test_explicit_supply_restore_then_restore_again_is_ignored(self, line_model):
         k = EmulationKernel(line_model)
         (blocked,) = k.apply_injection(Injection(kind="supply-shortage", machine="M1"))
-        assert blocked.kind == "supply-blocked"
+        assert blocked["kind"] == "supply-blocked"
         (restored,) = k.apply_injection(Injection(kind="supply-restore", machine="M1"))
-        assert (restored.kind, restored.machine) == ("supply-restored", "M1")
+        assert (restored["kind"], restored["machine"]) == ("supply-restored", "M1")
         assert k.apply_injection(Injection(kind="supply-restore", machine="M1")) == []
         (n,) = k.drain_notices()
         assert n.kind == "injection-ignored"
@@ -266,15 +273,15 @@ class TestInjections:
         (blocked,) = k.apply_injection(
             Injection(kind="supply-shortage", machine="M1", duration=7)
         )
-        assert blocked.kind == "supply-blocked"
+        assert blocked["kind"] == "supply-blocked"
         # transport still works while the machine is starved
         k.advance([move("S1", "M1", carry="O1")])
         k.advance()
         (restored,) = k.advance([start("M1", "A", "O1")])
         assert "supply-blocked" in k.drain_notices()[0].reason
-        assert (restored.kind, restored.time) == ("supply-restored", 7)
+        assert (restored["kind"], restored["time"]) == ("supply-restored", 7)
         (started,) = k.advance([start("M1", "A", "O1")])
-        assert started.kind == "op-started"
+        assert started["kind"] == "op-started"
 
     def test_reject_rework_in_process(self, line_model):
         k = EmulationKernel(line_model)
@@ -285,8 +292,8 @@ class TestInjections:
         (ev,) = k.apply_injection(
             Injection(kind="product-reject", order="O1", policy="rework")
         )
-        assert ev.kind == "product-rejected"
-        assert ev.machine == "M1" and ev.info["policy"] == "rework"
+        assert ev["kind"] == "product-rejected"
+        assert ev["machine"] == "M1" and ev["info"]["policy"] == "rework"
         assert state(k)["machines"]["M1"]["busy_order"] is None
         assert state(k)["products"]["O1"] == {"node": "M1", "shuttle": None, "processing": None}
         # the aborted operation's finish at 15 never fires
@@ -299,7 +306,7 @@ class TestInjections:
         (ev,) = k.apply_injection(
             Injection(kind="product-reject", order="O1", policy="scrap")
         )
-        assert ev.info["policy"] == "scrap"
+        assert ev["info"]["policy"] == "scrap"
         assert state(k)["products"] == {}
 
     def test_scrap_in_transit_clears_cargo(self, line_model):
@@ -309,9 +316,9 @@ class TestInjections:
         (ev,) = k.apply_injection(
             Injection(kind="product-reject", order="O1", policy="scrap")
         )
-        assert ev.shuttle == "S1"
+        assert ev["shuttle"] == "S1"
         (arr,) = k.advance()
-        assert arr.kind == "shuttle-arrived" and arr.order is None
+        assert arr["kind"] == "shuttle-arrived" and "order" not in arr
         assert state(k)["shuttles"]["S1"]["cargo"] is None
 
     def test_reject_unknown_order_ignored(self, line_model):
@@ -400,11 +407,11 @@ _step = st.one_of(
 @given(script=st.lists(_step, max_size=24))
 def test_determinism_under_random_scripts(minicell_model_doc, script):
     def wire_checked(batch):
-        """Each event's wire body is its ``to_dict()``, with an ``info`` of
-        its own: a raw event dict holds no None and no empty ``info``."""
-        assert batch.bodies == [e.to_dict() for e in batch]
-        assert all(b.get("info") is not e.info for b, e in zip(batch.bodies, batch))
-        return batch
+        """Each event body is its event's ``to_dict()``: a raw event dict
+        holds no None and no empty ``info``.  Returns the events."""
+        events = [SimEvent.from_dict(d) for d in batch]
+        assert [e.to_dict() for e in events] == batch
+        return events
 
     def run():
         k = EmulationKernel(load_model_doc(minicell_model_doc))

@@ -173,3 +173,50 @@ def test_notice_round_trip():
     n = Notice(time=4, kind="command-rejected", reason="machine M1 is down",
                command={"kind": "start-op", "machine": "M1"})
     assert Notice.from_dict(n.to_dict()) == n
+
+
+def _corruptions(cls, body):
+    """One-field corruptions of a valid body, as (body, must_refuse) pairs:
+    a dropped required key, an unknown kind, a negative or boolean ``time``
+    or ``seq``, all refused; or any JSON value put in any field, which the
+    check may take only if ``from_dict`` builds from it."""
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    counters = [name for name in ("time", "seq") if name in body]
+    refused = [st.sampled_from(required).map(
+        lambda name: {k: v for k, v in body.items() if k != name})]
+    if cls is not Notice:  # notices have no closed kind vocabulary
+        refused.append(st.just({**body, "kind": "teleport"}))
+    if counters:
+        refused.append(st.builds(lambda name, value: {**body, name: value},
+                                 st.sampled_from(counters),
+                                 st.integers(max_value=-1) | st.booleans()))
+    values = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+              | st.lists(st.integers(), max_size=2)
+              | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+    anything = st.builds(lambda name, value: {**body, name: value},
+                         st.sampled_from([f.name for f in fields(cls)]), values)
+    return st.one_of(*refused).map(lambda b: (b, True)) | anything.map(lambda b: (b, False))
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_body_check_passes_exactly_what_builds(cls, data):
+    """Every ``to_dict()`` of a valid message passes ``check_body``, and
+    ``copy_body`` gives an equal copy whose dict values are its own.  A
+    corrupted body that passes must build with ``from_dict``; one that
+    ``from_dict`` refuses is refused by the check too."""
+    msg = data.draw(MESSAGES[cls])
+    body = msg.to_dict()
+    assert cls.check_body(body) is body
+    copy = cls.copy_body(body)
+    assert copy == body and cls.from_dict(copy) == msg
+    assert all(copy[k] is not v for k, v in body.items() if type(v) is dict)
+    corrupt, must_refuse = data.draw(_corruptions(cls, body))
+    try:
+        cls.check_body(corrupt)
+    except MessageError:
+        return
+    assert not must_refuse, corrupt
+    built = cls.from_dict(corrupt)
+    assert cls.check_body(built.to_dict())

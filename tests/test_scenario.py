@@ -34,7 +34,7 @@ ORDERS = load_orders((DATA / "minicell" / "orders.json").read_text(encoding="utf
 
 
 def ev(kind, time=0, seq=1, **kw):
-    return SimEvent(time=time, seq=seq, kind=kind, **kw)
+    return SimEvent(time=time, seq=seq, kind=kind, **kw).to_dict()
 
 
 def scenario_doc(rules=None, distributions=None, category="dynamic-reconfiguration"):
@@ -657,6 +657,20 @@ class TestManagerRuntime:
         assert m.process_batch(8, []) == []  # 3 + 7 = 10 not reached
         (firing,) = m.process_batch(12, [])
         assert firing.injections[0].machine == "M1"
+
+    def test_delayed_firing_keeps_its_own_copy_of_the_event(self):
+        """The batch's event bodies go on the wire and to the recorder's
+        taps, which may alter them once recorded; a delayed firing reads
+        the event as it was."""
+        rule = down_rule({"kind": "after", "delay": 7,
+                          "base": {"kind": "on-event", "event": "op-started"}})
+        rule["actions"][0]["injection"]["machine"] = "$event.machine"
+        m = self._manager([rule])
+        batch = [ev("op-started", machine="M2", time=3)]
+        assert m.process_batch(3, batch) == []
+        batch[0].clear()
+        (firing,) = m.process_batch(10, [])
+        assert firing.injections[0].machine == "M2"
 
     def test_after_at_time_chains_sum(self):
         trigger = {
