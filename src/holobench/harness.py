@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .canon import is_int, sha256_hex
+from .canon import fits, is_int, sha256_hex
 from .control import ProductOrder, ReferenceControl, load_orders_file
 from .interface import InProcEndpoint, RoundDriver, RunRecorder
 from .kernel import EmulationKernel
@@ -467,11 +467,11 @@ def compare(out_dir: str) -> dict[str, Any]:
     }
 
 
-# The manifest fields ``compare`` reads, with the types it needs them to have.
-_OPTIONAL_STR = (str, type(None))
+# The manifest fields ``compare`` reads, with the types it needs them to have,
+# written as the type hints ``canon.fits`` checks a JSON value against.
 _MANIFEST_FIELDS = {"suite": str, "model_hash": str, "seeds": list, "scenarios": list, "runs": list}
-_SCENARIO_FIELDS = {"id": str, "category": _OPTIONAL_STR}
-_RUN_FIELDS = {"scenario": str, "category": _OPTIONAL_STR, "report": _OPTIONAL_STR}
+_SCENARIO_FIELDS = {"id": str, "category": str | None}
+_RUN_FIELDS = {"scenario": str, "category": str | None, "report": str | None}
 
 
 def _read_manifest(out_dir: str) -> dict[str, Any]:
@@ -495,7 +495,7 @@ def _check_fields(doc: Any, spec: dict[str, Any], where: str) -> None:
     if not isinstance(doc, dict):
         raise ArtifactError(f"{where} must be a JSON object")
     missing = sorted(spec.keys() - doc.keys())
-    wrong = sorted(k for k in spec.keys() & doc.keys() if not isinstance(doc[k], spec[k]))
+    wrong = sorted(k for k in spec.keys() & doc.keys() if not fits(doc[k], spec[k]))
     if missing or wrong:
         raise ArtifactError(f"{where} has missing keys {missing}, wrong value types for {wrong}")
 

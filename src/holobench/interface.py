@@ -53,13 +53,14 @@ from __future__ import annotations
 
 import json
 import json.scanner
+import operator
 import socket
 import time
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator
 
 from .canon import canon_dumps, canon_str
-from .control import ProductOrder, ReferenceControl
+from .control import OrderBookError, ProductOrder, ReferenceControl
 from .messages import ControlCommand, ControlDirective, MessageError, Notice, SimEvent
 
 WIRE_PREFIX = b"IL1 "
@@ -69,6 +70,9 @@ RECORD_KEYS = frozenset({"v", "role", "round", "t", "kind", "body", "corr"})
 ROLE_EMULATION = "emulation"
 ROLE_CONTROL = "control"
 ROLE_SCENARIO = "scenario-manager"
+
+# The tap flow that carries the control's end-of-run counters.
+FLOW_CONTROL_KPI = "FLOW7"
 
 
 class DecodeError(ValueError):
@@ -256,7 +260,10 @@ class ControlClient:
     ``handle`` takes one inbound record.  A round (directives, then one
     event batch) is answered with command records and an end-of-round
     record, and run-end with the control's end-of-run taps and a bye.  Each
-    reply record goes to ``send`` as it is made.
+    reply record goes to ``send`` as it is made.  An inbound body the
+    control cannot take (a hello without a model hash, a run-meta order
+    that does not load, a bad event or directive) raises ``ProtocolError``
+    naming its record.
     """
 
     def __init__(self, send: Callable[[dict[str, Any]], None], control: ReferenceControl):
@@ -269,13 +276,11 @@ class ControlClient:
         """Handle one inbound record; False once the session is over."""
         kind = record["kind"]
         if kind == "hello":
-            self._control.check_model_hash(record["body"]["model_hash"])
+            self._control.check_model_hash(_built(operator.itemgetter("model_hash"), record))
             body = {"model_hash": self._control.model.model_hash, "policy": "reference-holonic"}
             self._send(make_record(ROLE_CONTROL, 0, 0, "hello", body))
         elif kind == "run-meta":
-            self._control.load_orders(
-                ProductOrder.from_dict(d) for d in record["body"].get("orders", [])
-            )
+            self._control.load_orders(_built(_book, record))
         elif kind == "injection":
             pass  # audit trail only
         elif kind == "directive":
@@ -285,7 +290,7 @@ class ControlClient:
         elif kind == "run-end":
             round_no = record["round"]
             for i, (name, value) in enumerate(sorted(self._control.export_kpi().items())):
-                body = {"flow": "FLOW7", "name": name, "value": value, "i": i}
+                body = {"flow": FLOW_CONTROL_KPI, "name": name, "value": value, "i": i}
                 self._send(make_record(ROLE_CONTROL, round_no, record["t"], "tap", body))
             self._send(make_record(ROLE_CONTROL, round_no, record["t"], "bye", {}))
             return False
@@ -309,6 +314,11 @@ class ControlClient:
         self._send(end)
 
 
+def _book(body: dict[str, Any]) -> list[ProductOrder]:
+    """The orders of a run-meta body."""
+    return [ProductOrder.from_dict(d) for d in body.get("orders", [])]
+
+
 def _round_inputs(body: dict[str, Any]) -> tuple[list[dict[str, Any]], list[Notice]]:
     """A checked copy of each event of a batch body, and its notices."""
     notices = [Notice.from_dict(d) for d in body.get("notices", ())]
@@ -320,7 +330,7 @@ def _built(build: Callable[[Any], Any], record: dict[str, Any]) -> Any:
     record's role and kind when the body builds nothing."""
     try:
         return build(record["body"])
-    except (KeyError, TypeError, AttributeError, MessageError) as exc:
+    except (KeyError, TypeError, AttributeError, MessageError, OrderBookError) as exc:
         raise ProtocolError(
             f"{record['role']} {record['kind']} body builds no message: {exc!r}"
         ) from exc

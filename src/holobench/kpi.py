@@ -11,9 +11,11 @@ report.
 Two implementations cross-check each other.  ``KpiEngine`` is incremental:
 it deduplicates entries on (flow, t, seq), refuses time regressions, and
 keeps running interval state.  ``recompute_from_log`` reconstructs the same
-report from a session log alone, using whole-log folds instead of streaming
-state.  Conservation (every released order ends completed, cancelled, or
-scrapped) is enforced by both, so a mutated log is caught on recompute.
+report from a session log alone, folding its deduplicated events in one
+seq-ordered pass.  Each keeps one map of open and one of closed machine
+intervals, keyed by state and machine.  Conservation (every released order
+ends completed, cancelled, or scrapped) is enforced by both, so a mutated
+log is caught on recompute.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable, get_type_hints
 
 from .canon import fits
-from .interface import batch_events, iter_records
+from .interface import FLOW_CONTROL_KPI, batch_events, iter_records
 
 FLOW_EVENTS = "FLOW1"
-FLOW_CONTROL_KPI = "FLOW7"
 
 # The report fields that suite aggregation compares across scenarios; their
 # names, plus one utilization[...] per machine, fix comparison.csv.
@@ -167,12 +168,10 @@ class KpiEngine:
         self._cancelled: dict[str, int] = {}
         self._scrapped: dict[str, int] = {}
         self.rework_events = 0
-        self._busy_open: dict[str, tuple[int, str]] = {}  # machine -> (start, order)
-        self._busy: dict[str, list[tuple[int, int]]] = {}
-        self._down_open: dict[str, int] = {}
-        self._down: dict[str, list[tuple[int, int]]] = {}
-        self._blocked_open: dict[str, int] = {}
-        self._blocked: dict[str, list[tuple[int, int]]] = {}
+        # (state, machine) -> (start, order) of each open busy, down or
+        # blocked interval; the order is the busy one's, else None
+        self._open: dict[tuple[str, str], tuple[int, str | None]] = {}
+        self._spans: dict[tuple[str, str], list[tuple[int, int]]] = {}  # closed ones
         self._control_kpi: dict[str, int] = {}
 
     # -- wire tap -------------------------------------------------------------
@@ -234,40 +233,40 @@ class KpiEngine:
         elif kind == "order-cancelled":
             self._cancelled[order] = t
         elif kind == "op-started":
-            if machine in self._busy_open:
+            if ("busy", machine) in self._open:
                 raise StreamError(f"op-started on already busy machine {machine!r}")
-            self._busy_open[machine] = (t, order)
+            self._open["busy", machine] = (t, order)
         elif kind == "op-finished":
-            if machine not in self._busy_open:
+            if ("busy", machine) not in self._open:
                 raise StreamError(f"op-finished on idle machine {machine!r}")
-            start, _ = self._busy_open.pop(machine)
-            self._busy.setdefault(machine, []).append((start, t))
+            self._close("busy", machine, t)
         elif kind == "machine-down":
-            if machine in self._busy_open:
-                start, _ = self._busy_open.pop(machine)
-                self._busy.setdefault(machine, []).append((start, t))
-            self._down_open[machine] = t
+            if ("busy", machine) in self._open:
+                self._close("busy", machine, t)
+            self._open["down", machine] = (t, None)
         elif kind == "machine-up":
-            if machine not in self._down_open:
+            if ("down", machine) not in self._open:
                 raise StreamError(f"machine-up on machine {machine!r} that was not down")
-            self._down.setdefault(machine, []).append((self._down_open.pop(machine), t))
+            self._close("down", machine, t)
         elif kind == "supply-blocked":
-            self._blocked_open[machine] = t
+            self._open["blocked", machine] = (t, None)
         elif kind == "supply-restored":
-            if machine not in self._blocked_open:
+            if ("blocked", machine) not in self._open:
                 raise StreamError(f"supply-restored on machine {machine!r} that was not blocked")
-            self._blocked.setdefault(machine, []).append((self._blocked_open.pop(machine), t))
+            self._close("blocked", machine, t)
         elif kind == "product-rejected":
             policy = (ev.get("info") or {}).get("policy")
-            if machine is not None and machine in self._busy_open:
-                start, busy_order = self._busy_open[machine]
-                if busy_order == order:
-                    self._busy_open.pop(machine)
-                    self._busy.setdefault(machine, []).append((start, t))
+            busy = self._open.get(("busy", machine))
+            if busy is not None and busy[1] == order:
+                self._close("busy", machine, t)
             if policy == "scrap":
                 self._scrapped[order] = t
             elif policy == "rework":
                 self.rework_events += 1
+
+    def _close(self, state: str, machine: str, t: int) -> None:
+        start, _ = self._open.pop((state, machine))
+        self._spans.setdefault((state, machine), []).append((start, t))
 
     # -- reduction ----------------------------------------------------------------
 
@@ -283,26 +282,15 @@ class KpiEngine:
                 f"scrapped={len(self._scrapped)}; unsettled={missing}; unreleased={phantom}"
             )
         makespan = max(self._completed.values(), default=0)
-        horizon = makespan
-        busy = {m: list(spans) for m, spans in self._busy.items()}
-        for machine, (start, _) in self._busy_open.items():
-            busy.setdefault(machine, []).append((start, horizon))
-        down = {m: list(spans) for m, spans in self._down.items()}
-        for machine, start in self._down_open.items():
-            down.setdefault(machine, []).append((start, horizon))
-        blocked = {m: list(spans) for m, spans in self._blocked.items()}
-        for machine, start in self._blocked_open.items():
-            blocked.setdefault(machine, []).append((start, horizon))
-
-        machines = self._machines or sorted(
-            set(busy) | set(down) | set(blocked)
+        spans = {key: list(closed) for key, closed in self._spans.items()}
+        for key, (start, _) in self._open.items():
+            spans.setdefault(key, []).append((start, makespan))
+        machines = self._machines or sorted({m for _, m in spans})
+        machine_busy, machine_down, machine_blocked = (
+            {m: _clip_total(spans.get((state, m), ()), makespan) for m in machines}
+            for state in ("busy", "down", "blocked")
         )
-        machine_busy = {m: _clip_total(busy.get(m, []), horizon) for m in machines}
-        machine_down = {m: _clip_total(down.get(m, []), horizon) for m in machines}
-        machine_blocked = {m: _clip_total(blocked.get(m, []), horizon) for m in machines}
-        utilization = {
-            m: (machine_busy[m] / makespan if makespan else 0.0) for m in machines
-        }
+        utilization = {m: (machine_busy[m] / makespan if makespan else 0.0) for m in machines}
 
         leads = [t - self._released[o] for o, t in sorted(self._completed.items())]
         tardies: list[int] = []
@@ -352,7 +340,9 @@ def recompute_from_log(log: bytes) -> KpiReport:
     The log is decoded one line at a time, and each record is folded in and
     dropped: only the run-meta body, the dues, the events (checked, see
     ``batch_events``, and deduplicated by ``seq``) and the control's
-    counters are kept for the whole-log folds below.
+    counters are kept.  The events are folded in one ``seq``-ordered pass,
+    which meets a machine fault before the conservation check, as the
+    engine does.
     """
     meta: dict[str, Any] = {}
     dues: dict[str, int] = {}
@@ -376,24 +366,55 @@ def recompute_from_log(log: bytes) -> KpiReport:
             control_kpi[record["body"]["name"]] = record["body"]["value"]
         offset += len(line)
 
-    ordered = [events[s] for s in sorted(events)]
-
-    def times_of(kind: str) -> dict[str, int]:
-        return {e["order"]: e["time"] for e in ordered if e["kind"] == kind}
-
-    released = times_of("order-released")
-    completed = times_of("order-completed")
-    cancelled = times_of("order-cancelled")
-    scrapped = {
-        e["order"]: e["time"]
-        for e in ordered
-        if e["kind"] == "product-rejected" and (e.get("info") or {}).get("policy") == "scrap"
+    # order -> time of its last event of each kind that releases or settles it
+    times: dict[str, dict[str, int]] = {
+        k: {} for k in ("order-released", "order-completed", "order-cancelled")
     }
-    rework_events = sum(
-        1
-        for e in ordered
-        if e["kind"] == "product-rejected" and (e.get("info") or {}).get("policy") == "rework"
-    )
+    scrapped: dict[str, int] = {}
+    rework_events = 0
+    # (state, machine) -> (start, order) of each open interval, and the closed ones
+    opened: dict[tuple[str, str], tuple[int, str | None]] = {}
+    spans: dict[tuple[str, str], list[tuple[int, int]]] = {}
+
+    def close(state: str, m: str, t: int) -> None:
+        spans.setdefault((state, m), []).append((opened.pop((state, m))[0], t))
+
+    for seq in sorted(events):
+        e = events[seq]
+        k, t, m = e["kind"], e["time"], e.get("machine")
+        if k in times:
+            times[k][e["order"]] = t
+        elif k == "product-rejected":
+            policy = (e.get("info") or {}).get("policy")
+            if policy == "scrap":
+                scrapped[e["order"]] = t
+            elif policy == "rework":
+                rework_events += 1
+            if opened.get(("busy", m), (0, None))[1] == e["order"]:
+                close("busy", m, t)
+        elif k == "op-started":
+            if ("busy", m) in opened:
+                raise StreamError(f"op-started on already busy machine {m!r}")
+            opened["busy", m] = (t, e["order"])
+        elif k == "op-finished":
+            if ("busy", m) not in opened:
+                raise StreamError(f"op-finished on idle machine {m!r}")
+            close("busy", m, t)
+        elif k == "machine-down":
+            if ("busy", m) in opened:
+                close("busy", m, t)
+            opened["down", m] = (t, None)
+        elif k == "machine-up":
+            if ("down", m) not in opened:
+                raise StreamError(f"machine-up on machine {m!r} that was not down")
+            close("down", m, t)
+        elif k == "supply-blocked":
+            opened["blocked", m] = (t, None)
+        elif k == "supply-restored":
+            if ("blocked", m) not in opened:
+                raise StreamError(f"supply-restored on machine {m!r} that was not blocked")
+            close("blocked", m, t)
+    released, completed, cancelled = times.values()
 
     settled = set(completed) | set(cancelled) | set(scrapped)
     if set(released) != settled:
@@ -405,52 +426,13 @@ def recompute_from_log(log: bytes) -> KpiReport:
         )
 
     makespan = max(completed.values(), default=0)
-
-    machines = list(meta.get("machines", []))
-    busy: dict[str, list[tuple[int, int]]] = {}
-    down: dict[str, list[tuple[int, int]]] = {}
-    blocked: dict[str, list[tuple[int, int]]] = {}
-    open_busy: dict[str, int] = {}
-    open_down: dict[str, int] = {}
-    open_blocked: dict[str, int] = {}
-    busy_order: dict[str, str] = {}
-    for e in ordered:
-        m = e.get("machine")
-        k = e["kind"]
-        if k == "op-started":
-            if m in open_busy:
-                raise StreamError(f"op-started on already busy machine {m!r}")
-            open_busy[m] = e["time"]
-            busy_order[m] = e["order"]
-        elif k == "op-finished":
-            if m not in open_busy:
-                raise StreamError(f"op-finished on idle machine {m!r}")
-            busy.setdefault(m, []).append((open_busy.pop(m), e["time"]))
-        elif k == "machine-down":
-            if m in open_busy:
-                busy.setdefault(m, []).append((open_busy.pop(m), e["time"]))
-            open_down[m] = e["time"]
-        elif k == "machine-up":
-            if m not in open_down:
-                raise StreamError(f"machine-up on machine {m!r} that was not down")
-            down.setdefault(m, []).append((open_down.pop(m), e["time"]))
-        elif k == "supply-blocked":
-            open_blocked[m] = e["time"]
-        elif k == "supply-restored":
-            if m not in open_blocked:
-                raise StreamError(f"supply-restored on machine {m!r} that was not blocked")
-            blocked.setdefault(m, []).append((open_blocked.pop(m), e["time"]))
-        elif k == "product-rejected" and m is not None:
-            if m in open_busy and busy_order.get(m) == e["order"]:
-                busy.setdefault(m, []).append((open_busy.pop(m), e["time"]))
-    for m, start in open_busy.items():
-        busy.setdefault(m, []).append((start, makespan))
-    for m, start in open_down.items():
-        down.setdefault(m, []).append((start, makespan))
-    for m, start in open_blocked.items():
-        blocked.setdefault(m, []).append((start, makespan))
-    if not machines:
-        machines = sorted(set(busy) | set(down) | set(blocked))
+    for key, (start, _) in opened.items():
+        spans.setdefault(key, []).append((start, makespan))
+    machines = list(meta.get("machines", [])) or sorted({m for _, m in spans})
+    busy, down, blocked = (
+        {m: _clip_total(spans.get((state, m), ()), makespan) for m in machines}
+        for state in ("busy", "down", "blocked")
+    )
 
     leads = [completed[o] - released[o] for o in sorted(completed)]
     for o in completed:
@@ -470,13 +452,10 @@ def recompute_from_log(log: bytes) -> KpiReport:
         scrapped=len(scrapped),
         rework_events=rework_events,
         throughput_per_1000=(n * 1000 / makespan) if makespan else 0.0,
-        machine_busy={m: _clip_total(busy.get(m, []), makespan) for m in machines},
-        machine_down={m: _clip_total(down.get(m, []), makespan) for m in machines},
-        machine_blocked={m: _clip_total(blocked.get(m, []), makespan) for m in machines},
-        utilization={
-            m: (_clip_total(busy.get(m, []), makespan) / makespan if makespan else 0.0)
-            for m in machines
-        },
+        machine_busy=busy,
+        machine_down=down,
+        machine_blocked=blocked,
+        utilization={m: (busy[m] / makespan if makespan else 0.0) for m in machines},
         lead_time_mean=(sum(leads) / n) if n else 0.0,
         lead_time_max=max(leads, default=0),
         tardiness_total=sum(tardies),
@@ -486,6 +465,6 @@ def recompute_from_log(log: bytes) -> KpiReport:
         commands_issued=control_kpi.get("commands_issued", 0),
         directives_handled=control_kpi.get("directives_handled", 0),
         reschedules=control_kpi.get("reschedules", 0),
-        events_observed=len(ordered),
+        events_observed=len(events),
         duplicates_dropped=0,
     )

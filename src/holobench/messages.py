@@ -14,23 +14,23 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable
 
-# Closed vocabulary of production events emitted by the emulation.
-EVENT_KINDS = frozenset(
-    {
-        "order-released",
-        "shuttle-departed",
-        "shuttle-arrived",
-        "op-started",
-        "op-finished",
-        "machine-down",
-        "machine-up",
-        "product-rejected",
-        "supply-blocked",
-        "supply-restored",
-        "order-completed",
-        "order-cancelled",
-    }
-)
+# Closed vocabulary of production events, each with the subject fields its
+# kind names; an event must hold each of them as a string.
+EVENT_SUBJECTS = {
+    "order-released": ("order",),
+    "order-completed": ("order",),
+    "order-cancelled": ("order",),
+    "product-rejected": ("order",),
+    "shuttle-departed": ("shuttle",),
+    "shuttle-arrived": ("shuttle",),
+    "machine-down": ("machine",),
+    "machine-up": ("machine",),
+    "supply-blocked": ("machine",),
+    "supply-restored": ("machine",),
+    "op-started": ("machine", "order"),
+    "op-finished": ("machine", "order"),
+}
+EVENT_KINDS = frozenset(EVENT_SUBJECTS)
 
 COMMAND_KINDS = frozenset(
     {"move-shuttle", "start-op", "release-order", "cancel-order", "end-of-round"}
@@ -143,14 +143,22 @@ class _Message:
         self.check_body(vars(self))
 
 
-@wire_message("event", EVENT_KINDS)
+def _event_rule(body: dict[str, Any]) -> None:
+    """Each subject field the event's kind names is a string."""
+    for name in EVENT_SUBJECTS[body["kind"]]:
+        if type(body.get(name)) is not str:
+            raise MessageError(f"{body['kind']} event requires a string {name}")
+
+
+@wire_message("event", EVENT_KINDS, _event_rule)
 @dataclass(frozen=True)
 class SimEvent(_Message):
     """One timestamped production event.
 
     (time, seq) strictly increases across a run's stream; seq has no gaps.
-    Subject fields are filled as applicable for the kind; ``node`` is the
-    transport-graph location for shuttle and release events.
+    The subject fields its kind names in ``EVENT_SUBJECTS`` are strings; the
+    others are filled as applicable.  ``node`` is the transport-graph
+    location for shuttle and release events.
     """
 
     time: int

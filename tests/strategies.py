@@ -7,7 +7,7 @@ from holobench.control import ProductOrder
 from holobench.messages import (
     COMMAND_KINDS,
     DIRECTIVE_KINDS,
-    EVENT_KINDS,
+    EVENT_SUBJECTS,
     INJECTION_KINDS,
     REJECT_POLICIES,
     ControlCommand,
@@ -21,14 +21,23 @@ from holobench.messages import (
 _id = st.none() | st.text(min_size=1, max_size=8)
 _payload = st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6), max_size=3)
 
-MESSAGES = {
-    SimEvent: st.builds(
+
+def _event(kind):
+    """Events of one kind: the subjects the kind names are strings."""
+    ids = {name: _id for name in ("machine", "shuttle", "order", "node")}
+    ids.update({name: st.text(max_size=8) for name in EVENT_SUBJECTS[kind]})
+    return st.builds(
         SimEvent,
         time=st.integers(min_value=0, max_value=10**9),
         seq=st.integers(min_value=0, max_value=10**9),
-        kind=st.sampled_from(sorted(EVENT_KINDS)),
-        machine=_id, shuttle=_id, order=_id, node=_id, info=_payload,
-    ),
+        kind=st.just(kind),
+        info=_payload,
+        **ids,
+    )
+
+
+MESSAGES = {
+    SimEvent: st.sampled_from(sorted(EVENT_SUBJECTS)).flatmap(_event),
     ControlCommand: st.builds(
         ControlCommand,
         kind=st.sampled_from(sorted(COMMAND_KINDS)),

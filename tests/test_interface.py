@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from holobench import interface
 from holobench.canon import canon_bytes, canon_dumps
-from holobench.control import ControlProtocolError, ReferenceControl
+from holobench.control import ControlProtocolError, OrderBookError, ReferenceControl
 from holobench.harness import run_single
 from holobench.interface import (
     WIRE_PREFIX,
@@ -172,6 +172,8 @@ BAD_BATCH_BODIES = [
     {"events": [{"time": 0, "kind": "op-started"}]},  # an event without seq
     {"events": [{"time": "0", "seq": 1, "kind": "op-started"}]},
     {"events": [7]},
+    {"events": [{"time": 0, "seq": 1, "kind": "order-released", "node": "IN"}]},  # no order
+    {"events": [{"time": 0, "seq": 1, "kind": "machine-up", "machine": 5}]},
 ]
 
 _DELETED = object()  # marks a key taken out of the record
@@ -409,8 +411,13 @@ class TestSocket:
             (rec(body={"events": [{"time": 0, "seq": True, "kind": "op-started"}]}),
              MessageError),
             (rec(kind="command", role="control", body={"kind": "fly"}, corr=7), MessageError),
+            (rec(body={"events": [{"time": 0, "seq": 1, "kind": "order-released", "node": "IN"}]}),
+             MessageError),
+            (rec(body={"events": [{"time": 0, "seq": 1, "kind": "machine-up", "machine": 5}]}),
+             MessageError),
         ],
-        ids=["event-batch-without-events", "event-with-a-boolean-seq", "unknown-command-kind"],
+        ids=["event-batch-without-events", "event-with-a-boolean-seq", "unknown-command-kind",
+             "event-without-its-subject", "event-with-a-number-for-its-subject"],
     )
     def test_body_that_builds_no_message_is_a_protocol_error(
         self, minicell_model, record, cause
@@ -1031,6 +1038,20 @@ class TestHandshake:
         client = ControlClient(lambda record: None, ReferenceControl(minicell_model))
         with pytest.raises(ProtocolError, match="monotonicity"):
             client.handle(rec(round_no=2, body={"events": [], "notices": []}))
+
+    @pytest.mark.parametrize("record, cause", [
+        (rec(kind="hello", body={}), KeyError),
+        (rec(kind="run-meta", role="scenario-manager", body={"orders": [
+            {"id": "O1", "routing": [], "release": 0, "due": 9}]}), OrderBookError),
+        (rec(kind="run-meta", role="scenario-manager", body={"orders": [5]}), AttributeError),
+    ], ids=["hello-without-model-hash", "run-meta-order-that-does-not-load",
+            "run-meta-order-that-is-no-object"])
+    def test_bad_hello_or_run_meta_is_a_protocol_error(self, minicell_model, record, cause):
+        client = ControlClient(lambda record: None, ReferenceControl(minicell_model))
+        fault = f"{record['role']} {record['kind']} body builds no message"
+        with pytest.raises(ProtocolError, match=fault) as info:
+            client.handle(record)
+        assert isinstance(info.value.__cause__, cause)
 
     def test_unknown_kind_refused(self, minicell_model):
         client = ControlClient(lambda record: None, ReferenceControl(minicell_model))

@@ -4,6 +4,7 @@ and equivalence between the streaming path and the whole-log recompute."""
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from holobench.harness import run_single
 from holobench.interface import encode_record, iter_records, make_record
@@ -15,6 +16,17 @@ from holobench.kpi import (
     recompute_from_log,
     reports_match,
 )
+from holobench.model import load_model_doc
+from holobench.scenario import load_scenario_doc
+from strategies import ORACLE_SHOP, oracle_sessions
+
+GENERATED = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def run_generated(session):
+    book, scenario_doc, seed = session
+    model = load_model_doc(ORACLE_SHOP)
+    return run_single(model, book, load_scenario_doc(scenario_doc, model=model, orders=book), seed)
 
 
 def batch(round_no, t, events):
@@ -322,6 +334,13 @@ class TestConservation:
 
 
 class TestStreamingMatchesRecompute:
+    @GENERATED
+    @given(session=oracle_sessions())
+    def test_generated_sessions(self, session):
+        result = run_generated(session)
+        assume(result.status == "completed")
+        assert reports_match(result.report, recompute_from_log(result.log)) == []
+
     @pytest.mark.parametrize("name, seed", [
         ("null", 1), ("ps9", 1), ("rush_order", 2), ("reject_rework", 3),
         ("supply_shortage", 2),
@@ -433,6 +452,14 @@ def drop_first_event(log, kind):
 
 
 class TestRecomputeIsAsStrictAsTheEngine:
+    @staticmethod
+    def stream(log):
+        """The engine's report of a log, observed record by record."""
+        eng = KpiEngine()
+        for _, record in iter_records(log):
+            eng.observe_record(record)
+        return eng.finalize()
+
     @pytest.mark.parametrize("name, seed, dropped, message", [
         ("null", 1, "op-started", "op-finished on idle machine"),
         ("null", 1, "op-finished", "op-started on already busy machine"),
@@ -447,9 +474,64 @@ class TestRecomputeIsAsStrictAsTheEngine:
         assert result.status == "completed"
         recompute_from_log(result.log)  # the intact log is consistent
         mutated = drop_first_event(result.log, dropped)
-        with pytest.raises(StreamError, match=message):
-            recompute_from_log(mutated)
-        eng = KpiEngine()
-        with pytest.raises(StreamError, match=message):
-            for _, record in iter_records(mutated):
-                eng.observe_record(record)
+        for read in (recompute_from_log, self.stream):
+            with pytest.raises(StreamError, match=message):
+                read(mutated)
+
+    # The events after the cut event that end its interval, and the one of
+    # them whose arrival then finds the machine in the wrong state.
+    ENDS = {
+        "op-started": (("op-finished", "machine-down", "product-rejected"), "op-finished"),
+        "machine-down": (("machine-up",), "machine-up"),
+        "supply-blocked": (("supply-restored",), "supply-restored"),
+    }
+
+    @GENERATED
+    @given(session=oracle_sessions())
+    def test_generated_sessions_with_a_machine_event_cut(self, session):
+        """Cutting the first event that opens a busy, down or blocked
+        interval makes the engine and the oracle raise the same
+        ``StreamError`` when the interval's end then finds the machine in
+        the wrong state, and neither raise anything otherwise."""
+        result = run_generated(session)
+        assume(result.status == "completed")
+        log = result.log
+        events = [e for _, r in iter_records(log) if r["kind"] == "event-batch"
+                  for e in r["body"]["events"]]
+        for cut, (ends, faulty) in self.ENDS.items():
+            at = next((i for i, e in enumerate(events) if e["kind"] == cut), None)
+            if at is None:
+                continue
+            machine = events[at]["machine"]
+            end = next((e["kind"] for e in events[at + 1:]
+                        if e["kind"] in ends and e.get("machine") == machine), None)
+            mutated = drop_first_event(log, cut)
+            faults = []
+            for read in (recompute_from_log, self.stream):
+                try:
+                    read(mutated)
+                except StreamError as exc:
+                    faults.append(str(exc))
+            if end == faulty:
+                assert len(faults) == 2 and faults[0] == faults[1], (cut, faults)
+            else:
+                assert faults == [], (cut, faults)
+
+    def test_a_machine_fault_is_met_before_conservation(self):
+        """A log that both breaks conservation and contradicts a machine's
+        state raises the machine fault in both: the engine while observing,
+        the oracle in its one ordered pass."""
+        records = [
+            meta([{"id": "O1", "routing": ["A"], "release": 0, "due": 10, "priority": 0}]),
+            batch(1, 0, [
+                {"time": 0, "seq": 1, "kind": "order-released", "order": "O1", "node": "IN"},
+            ]),
+            batch(2, 4, [
+                {"time": 4, "seq": 2, "kind": "op-finished", "machine": "M1", "order": "O1",
+                 "node": "M1"},
+            ]),
+        ]
+        log = b"".join(encode_record(r) for r in records)
+        for read in (recompute_from_log, self.stream):
+            with pytest.raises(StreamError, match="op-finished on idle machine 'M1'"):
+                read(log)

@@ -13,6 +13,7 @@ from holobench.messages import (
     COMMAND_KINDS,
     DIRECTIVE_KINDS,
     EVENT_KINDS,
+    EVENT_SUBJECTS,
     INJECTION_KINDS,
     ControlCommand,
     ControlDirective,
@@ -67,8 +68,18 @@ def test_event_rejects_unknown_kind():
 
 
 def test_event_rejects_negative_time():
-    with pytest.raises(MessageError):
-        SimEvent(time=-1, seq=1, kind="op-started")
+    with pytest.raises(MessageError, match="time"):
+        SimEvent(time=-1, seq=1, kind="op-started", machine="M1", order="O1")
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_KINDS))
+def test_event_requires_the_subjects_its_kind_names_as_strings(kind):
+    subjects = {name: "X" for name in EVENT_SUBJECTS[kind]}
+    SimEvent(time=0, seq=1, kind=kind, **subjects)
+    for name in subjects:
+        for value in (None, 5, ["X"]):
+            with pytest.raises(MessageError, match=f"{kind} event requires a string {name}"):
+                SimEvent.check_body({"time": 0, "seq": 1, "kind": kind, **subjects, name: value})
 
 
 def test_event_dict_round_trip_drops_empty_fields():
@@ -131,7 +142,8 @@ def test_dict_values_are_copied_both_ways():
     assert n.command == {"kind": "start-op"}
     n.to_dict()["command"]["kind"] = "changed"
     assert n.command == {"kind": "start-op"}
-    ev = SimEvent(time=1, seq=1, kind="op-started", info={"operation": "A"})
+    ev = SimEvent(time=1, seq=1, kind="op-started", machine="M1", order="O1",
+                  info={"operation": "A"})
     ev.to_dict()["info"]["operation"] = "B"
     assert ev.info == {"operation": "A"}
 
@@ -177,11 +189,13 @@ def test_notice_round_trip():
 
 def _corruptions(cls, body):
     """One-field corruptions of a valid body, as (body, must_refuse) pairs:
-    a dropped required key, an unknown kind, a negative or boolean ``time``
-    or ``seq``, all refused; or any JSON value put in any field, which the
-    check may take only if ``from_dict`` builds from it."""
+    a dropped required key or event subject, an unknown kind, a negative or
+    boolean ``time`` or ``seq``, all refused; or any JSON value put in any
+    field, which the check may take only if ``from_dict`` builds from it."""
     required = [f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING]
+    if cls is SimEvent:
+        required += EVENT_SUBJECTS[body["kind"]]
     counters = [name for name in ("time", "seq") if name in body]
     refused = [st.sampled_from(required).map(
         lambda name: {k: v for k, v in body.items() if k != name})]

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from holobench.control import load_orders
 from holobench.harness import run_single
-from holobench.messages import DIRECTIVE_KINDS, EVENT_KINDS, INJECTION_KINDS, SimEvent
+from holobench.messages import (
+    DIRECTIVE_KINDS,
+    EVENT_KINDS,
+    EVENT_SUBJECTS,
+    INJECTION_KINDS,
+    SimEvent,
+)
 from holobench.model import load_model
 from holobench.scenario import (
     CATEGORIES,
@@ -34,6 +40,9 @@ ORDERS = load_orders((DATA / "minicell" / "orders.json").read_text(encoding="utf
 
 
 def ev(kind, time=0, seq=1, **kw):
+    """An event body; each subject its kind names defaults to M1, O1 or S1."""
+    for name in EVENT_SUBJECTS[kind]:
+        kw.setdefault(name, {"machine": "M1", "order": "O1", "shuttle": "S1"}[name])
     return SimEvent(time=time, seq=seq, kind=kind, **kw).to_dict()
 
 
