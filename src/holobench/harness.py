@@ -426,7 +426,7 @@ def compare(out_dir: str) -> dict[str, Any]:
             for name in names
         }
 
-    base = aggregates.get(baseline_id) if baseline_id else None
+    base = aggregates.get(baseline_id, {})  # {} without a baseline scenario
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -438,19 +438,14 @@ def compare(out_dir: str) -> dict[str, Any]:
             continue
         for name in sorted(aggregates[sid]):
             agg = aggregates[sid][name]
-            if base is not None and name in base:
-                base_mean = base[name]["mean"]
-                delta = agg["mean"] - base_mean
-                writer.writerow(
-                    [sid, categories.get(sid) or "baseline", name,
-                     _num(agg["mean"]), _num(agg["min"]), _num(agg["max"]),
-                     _num(base_mean), _num(delta)]
-                )
-            else:
-                writer.writerow(
-                    [sid, categories.get(sid) or "baseline", name,
-                     _num(agg["mean"]), _num(agg["min"]), _num(agg["max"]), "", ""]
-                )
+            ref = base.get(name)
+            vs_base = ["", ""]
+            if ref is not None:
+                vs_base = [_num(ref["mean"]), _num(agg["mean"] - ref["mean"])]
+            writer.writerow(
+                [sid, categories.get(sid) or "baseline", name,
+                 _num(agg["mean"]), _num(agg["min"]), _num(agg["max"]), *vs_base]
+            )
     csv_text = buf.getvalue()
     with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8") as f:
         f.write(csv_text)

@@ -59,7 +59,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator
 
-from .canon import canon_dumps, canon_str
+from .canon import canon_dumps, canon_str, fits
 from .control import OrderBookError, ProductOrder, ReferenceControl
 from .messages import ControlCommand, ControlDirective, MessageError, Notice, SimEvent
 
@@ -71,8 +71,10 @@ ROLE_EMULATION = "emulation"
 ROLE_CONTROL = "control"
 ROLE_SCENARIO = "scenario-manager"
 
-# The tap flow that carries the control's end-of-run counters.
+# The tap flow that carries the control's end-of-run counters, and the
+# fields the round driver requires of every tap.
 FLOW_CONTROL_KPI = "FLOW7"
+_TAP_FIELDS = {"flow": str, "name": str, "value": int, "i": int}
 
 
 class DecodeError(ValueError):
@@ -567,7 +569,9 @@ class RoundDriver:
                 return commands, idle
 
     def end_run(self, t: int, reason: str) -> None:
-        """Send run-end and read the control's final taps and its bye."""
+        """Send run-end and read the control's final taps and its bye.  A tap
+        without a string flow and name and an integer value and i raises
+        ``ProtocolError``, so the KPI engine observes only checked taps."""
         self.round_no += 1
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "run-end", {"reason": reason}))
         while True:
@@ -575,6 +579,12 @@ class RoundDriver:
             kind = record["kind"]
             if kind not in ("tap", "bye"):
                 raise ProtocolError(f"unexpected record {kind!r} after run-end")
+            if kind == "tap" and not all(
+                fits(record["body"].get(key), hint) for key, hint in _TAP_FIELDS.items()
+            ):
+                raise ProtocolError(
+                    "a control tap needs a string flow and name, and an integer value and i"
+                )
             self._recorder.record(line, record)
             if kind == "bye":
                 return

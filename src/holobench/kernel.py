@@ -20,6 +20,13 @@ event batch.
 
 A scheduled happening is live exactly while ``_live`` maps its (kind,
 subject) to its push id; firing or cancelling it drops the mapping.
+
+The two outages, machine-down and supply-shortage, are one mechanism: the
+``_OUTAGES`` table names each one's machine flag, ending happening, events
+and notice word, and one start path and one end path serve both, the end
+injected or scheduled.  Only machine-down preempts.  ``_stop_op`` is the one
+place a running operation stops: when it finishes, is preempted or is
+aborted by a product reject.
 """
 
 from __future__ import annotations
@@ -43,10 +50,6 @@ class _Machine:
     @property
     def busy(self) -> bool:
         return self.busy_order is not None
-
-    def clear_busy(self) -> None:
-        self.busy_order = None
-        self.busy_operation = None
 
 
 @dataclass
@@ -72,6 +75,17 @@ _ARRIVE = "arrive"
 _MACHINE_UP = "machine-up"
 _OP_FINISH = "op-finish"
 _SUPPLY_RESTORE = "supply-restore"
+
+# Outage injection -> (the _Machine flag it raises, the happening that ends
+# it, its start event kind, its end event kind, the state word of notices).
+# A scheduled end and an injected end share a kind, so _OUTAGE_OF maps both.
+_OUTAGES = {
+    "machine-down": ("down", _MACHINE_UP, "machine-down", "machine-up", "down"),
+    "supply-shortage": (
+        "blocked", _SUPPLY_RESTORE, "supply-blocked", "supply-restored", "supply-blocked"
+    ),
+}
+_OUTAGE_OF = {spec[1]: outage for outage, spec in _OUTAGES.items()}
 
 
 class EmulationKernel:
@@ -171,10 +185,17 @@ class EmulationKernel:
         if kind == _ARRIVE:
             return self._fire_arrive(subject)
         if kind == _OP_FINISH:
-            return self._fire_op_finish(subject)
-        if kind == _MACHINE_UP:
-            return self._fire_machine_up(subject)
-        return self._fire_supply_restore(subject)
+            order, op = self._stop_op(subject)
+            return [
+                {
+                    "kind": "op-finished",
+                    "machine": subject,
+                    "order": order,
+                    "node": self.model.machines[subject].node,
+                    "info": {"operation": op},
+                }
+            ]
+        return self._end_outage(kind, subject)
 
     def _fire_arrive(self, sid: str) -> list[dict[str, Any]]:
         sh = self._shuttles[sid]
@@ -191,32 +212,15 @@ class EmulationKernel:
                 p.node, p.shuttle = dest, None
         return out
 
-    def _fire_op_finish(self, mid: str) -> list[dict[str, Any]]:
+    def _stop_op(self, mid: str) -> tuple[str, str]:
+        """Free machine ``mid`` and its product from the running operation
+        and drop its finish if still scheduled; returns (order, operation)."""
         m = self._machines[mid]
         order, op = m.busy_order, m.busy_operation
-        m.clear_busy()
+        m.busy_order = m.busy_operation = None
         self._products[order].processing = None
-        return [
-            {
-                "kind": "op-finished",
-                "machine": mid,
-                "order": order,
-                "node": self.model.machines[mid].node,
-                "info": {"operation": op},
-            }
-        ]
-
-    def _fire_machine_up(self, mid: str) -> list[dict[str, Any]]:
-        m = self._machines[mid]
-        m.down = False
-        self._live.pop((_MACHINE_UP, mid), None)
-        return [{"kind": "machine-up", "machine": mid, "node": self.model.machines[mid].node}]
-
-    def _fire_supply_restore(self, mid: str) -> list[dict[str, Any]]:
-        m = self._machines[mid]
-        m.blocked = False
-        self._live.pop((_SUPPLY_RESTORE, mid), None)
-        return [{"kind": "supply-restored", "machine": mid, "node": self.model.machines[mid].node}]
+        self._live.pop((_OP_FINISH, mid), None)
+        return order, op
 
     # -- commands -----------------------------------------------------------
 
@@ -349,70 +353,44 @@ class EmulationKernel:
             raw = self._inj_reject(inj)
         elif inj.machine not in self._machines:
             raw = self._ignore(inj, f"unknown machine {inj.machine!r}")
-        elif inj.kind == "machine-down":
-            raw = self._inj_down(inj)
-        elif inj.kind == "machine-up":
-            raw = self._inj_up(inj)
-        elif inj.kind == "supply-shortage":
-            raw = self._inj_block(inj)
+        elif inj.kind in _OUTAGES:
+            raw = self._start_outage(inj)
         else:
-            raw = self._inj_unblock(inj)
+            raw = self._end_outage(inj.kind, inj.machine, inj)
         return self._seal(raw)
 
-    def _inj_down(self, inj: Injection) -> list[dict[str, Any]]:
+    def _start_outage(self, inj: Injection) -> list[dict[str, Any]]:
         mid = inj.machine
         m = self._machines[mid]
-        if m.down:
-            return self._ignore(inj, f"machine {mid!r} is already down")
-        m.down = True
+        flag, ender, kind, _, word = _OUTAGES[inj.kind]
+        if getattr(m, flag):
+            return self._ignore(inj, f"machine {mid!r} is already {word}")
+        setattr(m, flag, True)
         info: dict[str, Any] = {}
-        if m.busy_order is not None:
+        if inj.kind == "machine-down" and m.busy:
             # Preemption loses all progress; the product waits at the machine.
-            self._products[m.busy_order].processing = None
-            info["preempted"] = m.busy_order
-            m.clear_busy()
-            del self._live[_OP_FINISH, mid]
+            info["preempted"] = self._stop_op(mid)[0]
         if inj.duration is not None:
-            self._schedule(self.clock + inj.duration, _MACHINE_UP, mid)
+            self._schedule(self.clock + inj.duration, ender, mid)
             info["duration"] = inj.duration
-        ev: dict[str, Any] = {
-            "kind": "machine-down",
-            "machine": mid,
-            "node": self.model.machines[mid].node,
-        }
+        ev: dict[str, Any] = {"kind": kind, "machine": mid, "node": self.model.machines[mid].node}
         if info:
             ev["info"] = info
         return [ev]
 
-    def _inj_up(self, inj: Injection) -> list[dict[str, Any]]:
-        mid = inj.machine
+    def _end_outage(
+        self, ender: str, mid: str, inj: Injection | None = None
+    ) -> list[dict[str, Any]]:
+        """End the outage of machine ``mid`` that ``ender`` ends, injected
+        (``inj``) or scheduled.  A scheduled end is live only while its
+        outage is; an injected one drops it."""
+        flag, _, _, kind, word = _OUTAGES[_OUTAGE_OF[ender]]
         m = self._machines[mid]
-        if not m.down:
-            return self._ignore(inj, f"machine {mid!r} is not down")
-        return self._fire_machine_up(mid)
-
-    def _inj_block(self, inj: Injection) -> list[dict[str, Any]]:
-        mid = inj.machine
-        m = self._machines[mid]
-        if m.blocked:
-            return self._ignore(inj, f"machine {mid!r} is already supply-blocked")
-        m.blocked = True
-        ev: dict[str, Any] = {
-            "kind": "supply-blocked",
-            "machine": mid,
-            "node": self.model.machines[mid].node,
-        }
-        if inj.duration is not None:
-            self._schedule(self.clock + inj.duration, _SUPPLY_RESTORE, mid)
-            ev["info"] = {"duration": inj.duration}
-        return [ev]
-
-    def _inj_unblock(self, inj: Injection) -> list[dict[str, Any]]:
-        mid = inj.machine
-        m = self._machines[mid]
-        if not m.blocked:
-            return self._ignore(inj, f"machine {mid!r} is not supply-blocked")
-        return self._fire_supply_restore(mid)
+        if not getattr(m, flag):
+            return self._ignore(inj, f"machine {mid!r} is not {word}")
+        setattr(m, flag, False)
+        self._live.pop((ender, mid), None)
+        return [{"kind": kind, "machine": mid, "node": self.model.machines[mid].node}]
 
     def _inj_reject(self, inj: Injection) -> list[dict[str, Any]]:
         order = inj.order
@@ -426,12 +404,8 @@ class EmulationKernel:
         }
         if p.processing is not None:
             # Abort the running operation; the product stays at the machine.
-            mid = p.processing
-            self._machines[mid].clear_busy()
-            del self._live[_OP_FINISH, mid]
-            p.processing = None
-            ev["machine"] = mid
-            ev["node"] = p.node
+            ev["machine"], ev["node"] = p.processing, p.node
+            self._stop_op(p.processing)
         elif p.shuttle is not None:
             ev["shuttle"] = p.shuttle
         else:

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable, get_type_hints
 
-from .canon import fits
-from .interface import FLOW_CONTROL_KPI, batch_events, iter_records
+from .canon import fits, is_int
+from .interface import FLOW_CONTROL_KPI, DecodeError, batch_events, iter_records
 
 FLOW_EVENTS = "FLOW1"
 
@@ -342,7 +342,9 @@ def recompute_from_log(log: bytes) -> KpiReport:
     ``batch_events``, and deduplicated by ``seq``) and the control's
     counters are kept.  The events are folded in one ``seq``-ordered pass,
     which meets a machine fault before the conservation check, as the
-    engine does.
+    engine does.  A run-meta whose orders are not objects with a string
+    ``id`` and an integer ``due``, or a FLOW7 tap without a string ``name``
+    and an integer ``value``, raises ``DecodeError`` at its line's offset.
     """
     meta: dict[str, Any] = {}
     dues: dict[str, int] = {}
@@ -353,8 +355,15 @@ def recompute_from_log(log: bytes) -> KpiReport:
         kind = record["kind"]
         if kind == "run-meta":
             meta = record["body"]
-            for od in meta.get("orders", []):
-                dues[od["id"]] = od["due"]
+            orders = meta.get("orders", [])
+            if type(orders) is not list or not all(
+                type(od) is dict and type(od.get("id")) is str and is_int(od.get("due"))
+                for od in orders
+            ):
+                raise DecodeError(
+                    "run-meta orders must be objects with a string id and an integer due", offset
+                )
+            dues.update((od["id"], od["due"]) for od in orders)
         elif kind == "directive" and record["body"].get("kind") == "insert-order":
             od = record["body"].get("order") or {}
             if "id" in od and "due" in od:
@@ -363,7 +372,12 @@ def recompute_from_log(log: bytes) -> KpiReport:
             for ed in batch_events(record, offset):
                 events.setdefault(ed["seq"], ed)
         elif kind == "tap" and record["body"].get("flow") == FLOW_CONTROL_KPI:
-            control_kpi[record["body"]["name"]] = record["body"]["value"]
+            name, value = record["body"].get("name"), record["body"].get("value")
+            if type(name) is not str or not is_int(value):
+                raise DecodeError(
+                    f"{FLOW_CONTROL_KPI} tap needs a string name and an integer value", offset
+                )
+            control_kpi[name] = value
         offset += len(line)
 
     # order -> time of its last event of each kind that releases or settles it

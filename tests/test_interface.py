@@ -176,6 +176,28 @@ BAD_BATCH_BODIES = [
     {"events": [{"time": 0, "seq": 1, "kind": "machine-up", "machine": 5}]},
 ]
 
+# Records whose order dues or counters the KPI oracle cannot read: a
+# run-meta whose orders are not objects with a string id and an integer
+# due, and a FLOW7 tap without a string name and an integer value.
+BAD_KPI_RECORDS = [
+    *(rec(kind="run-meta", role="scenario-manager", round_no=0, body={"orders": orders})
+      for orders in ([5], [{"id": "O1"}], [{"due": 10}], [{"id": 1, "due": 10}],
+                     [{"id": "O1", "due": "10"}], [{"id": "O1", "due": True}], 5)),
+    *(rec(kind="tap", role="control", body={"flow": "FLOW7", **body})
+      for body in ({"name": "commands_issued", "i": 0}, {"value": 3, "i": 0},
+                   {"name": "commands_issued", "value": "3", "i": 0},
+                   {"name": "commands_issued", "value": False, "i": 0})),
+]
+
+# Control taps the round driver refuses after run-end: a valid tap with one
+# field taken out or given a value of the wrong type.
+_TAP = {"flow": "FLOW7", "name": "commands_issued", "value": 1, "i": 0}
+BAD_TAP_BODIES = [
+    *({k: v for k, v in _TAP.items() if k != gone} for gone in _TAP),
+    *({**_TAP, key: value}
+      for key, value in (("flow", 7), ("name", None), ("value", "1"), ("value", True), ("i", 0.0))),
+]
+
 _DELETED = object()  # marks a key taken out of the record
 
 # (field, value, what the refusal names) for records the codec must refuse:
@@ -282,6 +304,7 @@ class TestCodec:
         # A well-formed line whose event body is bad, for the readers of events.
         *((reader, encode_record(rec(body=body)))
           for reader in (extract_event_stream, recompute_from_log) for body in BAD_BATCH_BODIES),
+        *((recompute_from_log, encode_record(record)) for record in BAD_KPI_RECORDS),
     ])
     def test_readers_report_the_byte_offset(self, reader, bad):
         good = encode_record(rec(body={"events": []}))
@@ -1113,6 +1136,9 @@ class TestReplyProtocol:
          "unexpected emulation record in a control reply"),
         ("run-end", rec(kind="bye", role="scenario-manager"),
          "unexpected scenario-manager record in a control reply"),
+        *(("run-end", rec(kind="tap", role="control", body=body),
+           "control tap needs a string flow and name, and an integer value and i")
+          for body in BAD_TAP_BODIES),
     ])
     def test_driver_refuses_a_reply_out_of_protocol(
         self, minicell_model, minicell_orders, ps9_scenario, monkeypatch,

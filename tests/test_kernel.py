@@ -267,6 +267,47 @@ class TestInjections:
         assert n.kind == "injection-ignored"
         assert "not down" in n.reason
 
+    @pytest.mark.parametrize(
+        "begin, end, word",
+        [
+            ("machine-down", "machine-up", "down"),
+            ("supply-shortage", "supply-restore", "supply-blocked"),
+        ],
+    )
+    def test_outage_started_twice_or_never_is_ignored_with_its_notice(
+        self, line_model, begin, end, word
+    ):
+        """Ending an outage that never started and starting one twice each
+        emit no event and leave one exact notice; the ignored start
+        schedules no second end."""
+        k = EmulationKernel(line_model)
+        never = Injection(kind=end, machine="M1")
+        twice = Injection(kind=begin, machine="M1", duration=10)
+        assert k.apply_injection(never) == []
+        assert len(k.apply_injection(twice)) == 1
+        assert k.apply_injection(twice) == []
+        assert [(n.time, n.kind, n.reason, n.injection) for n in k.drain_notices()] == [
+            (0, "injection-ignored", f"machine 'M1' is not {word}", never.to_dict()),
+            (0, "injection-ignored", f"machine 'M1' is already {word}", twice.to_dict()),
+        ]
+        assert state(k)["next_seq"] == 2
+        (ended,) = k.advance()
+        assert (ended["time"], ended["seq"]) == (10, 2)
+        assert k.advance() == []
+
+    @pytest.mark.parametrize(
+        "kind", ["machine-down", "machine-up", "supply-shortage", "supply-restore"]
+    )
+    def test_outage_on_an_unknown_machine_is_ignored_with_its_notice(self, line_model, kind):
+        k = EmulationKernel(line_model)
+        inj = Injection(kind=kind, machine="M9", duration=5)
+        assert k.apply_injection(inj) == []
+        (n,) = k.drain_notices()
+        assert (n.kind, n.reason, n.injection) == (
+            "injection-ignored", "unknown machine 'M9'", inj.to_dict()
+        )
+        assert not k.has_pending()
+
     def test_supply_block_gates_starts_only(self, line_model):
         k = EmulationKernel(line_model)
         k.advance([release("O1")])
