@@ -8,9 +8,12 @@ compares every scenario against the null (no-disturbance) baseline with
 mean/min/max aggregates.
 
 Each finished run's log and report wait in one unlinked spill file in the
-artifact directory until the last session ends; then the per-run files are
-written from it, one at a time.  A suite's memory is thus bounded by its
-largest session plus a small manifest entry per run.
+artifact directory until the last session ends, and its KPI metrics are
+folded into per-scenario running aggregates at once.  Then the per-run
+files are written from the spill by two writers, one per directory: the
+calling thread creates the logs and one thread the reports.  A suite's
+memory is thus bounded by its largest session plus a small manifest entry
+per run.
 
 Artifacts are byte-reproducible: manifest, reports, comparison table,
 summary and session logs carry no timestamps or machine-local paths.  The
@@ -29,6 +32,7 @@ import logging
 import operator
 import os
 import tempfile
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -301,6 +305,7 @@ def run_suite(
     # The per-run files are created after the last session: creating them
     # between sessions made a 1,000-run suite 15-30% slower.
     runs_doc: list[dict[str, Any]] = []
+    comparison = _Comparison()
     timing: dict[str, dict[str, float]] = {}
     lengths: list[tuple[int, int]] = []  # per run: its log's and its report's bytes
     os.makedirs(out_dir, exist_ok=True)
@@ -317,20 +322,20 @@ def run_suite(
                 spill.write(r.log)
                 spill.write(report)
                 lengths.append((len(r.log), len(report)))
-                runs_doc.append(
-                    {
-                        "run_id": r.run_id,
-                        "scenario": r.scenario_id,
-                        "category": r.category,
-                        "seed": r.seed,
-                        "status": r.status,
-                        "rounds": r.rounds,
-                        "final_t": r.final_t,
-                        "makespan": r.report.makespan if r.report else None,
-                        "log": f"logs/{r.run_id}.il1.log",
-                        "report": None if r.report is None else f"reports/{r.run_id}.json",
-                    }
-                )
+                run = {
+                    "run_id": r.run_id,
+                    "scenario": r.scenario_id,
+                    "category": r.category,
+                    "seed": r.seed,
+                    "status": r.status,
+                    "rounds": r.rounds,
+                    "final_t": r.final_t,
+                    "makespan": r.report.makespan if r.report else None,
+                    "log": f"logs/{r.run_id}.il1.log",
+                    "report": None if r.report is None else f"reports/{r.run_id}.json",
+                }
+                runs_doc.append(run)
+                comparison.add(run, None if r.report is None else r.report.scalar_metrics())
                 timing[r.run_id] = {
                     "decision_latency_ms_mean": r.decision_latency_ms_mean,
                     "decision_latency_ms_max": r.decision_latency_ms_max,
@@ -342,13 +347,8 @@ def run_suite(
         for path in stale:
             if os.path.isfile(path):
                 os.remove(path)
-        spill.seek(0)
-        for run, (log_len, report_len) in zip(runs_doc, lengths):
-            with open(os.path.join(out_dir, run["log"]), "wb") as f:
-                f.write(spill.read(log_len))
-            if run["report"] is not None:
-                with open(os.path.join(out_dir, run["report"]), "wb") as f:
-                    f.write(spill.read(report_len))
+        spill.flush()
+        _write_run_files(spill.fileno(), out_dir, runs_doc, lengths)
 
     manifest = {
         "suite": suite.id,
@@ -364,8 +364,48 @@ def run_suite(
     }
     _write_json(manifest_path, manifest)
     _write_json(os.path.join(out_dir, "timing.json"), timing)
-    compare(out_dir)
+    comparison.write(out_dir, manifest)
     return manifest
+
+
+def _write_run_files(
+    spill: int, out_dir: str, runs: list[dict[str, Any]], lengths: list[tuple[int, int]]
+) -> None:
+    """Create each run's log and report file from the spill file ``spill``.
+
+    Creating a file costs far more than writing a few kilobytes to it, and
+    creates in one directory wait on its lock, but creates in two
+    directories overlap: the calling thread writes ``logs/`` and one thread
+    ``reports/``.  Each reads its bytes at their own offsets with
+    ``os.pread``, so the two share no file position.  The thread is joined
+    before this returns, also when either side fails, and then the first
+    error is raised: the spill must stay open while the thread reads it.
+    """
+    logs: list[tuple[str, int, int]] = []  # (file name, spill offset, length)
+    reports: list[tuple[str, int, int]] = []
+    offset = 0
+    for run, (log_len, report_len) in zip(runs, lengths):
+        logs.append((run["log"], offset, log_len))
+        if run["report"] is not None:
+            reports.append((run["report"], offset + log_len, report_len))
+        offset += log_len + report_len
+
+    errors: list[BaseException] = []
+
+    def write(files: list[tuple[str, int, int]]) -> None:
+        try:
+            for name, at, length in files:
+                with open(os.path.join(out_dir, name), "wb") as f:
+                    f.write(os.pread(spill, length, at))
+        except BaseException as exc:  # raised below, once both sides are done
+            errors.append(exc)
+
+    reports_writer = threading.Thread(target=write, args=(reports,), name="holobench-reports")
+    reports_writer.start()
+    write(logs)
+    reports_writer.join()
+    if errors:
+        raise errors[0]
 
 
 def _json_text(doc: Any) -> str:
@@ -387,79 +427,105 @@ def compare(out_dir: str) -> dict[str, Any]:
 
     Writes comparison.csv and summary.txt into the artifact directory and
     returns the comparison structure.  Only mean/min/max across seeds are
-    reported; single-seed scenarios simply repeat the value.
+    reported; single-seed scenarios simply repeat the value.  The reports
+    are read back from disk and folded as ``run_suite`` folds them from
+    memory, so the two write the same bytes.
     """
     manifest = _read_manifest(out_dir)
-    by_scenario: dict[str, list[dict[str, float]]] = {}
-    categories: dict[str, str | None] = {}
-    incomplete: dict[str, int] = {}
+    comparison = _Comparison()
     for run in manifest["runs"]:
+        metrics = None
+        if run["report"] is not None:
+            report_path = os.path.join(out_dir, run["report"])
+            try:
+                metrics = KpiReport.from_doc(_read_json(report_path)).scalar_metrics()
+            except ValueError as exc:
+                raise ArtifactError(f"{report_path}: {exc}") from exc
+        comparison.add(run, metrics)
+    return comparison.write(out_dir, manifest)
+
+
+class _Comparison:
+    """Per-scenario running aggregates of the runs' compared metrics.
+
+    Runs are folded in one at a time, in manifest order, and nothing is
+    kept per run.  The sum adds left to right from int 0, as
+    ``_sum_in_order`` does, and the minimum and maximum move only on a
+    strict ``<`` or ``>``, as ``min`` and ``max`` do; a scenario's metric
+    names are those of its first completed run.
+    """
+
+    def __init__(self) -> None:
+        self.categories: dict[str, str | None] = {}
+        self.incomplete: dict[str, int] = {}  # scenario -> runs without a report
+        self.completed: dict[str, int] = {}  # scenario -> runs folded in
+        self.folds: dict[str, dict[str, list[float]]] = {}  # scenario -> name -> [sum, min, max]
+
+    def add(self, run: dict[str, Any], metrics: dict[str, float] | None) -> None:
+        """Fold in one manifest run entry and its metrics (None: no report)."""
         sid = run["scenario"]
-        categories[sid] = run["category"]
-        if run["report"] is None:
-            incomplete[sid] = incomplete.get(sid, 0) + 1
-            continue
-        report_path = os.path.join(out_dir, run["report"])
-        try:
-            report = KpiReport.from_doc(_read_json(report_path))
-        except ValueError as exc:
-            raise ArtifactError(f"{report_path}: {exc}") from exc
-        by_scenario.setdefault(sid, []).append(report.scalar_metrics())
+        self.categories[sid] = run["category"]
+        if metrics is None:
+            self.incomplete[sid] = self.incomplete.get(sid, 0) + 1
+            return
+        fold = self.folds.get(sid)
+        if fold is None:
+            fold = self.folds[sid] = {name: [0, v, v] for name, v in sorted(metrics.items())}
+        self.completed[sid] = self.completed.get(sid, 0) + 1
+        for name, acc in fold.items():
+            value = metrics[name]
+            acc[0] = acc[0] + value
+            if value < acc[1]:
+                acc[1] = value
+            if value > acc[2]:
+                acc[2] = value
 
-    scenario_order = [s["id"] for s in manifest["scenarios"]]
-    baseline_id = next(
-        (s["id"] for s in manifest["scenarios"] if s["category"] is None), None
-    )
-
-    aggregates: dict[str, dict[str, dict[str, float]]] = {}
-    for sid in scenario_order:
-        metrics = by_scenario.get(sid, [])
-        if not metrics:
-            continue
-        names = sorted(metrics[0])
-        aggregates[sid] = {
-            name: {
-                "mean": _sum_in_order(m[name] for m in metrics) / len(metrics),
-                "min": min(m[name] for m in metrics),
-                "max": max(m[name] for m in metrics),
+    def write(self, out_dir: str, manifest: dict[str, Any]) -> dict[str, Any]:
+        """Write comparison.csv and summary.txt; returns what ``compare`` does."""
+        scenario_order = [s["id"] for s in manifest["scenarios"]]
+        baseline_id = next(
+            (s["id"] for s in manifest["scenarios"] if s["category"] is None), None
+        )
+        aggregates: dict[str, dict[str, dict[str, float]]] = {
+            sid: {
+                name: {"mean": total / self.completed[sid], "min": low, "max": high}
+                for name, (total, low, high) in self.folds[sid].items()
             }
-            for name in names
+            for sid in scenario_order
+            if sid in self.folds
         }
+        base = aggregates.get(baseline_id, {})  # {} without a baseline scenario
 
-    base = aggregates.get(baseline_id, {})  # {} without a baseline scenario
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(
+            ["scenario", "category", "metric", "mean", "min", "max", "baseline_mean", "delta_mean"]
+        )
+        for sid in scenario_order:
+            for name, agg in aggregates.get(sid, {}).items():
+                ref = base.get(name)
+                vs_base = ["", ""]
+                if ref is not None:
+                    vs_base = [_num(ref["mean"]), _num(agg["mean"] - ref["mean"])]
+                writer.writerow(
+                    [sid, self.categories.get(sid) or "baseline", name,
+                     _num(agg["mean"]), _num(agg["min"]), _num(agg["max"]), *vs_base]
+                )
+        with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8") as f:
+            f.write(buf.getvalue())
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["scenario", "category", "metric", "mean", "min", "max", "baseline_mean", "delta_mean"]
-    )
-    for sid in scenario_order:
-        if sid not in aggregates:
-            continue
-        for name in sorted(aggregates[sid]):
-            agg = aggregates[sid][name]
-            ref = base.get(name)
-            vs_base = ["", ""]
-            if ref is not None:
-                vs_base = [_num(ref["mean"]), _num(agg["mean"] - ref["mean"])]
-            writer.writerow(
-                [sid, categories.get(sid) or "baseline", name,
-                 _num(agg["mean"]), _num(agg["min"]), _num(agg["max"]), *vs_base]
-            )
-    csv_text = buf.getvalue()
-    with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8") as f:
-        f.write(csv_text)
+        summary = _render_summary(
+            manifest, aggregates, scenario_order, baseline_id, self.incomplete
+        )
+        with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
+            f.write(summary)
 
-    summary = _render_summary(manifest, aggregates, scenario_order, baseline_id, incomplete)
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
-        f.write(summary)
-
-    return {
-        "baseline": baseline_id,
-        "aggregates": aggregates,
-        "incomplete": incomplete,
-        "summary": summary,
-    }
+        return {
+            "baseline": baseline_id,
+            "aggregates": aggregates,
+            "incomplete": self.incomplete,
+            "summary": summary,
+        }
 
 
 # The manifest fields ``compare`` reads, with the types it needs them to have,
@@ -507,7 +573,7 @@ _SUMMARY_METRICS = (
 def _sum_in_order(values: Iterable[float]) -> float:
     """Add left to right from int 0, as ``sum`` does before Python 3.12.
 
-    From 3.12 on, ``sum`` of floats compensates for rounding, which moves
+    The reference for the running sums of ``_Comparison``.  From 3.12 on, ``sum`` of floats compensates for rounding, which moves
     the last digit of some means in comparison.csv and so the artifact
     digest; ``math.fsum`` would move them on every interpreter.
     """

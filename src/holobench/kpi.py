@@ -20,7 +20,7 @@ log is caught on recompute.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, get_type_hints
 
 from .canon import fits, is_int
@@ -86,7 +86,12 @@ class KpiReport:
     duplicates_dropped: int
 
     def to_doc(self) -> dict[str, Any]:
-        return asdict(self)
+        """The report as a JSON object, keys in field order; the dict
+        fields are copied, so the doc shares no mutable value with it."""
+        return {
+            name: dict(value) if type(value := getattr(self, name)) is dict else value
+            for name in _FIELD_TYPES
+        }
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "KpiReport":
@@ -329,6 +334,11 @@ class KpiEngine:
         )
 
 
+def _is_order(od: Any) -> bool:
+    """Whether a logged order is an object with a string id and an integer due."""
+    return type(od) is dict and type(od.get("id")) is str and is_int(od.get("due"))
+
+
 def recompute_from_log(log: bytes) -> KpiReport:
     """Whole-log KPI reconstruction, independent of the streaming engine.
 
@@ -342,9 +352,10 @@ def recompute_from_log(log: bytes) -> KpiReport:
     ``batch_events``, and deduplicated by ``seq``) and the control's
     counters are kept.  The events are folded in one ``seq``-ordered pass,
     which meets a machine fault before the conservation check, as the
-    engine does.  A run-meta whose orders are not objects with a string
-    ``id`` and an integer ``due``, or a FLOW7 tap without a string ``name``
-    and an integer ``value``, raises ``DecodeError`` at its line's offset.
+    engine does.  A run-meta whose orders, or an insert-order directive
+    whose order, are not objects with a string ``id`` and an integer
+    ``due``, or a FLOW7 tap without a string ``name`` and an integer
+    ``value``, raises ``DecodeError`` at its line's offset.
     """
     meta: dict[str, Any] = {}
     dues: dict[str, int] = {}
@@ -356,17 +367,20 @@ def recompute_from_log(log: bytes) -> KpiReport:
         if kind == "run-meta":
             meta = record["body"]
             orders = meta.get("orders", [])
-            if type(orders) is not list or not all(
-                type(od) is dict and type(od.get("id")) is str and is_int(od.get("due"))
-                for od in orders
-            ):
+            if type(orders) is not list or not all(map(_is_order, orders)):
                 raise DecodeError(
                     "run-meta orders must be objects with a string id and an integer due", offset
                 )
             dues.update((od["id"], od["due"]) for od in orders)
         elif kind == "directive" and record["body"].get("kind") == "insert-order":
-            od = record["body"].get("order") or {}
-            if "id" in od and "due" in od:
+            if "order" in record["body"]:
+                od = record["body"]["order"]
+                if not _is_order(od):
+                    raise DecodeError(
+                        "an insert-order's order must be an object with a string id "
+                        "and an integer due",
+                        offset,
+                    )
                 dues[od["id"]] = od["due"]
         elif kind == "event-batch":
             for ed in batch_events(record, offset):

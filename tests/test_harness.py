@@ -6,16 +6,21 @@ import os
 import re
 import shutil
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import holobench
 from holobench import harness
 from holobench.harness import (
     ArtifactError,
     SuiteError,
+    _Comparison,
     _sum_in_order,
     artifact_digest,
     compare,
@@ -41,6 +46,19 @@ def data_copy(tmp_path):
 @pytest.fixture()
 def suite(data_copy):
     return load_suite(str(data_copy / "minicell" / "suite.json"))
+
+
+def record_spills(monkeypatch):
+    """The spill files ``run_suite`` opens, in a list, as it opens them."""
+    spills = []
+    temporary_file = tempfile.TemporaryFile
+
+    def recording_spill(*args, **kwargs):
+        spills.append(temporary_file(*args, **kwargs))
+        return spills[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording_spill)
+    return spills
 
 
 def edit_json(path, mutate):
@@ -258,21 +276,41 @@ class TestRunSuite:
                 raise RuntimeError("session died")
             return run_single(*args, **kwargs)
 
-        spills = []
-
-        def recording_spill(*args, **kwargs):
-            spills.append(temporary_file(*args, **kwargs))
-            return spills[-1]
-
-        temporary_file = tempfile.TemporaryFile
+        spills = record_spills(monkeypatch)
         monkeypatch.setattr(harness, "run_single", third_run_fails)
-        monkeypatch.setattr(tempfile, "TemporaryFile", recording_spill)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="session died"):
             run_suite(suite, str(out))
         assert len(calls) == 3
         assert len(spills) == 1 and spills[0].closed
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("sub", ["logs", "reports"])
+    def test_a_failing_file_write_is_raised_after_both_writers_end(
+        self, suite, tmp_path, monkeypatch, sub
+    ):
+        """Logs and reports are written by two threads; a failure on either
+        side is raised once the reports thread has been joined, and the
+        spill it reads is closed only then.  Each report is slowed, so the
+        reports thread is still at work when the first log fails."""
+        failing = os.path.join(str(tmp_path / "out"), sub, "null-s1" + (
+            ".il1.log" if sub == "logs" else ".json"))
+
+        def open_failing_once(path, *args, **kwargs):
+            if path == failing:
+                raise OSError(f"cannot create {path}")
+            if os.path.basename(os.path.dirname(path)) == "reports":
+                time.sleep(0.005)
+            return open(path, *args, **kwargs)
+
+        spills = record_spills(monkeypatch)
+        monkeypatch.setattr(harness, "open", open_failing_once, raising=False)
+        threads = threading.active_count()
+        with pytest.raises(OSError, match=re.escape(f"cannot create {failing}")):
+            run_suite(suite, str(tmp_path / "out"))
+        assert threading.active_count() == threads
+        assert len(spills) == 1 and spills[0].closed
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_cap_exceeded_is_reported(self, suite, tmp_path):
         manifest = run_suite(suite, str(tmp_path / "out"), cap=1, force=False)
@@ -340,6 +378,41 @@ class TestCompare:
         # From Python 3.12 on, sum([0.1] * 10) compensates and gives 1.0.
         assert _sum_in_order([0.1] * 10) == 0.9999999999999999
         assert _sum_in_order([]) == 0
+
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(-10**6, 10**6), st.floats(),
+                      st.sampled_from([0, 0.0, -0.0, 1, 1.0, 0.1])),
+            min_size=1, max_size=12,
+        )
+    )
+    @example(values=[-0.0, -0.0])
+    @example(values=[0, 0.0, -0.0])
+    @example(values=[-0.0, 0.0, 0])
+    def test_the_running_fold_equals_the_whole_list_aggregates(self, values):
+        """Ties keep the first value, as min and max do, so 0 and 0.0 and
+        -0.0 stay apart; repr tells them apart, and NaN from itself."""
+        comparison = _Comparison()
+        for v in values:
+            comparison.add({"scenario": "s", "category": None}, {"x": v})
+        total, low, high = comparison.folds["s"]["x"]
+        assert comparison.completed["s"] == len(values)
+        assert repr(total) == repr(_sum_in_order(values))
+        assert repr(low) == repr(min(values))
+        assert repr(high) == repr(max(values))
+
+    @pytest.mark.parametrize("cap", [None, 1], ids=["packaged", "all-incomplete"])
+    def test_compare_rewrites_what_run_suite_folded(self, suite, tmp_path, cap):
+        """run_suite folds the reports from memory and compare reads them
+        back from disk; both write the same bytes."""
+        out = tmp_path / "out"
+        run_suite(suite, str(out), cap=cap)
+        written = {name: (out / name).read_bytes() for name in ("comparison.csv", "summary.txt")}
+        for name in written:
+            (out / name).unlink()
+        result = compare(str(out))
+        assert {name: (out / name).read_bytes() for name in written} == written
+        assert result["summary"].encode() == written["summary.txt"]
 
     def test_compare_without_manifest(self, tmp_path):
         with pytest.raises(ArtifactError, match="manifest"):

@@ -187,6 +187,8 @@ BAD_KPI_RECORDS = [
       for body in ({"name": "commands_issued", "i": 0}, {"value": 3, "i": 0},
                    {"name": "commands_issued", "value": "3", "i": 0},
                    {"name": "commands_issued", "value": False, "i": 0})),
+    *(rec(kind="directive", role="scenario-manager", body={"kind": "insert-order", "order": order})
+      for order in (5, ["id", "due"])),
 ]
 
 # Control taps the round driver refuses after run-end: a valid tap with one
