@@ -17,7 +17,7 @@ import sys
 from . import harness
 from .control import OrderBookError, load_orders
 from .model import MODEL_KEYS, ModelError, load_model
-from .scenario import ScenarioError, load_scenario_doc
+from .scenario import CategoryRegistry, ScenarioError, load_scenario_doc
 
 log = logging.getLogger("holobench")
 
@@ -101,11 +101,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     try:
-        result = harness.compare(args.dir)
+        summary = harness.compare(args.dir)
     except (harness.ArtifactError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    print(result["summary"], end="")
+    print(summary, end="")
     return EXIT_OK
 
 
@@ -140,6 +140,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(f"OK: model, hash {model.model_hash}")
         elif kind == "scenario":
             scenario = load_scenario_doc(doc)
+            harness.check_categories([scenario], CategoryRegistry.load())
             cat = scenario.category or "baseline"
             print(f"OK: scenario {scenario.id} [{cat}], {len(scenario.rules)} rule(s)")
         elif kind == "orders":
@@ -147,7 +148,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(f"OK: order book, {len(orders)} order(s)")
         elif kind == "suite":
             suite = harness.load_suite(args.file)
-            suite.load_scenarios()
+            harness.check_categories(suite.load_scenarios(), CategoryRegistry.load())
             print(
                 f"OK: suite {suite.id}, {len(suite.scenario_paths)} scenario(s) x "
                 f"{len(suite.seeds)} seed(s)"

@@ -253,6 +253,21 @@ def _drive(
             return ("completed" if idle else "stalled"), delivered
 
 
+def check_categories(scenarios: Iterable[Scenario], registry: CategoryRegistry) -> None:
+    """Refuse, with ``SuiteError``, a scenario named after a registry label
+    whose declared category is not the one the registry gives that label."""
+    for sc in scenarios:
+        try:
+            expected = registry.classify(sc.id)
+        except RegistryError:
+            continue
+        if sc.category != expected:
+            raise SuiteError(
+                f"scenario {sc.id!r} declares category {sc.category!r}, "
+                f"registry says {expected!r}"
+            )
+
+
 def run_suite(
     suite: BenchmarkSuite,
     out_dir: str,
@@ -287,18 +302,7 @@ def run_suite(
     orders = suite.load_orders()
     scenarios = suite.load_scenarios()
     registry = CategoryRegistry.load()
-    for sc in scenarios:
-        # When a scenario is named after a registry label, its declared
-        # category must agree with the registry.
-        try:
-            expected = registry.classify(sc.id)
-        except RegistryError:
-            continue
-        if sc.category != expected:
-            raise SuiteError(
-                f"scenario {sc.id!r} declares category {sc.category!r}, "
-                f"registry says {expected!r}"
-            )
+    check_categories(scenarios, registry)
 
     # Each finished run leaves its log and report bytes in one unlinked
     # spill file, so only one session's results are in memory at a time.
@@ -422,26 +426,25 @@ def _read_json(path: str) -> Any:
         return json.load(f)
 
 
-def compare(out_dir: str) -> dict[str, Any]:
-    """Aggregate reports per scenario and diff against the null baseline.
+def compare(out_dir: str) -> str:
+    """Rewrite comparison.csv and summary.txt from the reports on disk.
 
-    Writes comparison.csv and summary.txt into the artifact directory and
-    returns the comparison structure.  Only mean/min/max across seeds are
-    reported; single-seed scenarios simply repeat the value.  The reports
-    are read back from disk and folded as ``run_suite`` folds them from
-    memory, so the two write the same bytes.
+    Returns the summary text.  The reports are folded as ``run_suite``
+    folds them from memory, so the two write the same bytes.  A report that
+    does not load, or whose metric names differ from those of its
+    scenario's first completed run, raises ``ArtifactError`` naming it.
     """
     manifest = _read_manifest(out_dir)
     comparison = _Comparison()
     for run in manifest["runs"]:
-        metrics = None
-        if run["report"] is not None:
-            report_path = os.path.join(out_dir, run["report"])
-            try:
-                metrics = KpiReport.from_doc(_read_json(report_path)).scalar_metrics()
-            except ValueError as exc:
-                raise ArtifactError(f"{report_path}: {exc}") from exc
-        comparison.add(run, metrics)
+        if run["report"] is None:
+            comparison.add(run, None)
+            continue
+        report_path = os.path.join(out_dir, run["report"])
+        try:
+            comparison.add(run, KpiReport.from_doc(_read_json(report_path)).scalar_metrics())
+        except ValueError as exc:
+            raise ArtifactError(f"{report_path}: {exc}") from exc
     return comparison.write(out_dir, manifest)
 
 
@@ -451,26 +454,36 @@ class _Comparison:
     Runs are folded in one at a time, in manifest order, and nothing is
     kept per run.  The sum adds left to right from int 0, as
     ``_sum_in_order`` does, and the minimum and maximum move only on a
-    strict ``<`` or ``>``, as ``min`` and ``max`` do; a scenario's metric
-    names are those of its first completed run.
+    strict ``<`` or ``>``, as ``min`` and ``max`` do.  A scenario's metric
+    names are those of its first completed run, and a later run with other
+    names is refused.  Only mean/min/max across seeds are reported;
+    single-seed scenarios simply repeat the value.
     """
 
     def __init__(self) -> None:
-        self.categories: dict[str, str | None] = {}
         self.incomplete: dict[str, int] = {}  # scenario -> runs without a report
         self.completed: dict[str, int] = {}  # scenario -> runs folded in
         self.folds: dict[str, dict[str, list[float]]] = {}  # scenario -> name -> [sum, min, max]
 
     def add(self, run: dict[str, Any], metrics: dict[str, float] | None) -> None:
-        """Fold in one manifest run entry and its metrics (None: no report)."""
+        """Fold in one manifest run entry and its metrics (None: no report).
+
+        Metrics whose names differ from those already folded for the run's
+        scenario raise ``ValueError`` naming the missing and extra ones.
+        """
         sid = run["scenario"]
-        self.categories[sid] = run["category"]
         if metrics is None:
             self.incomplete[sid] = self.incomplete.get(sid, 0) + 1
             return
         fold = self.folds.get(sid)
         if fold is None:
             fold = self.folds[sid] = {name: [0, v, v] for name, v in sorted(metrics.items())}
+        elif metrics.keys() != fold.keys():
+            raise ValueError(
+                "metric names differ from those of the first completed run of scenario "
+                f"{sid!r}: missing {sorted(fold.keys() - metrics.keys())}, "
+                f"extra {sorted(metrics.keys() - fold.keys())}"
+            )
         self.completed[sid] = self.completed.get(sid, 0) + 1
         for name, acc in fold.items():
             value = metrics[name]
@@ -480,59 +493,70 @@ class _Comparison:
             if value > acc[2]:
                 acc[2] = value
 
-    def write(self, out_dir: str, manifest: dict[str, Any]) -> dict[str, Any]:
-        """Write comparison.csv and summary.txt; returns what ``compare`` does."""
-        scenario_order = [s["id"] for s in manifest["scenarios"]]
-        baseline_id = next(
-            (s["id"] for s in manifest["scenarios"] if s["category"] is None), None
-        )
-        aggregates: dict[str, dict[str, dict[str, float]]] = {
-            sid: {
-                name: {"mean": total / self.completed[sid], "min": low, "max": high}
-                for name, (total, low, high) in self.folds[sid].items()
-            }
-            for sid in scenario_order
-            if sid in self.folds
+    def _aggregates(self, sid: str | None) -> dict[str, tuple[float, float, float]]:
+        """Mean, min and max of each of the scenario's metrics, by name."""
+        return {
+            name: (total / self.completed[sid], low, high)
+            for name, (total, low, high) in self.folds.get(sid, {}).items()
         }
-        base = aggregates.get(baseline_id, {})  # {} without a baseline scenario
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
+    def write(self, out_dir: str, manifest: dict[str, Any]) -> str:
+        """Write comparison.csv and summary.txt from one walk over the
+        manifest's scenarios, each set against the means of the first null
+        scenario, the baseline; returns the summary text."""
+        baseline_id = next((s["id"] for s in manifest["scenarios"] if s["category"] is None), None)
+        base = {name: mean for name, (mean, _, _) in self._aggregates(baseline_id).items()}
+        table = io.StringIO()
+        rows = csv.writer(table, lineterminator="\n")
+        rows.writerow(
             ["scenario", "category", "metric", "mean", "min", "max", "baseline_mean", "delta_mean"]
         )
-        for sid in scenario_order:
-            for name, agg in aggregates.get(sid, {}).items():
+        summary = [
+            f"suite: {manifest['suite']}",
+            f"model: {manifest['model_hash'][:16]}",
+            f"seeds: {', '.join(str(s) for s in manifest['seeds'])}",
+            f"baseline: {baseline_id or 'none (no null scenario in the suite)'}",
+            "",
+        ]
+        for sc in manifest["scenarios"]:
+            sid, label = sc["id"], sc["category"] or "baseline"
+            skipped = self.incomplete.get(sid, 0)
+            if sid not in self.folds:
+                summary += [f"{sid}: no completed runs ({skipped} incomplete)", ""]
+                continue
+            aggregates = self._aggregates(sid)
+            for name, (mean, low, high) in aggregates.items():
                 ref = base.get(name)
-                vs_base = ["", ""]
-                if ref is not None:
-                    vs_base = [_num(ref["mean"]), _num(agg["mean"] - ref["mean"])]
-                writer.writerow(
-                    [sid, self.categories.get(sid) or "baseline", name,
-                     _num(agg["mean"]), _num(agg["min"]), _num(agg["max"]), *vs_base]
+                vs_base = ["", ""] if ref is None else [_num(ref), _num(mean - ref)]
+                rows.writerow([sid, label, name, _num(mean), _num(low), _num(high), *vs_base])
+            summary.append(f"{sid} [{label}]")
+            for name in _SUMMARY_METRICS:
+                if name not in aggregates:
+                    continue
+                mean, low, high = aggregates[name]
+                line = (
+                    f"  {name:<22} mean {_num(mean):>12}  "
+                    f"min {_num(low):>10}  max {_num(high):>10}"
                 )
-        with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8") as f:
-            f.write(buf.getvalue())
-
-        summary = _render_summary(
-            manifest, aggregates, scenario_order, baseline_id, self.incomplete
-        )
-        with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
-            f.write(summary)
-
-        return {
-            "baseline": baseline_id,
-            "aggregates": aggregates,
-            "incomplete": self.incomplete,
-            "summary": summary,
-        }
+                if sid != baseline_id and name in base:
+                    delta = mean - base[name]
+                    line += f"  ({'+' if delta >= 0 else ''}{_num(delta)} vs baseline)"
+                summary.append(line)
+            if skipped:
+                summary.append(f"  note: {skipped} run(s) did not complete")
+            summary.append("")
+        text = "\n".join(summary) + "\n"
+        for name, content in (("comparison.csv", table.getvalue()), ("summary.txt", text)):
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
+                f.write(content)
+        return text
 
 
 # The manifest fields ``compare`` reads, with the types it needs them to have,
 # written as the type hints ``canon.fits`` checks a JSON value against.
 _MANIFEST_FIELDS = {"suite": str, "model_hash": str, "seeds": list, "scenarios": list, "runs": list}
 _SCENARIO_FIELDS = {"id": str, "category": str | None}
-_RUN_FIELDS = {"scenario": str, "category": str | None, "report": str | None}
+_RUN_FIELDS = {"scenario": str, "report": str | None}
 
 
 def _read_manifest(out_dir: str) -> dict[str, Any]:
@@ -561,21 +585,19 @@ def _check_fields(doc: Any, spec: dict[str, Any], where: str) -> None:
         raise ArtifactError(f"{where} has missing keys {missing}, wrong value types for {wrong}")
 
 
+# The metrics summary.txt shows for each scenario, in its order.
 _SUMMARY_METRICS = (
-    "makespan",
-    "throughput_per_1000",
-    "lead_time_mean",
-    "tardiness_total",
-    "reschedules",
+    "makespan", "throughput_per_1000", "lead_time_mean", "tardiness_total", "reschedules"
 )
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
     """Add left to right from int 0, as ``sum`` does before Python 3.12.
 
-    The reference for the running sums of ``_Comparison``.  From 3.12 on, ``sum`` of floats compensates for rounding, which moves
-    the last digit of some means in comparison.csv and so the artifact
-    digest; ``math.fsum`` would move them on every interpreter.
+    The reference for the running sums of ``_Comparison``.  From 3.12 on,
+    ``sum`` of floats compensates for rounding, which moves the last digit
+    of some means in comparison.csv and so the artifact digest;
+    ``math.fsum`` would move them on every interpreter.
     """
     return functools.reduce(operator.add, values, 0)
 
@@ -584,53 +606,6 @@ def _num(v: float) -> str:
     if isinstance(v, float) and v.is_integer():
         return str(int(v))
     return repr(v)
-
-
-def _render_summary(
-    manifest: dict[str, Any],
-    aggregates: dict[str, dict[str, dict[str, float]]],
-    scenario_order: list[str],
-    baseline_id: str | None,
-    incomplete: dict[str, int],
-) -> str:
-    lines: list[str] = []
-    lines.append(f"suite: {manifest['suite']}")
-    lines.append(f"model: {manifest['model_hash'][:16]}")
-    lines.append(f"seeds: {', '.join(str(s) for s in manifest['seeds'])}")
-    if baseline_id:
-        lines.append(f"baseline: {baseline_id}")
-    else:
-        lines.append("baseline: none (no null scenario in the suite)")
-    lines.append("")
-    base = aggregates.get(baseline_id) if baseline_id else None
-    for sid in scenario_order:
-        if sid not in aggregates:
-            skipped = incomplete.get(sid, 0)
-            lines.append(f"{sid}: no completed runs ({skipped} incomplete)")
-            lines.append("")
-            continue
-        cat = next(
-            (s["category"] for s in manifest["scenarios"] if s["id"] == sid), None
-        )
-        lines.append(f"{sid} [{cat or 'baseline'}]")
-        for name in _SUMMARY_METRICS:
-            if name not in aggregates[sid]:
-                continue
-            agg = aggregates[sid][name]
-            row = (
-                f"  {name:<22} mean {_num(agg['mean']):>12}  "
-                f"min {_num(agg['min']):>10}  max {_num(agg['max']):>10}"
-            )
-            if base is not None and sid != baseline_id and name in base:
-                delta = agg["mean"] - base[name]["mean"]
-                sign = "+" if delta >= 0 else ""
-                row += f"  ({sign}{_num(delta)} vs baseline)"
-            lines.append(row)
-        bad = incomplete.get(sid, 0)
-        if bad:
-            lines.append(f"  note: {bad} run(s) did not complete")
-        lines.append("")
-    return "\n".join(lines) + "\n"
 
 
 def artifact_digest(out_dir: str) -> str:

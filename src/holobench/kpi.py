@@ -246,6 +246,8 @@ class KpiEngine:
                 raise StreamError(f"op-finished on idle machine {machine!r}")
             self._close("busy", machine, t)
         elif kind == "machine-down":
+            if ("down", machine) in self._open:
+                raise StreamError(f"machine-down on already down machine {machine!r}")
             if ("busy", machine) in self._open:
                 self._close("busy", machine, t)
             self._open["down", machine] = (t, None)
@@ -254,6 +256,8 @@ class KpiEngine:
                 raise StreamError(f"machine-up on machine {machine!r} that was not down")
             self._close("down", machine, t)
         elif kind == "supply-blocked":
+            if ("blocked", machine) in self._open:
+                raise StreamError(f"supply-blocked on already blocked machine {machine!r}")
             self._open["blocked", machine] = (t, None)
         elif kind == "supply-restored":
             if ("blocked", machine) not in self._open:
@@ -429,6 +433,8 @@ def recompute_from_log(log: bytes) -> KpiReport:
                 raise StreamError(f"op-finished on idle machine {m!r}")
             close("busy", m, t)
         elif k == "machine-down":
+            if ("down", m) in opened:
+                raise StreamError(f"machine-down on already down machine {m!r}")
             if ("busy", m) in opened:
                 close("busy", m, t)
             opened["down", m] = (t, None)
@@ -437,6 +443,8 @@ def recompute_from_log(log: bytes) -> KpiReport:
                 raise StreamError(f"machine-up on machine {m!r} that was not down")
             close("down", m, t)
         elif k == "supply-blocked":
+            if ("blocked", m) in opened:
+                raise StreamError(f"supply-blocked on already blocked machine {m!r}")
             opened["blocked", m] = (t, None)
         elif k == "supply-restored":
             if ("blocked", m) not in opened:

@@ -64,12 +64,12 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
 
     ``to_dict`` leaves out every field equal to its default; ``from_dict``
     ignores keys that name no field; both copy dict values.  ``check_body``
-    returns a body holding every field without a default, a ``kind`` in
-    ``kinds`` (if given), non-negative integers as ``time`` and ``seq``, and
-    a dict or None in each dict field, that passes ``rule``.  Building a
-    message checks its fields so too, so a body passes exactly when
-    ``from_dict`` builds from it.  ``copy_body`` copies a checked body as
-    ``from_dict`` takes it.
+    returns a body that passes ``rule`` and holds every field without a
+    default, a ``kind`` in ``kinds`` (if given), non-negative integers as
+    ``time`` and ``seq``, a dict or None in each dict field and a string or
+    None in each string field.  Building a message checks its fields so too,
+    so a body passes exactly when ``from_dict`` builds from it.
+    ``copy_body`` copies a checked body as ``from_dict`` takes it.
     """
 
     def wrap(cls):
@@ -84,6 +84,9 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
                          and f.name != "kind" and f.name not in counters)
         # annotations are strings here (``from __future__ import annotations``)
         objects = [f.name for f in fields(cls) if f.type.startswith("dict")]
+        # the string fields, but for a kind that is checked against ``kinds``
+        strings = [f.name for f in fields(cls)
+                   if f.type.startswith("str") and (kinds is None or f.name != "kind")]
 
         def to_dict(self) -> dict[str, Any]:
             d: dict[str, Any] = {}
@@ -118,6 +121,10 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
                     raise MessageError(f"{label} {name} must be an object")
             if rule is not None:
                 rule(body)
+            for name in strings:
+                value = body.get(name)
+                if value is not None and type(value) is not str:
+                    raise MessageError(f"{label} {name} must be a string")
             return body
 
         def copy_body(body: Any) -> dict[str, Any]:

@@ -186,6 +186,20 @@ class TestCompare:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "null-s1.json" in err and "'utilization'" in err
 
+    def test_compare_report_without_a_metric_its_scenario_has(self, suite_path, tmp_path,
+                                                              capsys):
+        out = tmp_path / "out"
+        main(["run", suite_path, "--out", str(out)])
+        capsys.readouterr()
+        report = out / "reports" / "ps9-s2.json"
+        doc = json.loads(report.read_text())
+        del doc["utilization"]["M1"]
+        report.write_text(json.dumps(doc))
+        assert main(["compare", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "ps9-s2.json" in err and "missing ['utilization[M1]']" in err
+
     def test_compare_manifest_run_without_its_report(self, suite_path, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", suite_path, "--out", str(out), "--seeds", "1"])
@@ -232,6 +246,21 @@ class TestValidate:
     def test_suite(self, suite_path, capsys):
         assert main(["validate", suite_path]) == 0
         assert "5 scenario(s) x 3 seed(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("document", ["scenario", "suite"])
+    def test_category_the_registry_contradicts(self, data_copy, capsys, document):
+        """validate refuses what run refuses: ps9 is a registry label, so it
+        must declare the registry's category for it."""
+        scenario = data_copy / "scenarios" / "ps9.json"
+        doc = json.loads(scenario.read_text())
+        doc["category"] = "quality"
+        scenario.write_text(json.dumps(doc))
+        path = scenario if document == "scenario" else data_copy / "minicell" / "suite.json"
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: scenario 'ps9' declares category 'quality', "
+                                "registry says 'dynamic-reconfiguration'\n")
 
     def test_broken_document(self, data_copy, tmp_path, capsys):
         doc = json.loads((data_copy / "minicell" / "model.json").read_text())

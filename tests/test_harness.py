@@ -410,9 +410,27 @@ class TestCompare:
         written = {name: (out / name).read_bytes() for name in ("comparison.csv", "summary.txt")}
         for name in written:
             (out / name).unlink()
-        result = compare(str(out))
+        summary = compare(str(out))
         assert {name: (out / name).read_bytes() for name in written} == written
-        assert result["summary"].encode() == written["summary.txt"]
+        assert summary.encode() == written["summary.txt"]
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda u: u.pop("M1"), "missing ['utilization[M1]'], extra []"),
+        (lambda u: u.update(M9=0.5), "missing [], extra ['utilization[M9]']"),
+    ], ids=["missing", "extra"])
+    def test_compare_refuses_a_report_whose_metric_names_differ(self, suite, tmp_path, edit,
+                                                                named):
+        """A report whose metrics are not named as those of its scenario's
+        first completed run is refused, naming the report, not folded."""
+        out = tmp_path / "out"
+        run_suite(suite, str(out))
+        report = out / "reports" / "ps9-s2.json"
+        edit_json(report, lambda doc: edit(doc["utilization"]))
+        fault = (f"{report}: metric names differ from those of "
+                 "the first completed run of scenario 'ps9'")
+        with pytest.raises(ArtifactError, match=re.escape(fault)) as info:
+            compare(str(out))
+        assert str(info.value).endswith(named)
 
     def test_compare_without_manifest(self, tmp_path):
         with pytest.raises(ArtifactError, match="manifest"):

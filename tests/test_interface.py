@@ -1141,6 +1141,11 @@ class TestReplyProtocol:
         *(("run-end", rec(kind="tap", role="control", body=body),
            "control tap needs a string flow and name, and an integer value and i")
           for body in BAD_TAP_BODIES),
+        # a string field that holds no string is refused before the kernel sees it
+        *(("event-batch", rec(kind="command", role="control", corr=1, body={
+            "kind": "start-op", "machine": "M1", "order": "O1", "operation": "A", name: value}),
+           f"command {name} must be a string")
+          for name, value in (("machine", ["M1"]), ("order", 7), ("operation", 3))),
     ])
     def test_driver_refuses_a_reply_out_of_protocol(
         self, minicell_model, minicell_orders, ps9_scenario, monkeypatch,

@@ -535,3 +535,36 @@ class TestRecomputeIsAsStrictAsTheEngine:
         for read in (recompute_from_log, self.stream):
             with pytest.raises(StreamError, match="op-finished on idle machine 'M1'"):
                 read(log)
+
+    @pytest.mark.parametrize("start, end, message", [
+        ("machine-down", "machine-up", "machine-down on already down machine 'M1'"),
+        ("supply-blocked", "supply-restored", "supply-blocked on already blocked machine 'M1'"),
+    ])
+    def test_a_repeated_outage_start_is_an_error(self, start, end, message):
+        """An outage that starts on a machine already in it contradicts the
+        machine's state: both folds raise the same ``StreamError``, though
+        the outage then ends and the log is otherwise consistent."""
+        def log_of(repeated):
+            return b"".join(encode_record(r) for r in [
+                meta([{"id": "O1", "routing": ["A"], "release": 0, "due": 10, "priority": 0}]),
+                batch(1, 0, [
+                    {"time": 0, "seq": 1, "kind": "order-released", "order": "O1", "node": "IN"},
+                    {"time": 0, "seq": 2, "kind": start, "machine": "M1"},
+                ]),
+                batch(2, 3, repeated),
+                batch(3, 5, [
+                    {"time": 5, "seq": 4, "kind": end, "machine": "M1"},
+                    {"time": 5, "seq": 5, "kind": "order-cancelled", "order": "O1"},
+                ]),
+            ])
+
+        consistent = log_of([{"time": 3, "seq": 3, "kind": "shuttle-departed", "shuttle": "S1",
+                               "node": "IN"}])
+        assert self.stream(consistent) == recompute_from_log(consistent)
+        contradicting = log_of([{"time": 3, "seq": 3, "kind": start, "machine": "M1"}])
+        faults = []
+        for read in (recompute_from_log, self.stream):
+            with pytest.raises(StreamError) as info:
+                read(contradicting)
+            faults.append(str(info.value))
+        assert faults == [message, message]

@@ -190,8 +190,9 @@ def test_notice_round_trip():
 def _corruptions(cls, body):
     """One-field corruptions of a valid body, as (body, must_refuse) pairs:
     a dropped required key or event subject, an unknown kind, a negative or
-    boolean ``time`` or ``seq``, all refused; or any JSON value put in any
-    field, which the check may take only if ``from_dict`` builds from it."""
+    boolean ``time`` or ``seq``, a number or list in a string field, all
+    refused; or any JSON value put in any field, which the check may take
+    only if ``from_dict`` builds from it."""
     required = [f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING]
     if cls is SimEvent:
@@ -205,6 +206,10 @@ def _corruptions(cls, body):
         refused.append(st.builds(lambda name, value: {**body, name: value},
                                  st.sampled_from(counters),
                                  st.integers(max_value=-1) | st.booleans()))
+    strings = [f.name for f in fields(cls) if f.type in ("str", "str | None") and f.name != "kind"]
+    refused.append(st.builds(lambda name, value: {**body, name: value},
+                             st.sampled_from(strings),
+                             st.integers() | st.booleans() | st.lists(st.text(max_size=2))))
     values = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
               | st.lists(st.integers(), max_size=2)
               | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
