@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: run a suite, compare artifacts, validate a document.  Exit
-codes: 0 on success, 1 on failure, 2 on usage errors.  The environment
-variable HOLOBENCH_LOG (quiet, info, debug) controls logging verbosity
-only; it never changes what a run computes.
+codes: 0 on success, 1 on failure, 2 on usage errors, such as an unknown
+HOLOBENCH_LOG.  That variable (quiet, info, debug) controls logging
+verbosity only; it never changes what a run computes.
 """
 
 from __future__ import annotations
@@ -28,13 +28,19 @@ EXIT_USAGE = 2
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("HOLOBENCH_LOG", "quiet").lower()
-    level = _LOG_LEVELS.get(level_name, logging.WARNING)
+def _setup_logging() -> bool:
+    """Set the package log level from HOLOBENCH_LOG, unset or empty meaning quiet."""
+    value = os.environ.get("HOLOBENCH_LOG") or "quiet"
+    level = _LOG_LEVELS.get(value.lower())
+    if level is None:
+        print(f"error: HOLOBENCH_LOG must be one of {', '.join(_LOG_LEVELS)}, not {value!r}",
+              file=sys.stderr)
+        return False
     # The level goes on the package logger: basicConfig does nothing when the
     # root logger already has a handler, as in an embedding application.
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     logging.getLogger("holobench").setLevel(level)
+    return True
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -163,7 +169,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
+    if not _setup_logging():
+        return EXIT_USAGE
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run":

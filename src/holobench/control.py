@@ -3,7 +3,11 @@
 Order holons carry routing, due date, and priority; resource holons mirror
 machine availability as learned from the event stream.  Decisions are a pure
 function of the belief state, so two sessions fed the same records produce
-the same commands in the same order.
+the same commands in the same order.  Each belief is kept once: a product in
+transit is one with no node; the ``_FLAGS`` table gives the ``up`` or
+``blocked`` value each machine event and directive sets; and ``_stop_op`` is
+the one place a running operation stops, when it finishes, is preempted or
+its product is rejected, leaving the product waiting at the machine's node.
 
 Dispatch rule at an idle machine: among waiting products whose next step the
 machine performs, pick by (priority desc, due asc, id asc).  Transport rule:
@@ -39,7 +43,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Iterable
 
@@ -67,13 +71,7 @@ class ProductOrder:
     priority: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "routing": list(self.routing),
-            "release": self.release,
-            "due": self.due,
-            "priority": self.priority,
-        }
+        return dict(vars(self), routing=list(self.routing))
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ProductOrder":
@@ -130,8 +128,7 @@ class _OrderHolon:
     progress: int = 0  # routing steps completed
     released: bool = False
     release_sent: bool = False
-    node: str | None = None
-    in_transit: bool = False
+    node: str | None = None  # None while in transit
     processing_at: str | None = None
     dispatched_to: str | None = None  # start-op claim awaiting confirmation
     assigned_shuttle: str | None = None
@@ -159,6 +156,18 @@ _rank = attrgetter("rank")
 
 def _release_key(h: _OrderHolon) -> tuple[int, str]:
     return (h.spec.release, h.spec.id)
+
+
+# Machine event or directive kind -> the resource-holon flag it sets and the
+# value it sets it to.  Events report the floor, directives announce it.
+_FLAGS = {
+    "machine-down": ("up", False),
+    "machine-up": ("up", True),
+    "supply-blocked": ("blocked", True),
+    "supply-restored": ("blocked", False),
+    "announce-breakdown": ("up", False),
+    "announce-supply-block": ("blocked", True),
+}
 
 
 @dataclass
@@ -259,27 +268,15 @@ class ReferenceControl:
             h = self._orders.get(d.order_id or "")
             if h is None or d.priority is None:
                 return
-            h.spec = ProductOrder(
-                id=h.spec.id,
-                routing=h.spec.routing,
-                release=h.spec.release,
-                due=h.spec.due,
-                priority=d.priority,
-            )
+            h.spec = replace(h.spec, priority=d.priority)
             h.rerank()
             self._resort = True
             self.stats.directives_handled += 1
-        elif d.kind == "announce-breakdown":
+        elif d.kind in _FLAGS:
             r = self._machines.get(d.machine or "")
             if r is None:
                 return
-            r.up = False
-            self.stats.directives_handled += 1
-        elif d.kind == "announce-supply-block":
-            r = self._machines.get(d.machine or "")
-            if r is None:
-                return
-            r.blocked = True
+            setattr(r, *_FLAGS[d.kind])
             self.stats.directives_handled += 1
 
     def _close(self, h: _OrderHolon) -> None:
@@ -291,19 +288,39 @@ class ReferenceControl:
             self._shuttles[h.assigned_shuttle].assigned_order = None
             h.assigned_shuttle = None
 
+    def _stop_op(self, r: _ResourceHolon, h: _OrderHolon | None) -> bool:
+        """Free ``r``; if ``h`` was running on it, leave ``h`` waiting at its
+        node and return True."""
+        r.busy_order = None
+        if h is None or h.processing_at != r.id:
+            return False
+        h.processing_at = None
+        h.node = r.node
+        return True
+
     def _apply_event(self, ev: dict[str, Any]) -> None:
         kind, order = ev["kind"], ev.get("order")
         h = self._orders.get(order) if order else None
         if h is not None:
             self._touched.append(h)
-        if kind == "order-released":
+        if kind in _FLAGS:
+            r = self._machines[ev["machine"]]
+            setattr(r, *_FLAGS[kind])
+            if kind == "machine-down":
+                r.claimed = False
+                # Progress on an interrupted step is lost.
+                preempted = (ev.get("info") or {}).get("preempted") or r.busy_order
+                ph = self._orders.get(preempted or "")
+                if self._stop_op(r, ph):
+                    self._touched.append(ph)
+                    self.stats.reschedules += 1
+        elif kind == "order-released":
             if h is not None:
                 h.released = True
                 h.node = ev.get("node")
         elif kind == "shuttle-departed":
             self._shuttles[ev["shuttle"]].node = None
             if h is not None:
-                h.in_transit = True
                 h.node = None
         elif kind == "shuttle-arrived":
             s = self._shuttles[ev["shuttle"]]
@@ -311,7 +328,6 @@ class ReferenceControl:
             # A fetch arrival (no order aboard) keeps the claim so the carry
             # leg is issued next round; a delivery releases the shuttle.
             if h is not None:
-                h.in_transit = False
                 h.node = s.node
                 if h.assigned_shuttle == s.id:
                     h.assigned_shuttle = None
@@ -324,41 +340,14 @@ class ReferenceControl:
                 h.processing_at = r.id
                 h.dispatched_to = None
         elif kind == "op-finished":
-            r = self._machines[ev["machine"]]
-            r.busy_order = None
-            if h is not None:
-                h.processing_at = None
+            if self._stop_op(self._machines[ev["machine"]], h):
                 h.progress += 1
-                h.node = r.node
-        elif kind == "machine-down":
-            r = self._machines[ev["machine"]]
-            r.up = False
-            r.claimed = False
-            preempted = (ev.get("info") or {}).get("preempted") or r.busy_order
-            r.busy_order = None
-            if preempted:
-                ph = self._orders.get(preempted)
-                if ph is not None and ph.processing_at == r.id:
-                    # Progress on the interrupted step is lost.
-                    ph.processing_at = None
-                    ph.node = r.node
-                    self._touched.append(ph)
-                    self.stats.reschedules += 1
-        elif kind == "machine-up":
-            self._machines[ev["machine"]].up = True
-        elif kind == "supply-blocked":
-            self._machines[ev["machine"]].blocked = True
-        elif kind == "supply-restored":
-            self._machines[ev["machine"]].blocked = False
         elif kind == "product-rejected":
             if h is None:
                 return
             was_processing = h.processing_at
             if was_processing:
-                r = self._machines[was_processing]
-                r.busy_order = None
-                h.processing_at = None
-                h.node = r.node
+                self._stop_op(self._machines[was_processing], h)
                 self.stats.reschedules += 1
             policy = (ev.get("info") or {}).get("policy")
             if policy == "scrap":
@@ -387,7 +376,6 @@ class ReferenceControl:
             if r is not None:
                 r.claimed = False
         elif kind == "move-shuttle":
-            carried = cmd.get("carry")
             sid = cmd.get("shuttle")
             s = self._shuttles.get(sid or "")
             if s is not None and s.assigned_order:
@@ -396,11 +384,6 @@ class ReferenceControl:
                     h.assigned_shuttle = None
                 s.assigned_order = None
                 self.stats.reschedules += 1
-            if carried:
-                h = self._orders.get(carried)
-                if h is not None:
-                    h.in_transit = False
-                    self._touched.append(h)
         elif kind == "release-order":
             h = self._orders.get(cmd.get("order") or "")
             if h is not None:
@@ -461,7 +444,7 @@ class ReferenceControl:
             return None
         if h.cancel_requested:
             return self._cancels
-        if h.in_transit or h.processing_at or h.dispatched_to or h.node is None:
+        if h.processing_at or h.dispatched_to or h.node is None:
             return None
         r = self._at_node.get(h.node)
         if r is not None and h.next_operation in r.operations:
@@ -494,12 +477,7 @@ class ReferenceControl:
             self._reindex()
 
         for h in self._cancels:
-            if (
-                not h.cancel_sent
-                and not h.in_transit
-                and h.processing_at is None
-                and h.node is not None
-            ):
+            if not h.cancel_sent and h.processing_at is None and h.node is not None:
                 commands.append({"kind": "cancel-order", "order": h.spec.id})
                 h.cancel_sent = True
 
@@ -578,19 +556,12 @@ class ReferenceControl:
         if h.assigned_shuttle is not None:
             s = self._shuttles[h.assigned_shuttle]
             return None if s.node is None else s
-        best: tuple[int, str] | None = None
-        for sid, s in self._shuttles.items():
-            if s.assigned_order is not None or s.node is None:
-                continue
-            travel = self.model.travel_time(s.node, h.node) if h.node else None
-            if travel is None:
-                continue
-            key = (travel, sid)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            return None
-        return self._shuttles[best[1]]
+        free = [
+            (travel, sid) for sid, s in self._shuttles.items()
+            if s.assigned_order is None and s.node is not None and h.node
+            and (travel := self.model.travel_time(s.node, h.node)) is not None
+        ]
+        return self._shuttles[min(free)[1]] if free else None
 
     # -- round entry point --------------------------------------------------------
 

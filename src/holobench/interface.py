@@ -227,19 +227,20 @@ def extract_command_log(log: bytes) -> bytes:
     return bytes(out)
 
 
-def batch_events(record: dict[str, Any], offset: int = 0) -> list[dict[str, Any]]:
-    """The event bodies of an event-batch record, each checked by
-    ``SimEvent.check_body``; a body without an events list, or with an
-    event that fails its check, raises ``DecodeError`` at ``offset``."""
+def batch_events(
+    record: dict[str, Any], offset: int = 0, build: Callable[[Any], Any] = SimEvent.check_body
+) -> list[Any]:
+    """The events of an event-batch record, each checked once by ``build``:
+    ``SimEvent.check_body`` gives the bodies, ``SimEvent.from_dict`` the
+    messages.  A body without an events list, or with an event that fails
+    its check, raises ``DecodeError`` at ``offset``."""
     events = record["body"].get("events")
     if type(events) is not list:
         raise DecodeError("event-batch body must hold an events list", offset)
     try:
-        for body in events:
-            SimEvent.check_body(body)
+        return [build(body) for body in events]
     except MessageError as exc:
         raise DecodeError(f"event-batch event refused: {exc}", offset) from None
-    return events
 
 
 def extract_event_stream(log: bytes) -> list[SimEvent]:
@@ -248,7 +249,7 @@ def extract_event_stream(log: bytes) -> list[SimEvent]:
     offset = 0
     for line, record in iter_records(log):
         if record["role"] == ROLE_EMULATION and record["kind"] == "event-batch":
-            events.extend(SimEvent.from_dict(d) for d in batch_events(record, offset))
+            events.extend(batch_events(record, offset, SimEvent.from_dict))
         offset += len(line)
     return events
 
@@ -570,21 +571,28 @@ class RoundDriver:
 
     def end_run(self, t: int, reason: str) -> None:
         """Send run-end and read the control's final taps and its bye.  A tap
-        without a string flow and name and an integer value and i raises
-        ``ProtocolError``, so the KPI engine observes only checked taps."""
+        without a string flow and name and an integer value and i, or whose
+        i does not exceed the previous tap's, raises ``ProtocolError``, so
+        the KPI engine observes only checked taps, in order."""
         self.round_no += 1
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "run-end", {"reason": reason}))
+        last_i = None
         while True:
             line, record = self._recv()
             kind = record["kind"]
             if kind not in ("tap", "bye"):
                 raise ProtocolError(f"unexpected record {kind!r} after run-end")
-            if kind == "tap" and not all(
-                fits(record["body"].get(key), hint) for key, hint in _TAP_FIELDS.items()
-            ):
-                raise ProtocolError(
-                    "a control tap needs a string flow and name, and an integer value and i"
-                )
+            if kind == "tap":
+                body = record["body"]
+                if not all(fits(body.get(key), hint) for key, hint in _TAP_FIELDS.items()):
+                    raise ProtocolError(
+                        "a control tap needs a string flow and name, and an integer value and i"
+                    )
+                if last_i is not None and body["i"] <= last_i:
+                    raise ProtocolError(
+                        f"control tap i={body['i']} does not exceed the previous tap's i={last_i}"
+                    )
+                last_i = body["i"]
             self._recorder.record(line, record)
             if kind == "bye":
                 return

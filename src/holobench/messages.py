@@ -68,7 +68,9 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
     default, a ``kind`` in ``kinds`` (if given), non-negative integers as
     ``time`` and ``seq``, a dict or None in each dict field and a string or
     None in each string field.  Building a message checks its fields so too,
-    so a body passes exactly when ``from_dict`` builds from it.
+    so a body passes exactly when ``from_dict`` builds from it; ``from_dict``
+    checks it once, through ``copy_body``, and sets the fields without
+    building through the constructor, which would check it again.
     ``copy_body`` copies a checked body as ``from_dict`` takes it.
     """
 
@@ -78,6 +80,8 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
             for f in fields(cls)
         )
         names = frozenset(name for name, _ in spec)
+        factories = {f.name: f.default_factory for f in fields(cls)
+                     if f.default_factory is not MISSING}
         counters = tuple(name for name in ("time", "seq") if name in names)
         # the fields without a default that check_body reads nowhere else
         required = tuple(f.name for f in fields(cls) if f.default is f.default_factory is MISSING
@@ -98,7 +102,11 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
             return d
 
         def from_dict(cls, d: dict[str, Any]):
-            return cls(**{name: value for name, value in copy_body(d).items() if name in names})
+            body = {**{name: make() for name, make in factories.items()}, **copy_body(d)}
+            msg = object.__new__(cls)
+            for name, default in spec:
+                object.__setattr__(msg, name, body.get(name, default))
+            return msg
 
         def check_body(body: Any) -> dict[str, Any]:
             if type(body) is not dict:

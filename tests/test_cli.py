@@ -151,6 +151,15 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_log_level_is_a_usage_error(self, suite_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HOLOBENCH_LOG", "verbose")
+        out = tmp_path / "out"
+        assert main(["run", suite_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: HOLOBENCH_LOG must be one of quiet, info, debug, not 'verbose'\n"
+        )
+        assert not out.exists()
+
 
 class TestCompare:
     def test_compare_reprints_summary(self, suite_path, tmp_path, capsys):

@@ -2,10 +2,12 @@
 closed loop against the kernel."""
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from holobench import harness
 from holobench.control import (
     ControlProtocolError,
     OrderBookError,
@@ -14,7 +16,7 @@ from holobench.control import (
     load_orders,
 )
 from holobench.harness import run_single
-from holobench.interface import extract_command_log, replay_session
+from holobench.interface import InProcEndpoint, extract_command_log, replay_session
 from holobench.kernel import EmulationKernel
 from holobench.messages import ControlDirective, Notice, SimEvent
 from holobench.model import load_model, load_model_doc
@@ -646,13 +648,12 @@ class FullScanControl(ReferenceControl):
             if h.cancel_requested:
                 if (
                     not h.cancel_sent
-                    and not h.in_transit
                     and h.processing_at is None
                     and h.node is not None
                 ):
                     commands.append({"kind": "cancel-order", "order": h.spec.id})
                     h.cancel_sent = True
-            elif not (h.in_transit or h.processing_at or h.dispatched_to or h.node is None):
+            elif not (h.processing_at or h.dispatched_to or h.node is None):
                 waiting.append(h)
                 r = idle.get(h.node)
                 if r is not None and r.id not in picks and h.next_operation in r.operations:
@@ -707,3 +708,46 @@ class TestFullScanOracle:
         log = run_single(model, book, scenario, seed).log
         assert extract_command_log(log)
         assert replay_session(log, FullScanControl(model)) == extract_command_log(log)
+
+
+def beliefs_off_the_floor(control, kernel):
+    """Where the control's beliefs about products and machines differ from
+    the kernel's state, as (subject, believed, actual) triples."""
+    floor = json.loads(kernel.snapshot())
+    off = []
+    for oid, h in control._orders.items():
+        if h.released and h.open_:
+            product = floor["products"].get(oid, {})
+            actual = (product.get("node"), product.get("processing"))
+            if (h.node, h.processing_at) != actual:
+                off.append((oid, (h.node, h.processing_at), actual))
+    for mid, r in control._machines.items():
+        if r.busy_order != floor["machines"][mid]["busy_order"]:
+            off.append((mid, r.busy_order, floor["machines"][mid]["busy_order"]))
+    return off
+
+
+class TestBeliefsTrackTheFloor:
+    """When the kernel is advanced, the control has been handed every event
+    the floor has written, so each released open holon's node (None in
+    transit) and running machine, and each resource holon's running order,
+    are the floor's."""
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(session=oracle_sessions())
+    def test_beliefs_match_the_kernel_at_every_advance(self, session):
+        book, scenario_doc, seed = session
+        model = load_model_doc(ORACLE_SHOP)
+        scenario = load_scenario_doc(scenario_doc, model=model, orders=book)
+        control = ReferenceControl(model)
+        kernels = []
+
+        class CheckedKernel(EmulationKernel):
+            def advance(self, commands):
+                kernels.append(self)
+                assert beliefs_off_the_floor(control, self) == []
+                return super().advance(commands)
+
+        with mock.patch.object(harness, "EmulationKernel", CheckedKernel):
+            run_single(model, book, scenario, seed, endpoint=InProcEndpoint(control))
+        assert beliefs_off_the_floor(control, kernels[-1]) == []

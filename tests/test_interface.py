@@ -4,6 +4,7 @@ import copy
 import json
 import re
 import socket
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -804,6 +805,25 @@ class TestDecodeOnce:
         reader(log)
         assert calls == lines
 
+    def test_extract_event_stream_checks_each_event_once(
+        self, minicell_model, minicell_orders, ps9_scenario
+    ):
+        """``from_dict`` checks a body once and builds without the
+        constructor's check, and the reader checks nothing else."""
+        log = run_single(minicell_model, minicell_orders, ps9_scenario, seed=1).log
+        checks = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "check_body":
+                checks[frame.f_globals["__name__"]] += 1
+
+        sys.setprofile(profile)
+        try:
+            events = extract_event_stream(log)
+        finally:
+            sys.setprofile(None)
+        assert checks == {"holobench.messages": len(events)} and len(events) == 45
+
 
 def count_message_builds(monkeypatch):
     """Count ``from_dict`` calls on each wire message class, by class name;
@@ -1161,6 +1181,35 @@ class TestReplyProtocol:
         monkeypatch.setattr(interface, "ControlClient", WrongReply)
         with pytest.raises(ProtocolError, match=refusal):
             run_single(minicell_model, minicell_orders, ps9_scenario, seed=1)
+
+    # Taps repeat or go back on i; the driver refuses the second before the
+    # KPI engine sees it: a repeat would be dropped by the engine as a
+    # duplicate but kept by the oracle, and a step back would escape as a
+    # bare StreamError.
+    @pytest.mark.parametrize("taps, refusal", [
+        ([(0, 1), (0, 999)], "control tap i=0 does not exceed the previous tap's i=0"),
+        ([(1, 1), (0, 999)], "control tap i=0 does not exceed the previous tap's i=1"),
+    ], ids=["repeated", "backward"])
+    @pytest.mark.parametrize("transport", ["in-process", "socket"])
+    def test_driver_refuses_taps_out_of_index_order(
+        self, minicell_model, minicell_orders, ps9_scenario, monkeypatch,
+        taps, refusal, transport,
+    ):
+        class UnorderedTaps(ControlClient):
+            def handle(self, record):
+                if record["kind"] != "run-end":
+                    return super().handle(record)
+                round_no, t = record["round"], record["t"]
+                for i, value in taps:
+                    body = {**_TAP, "value": value, "i": i}
+                    self._send(rec(kind="tap", role="control", round_no=round_no, t=t, body=body))
+                self._send(rec(kind="bye", role="control", round_no=round_no, t=t))
+                return False
+
+        monkeypatch.setattr(interface, "ControlClient", UnorderedTaps)
+        session = socket_session if transport == "socket" else run_single
+        with pytest.raises(ProtocolError, match=re.escape(refusal)):
+            session(minicell_model, minicell_orders, ps9_scenario, 1)
 
     def test_control_that_hangs_up_before_bye_fails_the_run(
         self, minicell_model, minicell_orders, ps9_scenario
