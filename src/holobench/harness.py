@@ -617,7 +617,8 @@ def artifact_digest(out_dir: str) -> str:
     recorded digest, a contract change to make on its own.
 
     The reports hashed are exactly those the manifest names: a stray file in
-    ``reports/``, or a named report that is missing, raises ``ArtifactError``.
+    ``reports/``, or a named report that is missing, raises ``ArtifactError``,
+    as does a missing ``comparison.csv`` or ``summary.txt``.
     """
     named = {run["report"] for run in _read_manifest(out_dir)["runs"]} - {None}
     reports_dir = os.path.join(out_dir, "reports")
@@ -628,9 +629,11 @@ def artifact_digest(out_dir: str) -> str:
             f"{out_dir} does not hold exactly the reports its manifest names: "
             f"stray {sorted(listed - named)}, missing {sorted(named - listed)}"
         )
-    names = [n for n in HASHED_ARTIFACTS if os.path.exists(os.path.join(out_dir, n))]
     digest_lines = []
-    for name in names + sorted(listed):
-        with open(os.path.join(out_dir, name), "rb") as f:
-            digest_lines.append(f"{name}\0{sha256_hex(f.read())}")
+    for name in (*HASHED_ARTIFACTS, *sorted(listed)):
+        try:
+            with open(os.path.join(out_dir, name), "rb") as f:
+                digest_lines.append(f"{name}\0{sha256_hex(f.read())}")
+        except FileNotFoundError:
+            raise ArtifactError(f"{out_dir} holds no {name}") from None
     return sha256_hex("\n".join(digest_lines).encode("utf-8"))

@@ -8,11 +8,13 @@ field is determined by the session log alone; the control's decision
 latency is timed by the round driver and never enters the log or the
 report.
 
-Two implementations cross-check each other.  ``KpiEngine`` is incremental:
-it deduplicates entries on (flow, t, seq), refuses time regressions, and
-keeps running interval state.  ``recompute_from_log`` reconstructs the same
-report from a session log alone, folding its deduplicated events in one
-seq-ordered pass.  Each keeps one map of open and one of closed machine
+Two implementations cross-check each other.  ``KpiEngine`` is incremental
+and keeps running interval state.  ``recompute_from_log`` reconstructs the
+same report from a session log alone.  Each takes every entry once, in the
+order it reads it, under one stream rule: an event must have a greater
+``seq`` than the last event and a ``time`` no earlier, and a FLOW7 tap a
+greater ``i`` than the last tap; anything else, a repeat included, raises
+``StreamError``.  Each keeps one map of open and one of closed machine
 intervals, keyed by state and machine.  Conservation (every released order
 ends completed, cancelled, or scrapped) is enforced by both, so a mutated
 log is caught on recompute.
@@ -164,9 +166,7 @@ class KpiEngine:
         self.seed = 0
         self._machines: list[str] = []
         self._dues: dict[str, int] = {}
-        self._seen: set[tuple[str, int, int]] = set()
-        self._last: dict[str, tuple[int, int]] = {}
-        self.duplicates_dropped = 0
+        self._last: dict[str, tuple[int, int]] = {}  # flow -> (t, seq) of its last entry
         self.events_observed = 0
         self._released: dict[str, int] = {}
         self._completed: dict[str, int] = {}
@@ -198,33 +198,24 @@ class KpiEngine:
                 self._dues[od["id"]] = od["due"]
         elif kind == "event-batch":
             for ed in record["body"]["events"]:
-                if self._is_new(FLOW_EVENTS, ed["time"], ed["seq"]):
-                    self._ingest_event(ed["time"], ed)
-        elif kind == "tap":
+                self._check_order(FLOW_EVENTS, ed["time"], ed["seq"])
+                self._ingest_event(ed["time"], ed)
+        elif kind == "tap" and record["body"].get("flow") == FLOW_CONTROL_KPI:
             body = record["body"]
-            flow = body.get("flow")
-            if flow == FLOW_CONTROL_KPI and self._is_new(flow, record["t"], body["i"]):
-                self._control_kpi[body["name"]] = body["value"]
+            self._check_order(FLOW_CONTROL_KPI, record["t"], body["i"])
+            self._control_kpi[body["name"]] = body["value"]
 
     # -- stream ingestion --------------------------------------------------------
 
-    def _is_new(self, flow: str, t: int, seq: int) -> bool:
-        """Whether a stream entry is new; counts and drops a duplicate.
-
-        Raises ``StreamError`` when the entry comes before the flow's last one.
-        """
-        key = (flow, t, seq)
-        if key in self._seen:
-            self.duplicates_dropped += 1
-            return False
+    def _check_order(self, flow: str, t: int, seq: int) -> None:
+        """Raises ``StreamError`` unless a stream entry comes after the flow's
+        last one: a greater ``seq`` at no earlier ``t``."""
         last = self._last.get(flow)
-        if last is not None and (t, seq) < last:
+        if last is not None and (seq <= last[1] or t < last[0]):
             raise StreamError(
                 f"{flow} regressed: (t={t}, seq={seq}) after (t={last[0]}, seq={last[1]})"
             )
-        self._seen.add(key)
         self._last[flow] = (t, seq)
-        return True
 
     def _ingest_event(self, t: int, ev: dict[str, Any]) -> None:
         self.events_observed += 1
@@ -334,7 +325,7 @@ class KpiEngine:
             directives_handled=self._control_kpi.get("directives_handled", 0),
             reschedules=self._control_kpi.get("reschedules", 0),
             events_observed=self.events_observed,
-            duplicates_dropped=self.duplicates_dropped,
+            duplicates_dropped=0,
         )
 
 
@@ -348,23 +339,42 @@ def recompute_from_log(log: bytes) -> KpiReport:
 
     Reads nothing but the session log: order dues come from the run-meta
     record and insert-order directives, events from the batches.  Used as
-    the oracle against ``KpiEngine.finalize``, and as strict: a machine
-    event that contradicts the machine's state raises ``StreamError``.
+    the oracle against ``KpiEngine.finalize``, and as strict: an entry out
+    of stream order (see above) or a machine event that contradicts the
+    machine's state raises ``StreamError``.
 
-    The log is decoded one line at a time, and each record is folded in and
-    dropped: only the run-meta body, the dues, the events (checked, see
-    ``batch_events``, and deduplicated by ``seq``) and the control's
-    counters are kept.  The events are folded in one ``seq``-ordered pass,
-    which meets a machine fault before the conservation check, as the
-    engine does.  A run-meta whose orders, or an insert-order directive
+    The log is decoded one line at a time, and each record, each event
+    (checked, see ``batch_events``) included, is folded in as it is read
+    and dropped.  A run-meta whose orders, or an insert-order directive
     whose order, are not objects with a string ``id`` and an integer
     ``due``, or a FLOW7 tap without a string ``name`` and an integer
-    ``value``, raises ``DecodeError`` at its line's offset.
+    ``value`` and ``i``, raises ``DecodeError`` at its line's offset.
     """
     meta: dict[str, Any] = {}
     dues: dict[str, int] = {}
-    events: dict[int, dict[str, Any]] = {}  # seq -> event, deduplicated
     control_kpi: dict[str, int] = {}
+    # order -> time of its last event of each kind that releases or settles it
+    times: dict[str, dict[str, int]] = {
+        k: {} for k in ("order-released", "order-completed", "order-cancelled")
+    }
+    scrapped: dict[str, int] = {}
+    rework_events = events_observed = 0
+    # (state, machine) -> (start, order) of each open interval, and the closed ones
+    opened: dict[tuple[str, str], tuple[int, str | None]] = {}
+    spans: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    last: dict[str, tuple[int, int]] = {}  # flow -> (t, seq) of its last entry
+
+    def close(state: str, m: str, t: int) -> None:
+        spans.setdefault((state, m), []).append((opened.pop((state, m))[0], t))
+
+    def follow(flow: str, t: int, seq: int) -> None:
+        prev = last.get(flow)
+        if prev is not None and not (seq > prev[1] and t >= prev[0]):
+            raise StreamError(
+                f"{flow} regressed: (t={t}, seq={seq}) after (t={prev[0]}, seq={prev[1]})"
+            )
+        last[flow] = (t, seq)
+
     offset = 0
     for line, record in iter_records(log):
         kind = record["kind"]
@@ -387,69 +397,57 @@ def recompute_from_log(log: bytes) -> KpiReport:
                     )
                 dues[od["id"]] = od["due"]
         elif kind == "event-batch":
-            for ed in batch_events(record, offset):
-                events.setdefault(ed["seq"], ed)
+            for e in batch_events(record, offset):
+                k, t, m = e["kind"], e["time"], e.get("machine")
+                follow(FLOW_EVENTS, t, e["seq"])
+                events_observed += 1
+                if k in times:
+                    times[k][e["order"]] = t
+                elif k == "product-rejected":
+                    policy = (e.get("info") or {}).get("policy")
+                    if policy == "scrap":
+                        scrapped[e["order"]] = t
+                    elif policy == "rework":
+                        rework_events += 1
+                    if opened.get(("busy", m), (0, None))[1] == e["order"]:
+                        close("busy", m, t)
+                elif k == "op-started":
+                    if ("busy", m) in opened:
+                        raise StreamError(f"op-started on already busy machine {m!r}")
+                    opened["busy", m] = (t, e["order"])
+                elif k == "op-finished":
+                    if ("busy", m) not in opened:
+                        raise StreamError(f"op-finished on idle machine {m!r}")
+                    close("busy", m, t)
+                elif k == "machine-down":
+                    if ("down", m) in opened:
+                        raise StreamError(f"machine-down on already down machine {m!r}")
+                    if ("busy", m) in opened:
+                        close("busy", m, t)
+                    opened["down", m] = (t, None)
+                elif k == "machine-up":
+                    if ("down", m) not in opened:
+                        raise StreamError(f"machine-up on machine {m!r} that was not down")
+                    close("down", m, t)
+                elif k == "supply-blocked":
+                    if ("blocked", m) in opened:
+                        raise StreamError(f"supply-blocked on already blocked machine {m!r}")
+                    opened["blocked", m] = (t, None)
+                elif k == "supply-restored":
+                    if ("blocked", m) not in opened:
+                        raise StreamError(f"supply-restored on machine {m!r} that was not blocked")
+                    close("blocked", m, t)
         elif kind == "tap" and record["body"].get("flow") == FLOW_CONTROL_KPI:
-            name, value = record["body"].get("name"), record["body"].get("value")
-            if type(name) is not str or not is_int(value):
+            body = record["body"]
+            name, value, i = body.get("name"), body.get("value"), body.get("i")
+            if type(name) is not str or not is_int(value) or not is_int(i):
                 raise DecodeError(
-                    f"{FLOW_CONTROL_KPI} tap needs a string name and an integer value", offset
+                    f"{FLOW_CONTROL_KPI} tap needs a string name, and an integer value and i",
+                    offset,
                 )
+            follow(FLOW_CONTROL_KPI, record["t"], i)
             control_kpi[name] = value
         offset += len(line)
-
-    # order -> time of its last event of each kind that releases or settles it
-    times: dict[str, dict[str, int]] = {
-        k: {} for k in ("order-released", "order-completed", "order-cancelled")
-    }
-    scrapped: dict[str, int] = {}
-    rework_events = 0
-    # (state, machine) -> (start, order) of each open interval, and the closed ones
-    opened: dict[tuple[str, str], tuple[int, str | None]] = {}
-    spans: dict[tuple[str, str], list[tuple[int, int]]] = {}
-
-    def close(state: str, m: str, t: int) -> None:
-        spans.setdefault((state, m), []).append((opened.pop((state, m))[0], t))
-
-    for seq in sorted(events):
-        e = events[seq]
-        k, t, m = e["kind"], e["time"], e.get("machine")
-        if k in times:
-            times[k][e["order"]] = t
-        elif k == "product-rejected":
-            policy = (e.get("info") or {}).get("policy")
-            if policy == "scrap":
-                scrapped[e["order"]] = t
-            elif policy == "rework":
-                rework_events += 1
-            if opened.get(("busy", m), (0, None))[1] == e["order"]:
-                close("busy", m, t)
-        elif k == "op-started":
-            if ("busy", m) in opened:
-                raise StreamError(f"op-started on already busy machine {m!r}")
-            opened["busy", m] = (t, e["order"])
-        elif k == "op-finished":
-            if ("busy", m) not in opened:
-                raise StreamError(f"op-finished on idle machine {m!r}")
-            close("busy", m, t)
-        elif k == "machine-down":
-            if ("down", m) in opened:
-                raise StreamError(f"machine-down on already down machine {m!r}")
-            if ("busy", m) in opened:
-                close("busy", m, t)
-            opened["down", m] = (t, None)
-        elif k == "machine-up":
-            if ("down", m) not in opened:
-                raise StreamError(f"machine-up on machine {m!r} that was not down")
-            close("down", m, t)
-        elif k == "supply-blocked":
-            if ("blocked", m) in opened:
-                raise StreamError(f"supply-blocked on already blocked machine {m!r}")
-            opened["blocked", m] = (t, None)
-        elif k == "supply-restored":
-            if ("blocked", m) not in opened:
-                raise StreamError(f"supply-restored on machine {m!r} that was not blocked")
-            close("blocked", m, t)
     released, completed, cancelled = times.values()
 
     settled = set(completed) | set(cancelled) | set(scrapped)
@@ -501,6 +499,6 @@ def recompute_from_log(log: bytes) -> KpiReport:
         commands_issued=control_kpi.get("commands_issued", 0),
         directives_handled=control_kpi.get("directives_handled", 0),
         reschedules=control_kpi.get("reschedules", 0),
-        events_observed=len(events),
+        events_observed=events_observed,
         duplicates_dropped=0,
     )

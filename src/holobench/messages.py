@@ -32,6 +32,25 @@ EVENT_SUBJECTS = {
 }
 EVENT_KINDS = frozenset(EVENT_SUBJECTS)
 
+# The subject fields each event kind may carry, as the kernel builds it.  A
+# shuttle event names the order its shuttle carries, if any; a rejected
+# product names its machine and node while in process, its shuttle while in
+# transit, and its node while it rests.
+EVENT_FIELDS = {
+    "order-released": ("order", "node"),
+    "order-completed": ("order", "node"),
+    "order-cancelled": ("order", "node"),
+    "product-rejected": ("machine", "shuttle", "order", "node"),
+    "shuttle-departed": ("shuttle", "order", "node"),
+    "shuttle-arrived": ("shuttle", "order", "node"),
+    "machine-down": ("machine", "node"),
+    "machine-up": ("machine", "node"),
+    "supply-blocked": ("machine", "node"),
+    "supply-restored": ("machine", "node"),
+    "op-started": ("machine", "order", "node"),
+    "op-finished": ("machine", "order", "node"),
+}
+
 COMMAND_KINDS = frozenset(
     {"move-shuttle", "start-op", "release-order", "cancel-order", "end-of-round"}
 )

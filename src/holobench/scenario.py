@@ -37,7 +37,7 @@ from typing import Any, Callable, get_type_hints
 
 from .canon import fits, is_int
 from .control import OrderBookError, ProductOrder
-from .messages import EVENT_KINDS, ControlDirective, Injection, MessageError
+from .messages import EVENT_FIELDS, EVENT_KINDS, ControlDirective, Injection, MessageError
 
 CATEGORIES = ("dynamic-reconfiguration", "order-management", "quality", "supply")
 
@@ -198,9 +198,11 @@ class Trigger:
     @classmethod
     def from_doc(cls, doc: Any, path: str, depth: int = 0, model=None) -> tuple["Trigger", int]:
         """The primitive trigger and the summed delay of the after-chain
-        above it (0 without one).  With a model, each ``where`` machine,
-        shuttle and node must be a part of it; orders may be inserted
-        mid-run, so a ``where`` order is only checked to be a string."""
+        above it (0 without one).  A ``where`` field must be one the event
+        kind carries (``EVENT_FIELDS``).  With a model, each ``where``
+        machine, shuttle and node must be a part of it; orders may be
+        inserted mid-run, so a ``where`` order is only checked to be a
+        string."""
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ScenarioError(f"{path} must be an object with a kind")
         kind = doc["kind"]
@@ -222,6 +224,8 @@ class Trigger:
             for fld, value in where.items():
                 if fld not in ("machine", "shuttle", "order", "node"):
                     raise ScenarioError(f"{path}.where.{fld} is not a filterable field")
+                if fld not in EVENT_FIELDS[event]:
+                    raise ScenarioError(f"{path}.where.{fld}: {event} events carry no {fld}")
                 if not isinstance(value, str):
                     raise ScenarioError(f"{path}.where.{fld} must be a string")
                 # the model's machines, shuttles or nodes

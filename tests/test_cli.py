@@ -252,6 +252,20 @@ class TestValidate:
             capsys.readouterr().err
         )
 
+    def test_scenario_filtering_on_a_field_its_event_never_carries(
+        self, data_copy, tmp_path, capsys
+    ):
+        doc = json.loads((data_copy / "scenarios" / "ps9.json").read_text())
+        doc["rules"][0]["trigger"] = {
+            "kind": "on-event", "event": "order-released", "where": {"machine": "M1"}
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        assert "rules[0].trigger.where.machine: order-released events carry no machine" in (
+            capsys.readouterr().err
+        )
+
     def test_suite(self, suite_path, capsys):
         assert main(["validate", suite_path]) == 0
         assert "5 scenario(s) x 3 seed(s)" in capsys.readouterr().out

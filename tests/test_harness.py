@@ -246,6 +246,14 @@ class TestRunSuite:
         with pytest.raises(ArtifactError, match=re.escape(expected)):
             artifact_digest(out)
 
+    @pytest.mark.parametrize("name", ["comparison.csv", "summary.txt"])
+    def test_digest_needs_every_hashed_file(self, suite, tmp_path, name):
+        out = str(tmp_path / "out")
+        run_suite(suite, out, seeds=(1,))
+        os.remove(os.path.join(out, name))
+        with pytest.raises(ArtifactError, match=re.escape(f"{out} holds no {name}")):
+            artifact_digest(out)
+
     def test_digest_needs_a_manifest(self, tmp_path):
         with pytest.raises(ArtifactError, match="manifest"):
             artifact_digest(str(tmp_path))

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from holobench import interface
 from holobench.canon import canon_bytes, canon_dumps
-from holobench.control import ControlProtocolError, OrderBookError, ReferenceControl
+from holobench.control import (
+    ControlProtocolError,
+    OrderBookError,
+    ProductOrder,
+    ReferenceControl,
+)
 from holobench.harness import run_single
 from holobench.interface import (
     WIRE_PREFIX,
@@ -966,8 +971,9 @@ def traced_peak(reader, log):
 
 class TestReaderMemory:
     """The log readers decode one line at a time and keep only what they
-    return, so their peak is a small multiple of the log.  Decoding the
-    whole log first, as ``records_of`` does, peaks at about 7-8 times it."""
+    return, so their peak is a small multiple of the log, and the KPI
+    oracle, which keeps no event, peaks below the log.  Decoding the whole
+    log first, as ``records_of`` does, peaks at about 7-8 times it."""
 
     @pytest.mark.parametrize(
         "name", ["null", "ps9", "reject_rework", "rush_order", "supply_shortage"]
@@ -976,9 +982,20 @@ class TestReaderMemory:
         self, minicell_model, minicell_orders, scenario_by_name, name
     ):
         log = run_single(minicell_model, minicell_orders, scenario_by_name(name), seed=3).log
-        assert traced_peak(recompute_from_log, log) <= 3 * len(log)
+        assert traced_peak(recompute_from_log, log) <= len(log)
         assert traced_peak(extract_event_stream, log) <= 2 * len(log)
         assert traced_peak(extract_command_log, log) <= 2 * len(log)
+
+    def test_oracle_peak_is_a_fraction_of_a_long_log(self):
+        # A dense book of 120 orders, four released per tick: the oracle
+        # keeps the orders' times and the machine spans, never the events.
+        model = load_model_doc(ORACLE_SHOP)
+        book = [ProductOrder(f"O{i}", tuple("ABC"[: 1 + i % 3]), i // 4, 1000 + i)
+                for i in range(120)]
+        scenario = load_scenario_doc({"id": "none", "rules": []}, model=model, orders=book)
+        result = run_single(model, book, scenario, seed=1)
+        assert result.status == "completed" and result.report.completed == 120
+        assert traced_peak(recompute_from_log, result.log) <= len(result.log) // 4
 
 
 class TestOldFormatLogs:

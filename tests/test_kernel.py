@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holobench.kernel import EmulationKernel
-from holobench.messages import ControlCommand, Injection, SimEvent
+from holobench.messages import EVENT_FIELDS, ControlCommand, Injection, SimEvent
 from holobench.model import load_model_doc
+from conftest import LINE_MODEL
 
 
 def release(order):
@@ -182,6 +183,84 @@ class TestRejections:
         (ev,) = k.advance([cancel("O1")])
         assert ev["kind"] == "order-cancelled"
         assert state(k)["products"] == {}
+
+
+# The line model with a node no edge reaches, and a second shuttle at IN.
+REJECTION_MODEL = {
+    **LINE_MODEL,
+    "transport": {**LINE_MODEL["transport"], "nodes": ["IN", "M1", "OUT", "X"]},
+    "shuttles": {"S1": {"home": "IN"}, "S2": {"home": "IN"}},
+}
+
+# Setups: a step is a command batch, [] for a bare advance, or an injection.
+RELEASED = ([release("O1")],)
+CARRIED = (*RELEASED, [move("S1", "M1", carry="O1")])  # O1 in transit on S1
+AT_M1 = (*CARRIED, [])
+PROCESSING = (*AT_M1, [start("M1", "A", "O1")])
+S1_AT_M1 = (*RELEASED, [move("S1", "M1")], [])  # O1 left at IN
+
+# (setup, command, reason): one case for each way the kernel rejects a command.
+REJECTIONS = {
+    "unknown-kind": ((), {"kind": "teleport"}, "teleport is not an emulation command"),
+    "release-no-order": ((), {"kind": "release-order"}, "release-order requires an order id"),
+    "release-twice": (RELEASED, release("O1"), "order 'O1' was already released"),
+    "move-unknown-shuttle": ((), move("S9", "M1"), "unknown shuttle 'S9'"),
+    "move-in-transit": (CARRIED, move("S1", "OUT"), "shuttle 'S1' is in transit"),
+    "move-unknown-destination": ((), move("S1", "Y"), "unknown destination 'Y'"),
+    "move-already-there": ((), move("S1", "IN"), "shuttle 'S1' is already at 'IN'"),
+    "move-no-route": ((), move("S1", "X"), "no route from 'IN' to 'X'"),
+    "carry-not-on-floor": (
+        (), move("S1", "M1", carry="O1"), "carry order 'O1' is not on the floor"
+    ),
+    "carry-in-transit": (
+        CARRIED, move("S2", "M1", carry="O1"), "carry order 'O1' is already in transit"
+    ),
+    "carry-in-process": (
+        PROCESSING, move("S1", "OUT", carry="O1"), "carry order 'O1' is being processed"
+    ),
+    "carry-elsewhere": (S1_AT_M1, move("S1", "OUT", carry="O1"), "carry order 'O1' is not at 'M1'"),
+    "start-unknown-machine": ((), start("M9", "A", "O1"), "unknown machine 'M9'"),
+    "start-down": (
+        (Injection(kind="machine-down", machine="M1"),),
+        start("M1", "A", "O1"),
+        "machine 'M1' is down",
+    ),
+    "start-supply-blocked": (
+        (Injection(kind="supply-shortage", machine="M1"),),
+        start("M1", "A", "O1"),
+        "machine 'M1' is supply-blocked",
+    ),
+    "start-busy": (PROCESSING, start("M1", "A", "O2"), "machine 'M1' is busy"),
+    "start-unknown-operation": ((), start("M1", "Z", "O1"), "machine 'M1' does not perform 'Z'"),
+    "start-not-on-floor": ((), start("M1", "A", "O1"), "order 'O1' is not on the floor"),
+    "start-in-transit": (CARRIED, start("M1", "A", "O1"), "order 'O1' is not available"),
+    "start-elsewhere": (RELEASED, start("M1", "A", "O1"), "order 'O1' is not at machine 'M1'"),
+    "cancel-not-on-floor": ((), cancel("O1"), "order 'O1' is not on the floor"),
+    "cancel-in-transit": (CARRIED, cancel("O1"), "order 'O1' is in transit"),
+    "cancel-in-process": (PROCESSING, cancel("O1"), "order 'O1' is being processed"),
+}
+
+
+@pytest.mark.parametrize("setup, command, reason", REJECTIONS.values(), ids=REJECTIONS)
+def test_rejected_command_changes_nothing_but_the_notices(setup, command, reason):
+    """The rejected command's round ends as a bare advance would: the same
+    events and, apart from the one notice, the same snapshot."""
+
+    def kernel_after_setup():
+        k = EmulationKernel(load_model_doc(REJECTION_MODEL))
+        for step in setup:
+            if isinstance(step, Injection):
+                k.apply_injection(step)
+            else:
+                k.advance(step)
+        assert k.drain_notices() == []
+        return k
+
+    k, bare = kernel_after_setup(), kernel_after_setup()
+    clock = k.clock
+    assert k.advance([command]) == bare.advance()
+    notice = {"time": clock, "kind": "command-rejected", "reason": reason, "command": command}
+    assert state(k) == dict(state(bare), notices=[notice])
 
 
 class TestInjections:
@@ -442,6 +521,26 @@ _step = st.one_of(
     st.lists(_inj, min_size=1, max_size=3).map(tuple),
     st.none(),
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(script=st.lists(_step, max_size=24))
+def test_events_carry_only_their_kinds_fields(minicell_model_doc, script):
+    """No event names a subject field its kind's ``EVENT_FIELDS`` lacks, so
+    a scenario filter that table refuses could never match."""
+    k = EmulationKernel(load_model_doc(minicell_model_doc))
+    batches = [k.advance([
+        release("O1"), release("O2"), move("S1", "M1", "O1"), move("S2", "M2", "O2"),
+    ]), k.advance()]
+    for step in script:
+        if isinstance(step, tuple):
+            batches.extend(k.apply_injection(inj) for inj in step)
+        else:
+            batches.append(k.advance(step or ()))
+    while batch := k.advance():
+        batches.append(batch)
+    for e in (e for batch in batches for e in batch):
+        assert set(e) - {"time", "seq", "kind", "info"} <= set(EVENT_FIELDS[e["kind"]]), e
 
 
 @settings(max_examples=200, deadline=None)

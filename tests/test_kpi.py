@@ -1,13 +1,14 @@
-"""KPI engine: synthetic formula checks, duplicate robustness, conservation
+"""KPI engine: synthetic formula checks, stream discipline, conservation
 and equivalence between the streaming path and the whole-log recompute."""
 
+import re
 from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from holobench.harness import run_single
-from holobench.interface import encode_record, iter_records, make_record
+from holobench.interface import DecodeError, encode_record, iter_records, make_record
 from holobench.kpi import (
     ConservationError,
     KpiEngine,
@@ -243,29 +244,77 @@ class TestFormulas:
         assert r.cancelled == 1
 
 
+def kpi_tap(i):
+    return make_record("control", 4, 12, "tap",
+                       {"flow": "FLOW7", "name": "commands_issued", "value": 3, "i": i})
+
+
+# One order through M1, stream by stream; every fold refuses each broken
+# stream below at the same entry, with the same words.
+_O1 = meta([{"id": "O1", "routing": ["A"], "release": 0, "due": 10, "priority": 0}])
+_RELEASE, _START, _FINISH, _COMPLETE = (
+    batch(1, 0, [{"time": 0, "seq": 1, "kind": "order-released", "order": "O1", "node": "IN"}]),
+    batch(2, 2, [{"time": 2, "seq": 2, "kind": "op-started", "machine": "M1", "order": "O1",
+                  "node": "M1"}]),
+    batch(3, 8, [{"time": 8, "seq": 3, "kind": "op-finished", "machine": "M1", "order": "O1",
+                  "node": "M1"}]),
+    batch(4, 12, [{"time": 12, "seq": 4, "kind": "order-completed", "order": "O1",
+                   "node": "OUT"}]),
+)
+BROKEN_STREAMS = {
+    "seq-repeated-later": (
+        [_O1, _RELEASE, _START, _FINISH,
+         batch(4, 9, [{"time": 9, "seq": 3, "kind": "op-started", "machine": "M1",
+                       "order": "O1", "node": "M1"}])],
+        "FLOW1 regressed: (t=9, seq=3) after (t=8, seq=3)",
+    ),
+    "batches-swapped": (
+        [_O1, _START, _RELEASE, _FINISH, _COMPLETE],
+        "FLOW1 regressed: (t=0, seq=1) after (t=2, seq=2)",
+    ),
+    "batch-twice": (
+        [_O1, _RELEASE, _START, _START, _FINISH, _COMPLETE],
+        "FLOW1 regressed: (t=2, seq=2) after (t=2, seq=2)",
+    ),
+    "tap-repeated": (
+        [_O1, _RELEASE, _START, _FINISH, _COMPLETE, kpi_tap(0), kpi_tap(0)],
+        "FLOW7 regressed: (t=12, seq=0) after (t=12, seq=0)",
+    ),
+}
+
+
 class TestStreamDiscipline:
-    def test_duplicate_batches_are_dropped_without_drift(self):
-        clean = synthetic_engine().finalize()
+    def test_duplicate_batches_are_refused(self):
+        # No caller delivers a record twice, so a repeat is a broken stream:
+        # both folds refuse it, at the second copy of the first batch.
+        records = [_O1, _RELEASE, _RELEASE]  # the batch delivered twice
+        refusal = "FLOW1 regressed: (t=0, seq=1) after (t=0, seq=1)"
         eng = KpiEngine()
-        eng.observe_record(meta([
-            {"id": "O1", "routing": ["A"], "release": 0, "due": 10, "priority": 0},
-        ]))
-        payloads = [
-            batch(1, 0, [{"time": 0, "seq": 1, "kind": "order-released",
-                          "order": "O1", "node": "IN"}]),
-            batch(2, 2, [{"time": 2, "seq": 2, "kind": "op-started", "machine": "M1",
-                          "order": "O1", "node": "M1"}]),
-            batch(3, 8, [{"time": 8, "seq": 3, "kind": "op-finished", "machine": "M1",
-                          "order": "O1", "node": "M1"}]),
-            batch(4, 12, [{"time": 12, "seq": 4, "kind": "order-completed",
-                           "order": "O1", "node": "OUT"}]),
-        ]
-        for p in payloads:
-            eng.observe_record(p)
-            eng.observe_record(p)  # delivered twice
-        noisy = eng.finalize()
-        assert eng.duplicates_dropped == 4
-        assert reports_match(clean, noisy) == []
+        with pytest.raises(StreamError, match=re.escape(refusal)):
+            for r in records:
+                eng.observe_record(r)
+        with pytest.raises(StreamError, match=re.escape(refusal)):
+            recompute_from_log(b"".join(map(encode_record, records)))
+
+    @pytest.mark.parametrize("stream, refusal", BROKEN_STREAMS.values(), ids=BROKEN_STREAMS)
+    def test_both_folds_refuse_a_broken_stream_alike(self, stream, refusal):
+        log = b"".join(map(encode_record, stream))
+        eng = KpiEngine()
+        with pytest.raises(StreamError) as streamed:
+            for _, record in iter_records(log):
+                eng.observe_record(record)
+        with pytest.raises(StreamError) as recomputed:
+            recompute_from_log(log)
+        assert str(streamed.value) == str(recomputed.value) == refusal
+
+    @pytest.mark.parametrize("i", [None, "0", 0.5, True])
+    def test_recompute_refuses_a_tap_without_an_integer_index(self, i):
+        log = encode_record(kpi_tap(0)) + encode_record(
+            make_record("control", 4, 12, "tap", {**kpi_tap(0)["body"], "i": i})
+        )
+        with pytest.raises(DecodeError, match="integer value and i") as e:
+            recompute_from_log(log)
+        assert e.value.offset == len(encode_record(kpi_tap(0)))
 
     def test_regression_is_an_error(self):
         eng = synthetic_engine()

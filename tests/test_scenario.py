@@ -13,6 +13,7 @@ from holobench.control import load_orders
 from holobench.harness import run_single
 from holobench.messages import (
     DIRECTIVE_KINDS,
+    EVENT_FIELDS,
     EVENT_KINDS,
     EVENT_SUBJECTS,
     INJECTION_KINDS,
@@ -219,14 +220,26 @@ class TestTriggerParsing:
         """A filter the run can never match is refused with the model, and
         not without it; under an after-trigger too."""
         doc = {"kind": "after", "delay": 1,
-               "base": {"kind": "on-event", "event": "shuttle-arrived", "where": where}}
+               "base": {"kind": "on-event", "event": "product-rejected", "where": where}}
         Trigger.from_doc(doc, "t")
         with pytest.raises(ScenarioError, match=r"t\.base\.where\.\w+ '\w+' is not in the model"):
             Trigger.from_doc(doc, "t", model=MODEL)
 
+    @pytest.mark.parametrize("event, fld", [
+        (event, fld) for event in sorted(EVENT_FIELDS)
+        for fld in ("machine", "shuttle", "order", "node") if fld not in EVENT_FIELDS[event]
+    ])
+    def test_where_names_a_field_the_event_carries(self, event, fld):
+        """A filter on a field the kind never carries could never match."""
+        trigger = {"kind": "on-event", "event": event, "where": {fld: "O1"}}
+        with pytest.raises(ScenarioError, match=re.escape(
+            f"rules[0].trigger.where.{fld}: {event} events carry no {fld}"
+        )):
+            load_scenario_doc(scenario_doc([down_rule(trigger)]))
+
     def test_where_order_is_only_type_checked(self):
         """An order filter may name an order a rule inserts mid-run."""
-        doc = {"kind": "on-event", "event": "order-completed",
+        doc = {"kind": "on-event", "event": "product-rejected",
                "where": {"order": "R1", "machine": "M1", "shuttle": "S1", "node": "IN"}}
         trigger, _ = Trigger.from_doc(doc, "t", model=MODEL)
         assert trigger.where["order"] == "R1"
