@@ -243,7 +243,7 @@ class ReferenceControl:
     def _apply_directive(self, d: ControlDirective) -> None:
         if d.kind == "insert-order":
             try:
-                spec = ProductOrder.from_dict(d.order or {})
+                spec = ProductOrder.from_dict(d.order)
             except OrderBookError:
                 return
             if spec.id in self._orders:
@@ -255,7 +255,7 @@ class ReferenceControl:
             bisect.insort(self._unreleased, h, key=_release_key)
             self.stats.directives_handled += 1
         elif d.kind == "cancel-order":
-            h = self._orders.get(d.order_id or "")
+            h = self._orders.get(d.order_id)
             if h is None or not h.open_:
                 return
             h.cancel_requested = True
@@ -265,15 +265,15 @@ class ReferenceControl:
                 self._close(h)
             self.stats.directives_handled += 1
         elif d.kind == "set-priority":
-            h = self._orders.get(d.order_id or "")
-            if h is None or d.priority is None:
+            h = self._orders.get(d.order_id)
+            if h is None:
                 return
             h.spec = replace(h.spec, priority=d.priority)
             h.rerank()
             self._resort = True
             self.stats.directives_handled += 1
         elif d.kind in _FLAGS:
-            r = self._machines.get(d.machine or "")
+            r = self._machines.get(d.machine)
             if r is None:
                 return
             setattr(r, *_FLAGS[d.kind])

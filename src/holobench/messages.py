@@ -4,9 +4,10 @@ These are the payloads that cross the interface layer between the emulation,
 the control system, and the scenario manager.  Event kinds form a closed set;
 every event carries the pair (time, seq) that totally orders the stream.
 Each class gets its dict form and that form's check from ``wire_message``,
-driven by its fields.  The classes are the schemas of the wire bodies: on
-the live path events and commands cross as their dict forms, and only the
-rare directives, injections and notices are built as objects.
+driven by its fields and their dict, string and integer types.  The classes
+are the one schema of the wire bodies and of the scenario's action payloads:
+on the live path events and commands cross as their dict forms, and only
+the rare directives, injections and notices are built as objects.
 """
 
 from __future__ import annotations
@@ -55,15 +56,16 @@ COMMAND_KINDS = frozenset(
     {"move-shuttle", "start-op", "release-order", "cancel-order", "end-of-round"}
 )
 
-DIRECTIVE_KINDS = frozenset(
-    {
-        "insert-order",
-        "cancel-order",
-        "set-priority",
-        "announce-breakdown",
-        "announce-supply-block",
-    }
-)
+# Closed vocabulary of control directives, each with the target fields its
+# kind acts on; a directive must set each of them.
+DIRECTIVE_TARGETS = {
+    "insert-order": ("order",),
+    "cancel-order": ("order_id",),
+    "set-priority": ("order_id", "priority"),
+    "announce-breakdown": ("machine",),
+    "announce-supply-block": ("machine",),
+}
+DIRECTIVE_KINDS = frozenset(DIRECTIVE_TARGETS)
 
 INJECTION_KINDS = frozenset(
     {"machine-down", "machine-up", "supply-shortage", "supply-restore", "product-reject"}
@@ -76,6 +78,11 @@ class MessageError(ValueError):
     """Malformed or inconsistent message payload."""
 
 
+# The field types ``check_body`` checks, by the name an annotation starts
+# with, each with what errors call it.
+_TYPES = {"dict": (dict, "an object"), "str": (str, "a string"), "int": (int, "an integer")}
+
+
 def wire_message(label: str, kinds: frozenset[str] | None = None,
                  rule: Callable[[dict[str, Any]], None] | None = None):
     """Give a message dataclass its ``to_dict``, ``from_dict``, ``check_body``
@@ -83,13 +90,14 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
 
     ``to_dict`` leaves out every field equal to its default; ``from_dict``
     ignores keys that name no field; both copy dict values.  ``check_body``
-    returns a body that passes ``rule`` and holds every field without a
-    default, a ``kind`` in ``kinds`` (if given), non-negative integers as
-    ``time`` and ``seq``, a dict or None in each dict field and a string or
-    None in each string field.  Building a message checks its fields so too,
-    so a body passes exactly when ``from_dict`` builds from it; ``from_dict``
-    checks it once, through ``copy_body``, and sets the fields without
-    building through the constructor, which would check it again.
+    returns a body that holds every field without a default, a ``kind`` in
+    ``kinds`` (if given) and non-negative integers as ``time`` and ``seq``,
+    passes ``rule``, and then holds None or a value of the field's type in
+    each other dict, string and integer field (``true`` is not an integer).
+    Building a message checks its fields so too, so a body passes exactly
+    when ``from_dict`` builds from it; ``from_dict`` checks it once, through
+    ``copy_body``, and sets the fields without building through the
+    constructor, which would check it again.
     ``copy_body`` copies a checked body as ``from_dict`` takes it.
     """
 
@@ -105,11 +113,13 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
         # the fields without a default that check_body reads nowhere else
         required = tuple(f.name for f in fields(cls) if f.default is f.default_factory is MISSING
                          and f.name != "kind" and f.name not in counters)
-        # annotations are strings here (``from __future__ import annotations``)
-        objects = [f.name for f in fields(cls) if f.type.startswith("dict")]
-        # the string fields, but for a kind that is checked against ``kinds``
-        strings = [f.name for f in fields(cls)
-                   if f.type.startswith("str") and (kinds is None or f.name != "kind")]
+        # (name, type, what errors call it) of each field checked by type, but
+        # the counters and a kind checked against ``kinds``; annotations are
+        # strings here (``from __future__ import annotations``)
+        typed = [(f.name, *_TYPES[prefix]) for f in fields(cls) for prefix in _TYPES
+                 if f.type.startswith(prefix) and f.name not in counters
+                 and (kinds is None or f.name != "kind")]
+        objects = [name for name, want, _ in typed if want is dict]
 
         def to_dict(self) -> dict[str, Any]:
             d: dict[str, Any] = {}
@@ -142,16 +152,12 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
                 raise MessageError(f"{label} body lacks {exc.args[0]!r}") from None
             if kinds is not None and (type(kind) is not str or kind not in kinds):
                 raise MessageError(f"unknown {label} kind {kind!r}")
-            for name in objects:
-                value = body.get(name)
-                if value is not None and type(value) is not dict:
-                    raise MessageError(f"{label} {name} must be an object")
             if rule is not None:
                 rule(body)
-            for name in strings:
+            for name, want, noun in typed:
                 value = body.get(name)
-                if value is not None and type(value) is not str:
-                    raise MessageError(f"{label} {name} must be a string")
+                if value is not None and type(value) is not want:
+                    raise MessageError(f"{label} {name} must be {noun}")
             return body
 
         def copy_body(body: Any) -> dict[str, Any]:
@@ -225,10 +231,18 @@ class ControlCommand(_Message):
     operation: str | None = None
 
 
-@wire_message("directive", DIRECTIVE_KINDS)
+def _directive_rule(body: dict[str, Any]) -> None:
+    """Each target field the directive's kind names is set."""
+    for name in DIRECTIVE_TARGETS[body["kind"]]:
+        if body.get(name) is None:
+            raise MessageError(f"{body['kind']} directive requires {name}")
+
+
+@wire_message("directive", DIRECTIVE_KINDS, _directive_rule)
 @dataclass(frozen=True)
 class ControlDirective(_Message):
-    """A scenario-manager instruction to the control system."""
+    """A scenario-manager instruction to the control system; the target
+    fields its kind names in ``DIRECTIVE_TARGETS`` are set."""
 
     kind: str
     order: dict[str, Any] | None = None  # insert-order payload

@@ -11,10 +11,13 @@ emulation or direct the control system.
 An action payload is the dict form of its message class, where any value
 may be a placeholder: ``{"sample": name}`` draws from a distribution and
 ``"$event.<field>"`` reads the triggering event.  At load, each payload is
-resolved with stand-ins (least draws, time 0, each event string its own
-reference), checked against the class's fields and their types, and built,
-so whatever loads also fires.  A firing whose ``$event.`` field is empty on
-its event is skipped, and the rule stays armed.
+resolved with stand-ins and built by its class, which checks its keys,
+types and targets, so whatever loads also fires.  A sample stands in as its
+least draw; an event stands in per trigger as the fields its kind may carry
+(``EVENT_FIELDS``), each its own reference, and time 0, so a reference to a
+field the kind never carries is refused.  A firing whose ``$event.`` field
+is empty on its event (one its kind carries only sometimes) is skipped, and
+the rule stays armed.
 
 All randomness is drawn from named distributions, each seeded from
 (run seed, scenario id, stream label), so streams are independent of one
@@ -31,11 +34,11 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
-from typing import Any, Callable, get_type_hints
+from typing import Any, Callable
 
-from .canon import fits, is_int
+from .canon import is_int
 from .control import OrderBookError, ProductOrder
 from .messages import EVENT_FIELDS, EVENT_KINDS, ControlDirective, Injection, MessageError
 
@@ -47,14 +50,8 @@ REGISTRY_SHA256 = "7a2aa8496292085cec0b65fcc52a6f1b999af7dd9f074dc362380dd1dcb52
 TRIGGER_KINDS = ("at-time", "on-event", "after")
 DISTRIBUTION_KINDS = ("constant", "uniform-int", "exponential-int")
 
-# Per action kind: the key of its payload, the message class the payload
-# builds and that class's field types, resolved once here.
-_ACTIONS = {
-    "inject": ("injection", Injection, get_type_hints(Injection)),
-    "direct": ("directive", ControlDirective, get_type_hints(ControlDirective)),
-}
-
-EVENT_REFS = ("machine", "shuttle", "order", "node", "time")
+# Per action kind: the key of its payload and the message class it builds.
+_ACTIONS = {"inject": ("injection", Injection), "direct": ("directive", ControlDirective)}
 
 SCENARIO_KEYS = frozenset({"id", "category", "description", "rules", "distributions"})
 
@@ -202,7 +199,8 @@ class Trigger:
         kind carries (``EVENT_FIELDS``).  With a model, each ``where``
         machine, shuttle and node must be a part of it; orders may be
         inserted mid-run, so a ``where`` order is only checked to be a
-        string."""
+        string here, and against the book and the inserts by
+        ``load_scenario_doc``."""
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ScenarioError(f"{path} must be an object with a kind")
         kind = doc["kind"]
@@ -288,7 +286,8 @@ class Scenario:
 
 
 class _Unbound(Exception):
-    """A ``$event.`` reference names a field that is empty on the event."""
+    """A ``$event.`` reference names a field that is empty on the event, or
+    at load one its trigger's event kind never carries."""
 
 
 def _resolve(value: Any, sample: Callable[[Any], int], event: dict[str, Any] | None) -> Any:
@@ -302,28 +301,21 @@ def _resolve(value: Any, sample: Callable[[Any], int], event: dict[str, Any] | N
     if isinstance(value, list):
         return [_resolve(v, sample, event) for v in value]
     if isinstance(value, str) and value.startswith("$event."):
-        fld = value[len("$event.") :]
-        if fld not in EVENT_REFS:
-            raise ScenarioError(f"{value!r} names no event field")
         if event is None:
             raise ScenarioError(f"{value!r} needs an on-event trigger")
-        resolved = event.get(fld)
+        resolved = event.get(value[len("$event.") :])
         if resolved is None:
-            raise _Unbound(value)
+            raise _Unbound(f"{value!r} names no field the event carries")
         return resolved
     return value
-
-
-# What ``$event.`` references resolve to at load: time 0, and each string
-# field its own reference, which target checks pass over.
-_STAND_IN = {"time": 0, **{fld: f"$event.{fld}" for fld in EVENT_REFS if fld != "time"}}
 
 
 def load_scenario(text: str, model=None, orders=None) -> Scenario:
     """Parse and validate a scenario document from JSON text.
 
     With a model, injection and directive targets are checked against it;
-    with an order book, literal order references are checked as well.
+    with an order book, literal order references are checked as well, and a
+    ``where`` order must name a book order or one a rule inserts.
     """
     try:
         doc = json.loads(text)
@@ -367,6 +359,7 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
 
     rules: list[Rule] = []
     inserted: dict[str, str] = {}  # literal insert-order id -> the path inserting it
+    book = None if orders is None else {o.id for o in orders}
     for i, rd in enumerate(rules_doc):
         path = f"rules[{i}]"
         if not isinstance(rd, dict):
@@ -385,9 +378,13 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
         max_occ = rd.get("max_occurrences", 1)
         if not is_int(max_occ) or max_occ < 1:
             raise ScenarioError(f"{path}.max_occurrences must be a positive integer")
-        event = _STAND_IN if trigger.kind == "on-event" else None
+        # ``$event.`` references stand in as time 0 and each field the event
+        # kind may carry as its own reference, which target checks pass over.
+        event = None
+        if trigger.kind == "on-event":
+            event = {"time": 0, **{f: f"$event.{f}" for f in EVENT_FIELDS[trigger.event]}}
         for j, a in enumerate(actions):
-            payload = _check_action(a, f"{path}.actions[{j}]", least, event, model, orders)
+            payload = _check_action(a, f"{path}.actions[{j}]", least, event, model, book)
             if payload["kind"] != "insert-order" or not _literal(payload["order"]["id"]):
                 continue
             # The control drops an insert whose id it already holds, so a
@@ -405,54 +402,49 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
     rule_ids = [r.id for r in rules]
     if len(set(rule_ids)) != len(rule_ids):
         raise ScenarioError("rule ids must be unique")
-
+    if book is not None:  # an order filter may name what a later rule inserts
+        for i, rule in enumerate(rules):
+            oid = rule.trigger.where.get("order")
+            if oid is not None and oid not in book and oid not in inserted:
+                raise ScenarioError(f"rules[{i}].trigger: where.order {oid!r} is neither "
+                                    "in the order book nor inserted by a rule")
     return Scenario(sid, category, description, tuple(rules), dists)
 
 
 def _check_action(action: Action, path: str, least: Callable[[Any], int],
-                  event: dict[str, Any] | None, model, orders) -> dict[str, Any]:
+                  event: dict[str, Any] | None, model, book: set[str] | None) -> dict[str, Any]:
     """Build the action's message from its payload with every placeholder
-    stood in, then check its literal targets; returns the stood-in payload."""
-    key, cls, hints = _ACTIONS[action.kind]
+    stood in, then check its literal targets against the model and the
+    book's order ids (``$event.`` references pass); returns the stood-in
+    payload."""
+    key, cls = _ACTIONS[action.kind]
     path = f"{path}.{key}"
-    _only_keys(action.payload, hints, path)
+    _only_keys(action.payload, {f.name for f in fields(cls)}, path)
     try:
         payload = {k: _resolve(v, least, event) for k, v in action.payload.items()}
-        wrong = sorted(k for k, v in payload.items() if not fits(v, hints[k]))
-        if wrong:
-            raise ScenarioError(f"values of the wrong type for keys {wrong}")
         cls(**payload)
-    except (ScenarioError, MessageError, TypeError) as exc:
+    except (ScenarioError, _Unbound, MessageError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
-    _validate_action_shape(payload, path, model, orders)
-    return payload
-
-
-def _validate_action_shape(payload: dict[str, Any], path: str, model, orders) -> None:
-    """Check a stood-in payload's literal targets against the model and the
-    order book; ``$event.`` references pass."""
     machine = payload.get("machine")
     if model is not None and _literal(machine) and machine not in model.machines:
         raise ScenarioError(f"{path}.machine {machine!r} is not in the model")
     if payload["kind"] == "insert-order":
-        order = payload.get("order")
-        if not isinstance(order, dict):
-            raise ScenarioError(f"{path}.order must be an object")
         # The control builds the order as the book loader does, and drops
         # one it refuses or whose id it already holds.
         try:
-            spec = ProductOrder.from_dict(order)
+            spec = ProductOrder.from_dict(payload["order"])
         except OrderBookError as exc:
             raise ScenarioError(f"{path}.order: {exc}") from None
         if model is not None:
             for op in spec.routing:
                 if _literal(op) and not model.capable_machines(op):
                     raise ScenarioError(f"{path}.order: no machine performs {op!r}")
-        if orders is not None and _literal(spec.id) and spec.id in {o.id for o in orders}:
+        if book is not None and _literal(spec.id) and spec.id in book:
             raise ScenarioError(f"{path}.order: id {spec.id!r} is already in the order book")
     target = payload.get("order_id")
-    if orders is not None and _literal(target) and target not in {o.id for o in orders}:
+    if book is not None and _literal(target) and target not in book:
         raise ScenarioError(f"{path}.order_id {target!r} is not in the order book")
+    return payload
 
 
 def _literal(value: Any) -> bool:

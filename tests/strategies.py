@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from holobench.control import ProductOrder
 from holobench.messages import (
     COMMAND_KINDS,
-    DIRECTIVE_KINDS,
+    DIRECTIVE_TARGETS,
     EVENT_SUBJECTS,
     INJECTION_KINDS,
     REJECT_POLICIES,
@@ -18,7 +18,8 @@ from holobench.messages import (
 )
 
 # One strategy per wire message class, each drawing every field.
-_id = st.none() | st.text(min_size=1, max_size=8)
+_name = st.text(min_size=1, max_size=8)
+_id = st.none() | _name
 _payload = st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6), max_size=3)
 
 
@@ -36,6 +37,15 @@ def _event(kind):
     )
 
 
+def _directive(kind):
+    """Directives of one kind: the targets the kind names are set."""
+    values = {"order": _payload, "order_id": _name, "priority": st.integers(), "machine": _name}
+    return st.builds(ControlDirective, kind=st.just(kind), **{
+        name: value if name in DIRECTIVE_TARGETS[kind] else st.none() | value
+        for name, value in values.items()
+    })
+
+
 MESSAGES = {
     SimEvent: st.sampled_from(sorted(EVENT_SUBJECTS)).flatmap(_event),
     ControlCommand: st.builds(
@@ -43,12 +53,7 @@ MESSAGES = {
         kind=st.sampled_from(sorted(COMMAND_KINDS)),
         shuttle=_id, destination=_id, carry=_id, machine=_id, order=_id, operation=_id,
     ),
-    ControlDirective: st.builds(
-        ControlDirective,
-        kind=st.sampled_from(sorted(DIRECTIVE_KINDS)),
-        order=st.none() | _payload, order_id=_id, priority=st.none() | st.integers(),
-        machine=_id,
-    ),
+    ControlDirective: st.sampled_from(sorted(DIRECTIVE_TARGETS)).flatmap(_directive),
     Injection: st.one_of(
         st.builds(
             Injection,

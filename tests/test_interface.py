@@ -1115,6 +1115,28 @@ class TestHandshake:
             client.handle(record)
         assert isinstance(info.value.__cause__, cause)
 
+    @pytest.mark.parametrize("priority", [True, 1.5, "x"])
+    def test_priority_that_is_no_integer_is_a_protocol_error(
+        self, minicell_model, minicell_orders, null_scenario, priority
+    ):
+        """``true`` would rank as priority 1 and ``1.5`` as 1.5, and ``"x"``
+        would fail the next round with a bare TypeError; the client and
+        replay refuse the directive where it is received."""
+        directive = rec(kind="directive", role="scenario-manager",
+                        body={"kind": "set-priority", "order_id": "O1", "priority": priority})
+        fault = "scenario-manager directive body builds no message"
+        client = ControlClient(lambda record: None, ReferenceControl(minicell_model))
+        with pytest.raises(ProtocolError, match=fault):
+            client.handle(directive)
+        # the same record ahead of a recorded session's first event batch
+        log = run_single(minicell_model, minicell_orders, null_scenario, seed=1).log
+        lines, records = zip(*iter_records(log))
+        lines = list(lines)
+        lines.insert(next(i for i, r in enumerate(records) if r["kind"] == "event-batch"),
+                     encode_record(directive))
+        with pytest.raises(ProtocolError, match=fault):
+            replay_session(b"".join(lines), ReferenceControl(minicell_model))
+
     def test_unknown_kind_refused(self, minicell_model):
         client = ControlClient(lambda record: None, ReferenceControl(minicell_model))
         with pytest.raises(ProtocolError, match="mystery"):

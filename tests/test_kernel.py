@@ -471,6 +471,7 @@ _cmd = st.one_of(
         st.sampled_from(["A", "B"]),
         st.sampled_from(["O1", "O2", "O3"]),
     ),
+    st.builds(cancel, st.sampled_from(["O1", "O2", "O3"])),
 )
 _machine = st.sampled_from(["M1", "M2"])
 _inj = st.one_of(

@@ -12,6 +12,7 @@ from holobench.canon import canon_dumps, doc_hash, fits, sha256_hex
 from holobench.messages import (
     COMMAND_KINDS,
     DIRECTIVE_KINDS,
+    DIRECTIVE_TARGETS,
     EVENT_KINDS,
     EVENT_SUBJECTS,
     INJECTION_KINDS,
@@ -189,14 +190,17 @@ def test_notice_round_trip():
 
 def _corruptions(cls, body):
     """One-field corruptions of a valid body, as (body, must_refuse) pairs:
-    a dropped required key or event subject, an unknown kind, a negative or
-    boolean ``time`` or ``seq``, a number or list in a string field, all
+    a dropped required key, event subject or directive target, an unknown
+    kind, a negative or boolean ``time`` or ``seq``, a number or list in a
+    string field, a string, boolean or float in an integer field, all
     refused; or any JSON value put in any field, which the check may take
     only if ``from_dict`` builds from it."""
     required = [f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING]
     if cls is SimEvent:
         required += EVENT_SUBJECTS[body["kind"]]
+    if cls is ControlDirective:
+        required += DIRECTIVE_TARGETS[body["kind"]]
     counters = [name for name in ("time", "seq") if name in body]
     refused = [st.sampled_from(required).map(
         lambda name: {k: v for k, v in body.items() if k != name})]
@@ -210,6 +214,11 @@ def _corruptions(cls, body):
     refused.append(st.builds(lambda name, value: {**body, name: value},
                              st.sampled_from(strings),
                              st.integers() | st.booleans() | st.lists(st.text(max_size=2))))
+    integers = [f.name for f in fields(cls) if f.type == "int | None"]
+    if integers:
+        refused.append(st.builds(lambda name, value: {**body, name: value},
+                                 st.sampled_from(integers),
+                                 st.text(max_size=3) | st.booleans() | st.floats()))
     values = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
               | st.lists(st.integers(), max_size=2)
               | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))

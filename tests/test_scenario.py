@@ -390,6 +390,14 @@ class TestActionPayloads:
                 "id": "R1", "routing": "A", "release": 0, "due": 90}}},
             {"kind": "direct", "directive": {"kind": "insert-order", "order": {
                 "id": "R1", "routing": ["A"], "release": "$event.order", "due": 90}}},
+            {"kind": "direct",
+             "directive": {"kind": "set-priority", "order_id": "O1", "priority": True}},
+            {"kind": "direct",
+             "directive": {"kind": "set-priority", "order_id": "O1", "priority": 1.5}},
+            {"kind": "direct", "directive": {"kind": "set-priority", "order_id": "O1"}},
+            {"kind": "direct", "directive": {"kind": "cancel-order"}},
+            {"kind": "direct", "directive": {"kind": "announce-breakdown"}},
+            {"kind": "direct", "directive": {"kind": "insert-order"}},
         ],
         ids=[
             "reject-without-policy",
@@ -407,6 +415,12 @@ class TestActionPayloads:
             "insert-order-negative-release",
             "insert-order-routing-not-a-list",
             "insert-order-event-string-as-release",
+            "boolean-priority",
+            "float-priority",
+            "set-priority-without-priority",
+            "cancel-order-without-order-id",
+            "announce-breakdown-without-machine",
+            "insert-order-without-order",
         ],
     )
     def test_payload_rejected_at_load_with_its_path(self, action):
@@ -419,6 +433,38 @@ class TestActionPayloads:
         for model, orders in ((None, None), (MODEL, ORDERS)):
             with pytest.raises(ScenarioError, match=re.escape(path)):
                 load_scenario_doc(doc, model=model, orders=orders)
+
+    @pytest.mark.parametrize("event, fld, ref", [
+        ("order-released", "machine", "$event.machine"),
+        ("machine-down", "machine", "$event.shuttle"),
+        ("op-started", "duration", "$event.seq"),
+    ])
+    def test_reference_the_event_never_carries_is_refused_with_its_path(self, event, fld, ref):
+        """A firing whose reference is empty is skipped, so a reference to
+        a field the trigger's event kind never carries could never fire."""
+        rule = down_rule({"kind": "after", "delay": 1,
+                          "base": {"kind": "on-event", "event": event}})
+        rule["actions"][0]["injection"][fld] = ref
+        for model, orders in ((None, None), (MODEL, ORDERS)):
+            with pytest.raises(ScenarioError, match=re.escape(
+                    f"rules[0].actions[0].injection: {ref!r} names no field")):
+                load_scenario_doc(scenario_doc(rules=[rule]), model=model, orders=orders)
+
+    @pytest.mark.parametrize("order, ok", [("O2", True), ("R1", True), ("R2", False)])
+    def test_where_order_names_a_book_order_or_an_inserted_one(self, order, ok):
+        """With the book at hand, an order filter must name one of its
+        orders or an id some rule inserts, a later rule's too."""
+        doc = scenario_doc(rules=[
+            down_rule({"kind": "on-event", "event": "order-completed", "where": {"order": order}}),
+            _insert_rule({"kind": "at-time", "time": 1}, "R1", rule_id="r2"),
+        ])
+        load_scenario_doc(doc, model=MODEL)
+        if ok:
+            load_scenario_doc(doc, model=MODEL, orders=ORDERS)
+        else:
+            with pytest.raises(ScenarioError, match=re.escape(
+                    f"rules[0].trigger: where.order {order!r} is neither in the order book")):
+                load_scenario_doc(doc, model=MODEL, orders=ORDERS)
 
     def test_insert_order_id_already_in_the_book(self):
         """The control keeps the book's order and drops the inserted one,
@@ -754,23 +800,25 @@ class TestManagerRuntime:
         assert m.process_batch(9, [ev("op-started", machine="M1", time=9, seq=4)]) == []
 
     def test_empty_event_field_skips_the_firing_and_keeps_the_rule_armed(self):
-        rule = down_rule({"kind": "on-event", "event": "order-released"})
+        """A product rejected in transit names no machine; the rule waits
+        for one rejected in process."""
+        rule = down_rule({"kind": "on-event", "event": "product-rejected"})
         rule["actions"][0]["injection"]["machine"] = "$event.machine"
         m = self._manager([rule])
-        assert m.process_batch(0, [ev("order-released", order="O1")]) == []
-        (firing,) = m.process_batch(1, [ev("order-released", order="O2", machine="M2", seq=2)])
+        assert m.process_batch(0, [ev("product-rejected", order="O1", shuttle="S1")]) == []
+        (firing,) = m.process_batch(1, [ev("product-rejected", order="O2", machine="M2", seq=2)])
         assert firing.injections[0].machine == "M2"
 
-    def test_empty_event_field_runs_to_a_verdict(self, minicell_model, minicell_orders,
-                                                 null_scenario):
+    def test_never_carried_event_field_is_refused_at_load(self, minicell_model,
+                                                          minicell_orders):
+        """Released orders name no machine, so this rule would never fire
+        and the run would end ``completed`` without its disturbance."""
         rule = down_rule({"kind": "on-event", "event": "order-released"})
         rule["actions"][0]["injection"]["machine"] = "$event.machine"
-        scenario = load_scenario_doc(scenario_doc(rules=[rule]), model=minicell_model,
-                                     orders=minicell_orders)
-        result = run_single(minicell_model, minicell_orders, scenario, 1)
-        null = run_single(minicell_model, minicell_orders, null_scenario, 1)
-        assert result.status == "completed"
-        assert (result.final_t, result.events) == (null.final_t, null.events)
+        with pytest.raises(ScenarioError, match=re.escape(
+                "rules[0].actions[0].injection: '$event.machine' names no field")):
+            load_scenario_doc(scenario_doc(rules=[rule]), model=minicell_model,
+                              orders=minicell_orders)
 
     def test_null_scenario_never_fires(self, null_scenario):
         m = ScenarioManager(null_scenario, 1)
