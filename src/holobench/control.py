@@ -74,13 +74,14 @@ class ProductOrder:
         return dict(vars(self), routing=list(self.routing))
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ProductOrder":
+    def from_dict(cls, d: Any) -> "ProductOrder":
+        if type(d) is not dict:
+            raise OrderBookError(f"order {d!r} must be an object")
         routing = d.get("routing")
         if not isinstance(routing, list) or not routing:
             raise OrderBookError(f"order {d.get('id')!r}: routing must be a non-empty list")
-        for step in routing:
-            if not isinstance(step, str):
-                raise OrderBookError(f"order {d.get('id')!r}: routing steps must be strings")
+        if not all(isinstance(step, str) for step in routing):
+            raise OrderBookError(f"order {d.get('id')!r}: routing steps must be strings")
         for key in ("release", "due"):
             if not is_int(d.get(key)) or d[key] < 0:
                 raise OrderBookError(f"order {d.get('id')!r}: {key} must be a non-negative integer")
@@ -89,13 +90,7 @@ class ProductOrder:
         priority = d.get("priority", 0)
         if not is_int(priority):
             raise OrderBookError(f"order {d['id']!r}: priority must be an integer")
-        return cls(
-            id=d["id"],
-            routing=tuple(routing),
-            release=d["release"],
-            due=d["due"],
-            priority=priority,
-        )
+        return cls(d["id"], tuple(routing), d["release"], d["due"], priority)
 
 
 def load_orders(text: str) -> list[ProductOrder]:

@@ -37,15 +37,16 @@ bodies, and a command record's body is the control's own command.  Where a
 body is received, on every path, its message class's ``check_body`` checks
 it and it is copied: ``ControlClient`` hands the control a checked copy of
 each event and builds the rare directives and notices with ``from_dict``,
-and the round driver hands the kernel a checked copy of each command.  A
-body that fails raises ``ProtocolError``.  In process, the control gets the
-driver's own record and its replies are queued with their records, so the
-session decodes nothing; a socket carries only the line, decoded once by
-its receiver.  The recorder gets each line with its record once the
-session is done with it.  Every log reader walks ``iter_records``, which
-decodes each line once, as it yields it; a reader of events refuses a bad
-event body with ``DecodeError`` at its line's byte offset.  Replay indexes
-the whole log before the control sees a record and encodes only the
+and the round driver hands the kernel a checked copy of each command and
+checks each tap.  A body that fails, in ``built_body``, raises
+``ProtocolError``, or, read from a log (events, or the KPI oracle's
+run-meta, directives and taps), ``DecodeError`` at its line's byte offset.
+In process, the control gets the driver's own record and its replies are
+queued with their records, so the session decodes nothing; a socket carries
+only the line, decoded once by its receiver.  The recorder gets each line
+with its record once the session is done with it.  Every log reader walks
+``iter_records``, which decodes each line once, as it yields it.  Replay
+indexes the whole log before the control sees a record and encodes only the
 command and end-of-round records the control returns.
 """
 
@@ -59,9 +60,9 @@ import time
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator
 
-from .canon import canon_dumps, canon_str, fits
+from .canon import canon_dumps, canon_str, is_int
 from .control import OrderBookError, ProductOrder, ReferenceControl
-from .messages import ControlCommand, ControlDirective, MessageError, Notice, SimEvent
+from .messages import ControlCommand, ControlDirective, MessageError, Notice, SimEvent, Tap
 
 WIRE_PREFIX = b"IL1 "
 WIRE_VERSION = "1"
@@ -71,10 +72,8 @@ ROLE_EMULATION = "emulation"
 ROLE_CONTROL = "control"
 ROLE_SCENARIO = "scenario-manager"
 
-# The tap flow that carries the control's end-of-run counters, and the
-# fields the round driver requires of every tap.
+# The tap flow that carries the control's end-of-run counters.
 FLOW_CONTROL_KPI = "FLOW7"
-_TAP_FIELDS = {"flow": str, "name": str, "value": int, "i": int}
 
 
 class DecodeError(ValueError):
@@ -227,6 +226,22 @@ def extract_command_log(log: bytes) -> bytes:
     return bytes(out)
 
 
+def built_body(
+    build: Callable[[Any], Any], record: dict[str, Any], offset: int | None = None
+) -> Any:
+    """``build`` of the record's body.  A body that builds nothing raises
+    ``ProtocolError`` naming the record's role and kind, or, for a record
+    read from a log at byte ``offset``, ``DecodeError`` there."""
+    try:
+        return build(record["body"])
+    except (KeyError, TypeError, MessageError, OrderBookError) as exc:
+        if offset is not None:
+            raise DecodeError(f"{record['kind']} refused: {exc}", offset) from exc
+        raise ProtocolError(
+            f"{record['role']} {record['kind']} body builds no message: {exc!r}"
+        ) from exc
+
+
 def batch_events(
     record: dict[str, Any], offset: int = 0, build: Callable[[Any], Any] = SimEvent.check_body
 ) -> list[Any]:
@@ -234,13 +249,13 @@ def batch_events(
     ``SimEvent.check_body`` gives the bodies, ``SimEvent.from_dict`` the
     messages.  A body without an events list, or with an event that fails
     its check, raises ``DecodeError`` at ``offset``."""
-    events = record["body"].get("events")
-    if type(events) is not list:
-        raise DecodeError("event-batch body must hold an events list", offset)
-    try:
-        return [build(body) for body in events]
-    except MessageError as exc:
-        raise DecodeError(f"event-batch event refused: {exc}", offset) from None
+
+    def events(body: dict[str, Any]) -> list[Any]:
+        if type(body.get("events")) is not list:
+            raise MessageError("event-batch body must hold an events list")
+        return [build(event) for event in body["events"]]
+
+    return built_body(events, record, offset)
 
 
 def extract_event_stream(log: bytes) -> list[SimEvent]:
@@ -264,9 +279,9 @@ class ControlClient:
     event batch) is answered with command records and an end-of-round
     record, and run-end with the control's end-of-run taps and a bye.  Each
     reply record goes to ``send`` as it is made.  An inbound body the
-    control cannot take (a hello without a model hash, a run-meta order
-    that does not load, a bad event or directive) raises ``ProtocolError``
-    naming its record.
+    control cannot take (a hello without a model hash, a run-meta that
+    ``run_meta_orders`` refuses, a bad event or directive) raises
+    ``ProtocolError`` naming its record.
     """
 
     def __init__(self, send: Callable[[dict[str, Any]], None], control: ReferenceControl):
@@ -279,15 +294,15 @@ class ControlClient:
         """Handle one inbound record; False once the session is over."""
         kind = record["kind"]
         if kind == "hello":
-            self._control.check_model_hash(_built(operator.itemgetter("model_hash"), record))
+            self._control.check_model_hash(built_body(operator.itemgetter("model_hash"), record))
             body = {"model_hash": self._control.model.model_hash, "policy": "reference-holonic"}
             self._send(make_record(ROLE_CONTROL, 0, 0, "hello", body))
         elif kind == "run-meta":
-            self._control.load_orders(_built(_book, record))
+            self._control.load_orders(built_body(run_meta_orders, record))
         elif kind == "injection":
             pass  # audit trail only
         elif kind == "directive":
-            self._directives.append(_built(ControlDirective.from_dict, record))
+            self._directives.append(built_body(ControlDirective.from_dict, record))
         elif kind == "event-batch":
             self._serve_round(record)
         elif kind == "run-end":
@@ -308,7 +323,7 @@ class ControlClient:
                 f"round monotonicity violated: got round {round_no} after {self._round}"
             )
         self._round = round_no
-        events, notices = _built(_round_inputs, record)
+        events, notices = built_body(_round_inputs, record)
         commands, idle = self._control.on_round(t, self._directives, events, notices)
         self._directives = []
         for cmd in commands:
@@ -317,26 +332,22 @@ class ControlClient:
         self._send(end)
 
 
-def _book(body: dict[str, Any]) -> list[ProductOrder]:
-    """The orders of a run-meta body."""
-    return [ProductOrder.from_dict(d) for d in body.get("orders", [])]
+def run_meta_orders(body: dict[str, Any]) -> list[ProductOrder]:
+    """The orders of a run-meta body; the body's run id, scenario, seed and
+    machines, which the KPI report reads, must have the report's types."""
+    orders, machines = body.get("orders", []), body.get("machines", [])
+    if not (type(body.get("run_id", "")) is str and type(body.get("scenario", "")) is str
+            and is_int(body.get("seed", 0)) and type(orders) is list and type(machines) is list
+            and all(type(m) is str for m in machines)):
+        raise MessageError("run-meta needs a string run_id and scenario, an integer seed, "
+                           "and lists of orders and machine ids")
+    return [ProductOrder.from_dict(d) for d in orders]
 
 
 def _round_inputs(body: dict[str, Any]) -> tuple[list[dict[str, Any]], list[Notice]]:
     """A checked copy of each event of a batch body, and its notices."""
     notices = [Notice.from_dict(d) for d in body.get("notices", ())]
     return [SimEvent.copy_body(d) for d in body["events"]], notices
-
-
-def _built(build: Callable[[Any], Any], record: dict[str, Any]) -> Any:
-    """``build`` of the record's body, or ``ProtocolError`` naming the
-    record's role and kind when the body builds nothing."""
-    try:
-        return build(record["body"])
-    except (KeyError, TypeError, AttributeError, MessageError, OrderBookError) as exc:
-        raise ProtocolError(
-            f"{record['role']} {record['kind']} body builds no message: {exc!r}"
-        ) from exc
 
 
 def serve_control(endpoint, control: ReferenceControl) -> None:
@@ -559,7 +570,7 @@ class RoundDriver:
             if record["corr"] != self.round_no:
                 raise ProtocolError(f"{kind} correlates to the wrong round")
             if kind == "command":
-                commands.append(_built(ControlCommand.copy_body, record))
+                commands.append(built_body(ControlCommand.copy_body, record))
             else:
                 self.round_ms.append((time.perf_counter() - sent) * 1000.0)
                 idle = record["body"].get("idle")
@@ -571,9 +582,9 @@ class RoundDriver:
 
     def end_run(self, t: int, reason: str) -> None:
         """Send run-end and read the control's final taps and its bye.  A tap
-        without a string flow and name and an integer value and i, or whose
-        i does not exceed the previous tap's, raises ``ProtocolError``, so
-        the KPI engine observes only checked taps, in order."""
+        that ``Tap.check_body`` refuses, or whose i does not exceed the
+        previous tap's, raises ``ProtocolError``, so the KPI engine observes
+        only checked taps, in order."""
         self.round_no += 1
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "run-end", {"reason": reason}))
         last_i = None
@@ -583,11 +594,7 @@ class RoundDriver:
             if kind not in ("tap", "bye"):
                 raise ProtocolError(f"unexpected record {kind!r} after run-end")
             if kind == "tap":
-                body = record["body"]
-                if not all(fits(body.get(key), hint) for key, hint in _TAP_FIELDS.items()):
-                    raise ProtocolError(
-                        "a control tap needs a string flow and name, and an integer value and i"
-                    )
+                body = built_body(Tap.check_body, record)
                 if last_i is not None and body["i"] <= last_i:
                     raise ProtocolError(
                         f"control tap i={body['i']} does not exceed the previous tap's i={last_i}"

@@ -25,8 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Iterable, get_type_hints
 
-from .canon import fits, is_int
-from .interface import FLOW_CONTROL_KPI, DecodeError, batch_events, iter_records
+from .canon import fits
+from .control import ProductOrder
+from .interface import FLOW_CONTROL_KPI, batch_events, built_body, iter_records, run_meta_orders
+from .messages import ControlDirective, Tap
 
 FLOW_EVENTS = "FLOW1"
 
@@ -192,16 +194,13 @@ class KpiEngine:
             self._machines = list(body.get("machines", []))
             for od in body.get("orders", []):
                 self._dues[od["id"]] = od["due"]
-        elif kind == "directive" and record["body"].get("kind") == "insert-order":
-            od = record["body"].get("order") or {}
-            if "id" in od and "due" in od:
-                self._dues[od["id"]] = od["due"]
+        elif kind == "directive" and (body := record["body"])["kind"] == "insert-order":
+            self._dues[body["order"]["id"]] = body["order"]["due"]
         elif kind == "event-batch":
             for ed in record["body"]["events"]:
                 self._check_order(FLOW_EVENTS, ed["time"], ed["seq"])
                 self._ingest_event(ed["time"], ed)
-        elif kind == "tap" and record["body"].get("flow") == FLOW_CONTROL_KPI:
-            body = record["body"]
+        elif kind == "tap" and (body := record["body"])["flow"] == FLOW_CONTROL_KPI:
             self._check_order(FLOW_CONTROL_KPI, record["t"], body["i"])
             self._control_kpi[body["name"]] = body["value"]
 
@@ -329,9 +328,10 @@ class KpiEngine:
         )
 
 
-def _is_order(od: Any) -> bool:
-    """Whether a logged order is an object with a string id and an integer due."""
-    return type(od) is dict and type(od.get("id")) is str and is_int(od.get("due"))
+def _inserted(body: dict[str, Any]) -> ProductOrder | None:
+    """The order a directive body inserts, if it is an insert-order."""
+    directive = ControlDirective.check_body(body)
+    return ProductOrder.from_dict(body["order"]) if directive["kind"] == "insert-order" else None
 
 
 def recompute_from_log(log: bytes) -> KpiReport:
@@ -345,10 +345,12 @@ def recompute_from_log(log: bytes) -> KpiReport:
 
     The log is decoded one line at a time, and each record, each event
     (checked, see ``batch_events``) included, is folded in as it is read
-    and dropped.  A run-meta whose orders, or an insert-order directive
-    whose order, are not objects with a string ``id`` and an integer
-    ``due``, or a FLOW7 tap without a string ``name`` and an integer
-    ``value`` and ``i``, raises ``DecodeError`` at its line's offset.
+    and dropped.  Each body is checked as the live session checks it: a
+    run-meta by ``run_meta_orders``, a directive by ``ControlDirective`` and
+    a tap by ``Tap`` (but one whose flow is a string other than FLOW7, such
+    as an older log's FLOW2 latency taps, is not read), and each order by
+    ``ProductOrder.from_dict``; a body refused raises ``DecodeError`` at its
+    line's offset.
     """
     meta: dict[str, Any] = {}
     dues: dict[str, int] = {}
@@ -380,22 +382,10 @@ def recompute_from_log(log: bytes) -> KpiReport:
         kind = record["kind"]
         if kind == "run-meta":
             meta = record["body"]
-            orders = meta.get("orders", [])
-            if type(orders) is not list or not all(map(_is_order, orders)):
-                raise DecodeError(
-                    "run-meta orders must be objects with a string id and an integer due", offset
-                )
-            dues.update((od["id"], od["due"]) for od in orders)
-        elif kind == "directive" and record["body"].get("kind") == "insert-order":
-            if "order" in record["body"]:
-                od = record["body"]["order"]
-                if not _is_order(od):
-                    raise DecodeError(
-                        "an insert-order's order must be an object with a string id "
-                        "and an integer due",
-                        offset,
-                    )
-                dues[od["id"]] = od["due"]
+            dues.update((o.id, o.due) for o in built_body(run_meta_orders, record, offset))
+        elif kind == "directive":
+            if (order := built_body(_inserted, record, offset)) is not None:
+                dues[order.id] = order.due
         elif kind == "event-batch":
             for e in batch_events(record, offset):
                 k, t, m = e["kind"], e["time"], e.get("machine")
@@ -437,16 +427,11 @@ def recompute_from_log(log: bytes) -> KpiReport:
                     if ("blocked", m) not in opened:
                         raise StreamError(f"supply-restored on machine {m!r} that was not blocked")
                     close("blocked", m, t)
-        elif kind == "tap" and record["body"].get("flow") == FLOW_CONTROL_KPI:
-            body = record["body"]
-            name, value, i = body.get("name"), body.get("value"), body.get("i")
-            if type(name) is not str or not is_int(value) or not is_int(i):
-                raise DecodeError(
-                    f"{FLOW_CONTROL_KPI} tap needs a string name, and an integer value and i",
-                    offset,
-                )
-            follow(FLOW_CONTROL_KPI, record["t"], i)
-            control_kpi[name] = value
+        elif kind == "tap" and (type(flow := record["body"].get("flow")) is not str
+                                or flow == FLOW_CONTROL_KPI):
+            body = built_body(Tap.check_body, record, offset)
+            follow(FLOW_CONTROL_KPI, record["t"], body["i"])
+            control_kpi[body["name"]] = body["value"]
         offset += len(line)
     released, completed, cancelled = times.values()
 

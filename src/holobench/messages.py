@@ -5,9 +5,10 @@ the control system, and the scenario manager.  Event kinds form a closed set;
 every event carries the pair (time, seq) that totally orders the stream.
 Each class gets its dict form and that form's check from ``wire_message``,
 driven by its fields and their dict, string and integer types.  The classes
-are the one schema of the wire bodies and of the scenario's action payloads:
-on the live path events and commands cross as their dict forms, and only
-the rare directives, injections and notices are built as objects.
+are the one schema of the wire bodies, taps included, and of the scenario's
+action payloads: on the live path events, commands and taps cross as their
+dict forms, and only the rare directives, injections and notices are built
+as objects.
 """
 
 from __future__ import annotations
@@ -90,10 +91,11 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
 
     ``to_dict`` leaves out every field equal to its default; ``from_dict``
     ignores keys that name no field; both copy dict values.  ``check_body``
-    returns a body that holds every field without a default, a ``kind`` in
-    ``kinds`` (if given) and non-negative integers as ``time`` and ``seq``,
-    passes ``rule``, and then holds None or a value of the field's type in
-    each other dict, string and integer field (``true`` is not an integer).
+    returns a body that holds every field without a default, none of them
+    null, a ``kind`` in ``kinds`` (if given; the body's ``kind`` is read only
+    then) and non-negative integers as ``time`` and ``seq``, passes ``rule``,
+    and then holds None or a value of the field's type in each other dict,
+    string and integer field (``true`` is not an integer).
     Building a message checks its fields so too, so a body passes exactly
     when ``from_dict`` builds from it; ``from_dict`` checks it once, through
     ``copy_body``, and sets the fields without building through the
@@ -110,15 +112,15 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
         factories = {f.name: f.default_factory for f in fields(cls)
                      if f.default_factory is not MISSING}
         counters = tuple(name for name in ("time", "seq") if name in names)
-        # the fields without a default that check_body reads nowhere else
-        required = tuple(f.name for f in fields(cls) if f.default is f.default_factory is MISSING
-                         and f.name != "kind" and f.name not in counters)
-        # (name, type, what errors call it) of each field checked by type, but
-        # the counters and a kind checked against ``kinds``; annotations are
+        # the counters, and a kind checked against ``kinds``, have checks of their own
+        own = {*counters, *(("kind",) if kinds is not None else ())}
+        # the other fields without a default, and (name, type, what errors
+        # call it) of each other field checked by type; annotations are
         # strings here (``from __future__ import annotations``)
+        required = tuple(f.name for f in fields(cls)
+                         if f.default is f.default_factory is MISSING and f.name not in own)
         typed = [(f.name, *_TYPES[prefix]) for f in fields(cls) for prefix in _TYPES
-                 if f.type.startswith(prefix) and f.name not in counters
-                 and (kinds is None or f.name != "kind")]
+                 if f.type.startswith(prefix) and f.name not in own]
         objects = [name for name, want, _ in typed if want is dict]
 
         def to_dict(self) -> dict[str, Any]:
@@ -141,17 +143,18 @@ def wire_message(label: str, kinds: frozenset[str] | None = None,
             if type(body) is not dict:
                 raise MessageError(f"{label} body must be an object")
             try:
-                kind = body["kind"]
+                if kinds is not None and (type(kind := body["kind"]) is not str
+                                          or kind not in kinds):
+                    raise MessageError(f"unknown {label} kind {kind!r}")
                 for name in counters:
                     value = body[name]
                     if type(value) is not int or value < 0:
                         raise MessageError(f"{label} {name} must be a non-negative integer")
                 for name in required:
-                    body[name]
+                    if body[name] is None:
+                        raise MessageError(f"{label} {name} must not be null")
             except KeyError as exc:
                 raise MessageError(f"{label} body lacks {exc.args[0]!r}") from None
-            if kinds is not None and (type(kind) is not str or kind not in kinds):
-                raise MessageError(f"unknown {label} kind {kind!r}")
             if rule is not None:
                 rule(body)
             for name, want, noun in typed:
@@ -292,3 +295,14 @@ class Notice(_Message):
     reason: str
     command: dict[str, Any] | None = None
     injection: dict[str, Any] | None = None
+
+
+@wire_message("tap")
+@dataclass(frozen=True)
+class Tap(_Message):
+    """One entry of a tapped stream, such as a control counter on FLOW7."""
+
+    flow: str
+    name: str
+    value: int
+    i: int

@@ -113,8 +113,7 @@ def load_model_doc(doc: Any) -> ShopModel:
         "transport.nodes must be a non-empty list of strings",
     )
     _require(len(set(raw_nodes)) == len(raw_nodes), "transport.nodes contains duplicates")
-    nodes = tuple(raw_nodes)
-    node_set = set(nodes)
+    nodes = tuple(raw_nodes)  # membership tests compare, so an unhashable reference is unknown
 
     edges: dict[tuple[str, str], int] = {}
     raw_edges = transport["edges"]
@@ -125,8 +124,8 @@ def load_model_doc(doc: Any) -> ShopModel:
             f"transport.edges[{i}] must have from/to/travel",
         )
         a, b, w = e["from"], e["to"], e["travel"]
-        _require(a in node_set, f"transport.edges[{i}].from names unknown node {a!r}")
-        _require(b in node_set, f"transport.edges[{i}].to names unknown node {b!r}")
+        _require(a in nodes, f"transport.edges[{i}].from names unknown node {a!r}")
+        _require(b in nodes, f"transport.edges[{i}].to names unknown node {b!r}")
         _require(a != b, f"transport.edges[{i}] is a self-loop at {a!r}")
         _require(is_int(w) and w > 0, f"transport.edges[{i}].travel must be a positive integer")
         _require((a, b) not in edges, f"transport.edges[{i}] duplicates edge {a!r}->{b!r}")
@@ -138,8 +137,8 @@ def load_model_doc(doc: Any) -> ShopModel:
         "stations must have input and output",
     )
     input_station, output_station = stations["input"], stations["output"]
-    _require(input_station in node_set, f"stations.input names unknown node {input_station!r}")
-    _require(output_station in node_set, f"stations.output names unknown node {output_station!r}")
+    _require(input_station in nodes, f"stations.input names unknown node {input_station!r}")
+    _require(output_station in nodes, f"stations.output names unknown node {output_station!r}")
     _require(input_station != output_station, "stations.input and stations.output must differ")
 
     machines: dict[str, MachineSpec] = {}
@@ -150,7 +149,7 @@ def load_model_doc(doc: Any) -> ShopModel:
         _require("node" in spec, f"machines.{mid}.node is required")
         _require("operations" in spec, f"machines.{mid}.operations is required")
         node = spec["node"]
-        _require(node in node_set, f"machines.{mid}.node names unknown node {node!r}")
+        _require(node in nodes, f"machines.{mid}.node names unknown node {node!r}")
         ops = spec["operations"]
         _require(isinstance(ops, dict) and ops, f"machines.{mid}.operations must be a non-empty object")
         for op, dur in ops.items():
@@ -176,7 +175,7 @@ def load_model_doc(doc: Any) -> ShopModel:
     for sid, spec in raw_shuttles.items():
         _require(isinstance(spec, dict) and "home" in spec, f"shuttles.{sid}.home is required")
         home = spec["home"]
-        _require(home in node_set, f"shuttles.{sid}.home names unknown node {home!r}")
+        _require(home in nodes, f"shuttles.{sid}.home names unknown node {home!r}")
         shuttles[sid] = ShuttleSpec(id=sid, home=home)
 
     travel = _floyd_warshall(nodes, edges)

@@ -15,6 +15,7 @@ from holobench.messages import (
     Injection,
     Notice,
     SimEvent,
+    Tap,
 )
 
 # One strategy per wire message class, each drawing every field.
@@ -74,6 +75,8 @@ MESSAGES = {
         reason=st.text(max_size=12),
         command=st.none() | _payload, injection=st.none() | _payload,
     ),
+    Tap: st.builds(Tap, flow=st.text(max_size=6), name=st.text(max_size=12),
+                   value=st.integers(), i=st.integers()),
 }
 
 

@@ -293,6 +293,21 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [5, "x", None, True, []])
+    def test_order_book_entry_that_is_no_object(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"orders": [entry]}))
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: order {entry!r} must be an object\n"
+
+    def test_model_node_reference_that_is_a_list(self, data_copy, tmp_path, capsys):
+        doc = json.loads((data_copy / "minicell" / "model.json").read_text())
+        doc["machines"]["M1"]["node"] = ["M1"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == "error: machines.M1.node names unknown node ['M1']\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
         assert "nope.json" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 closed loop against the kernel."""
 
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -61,6 +62,10 @@ def drive_to_completion(model, orders, cap=500):
 
 
 class TestOrderBook:
+    def test_load_orders_names_an_entry_that_is_no_object(self):
+        with pytest.raises(OrderBookError, match=re.escape("order [] must be an object")):
+            load_orders('{"orders": [{"id": "O1", "routing": ["A"], "release": 0, "due": 9}, []]}')
+
     def test_load_orders_rejects_duplicates(self):
         text = ('{"orders": [{"id": "O1", "routing": ["A"], "release": 0, "due": 9},'
                 ' {"id": "O1", "routing": ["A"], "release": 0, "due": 9}]}')
@@ -79,6 +84,7 @@ class TestOrderBook:
             ({"id": "O1", "routing": ["A"], "release": True, "due": 1}, "release"),
             ({"id": "O1", "routing": ["A"], "release": 0, "due": False}, "due"),
             ({"id": "O1", "routing": ["A"], "release": 0, "due": 1, "priority": True}, "priority"),
+            *((entry, "must be an object") for entry in (5, "x", None, True, [])),
         ],
     )
     def test_order_validation(self, doc, fragment):

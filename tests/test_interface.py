@@ -182,28 +182,39 @@ BAD_BATCH_BODIES = [
     {"events": [{"time": 0, "seq": 1, "kind": "machine-up", "machine": 5}]},
 ]
 
-# Records whose order dues or counters the KPI oracle cannot read: a
-# run-meta whose orders are not objects with a string id and an integer
-# due, and a FLOW7 tap without a string name and an integer value.
+# Records the KPI oracle refuses, as the live session would: a run-meta
+# whose orders do not load or whose run id, scenario, seed or machines have
+# the wrong type, a FLOW7 tap without a string name and an integer value,
+# and an insert-order without an order that loads.
+_ORDER = {"id": "O1", "routing": ["A"], "release": 0, "due": 10}
 BAD_KPI_RECORDS = [
     *(rec(kind="run-meta", role="scenario-manager", round_no=0, body={"orders": orders})
       for orders in ([5], [{"id": "O1"}], [{"due": 10}], [{"id": 1, "due": 10}],
-                     [{"id": "O1", "due": "10"}], [{"id": "O1", "due": True}], 5)),
+                     [{"id": "O1", "due": "10"}], [{"id": "O1", "due": True}], 5,
+                     [{"id": "O1", "release": 0, "due": 10}])),  # no routing
+    *(rec(kind="run-meta", role="scenario-manager", round_no=0, body={"orders": [_ORDER], **body})
+      for body in ({"machines": "M1"}, {"machines": ["M1", 2]}, {"seed": "x"}, {"seed": True},
+                   {"run_id": 5}, {"scenario": None})),
     *(rec(kind="tap", role="control", body={"flow": "FLOW7", **body})
       for body in ({"name": "commands_issued", "i": 0}, {"value": 3, "i": 0},
                    {"name": "commands_issued", "value": "3", "i": 0},
                    {"name": "commands_issued", "value": False, "i": 0})),
-    *(rec(kind="directive", role="scenario-manager", body={"kind": "insert-order", "order": order})
-      for order in (5, ["id", "due"])),
+    *(rec(kind="directive", role="scenario-manager", body={"kind": "insert-order", **body})
+      for body in ({"order": 5}, {"order": ["id", "due"]}, {},
+                   {"order": {k: v for k, v in _ORDER.items() if k != "routing"}})),
 ]
 
-# Control taps the round driver refuses after run-end: a valid tap with one
-# field taken out or given a value of the wrong type.
+# Control taps the round driver and the KPI oracle refuse, each with the
+# words of its refusal: a valid tap with one field taken out or given a
+# value of the wrong type.
 _TAP = {"flow": "FLOW7", "name": "commands_issued", "value": 1, "i": 0}
 BAD_TAP_BODIES = [
-    *({k: v for k, v in _TAP.items() if k != gone} for gone in _TAP),
-    *({**_TAP, key: value}
-      for key, value in (("flow", 7), ("name", None), ("value", "1"), ("value", True), ("i", 0.0))),
+    *(({k: v for k, v in _TAP.items() if k != gone}, f"tap body lacks {gone!r}") for gone in _TAP),
+    ({**_TAP, "flow": 7}, "tap flow must be a string"),
+    ({**_TAP, "name": None}, "tap name must not be null"),
+    ({**_TAP, "value": "1"}, "tap value must be an integer"),
+    ({**_TAP, "value": True}, "tap value must be an integer"),
+    ({**_TAP, "i": 0.0}, "tap i must be an integer"),
 ]
 
 _DELETED = object()  # marks a key taken out of the record
@@ -1105,7 +1116,7 @@ class TestHandshake:
         (rec(kind="hello", body={}), KeyError),
         (rec(kind="run-meta", role="scenario-manager", body={"orders": [
             {"id": "O1", "routing": [], "release": 0, "due": 9}]}), OrderBookError),
-        (rec(kind="run-meta", role="scenario-manager", body={"orders": [5]}), AttributeError),
+        (rec(kind="run-meta", role="scenario-manager", body={"orders": [5]}), OrderBookError),
     ], ids=["hello-without-model-hash", "run-meta-order-that-does-not-load",
             "run-meta-order-that-is-no-object"])
     def test_bad_hello_or_run_meta_is_a_protocol_error(self, minicell_model, record, cause):
@@ -1197,9 +1208,8 @@ class TestReplyProtocol:
          "unexpected emulation record in a control reply"),
         ("run-end", rec(kind="bye", role="scenario-manager"),
          "unexpected scenario-manager record in a control reply"),
-        *(("run-end", rec(kind="tap", role="control", body=body),
-           "control tap needs a string flow and name, and an integer value and i")
-          for body in BAD_TAP_BODIES),
+        *(("run-end", rec(kind="tap", role="control", body=body), words)
+          for body, words in BAD_TAP_BODIES),
         # a string field that holds no string is refused before the kernel sees it
         *(("event-batch", rec(kind="command", role="control", corr=1, body={
             "kind": "start-op", "machine": "M1", "order": "O1", "operation": "A", name: value}),
@@ -1220,6 +1230,34 @@ class TestReplyProtocol:
         monkeypatch.setattr(interface, "ControlClient", WrongReply)
         with pytest.raises(ProtocolError, match=refusal):
             run_single(minicell_model, minicell_orders, ps9_scenario, seed=1)
+
+    @pytest.mark.parametrize("body, words", BAD_TAP_BODIES,
+                             ids=[words for _, words in BAD_TAP_BODIES])
+    def test_driver_and_oracle_refuse_a_bad_tap_alike(
+        self, minicell_model, minicell_orders, ps9_scenario, monkeypatch, body, words
+    ):
+        """One schema, ``Tap``, checks a tap on both paths: the live session
+        refuses it with ``ProtocolError``, the audit of a log that holds it
+        with ``DecodeError`` at its line, and both for the same reason."""
+        tap = rec(kind="tap", role="control", body=body)
+
+        class BadTap(ControlClient):
+            def handle(self, record):
+                if record["kind"] != "run-end":
+                    return super().handle(record)
+                self._send(tap)
+                return True
+
+        monkeypatch.setattr(interface, "ControlClient", BadTap)
+        with pytest.raises(ProtocolError) as live:
+            run_single(minicell_model, minicell_orders, ps9_scenario, seed=1)
+        good = encode_record(rec(body={"events": []}))
+        with pytest.raises(DecodeError) as audit:
+            recompute_from_log(good + encode_record(tap))
+        assert audit.value.offset == len(good)
+        causes = live.value.__cause__, audit.value.__cause__
+        assert all(isinstance(cause, MessageError) for cause in causes)
+        assert str(causes[0]) == str(causes[1]) == words
 
     # Taps repeat or go back on i; the driver refuses the second before the
     # KPI engine sees it: a repeat would be dropped by the engine as a

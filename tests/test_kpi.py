@@ -312,7 +312,8 @@ class TestStreamDiscipline:
         log = encode_record(kpi_tap(0)) + encode_record(
             make_record("control", 4, 12, "tap", {**kpi_tap(0)["body"], "i": i})
         )
-        with pytest.raises(DecodeError, match="integer value and i") as e:
+        words = "tap i must not be null" if i is None else "tap i must be an integer"
+        with pytest.raises(DecodeError, match=words) as e:
             recompute_from_log(log)
         assert e.value.offset == len(encode_record(kpi_tap(0)))
 

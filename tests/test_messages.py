@@ -5,7 +5,7 @@ from dataclasses import MISSING, fields
 from typing import Any
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holobench.canon import canon_dumps, doc_hash, fits, sha256_hex
@@ -22,6 +22,7 @@ from holobench.messages import (
     MessageError,
     Notice,
     SimEvent,
+    Tap,
 )
 from strategies import MESSAGES
 
@@ -90,7 +91,7 @@ def test_event_dict_round_trip_drops_empty_fields():
     assert SimEvent.from_dict(d) == ev
 
 
-MESSAGE_CLASSES = (SimEvent, ControlCommand, ControlDirective, Injection, Notice)
+MESSAGE_CLASSES = (SimEvent, ControlCommand, ControlDirective, Injection, Notice, Tap)
 
 
 def _default(f):
@@ -204,7 +205,7 @@ def _corruptions(cls, body):
     counters = [name for name in ("time", "seq") if name in body]
     refused = [st.sampled_from(required).map(
         lambda name: {k: v for k, v in body.items() if k != name})]
-    if cls is not Notice:  # notices have no closed kind vocabulary
+    if cls in (SimEvent, ControlCommand, ControlDirective, Injection):  # closed kinds
         refused.append(st.just({**body, "kind": "teleport"}))
     if counters:
         refused.append(st.builds(lambda name, value: {**body, name: value},
@@ -214,7 +215,7 @@ def _corruptions(cls, body):
     refused.append(st.builds(lambda name, value: {**body, name: value},
                              st.sampled_from(strings),
                              st.integers() | st.booleans() | st.lists(st.text(max_size=2))))
-    integers = [f.name for f in fields(cls) if f.type == "int | None"]
+    integers = [f.name for f in fields(cls) if f.type in ("int", "int | None")]
     if integers:
         refused.append(st.builds(lambda name, value: {**body, name: value},
                                  st.sampled_from(integers),
@@ -225,6 +226,22 @@ def _corruptions(cls, body):
     anything = st.builds(lambda name, value: {**body, name: value},
                          st.sampled_from([f.name for f in fields(cls)]), values)
     return st.one_of(*refused).map(lambda b: (b, True)) | anything.map(lambda b: (b, False))
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in MESSAGE_CLASSES for f in fields(cls)
+    if f.default is MISSING and f.default_factory is MISSING
+], ids=lambda x: getattr(x, "__name__", x))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_a_field_without_a_default_refuses_null(cls, name, data):
+    """Null is no value for a field that has no default: the body check and
+    the constructor both refuse it."""
+    body = {**data.draw(MESSAGES[cls]).to_dict(), name: None}
+    with pytest.raises(MessageError):
+        cls.check_body(body)
+    with pytest.raises(MessageError):
+        cls(**body)
 
 
 @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)

@@ -62,6 +62,13 @@ def test_hash_tracks_content(minicell_model_doc, minicell_model):
         (lambda d: d["machines"]["M1"]["operations"].update(A=-3), "duration"),
         (lambda d: d["transport"]["edges"][0].update(travel=True), "travel must be"),
         (lambda d: d["machines"]["M1"]["operations"].update(A=True), "integer duration"),
+        # a reference that is a list or object names no node, and cannot be hashed
+        (lambda d: d["machines"]["M1"].update(node=["M1"]), r"machines\.M1\.node names unknown"),
+        (lambda d: d["shuttles"]["S1"].update(home={"n": "IN"}), r"shuttles\.S1\.home names unknown"),
+        (lambda d: d["transport"]["edges"][0].update({"from": ["IN"]}), r"edges\[0\]\.from names"),
+        (lambda d: d["transport"]["edges"][0].update(to={}), r"edges\[0\]\.to names"),
+        (lambda d: d["stations"].update(input=["IN"]), r"stations\.input names unknown"),
+        (lambda d: d["stations"].update(output={}), r"stations\.output names unknown"),
     ],
 )
 def test_validation_names_offender(minicell_model_doc, mutate, fragment):
