@@ -195,7 +195,8 @@ class KpiEngine:
             for od in body.get("orders", []):
                 self._dues[od["id"]] = od["due"]
         elif kind == "directive" and (body := record["body"])["kind"] == "insert-order":
-            self._dues[body["order"]["id"]] = body["order"]["due"]
+            # the control drops an insert whose id it already holds
+            self._dues.setdefault(body["order"]["id"], body["order"]["due"])
         elif kind == "event-batch":
             for ed in record["body"]["events"]:
                 self._check_order(FLOW_EVENTS, ed["time"], ed["seq"])
@@ -385,7 +386,8 @@ def recompute_from_log(log: bytes) -> KpiReport:
             dues.update((o.id, o.due) for o in built_body(run_meta_orders, record, offset))
         elif kind == "directive":
             if (order := built_body(_inserted, record, offset)) is not None:
-                dues[order.id] = order.due
+                # the control drops an insert whose id it already holds
+                dues.setdefault(order.id, order.due)
         elif kind == "event-batch":
             for e in batch_events(record, offset):
                 k, t, m = e["kind"], e["time"], e.get("machine")

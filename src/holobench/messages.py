@@ -257,7 +257,7 @@ class ControlDirective(_Message):
 def _injection_rule(body: dict[str, Any]) -> None:
     """A positive duration; a product-reject's order and policy, else a machine."""
     duration = body.get("duration")
-    if duration is not None and (type(duration) is not int or duration <= 0):
+    if type(duration) is int and duration <= 0:  # the type pass refuses a non-integer
         raise MessageError("injection duration must be > 0")
     if body["kind"] == "product-reject":
         policy = body.get("policy")

@@ -61,30 +61,31 @@ class ShopModel:
         return [m for mid, m in sorted(self.machines.items()) if operation in m.operations]
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args: Any) -> None:
+    """Raises ``ModelError`` unless ``cond``; the message is formatted only then."""
     if not cond:
-        raise ModelError(message)
+        raise ModelError(message.format(*args))
 
 
 def _floyd_warshall(nodes: tuple[str, ...], edges: dict[tuple[str, str], int]) -> dict[tuple[str, str], int]:
     inf = float("inf")
-    dist: dict[tuple[str, str], float] = {}
-    for a in nodes:
-        for b in nodes:
-            dist[(a, b)] = 0 if a == b else inf
+    index = {n: i for i, n in enumerate(nodes)}
+    dist: list[list[float]] = [[inf] * len(nodes) for _ in nodes]
+    for i, row in enumerate(dist):
+        row[i] = 0
     for (a, b), w in edges.items():
-        if w < dist[(a, b)]:
-            dist[(a, b)] = w
-    for k in nodes:
-        for a in nodes:
-            dak = dist[(a, k)]
-            if dak is inf:
-                continue
-            for b in nodes:
-                alt = dak + dist[(k, b)]
-                if alt < dist[(a, b)]:
-                    dist[(a, b)] = alt
-    return {(a, b): int(w) for (a, b), w in dist.items() if a != b and w is not inf}
+        dist[index[a]][index[b]] = w
+    for k, dk in enumerate(dist):
+        for row in dist:
+            dak = row[k]
+            if dak is not inf:
+                row[:] = [x if x <= dak + y else dak + y for x, y in zip(row, dk)]
+    return {
+        (a, b): int(w)
+        for a, row in zip(nodes, dist)
+        for b, w in zip(nodes, row)
+        if a != b and w is not inf
+    }
 
 
 def load_model(text: str) -> ShopModel:
@@ -100,13 +101,13 @@ def load_model_doc(doc: Any) -> ShopModel:
     _require(isinstance(doc, dict), "model document must be a JSON object")
     extra = set(doc) - MODEL_KEYS
     missing = MODEL_KEYS - set(doc)
-    _require(not missing, f"model missing keys: {sorted(missing)}")
-    _require(not extra, f"model has unknown keys: {sorted(extra)}")
+    _require(not missing, "model missing keys: {}", sorted(missing))
+    _require(not extra, "model has unknown keys: {}", sorted(extra))
 
     transport = doc["transport"]
     _require(isinstance(transport, dict), "transport must be an object")
     for key in ("nodes", "edges"):
-        _require(key in transport, f"transport.{key} is required")
+        _require(key in transport, "transport.{} is required", key)
     raw_nodes = transport["nodes"]
     _require(
         isinstance(raw_nodes, list) and raw_nodes and all(isinstance(n, str) for n in raw_nodes),
@@ -121,14 +122,15 @@ def load_model_doc(doc: Any) -> ShopModel:
     for i, e in enumerate(raw_edges):
         _require(
             isinstance(e, dict) and {"from", "to", "travel"} <= set(e),
-            f"transport.edges[{i}] must have from/to/travel",
+            "transport.edges[{}] must have from/to/travel",
+            i,
         )
         a, b, w = e["from"], e["to"], e["travel"]
-        _require(a in nodes, f"transport.edges[{i}].from names unknown node {a!r}")
-        _require(b in nodes, f"transport.edges[{i}].to names unknown node {b!r}")
-        _require(a != b, f"transport.edges[{i}] is a self-loop at {a!r}")
-        _require(is_int(w) and w > 0, f"transport.edges[{i}].travel must be a positive integer")
-        _require((a, b) not in edges, f"transport.edges[{i}] duplicates edge {a!r}->{b!r}")
+        _require(a in nodes, "transport.edges[{}].from names unknown node {!r}", i, a)
+        _require(b in nodes, "transport.edges[{}].to names unknown node {!r}", i, b)
+        _require(a != b, "transport.edges[{}] is a self-loop at {!r}", i, a)
+        _require(is_int(w) and w > 0, "transport.edges[{}].travel must be a positive integer", i)
+        _require((a, b) not in edges, "transport.edges[{}] duplicates edge {!r}->{!r}", i, a, b)
         edges[(a, b)] = w
 
     stations = doc["stations"]
@@ -137,45 +139,42 @@ def load_model_doc(doc: Any) -> ShopModel:
         "stations must have input and output",
     )
     input_station, output_station = stations["input"], stations["output"]
-    _require(input_station in nodes, f"stations.input names unknown node {input_station!r}")
-    _require(output_station in nodes, f"stations.output names unknown node {output_station!r}")
+    _require(input_station in nodes, "stations.input names unknown node {!r}", input_station)
+    _require(output_station in nodes, "stations.output names unknown node {!r}", output_station)
     _require(input_station != output_station, "stations.input and stations.output must differ")
 
     machines: dict[str, MachineSpec] = {}
+    hosts: dict[str, str] = {}  # node -> the machine on it
     raw_machines = doc["machines"]
     _require(isinstance(raw_machines, dict) and raw_machines, "machines must be a non-empty object")
     for mid, spec in raw_machines.items():
-        _require(isinstance(spec, dict), f"machines.{mid} must be an object")
-        _require("node" in spec, f"machines.{mid}.node is required")
-        _require("operations" in spec, f"machines.{mid}.operations is required")
+        _require(isinstance(spec, dict), "machines.{} must be an object", mid)
+        _require("node" in spec, "machines.{}.node is required", mid)
+        _require("operations" in spec, "machines.{}.operations is required", mid)
         node = spec["node"]
-        _require(node in nodes, f"machines.{mid}.node names unknown node {node!r}")
+        _require(node in nodes, "machines.{}.node names unknown node {!r}", mid, node)
         ops = spec["operations"]
-        _require(isinstance(ops, dict) and ops, f"machines.{mid}.operations must be a non-empty object")
+        _require(isinstance(ops, dict) and ops, "machines.{}.operations must be a non-empty object", mid)
         for op, dur in ops.items():
             _require(
                 is_int(dur) and dur > 0,
-                f"machines.{mid}.operations.{op} must be a positive integer duration",
+                "machines.{}.operations.{} must be a positive integer duration",
+                mid,
+                op,
             )
-        other = next((m for m in machines.values() if m.node == node), None)
-        _require(other is None, f"machines.{mid}.node {node!r} already hosts machine {other.id if other else ''!r}")
+        other = hosts.setdefault(node, mid)
+        _require(other == mid, "machines.{}.node {!r} already hosts machine {!r}", mid, node, other)
         machines[mid] = MachineSpec(id=mid, node=node, operations=dict(ops))
-    _require(
-        input_station not in {m.node for m in machines.values()},
-        "stations.input must not host a machine",
-    )
-    _require(
-        output_station not in {m.node for m in machines.values()},
-        "stations.output must not host a machine",
-    )
+    _require(input_station not in hosts, "stations.input must not host a machine")
+    _require(output_station not in hosts, "stations.output must not host a machine")
 
     shuttles: dict[str, ShuttleSpec] = {}
     raw_shuttles = doc["shuttles"]
     _require(isinstance(raw_shuttles, dict) and raw_shuttles, "shuttles must be a non-empty object")
     for sid, spec in raw_shuttles.items():
-        _require(isinstance(spec, dict) and "home" in spec, f"shuttles.{sid}.home is required")
+        _require(isinstance(spec, dict) and "home" in spec, "shuttles.{}.home is required", sid)
         home = spec["home"]
-        _require(home in nodes, f"shuttles.{sid}.home names unknown node {home!r}")
+        _require(home in nodes, "shuttles.{}.home names unknown node {!r}", sid, home)
         shuttles[sid] = ShuttleSpec(id=sid, home=home)
 
     travel = _floyd_warshall(nodes, edges)
@@ -183,11 +182,13 @@ def load_model_doc(doc: Any) -> ShopModel:
     for m in machines.values():
         _require(
             input_station == m.node or (input_station, m.node) in travel,
-            f"machines.{m.id} unreachable from stations.input",
+            "machines.{} unreachable from stations.input",
+            m.id,
         )
         _require(
             m.node == output_station or (m.node, output_station) in travel,
-            f"stations.output unreachable from machines.{m.id}",
+            "stations.output unreachable from machines.{}",
+            m.id,
         )
 
     return ShopModel(

@@ -34,7 +34,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Callable
 
@@ -419,7 +419,7 @@ def _check_action(action: Action, path: str, least: Callable[[Any], int],
     payload."""
     key, cls = _ACTIONS[action.kind]
     path = f"{path}.{key}"
-    _only_keys(action.payload, {f.name for f in fields(cls)}, path)
+    _only_keys(action.payload, cls.__dataclass_fields__, path)
     try:
         payload = {k: _resolve(v, least, event) for k, v in action.payload.items()}
         cls(**payload)

@@ -403,6 +403,27 @@ class TestStreamingMatchesRecompute:
         assert result.report is not None
         assert reports_match(result.report, recompute_from_log(result.log)) == []
 
+    def test_an_insert_reusing_a_book_id_keeps_the_book_due(self, minicell_model,
+                                                            minicell_orders, null_scenario):
+        # The control drops an insert whose id it already holds, so neither
+        # fold may take the dropped insert's due for the book order's.
+        scenario = load_scenario_doc({
+            "id": "reuse", "category": "order-management",
+            "rules": [{
+                "trigger": {"kind": "on-event", "event": "order-released",
+                            "where": {"order": "O1"}},
+                "actions": [{"kind": "direct", "directive": {"kind": "insert-order", "order": {
+                    "id": "$event.order", "routing": ["A"], "release": 0, "due": 1}}}],
+            }],
+        }, model=minicell_model, orders=minicell_orders)
+        result = run_single(minicell_model, minicell_orders, scenario, seed=1)
+        null = run_single(minicell_model, minicell_orders, null_scenario, seed=1).report
+        assert result.status == "completed"
+        assert b'"insert-order"' in result.log  # the directive was sent
+        for report in (result.report, recompute_from_log(result.log)):
+            assert (report.tardiness_total, report.tardy_orders) == (
+                null.tardiness_total, null.tardy_orders) == (0, 0)
+
 
 class TestReportSerialization:
     def test_doc_round_trip(self, minicell_model, minicell_orders, null_scenario):

@@ -183,6 +183,20 @@ def test_injection_validation():
     assert len(INJECTION_KINDS) == 5
 
 
+@pytest.mark.parametrize("duration, message", [
+    (0, "injection duration must be > 0"),
+    (-3, "injection duration must be > 0"),
+    ("5", "injection duration must be an integer"),
+    (True, "injection duration must be an integer"),
+    (2.5, "injection duration must be an integer"),
+])
+def test_injection_duration_is_type_checked_once(duration, message):
+    # the rule tests only an integer's sign; the type pass refuses the rest
+    with pytest.raises(MessageError) as refused:
+        Injection(kind="machine-down", machine="M1", duration=duration)
+    assert str(refused.value) == message
+
+
 def test_notice_round_trip():
     n = Notice(time=4, kind="command-rejected", reason="machine M1 is down",
                command={"kind": "start-op", "machine": "M1"})
