@@ -33,12 +33,14 @@ Each line is encoded once, by ``encode_record``, and decoded only by a
 reader that was not given its record, by ``decode_line``; both check the
 record's shape with ``check_record``, and nothing else does.  Events and
 commands cross as bodies: a batch's ``events`` are the kernel's own event
-bodies, and a command record's body is the control's own command.  Where a
-body is received, on every path, its message class's ``check_body`` checks
-it and it is copied: ``ControlClient`` hands the control a checked copy of
-each event and builds the rare directives and notices with ``from_dict``,
-and the round driver hands the kernel a checked copy of each command and
-checks each tap.  A body that fails, in ``built_body``, raises
+bodies, and a command record's body is the control's own command.  A body
+is checked once, by its message class's ``check_body``, where it enters the
+program from outside, and copied where it is received.  ``ControlClient``
+hands the control a copy of each event, checked if it was read from a
+socket or a log (in process the events are the kernel's sealed bodies), and
+builds the rare directives and notices with ``from_dict``.  The round
+driver hands the kernel a checked copy of each command and checks each
+tap.  A body that fails, in ``built_body``, raises
 ``ProtocolError``, or, read from a log (events, or the KPI oracle's
 run-meta, directives and taps), ``DecodeError`` at its line's byte offset.
 In process, the control gets the driver's own record and its replies are
@@ -282,11 +284,17 @@ class ControlClient:
     control cannot take (a hello without a model hash, a run-meta that
     ``run_meta_orders`` refuses, a bad event or directive) raises
     ``ProtocolError`` naming its record.
+
+    ``copy_event`` copies each event for the control: by default the checked
+    copy ``SimEvent.copy_body``, which a body read from a socket or a log
+    needs; ``InProcEndpoint``'s events are the kernel's sealed bodies.
     """
 
-    def __init__(self, send: Callable[[dict[str, Any]], None], control: ReferenceControl):
+    def __init__(self, send: Callable[[dict[str, Any]], None], control: ReferenceControl,
+                 copy_event: Callable[[Any], dict[str, Any]] = SimEvent.copy_body):
         self._send = send
         self._control = control
+        self._copy_event = copy_event
         self._directives: list[ControlDirective] = []
         self._round = 0
 
@@ -323,13 +331,27 @@ class ControlClient:
                 f"round monotonicity violated: got round {round_no} after {self._round}"
             )
         self._round = round_no
-        events, notices = built_body(_round_inputs, record)
+        events, notices = built_body(self._round_inputs, record)
         commands, idle = self._control.on_round(t, self._directives, events, notices)
         self._directives = []
         for cmd in commands:
             self._send(make_record(ROLE_CONTROL, round_no, t, "command", cmd, round_no))
         end = make_record(ROLE_CONTROL, round_no, t, "end-of-round", {"idle": idle}, round_no)
         self._send(end)
+
+    def _round_inputs(self, body: dict[str, Any]) -> tuple[list[dict[str, Any]], list[Notice]]:
+        """A copy of each event of a batch body, by ``copy_event``, and its notices."""
+        notices = [Notice.from_dict(d) for d in body.get("notices", ())]
+        return list(map(self._copy_event, body["events"])), notices
+
+
+def _copy_sealed_event(body: dict[str, Any]) -> dict[str, Any]:
+    """An unchecked copy of an event body the kernel sealed, its ``info``
+    included, so a control that changes it leaves the recorded body alone."""
+    copy = dict(body)
+    if "info" in copy:
+        copy["info"] = dict(copy["info"])
+    return copy
 
 
 def run_meta_orders(body: dict[str, Any]) -> list[ProductOrder]:
@@ -344,21 +366,16 @@ def run_meta_orders(body: dict[str, Any]) -> list[ProductOrder]:
     return [ProductOrder.from_dict(d) for d in orders]
 
 
-def _round_inputs(body: dict[str, Any]) -> tuple[list[dict[str, Any]], list[Notice]]:
-    """A checked copy of each event of a batch body, and its notices."""
-    notices = [Notice.from_dict(d) for d in body.get("notices", ())]
-    return [SimEvent.copy_body(d) for d in body["events"]], notices
-
-
 def serve_control(endpoint, control: ReferenceControl) -> None:
     """Serve ``control`` over ``endpoint`` until run-end or until the peer
-    closes the wire, then close the endpoint; for a control on the far side
-    of a socket, typically in its own thread."""
+    closes the wire, which a read or a reply can find, then close the
+    endpoint; for a control on the far side of a socket, typically in its
+    own thread."""
     client = ControlClient(endpoint.send, control)
     try:
         while client.handle(endpoint.recv()[1]):
             pass
-    except EndOfStream:
+    except (EndOfStream, BrokenPipeError, ConnectionResetError):
         pass
     finally:
         endpoint.close()
@@ -370,17 +387,20 @@ def serve_control(endpoint, control: ReferenceControl) -> None:
 class InProcEndpoint:
     """The driver's endpoint to a control served in process, by direct call.
 
-    ``send`` encodes the record, then hands it to the control.  The
-    control's replies are encoded and queued with their records, and
-    ``recv`` pops the next one.  A receive with no reply waiting breaks the
-    lock step and raises ``ProtocolError``; once the control has said bye,
-    or the endpoint is closed, a receive with none left raises
-    ``EndOfStream`` and a send raises ``ProtocolError``.
+    ``send`` encodes the record, then hands it to the control.  It carries
+    only the round driver's records, whose events are the kernel's sealed
+    bodies, so the control gets an unchecked copy of each event; events
+    from a socket or a log are checked by ``serve_control`` and
+    ``replay_session``.  The control's replies are encoded and queued with
+    their records, and ``recv`` pops the next one.  A receive with no reply
+    waiting breaks the lock step and raises ``ProtocolError``; once the
+    control has said bye, or the endpoint is closed, a receive with none
+    left raises ``EndOfStream`` and a send raises ``ProtocolError``.
     """
 
     def __init__(self, control: ReferenceControl):
         self._replies: deque[tuple[bytes, dict[str, Any]]] = deque()
-        self._client = ControlClient(self._queue_reply, control)
+        self._client = ControlClient(self._queue_reply, control, _copy_sealed_event)
         self._open = True
 
     def _queue_reply(self, record: dict[str, Any]) -> None:

@@ -15,9 +15,10 @@ resolved with stand-ins and built by its class, which checks its keys,
 types and targets, so whatever loads also fires.  A sample stands in as its
 least draw; an event stands in per trigger as the fields its kind may carry
 (``EVENT_FIELDS``), each its own reference, and time 0, so a reference to a
-field the kind never carries is refused.  A firing whose ``$event.`` field
-is empty on its event (one its kind carries only sometimes) is skipped, and
-the rule stays armed.
+field the kind never carries is refused, as is one in an inserted order's
+routing, since no event field names an operation.  A firing whose
+``$event.`` field is empty on its event (one its kind carries only
+sometimes) is skipped, and the rule stays armed.
 
 All randomness is drawn from named distributions, each seeded from
 (run seed, scenario id, stream label), so streams are independent of one
@@ -415,8 +416,8 @@ def _check_action(action: Action, path: str, least: Callable[[Any], int],
                   event: dict[str, Any] | None, model, book: set[str] | None) -> dict[str, Any]:
     """Build the action's message from its payload with every placeholder
     stood in, then check its literal targets against the model and the
-    book's order ids (``$event.`` references pass); returns the stood-in
-    payload."""
+    book's order ids (``$event.`` references pass, except as an inserted
+    order's routing step); returns the stood-in payload."""
     key, cls = _ACTIONS[action.kind]
     path = f"{path}.{key}"
     _only_keys(action.payload, cls.__dataclass_fields__, path)
@@ -435,10 +436,14 @@ def _check_action(action: Action, path: str, least: Callable[[Any], int],
             spec = ProductOrder.from_dict(payload["order"])
         except OrderBookError as exc:
             raise ScenarioError(f"{path}.order: {exc}") from None
-        if model is not None:
-            for op in spec.routing:
-                if _literal(op) and not model.capable_machines(op):
-                    raise ScenarioError(f"{path}.order: no machine performs {op!r}")
+        for op in spec.routing:
+            # an event names machines, shuttles, orders and nodes, never an
+            # operation, so the control would drop the insert for its routing
+            if not _literal(op):
+                raise ScenarioError(f"{path}.order: routing step {op!r} reads the "
+                                    "triggering event, which names no operation")
+            if model is not None and not model.capable_machines(op):
+                raise ScenarioError(f"{path}.order: no machine performs {op!r}")
         if book is not None and _literal(spec.id) and spec.id in book:
             raise ScenarioError(f"{path}.order: id {spec.id!r} is already in the order book")
     target = payload.get("order_id")

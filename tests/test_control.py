@@ -195,6 +195,20 @@ class TestDirectives:
         assert commands == []
         assert control.export_kpi()["directives_handled"] == 0
 
+    @pytest.mark.parametrize("directive", [
+        ControlDirective(kind="cancel-order", order_id="OX"),
+        ControlDirective(kind="set-priority", order_id="OX", priority=9),
+    ], ids=["cancel-order", "set-priority"])
+    def test_directive_for_an_order_not_held_is_dropped(self, control, directive):
+        control.load_orders([order("O1", release=50)])
+        assert control.on_round(0, [], [], [])[0] == []
+        before = control.export_kpi()
+        commands, _ = control.on_round(1, [directive], [], [])
+        assert commands == []
+        assert control.export_kpi() == before and before["directives_handled"] == 0
+        (release,) = control.on_round(50, [], [], [])[0]
+        assert (release["kind"], release.get("order")) == ("release-order", "O1")
+
     def test_cancel_before_release_closes_on_the_book(self, control):
         control.load_orders([order("O1", release=50)])
         d = ControlDirective(kind="cancel-order", order_id="O1")

@@ -575,6 +575,17 @@ class TestSocket:
         assert not worker.is_alive()
         assert left.fileno() == right.fileno() == -1
 
+    def test_control_whose_peer_hung_up_mid_reply_stops_serving(self, minicell_model):
+        """A driver that has refused a reply closes its end while the
+        control may still be answering; the control's next send then finds
+        the wire closed, and ``serve_control`` ends as at end of stream."""
+        left, right = socket.socketpair()
+        left.sendall(encode_record(rec(kind="hello", body={
+            "model_hash": minicell_model.model_hash})))
+        left.close()
+        serve_control(SocketEndpoint(right, timeout=1.0), ReferenceControl(minicell_model))
+        assert right.fileno() == -1
+
     @pytest.mark.parametrize(
         "name, seed",
         [("null", 1), ("ps9", 2), ("reject_rework", 3), ("rush_order", 1),
@@ -840,6 +851,49 @@ class TestDecodeOnce:
             sys.setprofile(None)
         assert checks == {"holobench.messages": len(events)} and len(events) == 45
 
+    def test_events_are_checked_once_where_they_enter_from_outside(
+        self, minicell_model, minicell_orders, scenario_by_name
+    ):
+        """In process the control gets the kernel's sealed event bodies and
+        copies them unchecked; read from a socket or from a log, each event
+        is checked once, on the control's side."""
+        scenario = scenario_by_name("supply_shortage")
+
+        def event_checks(session):
+            """``SimEvent.check_body`` calls while ``session()`` runs, by
+            whether the main thread made them, and what it returned."""
+            checks, lock = Counter(), threading.Lock()
+
+            def profile(frame, event, arg):
+                if (event == "call" and frame.f_code.co_name == "check_body"
+                        and frame.f_locals.get("label") == "event"):
+                    with lock:
+                        checks[threading.current_thread() is threading.main_thread()] += 1
+
+            threading.setprofile(profile)
+            sys.setprofile(profile)
+            try:
+                return checks, session()
+            finally:
+                sys.setprofile(None)
+                threading.setprofile(None)
+
+        def event_count(log):
+            return sum(len(r["body"]["events"]) for r in records_of(log)
+                       if r["kind"] == "event-batch")
+
+        checks, local = event_checks(
+            lambda: run_single(minicell_model, minicell_orders, scenario, seed=3))
+        assert checks == {} and event_count(local.log) > 0
+        checks, remote = event_checks(
+            lambda: socket_session(minicell_model, minicell_orders, scenario, seed=3))
+        assert remote.log == local.log
+        assert checks == {False: event_count(local.log)}
+        checks, replayed = event_checks(
+            lambda: replay_session(local.log, ReferenceControl(minicell_model)))
+        assert replayed == extract_command_log(local.log)
+        assert checks == {True: event_count(local.log)}
+
 
 def count_message_builds(monkeypatch):
     """Count ``from_dict`` calls on each wire message class, by class name;
@@ -859,10 +913,10 @@ def count_message_builds(monkeypatch):
 
 class TestMessagesCross:
     """Events and commands cross as their bodies: the control gets its own
-    checked copy of each event body and builds the directives and notices
-    with ``from_dict``, and the kernel runs a checked copy of each of the
-    control's command bodies.  The same happens in process, over a socket
-    and in replay."""
+    copy of each event body (checked over a socket and in replay) and
+    builds the directives and notices with ``from_dict``, and the kernel
+    runs a checked copy of each of the control's command bodies.  The same
+    happens in process, over a socket and in replay."""
 
     def test_no_session_builds_an_event_or_command(
         self, minicell_model, minicell_orders, scenario_by_name, monkeypatch

@@ -549,6 +549,32 @@ class TestRecomputeIsAsStrictAsTheEngine:
             with pytest.raises(StreamError, match=message):
                 read(mutated)
 
+    def test_an_order_completed_but_never_registered_is_an_error(
+        self, minicell_model, minicell_orders, null_scenario
+    ):
+        """A run-meta book that lacks an order the log then completes gives
+        that order no due: both folds raise the same ``StreamError`` naming
+        it, rather than leave it out of the tardiness."""
+        result = run_single(minicell_model, minicell_orders, null_scenario, seed=1)
+        assert result.status == "completed"
+        completed = [e["order"] for _, r in iter_records(result.log)
+                     if r["kind"] == "event-batch" for e in r["body"]["events"]
+                     if e["kind"] == "order-completed"]
+        lost = completed[-1]
+        lines = []
+        for line, record in iter_records(result.log):
+            if record["kind"] == "run-meta":
+                orders = record["body"]["orders"]
+                record["body"]["orders"] = [o for o in orders if o["id"] != lost]
+                assert len(record["body"]["orders"]) == len(orders) - 1
+                line = encode_record(record)
+            lines.append(line)
+        mutated = b"".join(lines)
+        for read in (recompute_from_log, self.stream):
+            with pytest.raises(StreamError) as info:
+                read(mutated)
+            assert str(info.value) == f"order {lost!r} completed but never registered"
+
     # The events after the cut event that end its interval, and the one of
     # them whose arrival then finds the machine in the wrong state.
     ENDS = {

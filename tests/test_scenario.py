@@ -481,6 +481,21 @@ class TestActionPayloads:
         rule["trigger"] = {"kind": "on-event", "event": "order-released"}
         load_scenario_doc(doc, model=MODEL, orders=ORDERS)
 
+    @pytest.mark.parametrize("step", ["$event.machine", "$event.order", "$event.node"])
+    def test_insert_routing_step_that_reads_the_event_is_refused(self, step):
+        """An event names machines, orders and nodes but no operation, so
+        the control would drop the insert for its routing while the KPI
+        folds keep its due; with or without a model the loader refuses it."""
+        rule = _insert_rule({"kind": "on-event", "event": "op-started"}, "R1")
+        rule["actions"][0]["directive"]["order"]["routing"] = ["A", step]
+        doc = scenario_doc(rules=[rule])
+        for model, orders in ((None, None), (MODEL, None), (MODEL, ORDERS)):
+            with pytest.raises(ScenarioError) as info:
+                load_scenario_doc(doc, model=model, orders=orders)
+            assert str(info.value) == (
+                f"rules[0].actions[0].directive.order: routing step {step!r} reads the "
+                "triggering event, which names no operation")
+
     @pytest.mark.parametrize(
         "rules, message",
         [
