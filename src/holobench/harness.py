@@ -311,7 +311,7 @@ def run_suite(
     runs_doc: list[dict[str, Any]] = []
     comparison = _Comparison()
     timing: dict[str, dict[str, float]] = {}
-    lengths: list[tuple[int, int]] = []  # per run: its log's and its report's bytes
+    files: list[tuple[str, int, int]] = []  # (name, spill offset, length) of each run file
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryFile(dir=out_dir) as spill:
         for sc in scenarios:
@@ -322,10 +322,6 @@ def run_suite(
                     "run %s: %s, %d rounds, %d events, %.3f s",
                     r.run_id, r.status, r.rounds, r.events, time.perf_counter() - started,
                 )
-                report = b"" if r.report is None else _json_text(r.report.to_doc()).encode()
-                spill.write(r.log)
-                spill.write(report)
-                lengths.append((len(r.log), len(report)))
                 run = {
                     "run_id": r.run_id,
                     "scenario": r.scenario_id,
@@ -338,6 +334,11 @@ def run_suite(
                     "log": f"logs/{r.run_id}.il1.log",
                     "report": None if r.report is None else f"reports/{r.run_id}.json",
                 }
+                report = None if r.report is None else _json_text(r.report.to_doc()).encode()
+                for name, data in ((run["log"], r.log), (run["report"], report)):
+                    if name is not None:
+                        files.append((name, spill.tell(), len(data)))
+                        spill.write(data)
                 runs_doc.append(run)
                 comparison.add(run, None if r.report is None else r.report.scalar_metrics())
                 timing[r.run_id] = {
@@ -352,7 +353,7 @@ def run_suite(
             if os.path.isfile(path):
                 os.remove(path)
         spill.flush()
-        _write_run_files(spill.fileno(), out_dir, runs_doc, lengths)
+        _write_run_files(spill.fileno(), out_dir, files)
 
     manifest = {
         "suite": suite.id,
@@ -372,10 +373,9 @@ def run_suite(
     return manifest
 
 
-def _write_run_files(
-    spill: int, out_dir: str, runs: list[dict[str, Any]], lengths: list[tuple[int, int]]
-) -> None:
-    """Create each run's log and report file from the spill file ``spill``.
+def _write_run_files(spill: int, out_dir: str, files: list[tuple[str, int, int]]) -> None:
+    """Create each run's log and report file from the spill file ``spill``,
+    given each file's (name, spill offset, length).
 
     Creating a file costs far more than writing a few kilobytes to it, and
     creates in one directory wait on its lock, but creates in two
@@ -385,28 +385,20 @@ def _write_run_files(
     before this returns, also when either side fails, and then the first
     error is raised: the spill must stay open while the thread reads it.
     """
-    logs: list[tuple[str, int, int]] = []  # (file name, spill offset, length)
-    reports: list[tuple[str, int, int]] = []
-    offset = 0
-    for run, (log_len, report_len) in zip(runs, lengths):
-        logs.append((run["log"], offset, log_len))
-        if run["report"] is not None:
-            reports.append((run["report"], offset + log_len, report_len))
-        offset += log_len + report_len
-
     errors: list[BaseException] = []
 
-    def write(files: list[tuple[str, int, int]]) -> None:
+    def write(sub: str) -> None:
         try:
             for name, at, length in files:
-                with open(os.path.join(out_dir, name), "wb") as f:
-                    f.write(os.pread(spill, length, at))
+                if os.path.dirname(name) == sub:
+                    with open(os.path.join(out_dir, name), "wb") as f:
+                        f.write(os.pread(spill, length, at))
         except BaseException as exc:  # raised below, once both sides are done
             errors.append(exc)
 
-    reports_writer = threading.Thread(target=write, args=(reports,), name="holobench-reports")
+    reports_writer = threading.Thread(target=write, args=("reports",), name="holobench-reports")
     reports_writer.start()
-    write(logs)
+    write("logs")
     reports_writer.join()
     if errors:
         raise errors[0]

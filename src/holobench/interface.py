@@ -602,9 +602,10 @@ class RoundDriver:
 
     def end_run(self, t: int, reason: str) -> None:
         """Send run-end and read the control's final taps and its bye.  A tap
-        that ``Tap.check_body`` refuses, or whose i does not exceed the
-        previous tap's, raises ``ProtocolError``, so the KPI engine observes
-        only checked taps, in order."""
+        that ``Tap.check_body`` refuses, is on another flow than FLOW7 (the
+        one the KPI folds read) or has an i not above the previous tap's
+        raises ``ProtocolError``, so the KPI engine observes only checked
+        taps, in order."""
         self.round_no += 1
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "run-end", {"reason": reason}))
         last_i = None
@@ -615,6 +616,10 @@ class RoundDriver:
                 raise ProtocolError(f"unexpected record {kind!r} after run-end")
             if kind == "tap":
                 body = built_body(Tap.check_body, record)
+                if body["flow"] != FLOW_CONTROL_KPI:
+                    raise ProtocolError(
+                        f"control tap flow {body['flow']!r} is not {FLOW_CONTROL_KPI}"
+                    )
                 if last_i is not None and body["i"] <= last_i:
                     raise ProtocolError(
                         f"control tap i={body['i']} does not exceed the previous tap's i={last_i}"

@@ -15,9 +15,11 @@ order it reads it, under one stream rule: an event must have a greater
 ``seq`` than the last event and a ``time`` no earlier, and a FLOW7 tap a
 greater ``i`` than the last tap; anything else, a repeat included, raises
 ``StreamError``.  Each keeps one map of open and one of closed machine
-intervals, keyed by state and machine.  Conservation (every released order
-ends completed, cancelled, or scrapped) is enforced by both, so a mutated
-log is caught on recompute.
+intervals, keyed by state and machine, and its own table of the six
+machine event kinds that open or close them.  Conservation (every released
+order ends completed, cancelled, or scrapped) is enforced by both, so a
+mutated log is caught on recompute.  ``reports_match`` lists differences
+in field order, and a dict field's keys in sorted order.
 """
 
 from __future__ import annotations
@@ -128,28 +130,23 @@ _FIELD_TYPES = get_type_hints(KpiReport)
 
 
 def reports_match(a: KpiReport, b: KpiReport, tol: float = 1e-9) -> list[str]:
-    """Differences between two reports: exact for counts, tol for ratios."""
-    diffs: list[str] = []
-    da = a.to_doc()
-    db = b.to_doc()
-    da.pop("duplicates_dropped", None)  # diagnostic of delivery, not of the run
-    db.pop("duplicates_dropped", None)
-    for key in da:
-        va, vb = da[key], db[key]
-        if isinstance(va, dict):
-            for sub in set(va) | set(vb):
-                x, y = va.get(sub), vb.get(sub)
-                if isinstance(x, float) or isinstance(y, float):
-                    if x is None or y is None or abs(x - y) > tol:
-                        diffs.append(f"{key}[{sub}]: {x!r} != {y!r}")
-                elif x != y:
-                    diffs.append(f"{key}[{sub}]: {x!r} != {y!r}")
-        elif isinstance(va, float) or isinstance(vb, float):
-            if abs(float(va) - float(vb)) > tol:
-                diffs.append(f"{key}: {va!r} != {vb!r}")
-        elif va != vb:
-            diffs.append(f"{key}: {va!r} != {vb!r}")
-    return diffs
+    """Differences between two reports: exact for counts, tol for ratios.
+
+    Fields come in field order and the keys of a dict field in sorted
+    order, so the same two reports always give the same list."""
+    pairs: list[tuple[str, Any, Any]] = []
+    for name in _FIELD_TYPES:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, dict):
+            pairs += ((f"{name}[{k}]", x.get(k), y.get(k)) for k in sorted(x.keys() | y.keys()))
+        elif name != "duplicates_dropped":  # diagnostic of delivery, not of the run
+            pairs.append((name, x, y))
+    return [
+        f"{name}: {x!r} != {y!r}"
+        for name, x, y in pairs
+        if (x is None or y is None or abs(x - y) > tol
+            if isinstance(x, float) or isinstance(y, float) else x != y)
+    ]
 
 
 def _clip_total(intervals: Iterable[tuple[int, int]], horizon: int) -> int:
@@ -157,6 +154,18 @@ def _clip_total(intervals: Iterable[tuple[int, int]], horizon: int) -> int:
     for start, end in intervals:
         total += max(0, min(end, horizon) - min(start, horizon))
     return total
+
+
+# machine event kind -> (the state whose interval it opens or closes, whether
+# it opens one, the refusal for a machine already in that state, or not in it)
+_ENGINE_TRANSITIONS = {
+    "op-started": ("busy", True, "op-started on already busy machine {!r}"),
+    "op-finished": ("busy", False, "op-finished on idle machine {!r}"),
+    "machine-down": ("down", True, "machine-down on already down machine {!r}"),
+    "machine-up": ("down", False, "machine-up on machine {!r} that was not down"),
+    "supply-blocked": ("blocked", True, "supply-blocked on already blocked machine {!r}"),
+    "supply-restored": ("blocked", False, "supply-restored on machine {!r} that was not blocked"),
+}
 
 
 class KpiEngine:
@@ -170,9 +179,10 @@ class KpiEngine:
         self._dues: dict[str, int] = {}
         self._last: dict[str, tuple[int, int]] = {}  # flow -> (t, seq) of its last entry
         self.events_observed = 0
-        self._released: dict[str, int] = {}
-        self._completed: dict[str, int] = {}
-        self._cancelled: dict[str, int] = {}
+        # event kind -> order -> time of its last event of that kind
+        self._times: dict[str, dict[str, int]] = {
+            k: {} for k in ("order-released", "order-completed", "order-cancelled")
+        }
         self._scrapped: dict[str, int] = {}
         self.rework_events = 0
         # (state, machine) -> (start, order) of each open busy, down or
@@ -222,38 +232,18 @@ class KpiEngine:
         kind = ev["kind"]
         machine = ev.get("machine")
         order = ev.get("order")
-        if kind == "order-released":
-            self._released[order] = t
-        elif kind == "order-completed":
-            self._completed[order] = t
-        elif kind == "order-cancelled":
-            self._cancelled[order] = t
-        elif kind == "op-started":
-            if ("busy", machine) in self._open:
-                raise StreamError(f"op-started on already busy machine {machine!r}")
-            self._open["busy", machine] = (t, order)
-        elif kind == "op-finished":
-            if ("busy", machine) not in self._open:
-                raise StreamError(f"op-finished on idle machine {machine!r}")
-            self._close("busy", machine, t)
-        elif kind == "machine-down":
-            if ("down", machine) in self._open:
-                raise StreamError(f"machine-down on already down machine {machine!r}")
-            if ("busy", machine) in self._open:
+        if kind in self._times:
+            self._times[kind][order] = t
+        elif kind in _ENGINE_TRANSITIONS:
+            state, opens, refusal = _ENGINE_TRANSITIONS[kind]
+            if ((state, machine) in self._open) == opens:
+                raise StreamError(refusal.format(machine))
+            if kind == "machine-down" and ("busy", machine) in self._open:
                 self._close("busy", machine, t)
-            self._open["down", machine] = (t, None)
-        elif kind == "machine-up":
-            if ("down", machine) not in self._open:
-                raise StreamError(f"machine-up on machine {machine!r} that was not down")
-            self._close("down", machine, t)
-        elif kind == "supply-blocked":
-            if ("blocked", machine) in self._open:
-                raise StreamError(f"supply-blocked on already blocked machine {machine!r}")
-            self._open["blocked", machine] = (t, None)
-        elif kind == "supply-restored":
-            if ("blocked", machine) not in self._open:
-                raise StreamError(f"supply-restored on machine {machine!r} that was not blocked")
-            self._close("blocked", machine, t)
+            if opens:
+                self._open[state, machine] = (t, order)
+            else:
+                self._close(state, machine, t)
         elif kind == "product-rejected":
             policy = (ev.get("info") or {}).get("policy")
             busy = self._open.get(("busy", machine))
@@ -271,17 +261,16 @@ class KpiEngine:
     # -- reduction ----------------------------------------------------------------
 
     def finalize(self) -> KpiReport:
-        released = set(self._released)
-        settled = set(self._completed) | set(self._cancelled) | set(self._scrapped)
-        if released != settled:
-            missing = sorted(released - settled)
-            phantom = sorted(settled - released)
+        released, completed, cancelled = self._times.values()
+        settled = set(completed) | set(cancelled) | set(self._scrapped)
+        if set(released) != settled:
             raise ConservationError(
-                f"conservation violated: released={len(released)} "
-                f"completed={len(self._completed)} cancelled={len(self._cancelled)} "
-                f"scrapped={len(self._scrapped)}; unsettled={missing}; unreleased={phantom}"
+                f"conservation violated: released={len(released)} completed={len(completed)} "
+                f"cancelled={len(cancelled)} scrapped={len(self._scrapped)}; "
+                f"unsettled={sorted(set(released) - settled)}; "
+                f"unreleased={sorted(settled - set(released))}"
             )
-        makespan = max(self._completed.values(), default=0)
+        makespan = max(completed.values(), default=0)
         spans = {key: list(closed) for key, closed in self._spans.items()}
         for key, (start, _) in self._open.items():
             spans.setdefault(key, []).append((start, makespan))
@@ -292,22 +281,22 @@ class KpiEngine:
         )
         utilization = {m: (machine_busy[m] / makespan if makespan else 0.0) for m in machines}
 
-        leads = [t - self._released[o] for o, t in sorted(self._completed.items())]
+        leads = [t - released[o] for o, t in sorted(completed.items())]
         tardies: list[int] = []
-        for o, t in sorted(self._completed.items()):
+        for o, t in sorted(completed.items()):
             if o not in self._dues:
                 raise StreamError(f"order {o!r} completed but never registered")
             tardies.append(max(0, t - self._dues[o]))
 
-        n = len(self._completed)
+        n = len(completed)
         return KpiReport(
             run_id=self.run_id,
             scenario=self.scenario,
             seed=self.seed,
             makespan=makespan,
-            released=len(self._released),
+            released=len(released),
             completed=n,
-            cancelled=len(self._cancelled),
+            cancelled=len(cancelled),
             scrapped=len(self._scrapped),
             rework_events=self.rework_events,
             throughput_per_1000=(n * 1000 / makespan) if makespan else 0.0,
@@ -333,6 +322,17 @@ def _inserted(body: dict[str, Any]) -> ProductOrder | None:
     """The order a directive body inserts, if it is an insert-order."""
     directive = ControlDirective.check_body(body)
     return ProductOrder.from_dict(body["order"]) if directive["kind"] == "insert-order" else None
+
+
+# The oracle's own copy of ``_ENGINE_TRANSITIONS``: neither fold reads the other's.
+_LOG_TRANSITIONS = {
+    "op-started": ("busy", True, "op-started on already busy machine {!r}"),
+    "op-finished": ("busy", False, "op-finished on idle machine {!r}"),
+    "machine-down": ("down", True, "machine-down on already down machine {!r}"),
+    "machine-up": ("down", False, "machine-up on machine {!r} that was not down"),
+    "supply-blocked": ("blocked", True, "supply-blocked on already blocked machine {!r}"),
+    "supply-restored": ("blocked", False, "supply-restored on machine {!r} that was not blocked"),
+}
 
 
 def recompute_from_log(log: bytes) -> KpiReport:
@@ -403,32 +403,16 @@ def recompute_from_log(log: bytes) -> KpiReport:
                         rework_events += 1
                     if opened.get(("busy", m), (0, None))[1] == e["order"]:
                         close("busy", m, t)
-                elif k == "op-started":
-                    if ("busy", m) in opened:
-                        raise StreamError(f"op-started on already busy machine {m!r}")
-                    opened["busy", m] = (t, e["order"])
-                elif k == "op-finished":
-                    if ("busy", m) not in opened:
-                        raise StreamError(f"op-finished on idle machine {m!r}")
-                    close("busy", m, t)
-                elif k == "machine-down":
-                    if ("down", m) in opened:
-                        raise StreamError(f"machine-down on already down machine {m!r}")
-                    if ("busy", m) in opened:
+                elif k in _LOG_TRANSITIONS:
+                    state, opens, refusal = _LOG_TRANSITIONS[k]
+                    if ((state, m) in opened) == opens:
+                        raise StreamError(refusal.format(m))
+                    if k == "machine-down" and ("busy", m) in opened:
                         close("busy", m, t)
-                    opened["down", m] = (t, None)
-                elif k == "machine-up":
-                    if ("down", m) not in opened:
-                        raise StreamError(f"machine-up on machine {m!r} that was not down")
-                    close("down", m, t)
-                elif k == "supply-blocked":
-                    if ("blocked", m) in opened:
-                        raise StreamError(f"supply-blocked on already blocked machine {m!r}")
-                    opened["blocked", m] = (t, None)
-                elif k == "supply-restored":
-                    if ("blocked", m) not in opened:
-                        raise StreamError(f"supply-restored on machine {m!r} that was not blocked")
-                    close("blocked", m, t)
+                    if opens:
+                        opened[state, m] = (t, e.get("order"))
+                    else:
+                        close(state, m, t)
         elif kind == "tap" and (type(flow := record["body"].get("flow")) is not str
                                 or flow == FLOW_CONTROL_KPI):
             body = built_body(Tap.check_body, record, offset)

@@ -66,6 +66,18 @@ class TestOrderBook:
         with pytest.raises(OrderBookError, match=re.escape("order [] must be an object")):
             load_orders('{"orders": [{"id": "O1", "routing": ["A"], "release": 0, "due": 9}, []]}')
 
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "order book is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "order book must be an object with an orders list"),
+        ('{"order": []}', "order book must be an object with an orders list"),
+        ('{"orders": {}}', "orders must be a list"),
+        ('{"orders": null}', "orders must be a list"),
+    ])
+    def test_load_orders_refusals_read_exactly(self, text, message):
+        with pytest.raises(OrderBookError) as refused:
+            load_orders(text)
+        assert str(refused.value) == message
+
     def test_load_orders_rejects_duplicates(self):
         text = ('{"orders": [{"id": "O1", "routing": ["A"], "release": 0, "due": 9},'
                 ' {"id": "O1", "routing": ["A"], "release": 0, "due": 9}]}')

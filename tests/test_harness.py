@@ -113,6 +113,33 @@ class TestSuiteLoading:
         with pytest.raises(SuiteError, match="unique"):
             load_suite(str(p)).load_scenarios()
 
+    # Suite documents each refused for one fault, as a text or as a change
+    # to the packaged document, with the exact text of the refusal.
+    @pytest.mark.parametrize("change, message", [
+        ("not json", "suite document is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "suite document must be a JSON object"),
+        (lambda d: d.pop("id"), "suite id must be a non-empty string"),
+        (lambda d: d.update(id=""), "suite id must be a non-empty string"),
+        (lambda d: d.update(id=7), "suite id must be a non-empty string"),
+        (lambda d: d.pop("model"), "suite model must be a path string"),
+        (lambda d: d.update(orders=""), "suite orders must be a path string"),
+        (lambda d: d["scenarios"].append(5), "suite scenarios[5] must be a path string"),
+        (lambda d: d.update(scenarios=[]), "suite scenarios must be a non-empty list of paths"),
+        (lambda d: d.update(scenarios="null.json"),
+         "suite scenarios must be a non-empty list of paths"),
+        (lambda d: d.update(seeds=[]), "suite seeds must be a non-empty list of integers"),
+        (lambda d: d.update(seeds=1), "suite seeds must be a non-empty list of integers"),
+    ])
+    def test_every_refusal_reads_exactly(self, data_copy, change, message):
+        p = data_copy / "minicell" / "suite.json"
+        if isinstance(change, str):
+            p.write_text(change, encoding="utf-8")
+        else:
+            edit_json(p, change)
+        with pytest.raises(SuiteError) as refused:
+            load_suite(str(p))
+        assert str(refused.value) == message
+
     def test_scenario_with_model_payload_fails_validation(self, data_copy):
         # leanness: a scenario cannot carry plant changes
         sp = data_copy / "scenarios" / "ps9.json"
@@ -253,6 +280,22 @@ class TestRunSuite:
         os.remove(os.path.join(out, name))
         with pytest.raises(ArtifactError, match=re.escape(f"{out} holds no {name}")):
             artifact_digest(out)
+
+    @pytest.mark.parametrize("manifest, where", [
+        ([], ""),
+        ({"suite": "s", "model_hash": "h", "seeds": [1], "scenarios": [5], "runs": []},
+         ": scenarios[0]"),
+        ({"suite": "s", "model_hash": "h", "seeds": [1], "scenarios": [], "runs": [None]},
+         ": runs[0]"),
+    ])
+    def test_a_manifest_entry_that_is_no_object_is_refused(self, tmp_path, manifest, where):
+        path = os.path.join(str(tmp_path), "manifest.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(manifest, f)
+        for reader in (compare, artifact_digest):
+            with pytest.raises(ArtifactError) as refused:
+                reader(str(tmp_path))
+            assert str(refused.value) == f"{path}{where} must be a JSON object"
 
     def test_digest_needs_a_manifest(self, tmp_path):
         with pytest.raises(ArtifactError, match="manifest"):

@@ -1342,6 +1342,28 @@ class TestReplyProtocol:
         with pytest.raises(ProtocolError, match=re.escape(refusal)):
             session(minicell_model, minicell_orders, ps9_scenario, 1)
 
+    @pytest.mark.parametrize("transport", ["in-process", "socket"])
+    def test_driver_refuses_a_tap_on_another_flow(
+        self, minicell_model, minicell_orders, null_scenario, monkeypatch, transport
+    ):
+        """Both KPI folds read the control's counters from FLOW7 only: the
+        same counters on FLOW8 would read 0 in a run that completes."""
+        class OtherFlow(ControlClient):
+            def handle(self, record):
+                if record["kind"] != "run-end":
+                    return super().handle(record)
+                round_no, t = record["round"], record["t"]
+                for i, (name, value) in enumerate(sorted(self._control.export_kpi().items())):
+                    body = {"flow": "FLOW8", "name": name, "value": value, "i": i}
+                    self._send(rec(kind="tap", role="control", round_no=round_no, t=t, body=body))
+                self._send(rec(kind="bye", role="control", round_no=round_no, t=t))
+                return False
+
+        monkeypatch.setattr(interface, "ControlClient", OtherFlow)
+        session = socket_session if transport == "socket" else run_single
+        with pytest.raises(ProtocolError, match=re.escape("control tap flow 'FLOW8' is not FLOW7")):
+            session(minicell_model, minicell_orders, null_scenario, 1)
+
     def test_control_that_hangs_up_before_bye_fails_the_run(
         self, minicell_model, minicell_orders, ps9_scenario
     ):

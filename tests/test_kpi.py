@@ -483,6 +483,18 @@ class TestReportSerialization:
         diffs = reports_match(a, b)
         assert any("makespan" in d for d in diffs)
 
+    def test_differences_come_in_field_order_and_sorted_key_order(self):
+        a = synthetic_engine().finalize()
+        b = synthetic_engine().finalize()
+        a.machine_busy = {f"M{i}": i for i in (7, 6, 8, 4, 3, 2, 5, 1)}
+        b.machine_busy = {f"M{i}": i + 10 for i in (5, 1, 8, 2, 4, 6, 3, 7)}
+        b.makespan, b.lead_time_mean = 13, 12.5
+        assert reports_match(a, b) == [
+            "makespan: 12 != 13",
+            *(f"machine_busy[M{i}]: {i} != {i + 10}" for i in range(1, 9)),
+            "lead_time_mean: 12.0 != 12.5",
+        ]
+
     @pytest.mark.parametrize("change, named", [
         (lambda r: r.utilization.update(M1=0.5 + 1e-6), "utilization[M1]"),
         (lambda r: r.machine_busy.update(M1=7), "machine_busy[M1]"),

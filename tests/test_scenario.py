@@ -246,6 +246,54 @@ class TestTriggerParsing:
 
 
 class TestScenarioLoading:
+    # Scenario documents each refused for one fault, as a text or as a change
+    # to a one-rule document, with the exact text of the refusal.
+    @pytest.mark.parametrize("change, message", [
+        ("not json",
+         "scenario document is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "scenario document must be a JSON object"),
+        (lambda d: d.pop("id"), "scenario id must be a non-empty string"),
+        (lambda d: d.update(id=""), "scenario id must be a non-empty string"),
+        (lambda d: d.update(rules={}), "scenario rules must be a list"),
+        (lambda d: d.update(description=None), "scenario description must be a string"),
+        (lambda d: d.update(distributions=[]), "scenario distributions must be an object"),
+        (lambda d: d["distributions"].update(gap=3),
+         "distributions.gap must be an object with a kind"),
+        (lambda d: d["distributions"].update(gap={"value": 3}),
+         "distributions.gap must be an object with a kind"),
+        (lambda d: d["rules"].append(["r2"]), "rules[1] must be an object"),
+        (lambda d: d["rules"][0].update(id=""), "rules[0].id must be a non-empty string"),
+        (lambda d: d["rules"][0].update(id=5), "rules[0].id must be a non-empty string"),
+        (lambda d: d["rules"][0].update(actions=[]), "rules[0].actions must be a non-empty list"),
+        (lambda d: d["rules"][0].pop("actions"), "rules[0].actions must be a non-empty list"),
+        (lambda d: d["rules"][0].pop("trigger"), "rules[0].trigger must be an object with a kind"),
+        (lambda d: d["rules"][0].update(trigger={"time": 1}),
+         "rules[0].trigger must be an object with a kind"),
+        (lambda d: d["rules"][0].update(trigger={"kind": "after", "delay": 1, "base": []}),
+         "rules[0].trigger.base must be an object with a kind"),
+        (lambda d: d["rules"][0].update(
+            trigger={"kind": "on-event", "event": "op-started", "where": ["M1"]}),
+         "rules[0].trigger.where must be an object"),
+        (lambda d: d["rules"][0]["actions"].append("inject"),
+         "rules[0].actions[1] must be an object with a kind"),
+        (lambda d: d["rules"][0]["actions"][0].pop("kind"),
+         "rules[0].actions[0] must be an object with a kind"),
+        (lambda d: d["rules"][0]["actions"][0].update(injection="M1"),
+         "rules[0].actions[0].injection must be an object"),
+        (lambda d: d["rules"][0]["actions"][0].pop("injection"),
+         "rules[0].actions[0].injection must be an object"),
+    ])
+    def test_every_refusal_reads_exactly(self, change, message):
+        if isinstance(change, str):
+            text = change
+        else:
+            doc = scenario_doc([down_rule({"kind": "at-time", "time": 1})])
+            change(doc)
+            text = json.dumps(doc)
+        with pytest.raises(ScenarioError) as refused:
+            load_scenario(text, model=MODEL, orders=ORDERS)
+        assert str(refused.value) == message
+
     def test_packaged_scenarios_validate_against_the_model(self, minicell_model,
                                                            minicell_orders):
         base = resources.files("holobench.data").joinpath("scenarios")
