@@ -13,7 +13,8 @@ folded into per-scenario running aggregates at once.  Then the per-run
 files are written from the spill by two writers, one per directory: the
 calling thread creates the logs and one thread the reports.  A suite's
 memory is thus bounded by its largest session plus a small manifest entry
-per run.
+per run, and a session holds its log once, in the recorder's one buffer,
+so its peak is about 1.2-1.3 times its log.
 
 Artifacts are byte-reproducible: manifest, reports, comparison table,
 summary and session logs carry no timestamps or machine-local paths.  The

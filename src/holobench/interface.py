@@ -54,6 +54,7 @@ command and end-of-round records the control returns.
 
 from __future__ import annotations
 
+import io
 import json
 import json.scanner
 import operator
@@ -477,6 +478,11 @@ class SocketEndpoint:
 class RunRecorder:
     """Accumulates the session log and fans records out to observers.
 
+    The log is one growing buffer: each committed line is written into it
+    as it is recorded, and no per-line object is kept.  ``log_bytes`` hands
+    that buffer over, which CPython does without copying it, so a session
+    holds its log once.
+
     Observers are read-only taps: each gets every record, in wire order, as
     its line is committed to the log.  Each line comes with its record, the
     one its sender encoded or its receiver got, so the recorder decodes
@@ -485,19 +491,19 @@ class RunRecorder:
     """
 
     def __init__(self):
-        self._chunks: list[bytes] = []
+        self._log = io.BytesIO()
         self._observers: list[Callable[[dict[str, Any]], None]] = []
 
     def attach(self, observer: Callable[[dict[str, Any]], None]) -> None:
         self._observers.append(observer)
 
     def record(self, line: bytes, record: dict[str, Any]) -> None:
-        self._chunks.append(line)
+        self._log.write(line)
         for obs in self._observers:
             obs(record)
 
     def log_bytes(self) -> bytes:
-        return b"".join(self._chunks)
+        return self._log.getvalue()
 
 
 # -- emulation-side round driver -------------------------------------------------

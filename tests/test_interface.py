@@ -1023,6 +1023,16 @@ class TestMessagesCross:
         assert torn["event"] and torn["info"] and torn["order"] and torn["command"]
 
 
+def dense_session():
+    """A dense book of 120 orders on ``ORACLE_SHOP``, four released per
+    tick, with no disturbances: a long log from a small model."""
+    model = load_model_doc(ORACLE_SHOP)
+    book = [ProductOrder(f"O{i}", tuple("ABC"[: 1 + i % 3]), i // 4, 1000 + i)
+            for i in range(120)]
+    scenario = load_scenario_doc({"id": "none", "rules": []}, model=model, orders=book)
+    return model, book, scenario
+
+
 def traced_peak(reader, log):
     """Peak bytes ``tracemalloc`` sees allocated while ``reader(log)`` runs,
     its result included; the log itself was allocated before tracing."""
@@ -1052,15 +1062,29 @@ class TestReaderMemory:
         assert traced_peak(extract_command_log, log) <= 2 * len(log)
 
     def test_oracle_peak_is_a_fraction_of_a_long_log(self):
-        # A dense book of 120 orders, four released per tick: the oracle
-        # keeps the orders' times and the machine spans, never the events.
-        model = load_model_doc(ORACLE_SHOP)
-        book = [ProductOrder(f"O{i}", tuple("ABC"[: 1 + i % 3]), i // 4, 1000 + i)
-                for i in range(120)]
-        scenario = load_scenario_doc({"id": "none", "rules": []}, model=model, orders=book)
-        result = run_single(model, book, scenario, seed=1)
+        # The oracle keeps the orders' times and the machine spans, never
+        # the events.
+        result = run_single(*dense_session(), seed=1)
         assert result.status == "completed" and result.report.completed == 120
         assert traced_peak(recompute_from_log, result.log) <= len(result.log) // 4
+
+
+class TestSessionMemory:
+    def test_live_session_holds_its_log_once(self):
+        """The recorder writes each line into one buffer and hands that
+        buffer over as the log, so a session peaks near its log's size.  A
+        list of lines joined at the end holds the log twice over and peaks
+        at about 2.9 times it."""
+        session = dense_session()
+        run_single(*session, seed=1)  # first-use caches
+        tracemalloc.start()
+        try:
+            result = run_single(*session, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status == "completed"
+        assert peak <= 1.5 * len(result.log), (peak, len(result.log))
 
 
 class TestOldFormatLogs:

@@ -1,5 +1,6 @@
 """Scenario documents, seeded streams, trigger runtime and the label registry."""
 
+import hashlib
 import json
 import re
 from collections import Counter
@@ -110,6 +111,72 @@ class TestRegistry:
     def test_every_label_has_a_known_category(self):
         reg = CategoryRegistry.load()
         assert set(reg.labels.values()) <= set(CATEGORIES)
+
+
+class _Resources:
+    """Stands in for ``importlib.resources``: serves ``raw`` as the
+    packaged registry.json."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def files(self, package):
+        assert package == "holobench.data"
+        return self
+
+    def joinpath(self, name):
+        assert name == "registry.json"
+        return self
+
+    def read_bytes(self):
+        return self.raw
+
+
+def _registry_bytes(labels):
+    return json.dumps({"version": 1, "categories": list(CATEGORIES), "labels": labels}).encode()
+
+
+class TestDamagedRegistry:
+    """Each refusal of ``CategoryRegistry.load``, read from crafted registry
+    bytes.  The last two need bytes whose hash is the recorded one, so the
+    recorded hash is set to the crafted bytes' own."""
+
+    def test_bytes_other_than_the_recorded_ones_are_refused(self, monkeypatch):
+        raw = _registry_bytes({"#PS1": "order-management"})
+        monkeypatch.setattr("holobench.scenario.resources", _Resources(raw))
+        with pytest.raises(RegistryError) as refused:
+            CategoryRegistry.load()
+        assert str(refused.value) == (
+            f"registry.json hash {hashlib.sha256(raw).hexdigest()} "
+            f"does not match the recorded {REGISTRY_SHA256}"
+        )
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ({"#PS1": "order-management", "#PS2": "weather"},
+             "label '#PS2' maps to unknown category 'weather'"),
+            ({"#PS1": "order-management", "ps1": "quality"},
+             "labels collide after normalization"),
+            ({"Query 2": "order-management", " query  2": "order-management"},
+             "labels collide after normalization"),
+        ],
+    )
+    def test_refusal_reads_exactly(self, monkeypatch, labels, message):
+        raw = _registry_bytes(labels)
+        monkeypatch.setattr("holobench.scenario.resources", _Resources(raw))
+        monkeypatch.setattr("holobench.scenario.REGISTRY_SHA256", hashlib.sha256(raw).hexdigest())
+        with pytest.raises(RegistryError) as refused:
+            CategoryRegistry.load()
+        assert str(refused.value) == message
+
+    def test_crafted_bytes_with_the_recorded_hash_load(self, monkeypatch):
+        raw = _registry_bytes({"#PS1": "order-management", "Query 2": "quality"})
+        monkeypatch.setattr("holobench.scenario.resources", _Resources(raw))
+        monkeypatch.setattr("holobench.scenario.REGISTRY_SHA256", hashlib.sha256(raw).hexdigest())
+        reg = CategoryRegistry.load()
+        assert reg.classify("ps1") == "order-management"
+        assert reg.classify("query  2") == "quality"
 
 
 class TestStreams:
