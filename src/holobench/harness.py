@@ -26,11 +26,9 @@ the reproducibility digest leaves out.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import logging
-import operator
 import os
 import tempfile
 import threading
@@ -237,16 +235,13 @@ def _drive(
         t, events = queue.popleft()
         if t > cap:
             return "cap-exceeded", delivered
-        directives = []
-        for firing in manager.process_batch(t, events):
+        firings = manager.process_batch(t, events)
+        for firing in firings:
             for inj in firing.injections:
-                driver.send_injection_audit(t, firing.rule_id, inj.to_dict())
                 injected = kernel.apply_injection(inj)
                 if injected:
                     queue.append((kernel.clock, injected))
-            # Directives ride ahead of this round's event batch.
-            directives.extend(firing.directives)
-        driver.open_round(t, directives)
+        driver.open_round(t, firings)
         commands, idle = driver.play_round(t, events, kernel.drain_notices())
         delivered += len(events)
         buffer.extend(commands)
@@ -445,9 +440,11 @@ class _Comparison:
     """Per-scenario running aggregates of the runs' compared metrics.
 
     Runs are folded in one at a time, in manifest order, and nothing is
-    kept per run.  The sum adds left to right from int 0, as
-    ``_sum_in_order`` does, and the minimum and maximum move only on a
-    strict ``<`` or ``>``, as ``min`` and ``max`` do.  A scenario's metric
+    kept per run.  The sum adds left to right from int 0 on every
+    interpreter: from Python 3.12 on, ``sum`` of floats compensates for
+    rounding, which would move the last digit of some means and so the
+    artifact digest.  The minimum and maximum move only on a strict ``<``
+    or ``>``, as ``min`` and ``max`` do.  A scenario's metric
     names are those of its first completed run, and a later run with other
     names is refused.  Only mean/min/max across seeds are reported;
     single-seed scenarios simply repeat the value.
@@ -582,17 +579,6 @@ def _check_fields(doc: Any, spec: dict[str, Any], where: str) -> None:
 _SUMMARY_METRICS = (
     "makespan", "throughput_per_1000", "lead_time_mean", "tardiness_total", "reschedules"
 )
-
-
-def _sum_in_order(values: Iterable[float]) -> float:
-    """Add left to right from int 0, as ``sum`` does before Python 3.12.
-
-    The reference for the running sums of ``_Comparison``.  From 3.12 on,
-    ``sum`` of floats compensates for rounding, which moves the last digit
-    of some means in comparison.csv and so the artifact digest;
-    ``math.fsum`` would move them on every interpreter.
-    """
-    return functools.reduce(operator.add, values, 0)
 
 
 def _num(v: float) -> str:

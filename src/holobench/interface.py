@@ -14,8 +14,10 @@ which ends the reply.  The round driver times each round from
 sending the event batch to receiving the end-of-round, so the control's
 decision latency is measured outside the control and never crosses the
 wire: two runs of one seed write the same log bytes.
-Scenario-manager records (run metadata, directives, injection audits) ride
-the same wire and are recorded in place.
+Scenario-manager records ride the same wire and are recorded in place: run
+metadata after the hello, and each round's injection audits, then its
+directives, sent by ``open_round`` ahead of its event batch.  The driver's
+one read, ``_recv``, refuses a reply of another role or kind.
 
 Decoding is strict about the shape of a line: after the prefix comes exactly
 one JSON object, then the newline.  Unlike ``json.loads``, no whitespace is
@@ -66,6 +68,7 @@ from typing import Any, Callable, Iterable, Iterator
 from .canon import canon_dumps, canon_str, is_int
 from .control import OrderBookError, ProductOrder, ReferenceControl
 from .messages import ControlCommand, ControlDirective, MessageError, Notice, SimEvent, Tap
+from .scenario import Firing
 
 WIRE_PREFIX = b"IL1 "
 WIRE_VERSION = "1"
@@ -512,13 +515,15 @@ class RunRecorder:
 class RoundDriver:
     """Emulation-side half of the round protocol.
 
-    Owns the wire: sends hello, run metadata, per-round scenario records and
-    event batches; collects the control's reply for each round.  Records
-    both directions: each line it sends goes to the recorder with the
-    record it was encoded from, once the endpoint has taken it, and each
-    line it receives with the record the endpoint hands over, once the
-    driver has read it.  Does not know about the kernel; the bench harness
-    supplies batches and consumes commands.
+    Owns the wire: sends hello and run metadata; ``open_round`` numbers a
+    round and sends its scenario records (injection audits, then
+    directives), and ``play_round`` its event batch and reads the reply.
+    ``_recv`` refuses a reply of another role or kind.  Records both
+    directions: each line it sends goes to the recorder with the record it
+    was encoded from, once the endpoint has taken it, and each line it
+    receives with the record the endpoint hands over, once the driver has
+    read it.  Does not know about the kernel; the bench harness supplies
+    firings and batches and consumes commands.
 
     Times each round on the host clock, from sending the event batch to
     receiving the end-of-round: ``round_ms`` holds one wall-clock figure
@@ -535,23 +540,24 @@ class RoundDriver:
     def _send(self, record: dict[str, Any]) -> None:
         self._recorder.record(self._ep.send(record), record)
 
-    def _recv(self) -> tuple[bytes, dict[str, Any]]:
-        """The control's next line and record, refusing a record of another
-        role; the caller records the line once it has read the record."""
+    def _recv(self, kinds: tuple[str, ...], refusal: str) -> tuple[bytes, dict[str, Any]]:
+        """The control's next line and record, refusing one of another role,
+        or of a kind not in ``kinds`` with ``refusal.format(kind)``; the
+        caller records the line once it has read the record."""
         try:
             line, record = self._ep.recv()
         except EndOfStream:
             raise ProtocolError("the control hung up before its bye") from None
         if record["role"] != ROLE_CONTROL:
             raise ProtocolError(f"unexpected {record['role']} record in a control reply")
+        if record["kind"] not in kinds:
+            raise ProtocolError(refusal.format(record["kind"]))
         return line, record
 
     def handshake(self) -> None:
         """Send hello and check the control's hello in reply."""
         self._send(make_record(ROLE_EMULATION, 0, 0, "hello", {"model_hash": self._model_hash}))
-        line, record = self._recv()
-        if record["kind"] != "hello":
-            raise ProtocolError("expected the control's hello")
+        line, record = self._recv(("hello",), "expected the control's hello")
         if record["body"].get("model_hash") != self._model_hash:
             raise ProtocolError("control answered with a different model hash")
         self._recorder.record(line, record)
@@ -559,22 +565,16 @@ class RoundDriver:
     def send_run_meta(self, body: dict[str, Any]) -> None:
         self._send(make_record(ROLE_SCENARIO, 0, 0, "run-meta", body))
 
-    def send_injection_audit(self, t: int, rule: str, injection: dict[str, Any]) -> None:
-        self._send(
-            make_record(
-                ROLE_SCENARIO,
-                self.round_no + 1,
-                t,
-                "injection",
-                {"rule": rule, "injection": injection},
-            )
-        )
-
-    def open_round(self, t: int, directives: Iterable[ControlDirective]) -> int:
+    def open_round(self, t: int, firings: list[Firing]) -> None:
+        """Number the next round and send its firings' injection audits, then their directives."""
         self.round_no += 1
-        for d in directives:
-            self._send(make_record(ROLE_SCENARIO, self.round_no, t, "directive", d.to_dict()))
-        return self.round_no
+        for firing in firings:
+            for inj in firing.injections:
+                body = {"rule": firing.rule_id, "injection": inj.to_dict()}
+                self._send(make_record(ROLE_SCENARIO, self.round_no, t, "injection", body))
+        for firing in firings:
+            for d in firing.directives:
+                self._send(make_record(ROLE_SCENARIO, self.round_no, t, "directive", d.to_dict()))
 
     def play_round(
         self, t: int, events: list[dict[str, Any]], notices: Iterable[Notice]
@@ -589,10 +589,9 @@ class RoundDriver:
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "event-batch", body))
         commands: list[dict[str, Any]] = []
         while True:
-            line, record = self._recv()
+            line, record = self._recv(("command", "end-of-round"),
+                                      "unexpected control record kind {!r}")
             kind = record["kind"]
-            if kind not in ("command", "end-of-round"):
-                raise ProtocolError(f"unexpected control record kind {kind!r}")
             if record["corr"] != self.round_no:
                 raise ProtocolError(f"{kind} correlates to the wrong round")
             if kind == "command":
@@ -616,10 +615,8 @@ class RoundDriver:
         self._send(make_record(ROLE_EMULATION, self.round_no, t, "run-end", {"reason": reason}))
         last_i = None
         while True:
-            line, record = self._recv()
+            line, record = self._recv(("tap", "bye"), "unexpected record {!r} after run-end")
             kind = record["kind"]
-            if kind not in ("tap", "bye"):
-                raise ProtocolError(f"unexpected record {kind!r} after run-end")
             if kind == "tap":
                 body = built_body(Tap.check_body, record)
                 if body["flow"] != FLOW_CONTROL_KPI:

@@ -53,9 +53,7 @@ EVENT_FIELDS = {
     "op-finished": ("machine", "order", "node"),
 }
 
-COMMAND_KINDS = frozenset(
-    {"move-shuttle", "start-op", "release-order", "cancel-order", "end-of-round"}
-)
+COMMAND_KINDS = frozenset({"move-shuttle", "start-op", "release-order", "cancel-order"})
 
 # Closed vocabulary of control directives, each with the target fields its
 # kind acts on; a directive must set each of them.

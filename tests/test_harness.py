@@ -1,7 +1,9 @@
 """Suite runner: artifact layout, byte-reproducibility, comparison outputs."""
 
 import csv
+import functools
 import json
+import operator
 import os
 import re
 import shutil
@@ -21,7 +23,6 @@ from holobench.harness import (
     ArtifactError,
     SuiteError,
     _Comparison,
-    _sum_in_order,
     artifact_digest,
     compare,
     load_suite,
@@ -32,6 +33,17 @@ from holobench.kpi import COMPARED_METRICS
 
 
 PACKAGED_SUITE_DIGEST = "39e3670588091b45fad7674a3e5bf687f3f9227b8aba5bc7f737dc018ab7207c"
+
+
+def _sum_in_order(values):
+    """Add left to right from int 0, as ``sum`` does before Python 3.12.
+
+    The reference for the running sums of ``_Comparison``.  From 3.12 on,
+    ``sum`` of floats compensates for rounding, which would move the last
+    digit of some means in comparison.csv and so the artifact digest;
+    ``math.fsum`` would move them on every interpreter.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 @pytest.fixture()
@@ -429,6 +441,10 @@ class TestCompare:
         # From Python 3.12 on, sum([0.1] * 10) compensates and gives 1.0.
         assert _sum_in_order([0.1] * 10) == 0.9999999999999999
         assert _sum_in_order([]) == 0
+        comparison = _Comparison()
+        for _ in range(10):
+            comparison.add({"scenario": "s", "category": None}, {"x": 0.1})
+        assert comparison.folds["s"]["x"][0] == 0.9999999999999999
 
     @given(
         values=st.lists(

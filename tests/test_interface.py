@@ -453,13 +453,17 @@ class TestSocket:
             (rec(body={"events": [{"time": 0, "seq": True, "kind": "op-started"}]}),
              MessageError),
             (rec(kind="command", role="control", body={"kind": "fly"}, corr=7), MessageError),
+            # end-of-round is a record kind, never a command body
+            (rec(kind="command", role="control", body={"kind": "end-of-round"}, corr=7),
+             MessageError),
             (rec(body={"events": [{"time": 0, "seq": 1, "kind": "order-released", "node": "IN"}]}),
              MessageError),
             (rec(body={"events": [{"time": 0, "seq": 1, "kind": "machine-up", "machine": 5}]}),
              MessageError),
         ],
         ids=["event-batch-without-events", "event-with-a-boolean-seq", "unknown-command-kind",
-             "event-without-its-subject", "event-with-a-number-for-its-subject"],
+             "end-of-round-command", "event-without-its-subject",
+             "event-with-a-number-for-its-subject"],
     )
     def test_body_that_builds_no_message_is_a_protocol_error(
         self, minicell_model, record, cause
@@ -1137,6 +1141,19 @@ class TestReplay:
         log = self._log(minicell_model, minicell_orders, ps9_scenario)
         fresh = ReferenceControl(minicell_model)
         assert replay_session(log, fresh) == extract_command_log(log)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(session=oracle_sessions())
+    def test_generated_sessions_replay_and_log_alike_without_the_kpi_tap(self, session):
+        """Acceptance criteria c3 and c9 on generated sessions: a fresh
+        control fed the log answers with its command log, and a session run
+        without the KPI tap writes the same bytes."""
+        book, scenario_doc, seed = session
+        model = load_model_doc(ORACLE_SHOP)
+        scenario = load_scenario_doc(scenario_doc, model=model, orders=book)
+        log = run_single(model, book, scenario, seed).log
+        assert replay_session(log, ReferenceControl(model)) == extract_command_log(log)
+        assert run_single(model, book, scenario, seed, attach_kpi=False).log == log
 
     def test_event_stream_extraction(self, minicell_model, minicell_orders,
                                      null_scenario):

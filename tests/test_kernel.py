@@ -4,13 +4,17 @@ snapshot round-trips and determinism."""
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from holobench.harness import run_single
+from holobench.interface import extract_event_stream
 from holobench.kernel import EmulationKernel
 from holobench.messages import EVENT_FIELDS, ControlCommand, Injection, SimEvent
 from holobench.model import load_model_doc
+from holobench.scenario import load_scenario_doc
 from conftest import LINE_MODEL
+from strategies import ORACLE_SHOP, oracle_sessions
 
 
 def release(order):
@@ -431,8 +435,7 @@ class TestInjections:
 
     def test_scrap_in_transit_clears_cargo(self, line_model):
         k = EmulationKernel(line_model)
-        k.advance([release("O1")])
-        k.advance([move("S1", "M1", carry="O1")])
+        events = k.advance([release("O1")]) + k.advance([move("S1", "M1", carry="O1")])
         (ev,) = k.apply_injection(
             Injection(kind="product-reject", order="O1", policy="scrap")
         )
@@ -440,6 +443,8 @@ class TestInjections:
         (arr,) = k.advance()
         assert arr["kind"] == "shuttle-arrived" and "order" not in arr
         assert state(k)["shuttles"]["S1"]["cargo"] is None
+        # rare in the random scripts, so the floor-timing fold is run here too
+        check_floor_timing(line_model, [SimEvent.from_dict(e) for e in [*events, ev, arr]])
 
     def test_reject_unknown_order_ignored(self, line_model):
         k = EmulationKernel(line_model)
@@ -483,32 +488,59 @@ _inj = st.one_of(
 )
 
 
-def check_liveness(model, stream):
-    """Every op-finished ends an op-started on its machine that no
-    machine-down or product-rejected cut short, and after its operation's
-    duration; every timed machine-up or supply-restored comes exactly its
-    duration after the down or block, unless an explicit one came first."""
+def check_floor_timing(model, events):
+    """The floor-timing oracle: a fold over the model and a drained event
+    stream, in seq order, that knows nothing of the kernel's state.
+
+    Each op-finished comes exactly its machine's duration for
+    ``info.operation`` after its op-started, unless a machine-down
+    (``info.preempted``) or an in-process product-rejected stopped that
+    operation first.  Each shuttle-arrived comes exactly ``travel_time(
+    departure node, arrival node)`` after its shuttle-departed, with the
+    same order, unless that cargo was scrapped in transit.  At the end no
+    operation runs and no shuttle moves.
+    """
     running = {}  # machine -> (order, operation, start time)
-    timers = {"machine-up": {}, "supply-restored": {}}  # machine -> due tick or None
-    for explicit, e in stream:
+    moving = {}  # shuttle -> [departure node, cargo order or None, departure time]
+    for e in events:
         if e.kind == "op-started":
+            assert e.machine not in running, e
             running[e.machine] = (e.order, e.info["operation"], e.time)
         elif e.kind == "op-finished":
             order, op, started = running.pop(e.machine)
-            assert order == e.order
-            assert e.time == started + model.machines[e.machine].operations[op]
+            assert (e.order, e.info["operation"]) == (order, op), e
+            assert e.time == started + model.machines[e.machine].operations[op], e
+        elif e.kind == "machine-down":
+            assert running.pop(e.machine, (None,))[0] == e.info.get("preempted"), e
         elif e.kind == "product-rejected" and e.machine is not None:
-            assert running.pop(e.machine)[0] == e.order
-        elif e.kind in ("machine-down", "supply-blocked"):
-            if e.kind == "machine-down":
-                running.pop(e.machine, None)
-            duration = (e.info or {}).get("duration")
+            assert running.pop(e.machine)[0] == e.order, e
+        elif e.kind == "product-rejected" and e.shuttle is not None:
+            move = moving[e.shuttle]
+            assert move[1] == e.order, e
+            if e.info["policy"] == "scrap":
+                move[1] = None
+        elif e.kind == "shuttle-departed":
+            assert e.shuttle not in moving, e
+            moving[e.shuttle] = [e.node, e.order, e.time]
+        elif e.kind == "shuttle-arrived":
+            origin, order, departed = moving.pop(e.shuttle)
+            assert e.order == order, e
+            assert e.time == departed + model.travel_time(origin, e.node), e
+    assert not running and not moving
+
+
+def check_liveness(stream):
+    """Every timed machine-up or supply-restored comes exactly its duration
+    after the down or block, unless an explicit one came first."""
+    timers = {"machine-up": {}, "supply-restored": {}}  # machine -> due tick or None
+    for explicit, e in stream:
+        if e.kind in ("machine-down", "supply-blocked"):
+            duration = e.info.get("duration")
             up = "machine-up" if e.kind == "machine-down" else "supply-restored"
             timers[up][e.machine] = None if duration is None else e.time + duration
         elif e.kind in timers:
             due = timers[e.kind].pop(e.machine)
             assert explicit or due == e.time
-    assert not running
     for pending in timers.values():
         assert all(due is None for due in pending.values())
 
@@ -544,9 +576,10 @@ def test_events_carry_only_their_kinds_fields(minicell_model_doc, script):
         assert set(e) - {"time", "seq", "kind", "info"} <= set(EVENT_FIELDS[e["kind"]]), e
 
 
-@settings(max_examples=200, deadline=None)
-@given(script=st.lists(_step, max_size=24))
-def test_determinism_under_random_scripts(minicell_model_doc, script):
+def run_script(model_doc, script):
+    """Play a script on a fresh kernel of the model and drain it; returns
+    the stream of (injected, event) and the final snapshot."""
+
     def wire_checked(batch):
         """Each event body is its event's ``to_dict()``: a raw event dict
         holds no None and no empty ``info``.  Returns the events."""
@@ -554,26 +587,72 @@ def test_determinism_under_random_scripts(minicell_model_doc, script):
         assert [e.to_dict() for e in events] == batch
         return events
 
-    def run():
-        k = EmulationKernel(load_model_doc(minicell_model_doc))
-        # O1 and O2 start out waiting at M1 and M2, so that starts can succeed.
-        stream = [(False, e) for e in wire_checked(k.advance([
-            release("O1"), release("O2"), move("S1", "M1", "O1"), move("S2", "M2", "O2"),
-        ])) + wire_checked(k.advance())]
-        for step in script:
-            if isinstance(step, tuple):
-                for inj in step:
-                    stream.extend((True, e) for e in wire_checked(k.apply_injection(inj)))
-            else:
-                stream.extend((False, e) for e in wire_checked(k.advance(step or ())))
-            k.drain_notices()
-        while batch := wire_checked(k.advance()):
-            stream.extend((False, e) for e in batch)
-        return stream, k.snapshot()
+    k = EmulationKernel(load_model_doc(model_doc))
+    # O1 and O2 start out waiting at M1 and M2, so that starts can succeed.
+    stream = [(False, e) for e in wire_checked(k.advance([
+        release("O1"), release("O2"), move("S1", "M1", "O1"), move("S2", "M2", "O2"),
+    ])) + wire_checked(k.advance())]
+    for step in script:
+        if isinstance(step, tuple):
+            for inj in step:
+                stream.extend((True, e) for e in wire_checked(k.apply_injection(inj)))
+        else:
+            stream.extend((False, e) for e in wire_checked(k.advance(step or ())))
+        k.drain_notices()
+    while batch := wire_checked(k.advance()):
+        stream.extend((False, e) for e in batch)
+    return stream, k.snapshot()
 
-    sa, snap_a = run()
-    sb, snap_b = run()
+
+@settings(max_examples=200, deadline=None)
+@given(script=st.lists(_step, max_size=24))
+def test_determinism_under_random_scripts(minicell_model_doc, script):
+    sa, snap_a = run_script(minicell_model_doc, script)
+    sb, snap_b = run_script(minicell_model_doc, script)
     assert sa == sb
     assert snap_a == snap_b
     assert [e.seq for _, e in sa] == list(range(1, len(sa) + 1))
-    check_liveness(load_model_doc(minicell_model_doc), sa)
+    check_liveness(sa)
+    check_floor_timing(load_model_doc(minicell_model_doc), [e for _, e in sa])
+
+
+# MiniCell's machines, shuttles and nodes on a one-way ring: no travel time
+# equals its way back, so a travel lookup in the wrong direction shows here,
+# where MiniCell's and the oracle shop's symmetric travel hide it.
+ONE_WAY_SHOP = {
+    "machines": {
+        "M1": {"node": "M1", "operations": {"A": 10}},
+        "M2": {"node": "M2", "operations": {"B": 15}},
+    },
+    "transport": {
+        "nodes": ["IN", "M1", "M2", "OUT"],
+        "edges": [
+            {"from": "IN", "to": "M1", "travel": 2},
+            {"from": "M1", "to": "M2", "travel": 3},
+            {"from": "M2", "to": "OUT", "travel": 4},
+            {"from": "OUT", "to": "IN", "travel": 6},
+        ],
+    },
+    "shuttles": {"S1": {"home": "IN"}, "S2": {"home": "IN"}},
+    "stations": {"input": "IN", "output": "OUT"},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(script=st.lists(_step, max_size=24))
+def test_floor_timing_under_random_scripts_on_a_one_way_shop(script):
+    stream, _ = run_script(ONE_WAY_SHOP, script)
+    check_liveness(stream)
+    check_floor_timing(load_model_doc(ONE_WAY_SHOP), [e for _, e in stream])
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(session=oracle_sessions())
+def test_floor_timing_in_generated_sessions(session):
+    """The same fold over the event stream of a logged session, where the
+    control's commands and the scenario's disturbances drive the floor."""
+    book, scenario_doc, seed = session
+    model = load_model_doc(ORACLE_SHOP)
+    scenario = load_scenario_doc(scenario_doc, model=model, orders=book)
+    result = run_single(model, book, scenario, seed)
+    check_floor_timing(model, extract_event_stream(result.log))
