@@ -1,11 +1,12 @@
 """Benchmark harness: suites, runs, artifacts, comparison.
 
 A suite is the experiment plan: one shop model, one order book, a list of
-scenario documents, and a list of seeds.  The harness executes the full
-cross product scenario x seed, each run in a fresh kernel/control pair over
-a recorded wire session, then reduces the tapped streams to KPI reports and
-compares every scenario against the null (no-disturbance) baseline with
-mean/min/max aggregates.
+scenario documents, and a list of seeds.  A loaded suite parses its model
+and order book once, on first use, and checks every scenario against them.
+The harness executes the full cross product scenario x seed, each run in a
+fresh kernel/control pair over a recorded wire session, then reduces the
+tapped streams to KPI reports and compares every scenario against the null
+(no-disturbance) baseline with mean/min/max aggregates.
 
 Each finished run's log and report wait in one unlinked spill file in the
 artifact directory until the last session ends, and its KPI metrics are
@@ -26,6 +27,7 @@ the reproducibility digest leaves out.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -62,6 +64,13 @@ class ArtifactError(RuntimeError):
 
 @dataclass(frozen=True)
 class BenchmarkSuite:
+    """A suite document with its paths resolved.
+
+    The model and the order book are parsed once, on first use, and kept;
+    a document that does not load is parsed again, and refused again, at
+    each use.
+    """
+
     id: str
     model_path: str
     orders_path: str
@@ -69,15 +78,22 @@ class BenchmarkSuite:
     seeds: tuple[int, ...]
     cap: int
 
-    def load_model(self) -> ShopModel:
+    @functools.cached_property
+    def _model(self) -> ShopModel:
         return load_model_file(self.model_path)
 
+    @functools.cached_property
+    def _orders(self) -> tuple[ProductOrder, ...]:
+        return tuple(load_orders_file(self.orders_path))
+
+    def load_model(self) -> ShopModel:
+        return self._model
+
     def load_orders(self) -> list[ProductOrder]:
-        return load_orders_file(self.orders_path)
+        return list(self._orders)
 
     def load_scenarios(self) -> list[Scenario]:
-        model = self.load_model()
-        orders = self.load_orders()
+        model, orders = self._model, self._orders
         scenarios = [
             load_scenario_file(p, model=model, orders=orders) for p in self.scenario_paths
         ]

@@ -562,6 +562,16 @@ class ScenarioManager:
                     continue
                 self._queue(firings, rule, event, t)
 
+        if firings:
+            # A disarmed rule never fires again, so later batches skip it.
+            # It goes only now: removing it from the list being walked
+            # would skip the rule after it.
+            self._on_event = {
+                kind: live
+                for kind, rules in self._on_event.items()
+                if (live := [rule for rule in rules if not self._disarmed(rule)])
+            }
+
         return firings
 
     @staticmethod

@@ -30,6 +30,7 @@ from holobench.harness import (
     run_suite,
 )
 from holobench.kpi import COMPARED_METRICS
+from holobench.model import ModelError
 
 
 PACKAGED_SUITE_DIGEST = "39e3670588091b45fad7674a3e5bf687f3f9227b8aba5bc7f737dc018ab7207c"
@@ -158,6 +159,37 @@ class TestSuiteLoading:
         edit_json(sp, lambda d: d.update(model={"machines": {}}))
         suite = load_suite(str(data_copy / "minicell" / "suite.json"))
         with pytest.raises(Exception, match="unknown keys"):
+            suite.load_scenarios()
+
+    def test_model_and_orders_are_parsed_once(self, suite, tmp_path, monkeypatch):
+        parsed = []
+
+        def counted(name):
+            loader = getattr(harness, name)
+
+            def load(path):
+                parsed.append(name)
+                return loader(path)
+
+            return load
+
+        for name in ("load_model_file", "load_orders_file"):
+            monkeypatch.setattr(harness, name, counted(name))
+        model = suite.load_model()
+        orders = suite.load_orders()
+        assert len(suite.load_scenarios()) == 5
+        run_suite(suite, str(tmp_path / "out"), seeds=(1,))
+        assert sorted(parsed) == ["load_model_file", "load_orders_file"]
+        assert suite.load_model() is model
+        again = suite.load_orders()
+        assert again == orders and again is not orders
+
+    def test_a_damaged_model_is_refused_at_each_use(self, data_copy):
+        (data_copy / "minicell" / "model.json").write_text("{", encoding="utf-8")
+        suite = load_suite(str(data_copy / "minicell" / "suite.json"))
+        with pytest.raises(ModelError, match="not valid JSON"):
+            suite.load_model()
+        with pytest.raises(ModelError, match="not valid JSON"):
             suite.load_scenarios()
 
 

@@ -2,12 +2,14 @@
 snapshot round-trips and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from holobench.harness import run_single
+import holobench
+from holobench.harness import load_suite, run_single
 from holobench.interface import extract_event_stream
 from holobench.kernel import EmulationKernel
 from holobench.messages import EVENT_FIELDS, ControlCommand, Injection, SimEvent
@@ -497,13 +499,20 @@ def check_floor_timing(model, events):
     (``info.preempted``) or an in-process product-rejected stopped that
     operation first.  Each shuttle-arrived comes exactly ``travel_time(
     departure node, arrival node)`` after its shuttle-departed, with the
-    same order, unless that cargo was scrapped in transit.  At the end no
-    operation runs and no shuttle moves.
+    same order, unless that cargo was scrapped in transit.  A shuttle
+    departs from where it last arrived, or from its home.  Orders are
+    released only at the input station and completed only at the output
+    station.  At the end no operation runs and no shuttle moves.
     """
     running = {}  # machine -> (order, operation, start time)
     moving = {}  # shuttle -> [departure node, cargo order or None, departure time]
+    parked = {sid: s.home for sid, s in model.shuttles.items()}  # shuttle -> node at rest
     for e in events:
-        if e.kind == "op-started":
+        if e.kind == "order-released":
+            assert e.node == model.input_station, e
+        elif e.kind == "order-completed":
+            assert e.node == model.output_station, e
+        elif e.kind == "op-started":
             assert e.machine not in running, e
             running[e.machine] = (e.order, e.info["operation"], e.time)
         elif e.kind == "op-finished":
@@ -521,11 +530,13 @@ def check_floor_timing(model, events):
                 move[1] = None
         elif e.kind == "shuttle-departed":
             assert e.shuttle not in moving, e
+            assert e.node == parked.pop(e.shuttle), e
             moving[e.shuttle] = [e.node, e.order, e.time]
         elif e.kind == "shuttle-arrived":
             origin, order, departed = moving.pop(e.shuttle)
             assert e.order == order, e
             assert e.time == departed + model.travel_time(origin, e.node), e
+            parked[e.shuttle] = e.node
     assert not running and not moving
 
 
@@ -656,3 +667,16 @@ def test_floor_timing_in_generated_sessions(session):
     scenario = load_scenario_doc(scenario_doc, model=model, orders=book)
     result = run_single(model, book, scenario, seed)
     check_floor_timing(model, extract_event_stream(result.log))
+
+
+def test_floor_timing_in_the_packaged_suite():
+    """The fold over every session of the packaged suite: its five
+    MiniCell scenarios, each at the suite's seeds."""
+    suite = load_suite(str(Path(holobench.__file__).parent / "data" / "minicell" / "suite.json"))
+    model, orders = suite.load_model(), suite.load_orders()
+    scenarios = suite.load_scenarios()
+    assert len(scenarios) == 5
+    for scenario in scenarios:
+        for seed in suite.seeds:
+            result = run_single(model, orders, scenario, seed)
+            check_floor_timing(model, extract_event_stream(result.log))
