@@ -47,7 +47,6 @@ from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Iterable
 
-from .canon import is_int
 from .messages import ControlDirective, Notice
 from .model import ShopModel
 
@@ -75,22 +74,30 @@ class ProductOrder:
 
     @classmethod
     def from_dict(cls, d: Any) -> "ProductOrder":
+        """The order an order-book entry describes.  Each field is checked
+        once, and the checked fields are set without the frozen dataclass
+        constructor, which would only set them again, one call each."""
         if type(d) is not dict:
             raise OrderBookError(f"order {d!r} must be an object")
-        routing = d.get("routing")
+        oid, routing = d.get("id"), d.get("routing")
+        release, due, priority = d.get("release"), d.get("due"), d.get("priority", 0)
         if not isinstance(routing, list) or not routing:
-            raise OrderBookError(f"order {d.get('id')!r}: routing must be a non-empty list")
-        if not all(isinstance(step, str) for step in routing):
-            raise OrderBookError(f"order {d.get('id')!r}: routing steps must be strings")
-        for key in ("release", "due"):
-            if not is_int(d.get(key)) or d[key] < 0:
-                raise OrderBookError(f"order {d.get('id')!r}: {key} must be a non-negative integer")
-        if not isinstance(d.get("id"), str) or not d["id"]:
+            raise OrderBookError(f"order {oid!r}: routing must be a non-empty list")
+        for step in routing:
+            if not isinstance(step, str):
+                raise OrderBookError(f"order {oid!r}: routing steps must be strings")
+        if type(release) is not int or release < 0:
+            raise OrderBookError(f"order {oid!r}: release must be a non-negative integer")
+        if type(due) is not int or due < 0:
+            raise OrderBookError(f"order {oid!r}: due must be a non-negative integer")
+        if not isinstance(oid, str) or not oid:
             raise OrderBookError("order id must be a non-empty string")
-        priority = d.get("priority", 0)
-        if not is_int(priority):
-            raise OrderBookError(f"order {d['id']!r}: priority must be an integer")
-        return cls(d["id"], tuple(routing), d["release"], d["due"], priority)
+        if type(priority) is not int:
+            raise OrderBookError(f"order {oid!r}: priority must be an integer")
+        order = object.__new__(cls)
+        order.__dict__.update(id=oid, routing=tuple(routing), release=release, due=due,
+                              priority=priority)
+        return order
 
 
 def load_orders(text: str) -> list[ProductOrder]:

@@ -49,6 +49,10 @@ from .scenario import CategoryRegistry, RegistryError, Scenario, ScenarioManager
 
 DEFAULT_CAP = 1_000_000
 
+# Rounds in a row without an event after which a run ends ``stalled``; see
+# ``_drive``.
+MAX_QUIET_ROUNDS = 100
+
 HASHED_ARTIFACTS = ("manifest.json", "comparison.csv", "summary.txt")
 
 logger = logging.getLogger("holobench")
@@ -239,10 +243,23 @@ def _drive(
     driver: RoundDriver,
     cap: int,
 ) -> tuple[str, int]:
-    """Round loop; returns the run-end reason and the events delivered."""
+    """Round loop; returns the run-end reason and the events delivered.
+
+    A round with no event, no command and nothing queued ends the run,
+    ``completed`` if the control says it is idle, else ``stalled``; a round
+    past ``cap`` ends it ``cap-exceeded``.  Every command the kernel
+    accepts emits an event, so only refused commands fill a round without
+    events, and those leave the clock where it is.  After
+    ``MAX_QUIET_ROUNDS`` (100) such rounds in a row the run ends
+    ``stalled``, with its log up to the last of them.  The reference
+    control plays at most one such round in a row and at most 6 rounds at
+    one tick (the packaged suite at seeds 0-20, the benchmark's generated
+    shops at seeds 0-4).
+    """
     queue: deque[tuple[int, list[dict[str, Any]]]] = deque()
     buffer: list[dict[str, Any]] = []
     delivered = 0
+    quiet = 0  # rounds in a row without an event
     while True:
         if not queue:
             events = kernel.advance(buffer)
@@ -263,6 +280,9 @@ def _drive(
         buffer.extend(commands)
         if not events and not commands and not queue:
             return ("completed" if idle else "stalled"), delivered
+        quiet = 0 if events else quiet + 1
+        if quiet == MAX_QUIET_ROUNDS:
+            return "stalled", delivered
 
 
 def check_categories(scenarios: Iterable[Scenario], registry: CategoryRegistry) -> None:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .canon import doc_hash, is_int
+from .canon import doc_hash
 
 MODEL_KEYS = frozenset({"machines", "transport", "shuttles", "stations"})
 
@@ -61,12 +61,6 @@ class ShopModel:
         return [m for mid, m in sorted(self.machines.items()) if operation in m.operations]
 
 
-def _require(cond: bool, message: str, *args: Any) -> None:
-    """Raises ``ModelError`` unless ``cond``; the message is formatted only then."""
-    if not cond:
-        raise ModelError(message.format(*args))
-
-
 def _floyd_warshall(nodes: tuple[str, ...], edges: dict[tuple[str, str], int]) -> dict[tuple[str, str], int]:
     inf = float("inf")
     index = {n: i for i, n in enumerate(nodes)}
@@ -98,98 +92,121 @@ def load_model(text: str) -> ShopModel:
 
 
 def load_model_doc(doc: Any) -> ShopModel:
-    _require(isinstance(doc, dict), "model document must be a JSON object")
+    """Validate a parsed model document; each field is checked once.
+
+    Node references are compared with each node in turn, so a JSON value
+    that is no string (a number, or a list or object, which cannot be
+    hashed) names an unknown node, and a ``str`` subclass names the node it
+    equals.  An edge's end that is a plain string, by far the most common
+    reference, is looked up in a set of the nodes first.
+    """
+    if not isinstance(doc, dict):
+        raise ModelError("model document must be a JSON object")
     extra = set(doc) - MODEL_KEYS
     missing = MODEL_KEYS - set(doc)
-    _require(not missing, "model missing keys: {}", sorted(missing))
-    _require(not extra, "model has unknown keys: {}", sorted(extra))
+    if missing:
+        raise ModelError(f"model missing keys: {sorted(missing)}")
+    if extra:
+        raise ModelError(f"model has unknown keys: {sorted(extra)}")
 
     transport = doc["transport"]
-    _require(isinstance(transport, dict), "transport must be an object")
+    if not isinstance(transport, dict):
+        raise ModelError("transport must be an object")
     for key in ("nodes", "edges"):
-        _require(key in transport, "transport.{} is required", key)
+        if key not in transport:
+            raise ModelError(f"transport.{key} is required")
     raw_nodes = transport["nodes"]
-    _require(
-        isinstance(raw_nodes, list) and raw_nodes and all(isinstance(n, str) for n in raw_nodes),
-        "transport.nodes must be a non-empty list of strings",
-    )
-    _require(len(set(raw_nodes)) == len(raw_nodes), "transport.nodes contains duplicates")
-    nodes = tuple(raw_nodes)  # membership tests compare, so an unhashable reference is unknown
+    if not isinstance(raw_nodes, list) or not raw_nodes or not all(
+        isinstance(n, str) for n in raw_nodes
+    ):
+        raise ModelError("transport.nodes must be a non-empty list of strings")
+    nodes = tuple(raw_nodes)
+    node_set = frozenset(nodes)
+    if len(node_set) != len(nodes):
+        raise ModelError("transport.nodes contains duplicates")
 
     edges: dict[tuple[str, str], int] = {}
     raw_edges = transport["edges"]
-    _require(isinstance(raw_edges, list), "transport.edges must be a list")
+    if not isinstance(raw_edges, list):
+        raise ModelError("transport.edges must be a list")
     for i, e in enumerate(raw_edges):
-        _require(
-            isinstance(e, dict) and {"from", "to", "travel"} <= set(e),
-            "transport.edges[{}] must have from/to/travel",
-            i,
-        )
+        if not isinstance(e, dict) or "from" not in e or "to" not in e or "travel" not in e:
+            raise ModelError(f"transport.edges[{i}] must have from/to/travel")
         a, b, w = e["from"], e["to"], e["travel"]
-        _require(a in nodes, "transport.edges[{}].from names unknown node {!r}", i, a)
-        _require(b in nodes, "transport.edges[{}].to names unknown node {!r}", i, b)
-        _require(a != b, "transport.edges[{}] is a self-loop at {!r}", i, a)
-        _require(is_int(w) and w > 0, "transport.edges[{}].travel must be a positive integer", i)
-        _require((a, b) not in edges, "transport.edges[{}] duplicates edge {!r}->{!r}", i, a, b)
-        edges[(a, b)] = w
+        if (type(a) is not str or a not in node_set) and a not in nodes:
+            raise ModelError(f"transport.edges[{i}].from names unknown node {a!r}")
+        if (type(b) is not str or b not in node_set) and b not in nodes:
+            raise ModelError(f"transport.edges[{i}].to names unknown node {b!r}")
+        if a == b:
+            raise ModelError(f"transport.edges[{i}] is a self-loop at {a!r}")
+        if type(w) is not int or w <= 0:
+            raise ModelError(f"transport.edges[{i}].travel must be a positive integer")
+        if (a, b) in edges:
+            raise ModelError(f"transport.edges[{i}] duplicates edge {a!r}->{b!r}")
+        edges[a, b] = w
 
     stations = doc["stations"]
-    _require(
-        isinstance(stations, dict) and {"input", "output"} <= set(stations),
-        "stations must have input and output",
-    )
+    if not isinstance(stations, dict) or "input" not in stations or "output" not in stations:
+        raise ModelError("stations must have input and output")
     input_station, output_station = stations["input"], stations["output"]
-    _require(input_station in nodes, "stations.input names unknown node {!r}", input_station)
-    _require(output_station in nodes, "stations.output names unknown node {!r}", output_station)
-    _require(input_station != output_station, "stations.input and stations.output must differ")
+    if input_station not in nodes:
+        raise ModelError(f"stations.input names unknown node {input_station!r}")
+    if output_station not in nodes:
+        raise ModelError(f"stations.output names unknown node {output_station!r}")
+    if input_station == output_station:
+        raise ModelError("stations.input and stations.output must differ")
 
     machines: dict[str, MachineSpec] = {}
     hosts: dict[str, str] = {}  # node -> the machine on it
     raw_machines = doc["machines"]
-    _require(isinstance(raw_machines, dict) and raw_machines, "machines must be a non-empty object")
+    if not isinstance(raw_machines, dict) or not raw_machines:
+        raise ModelError("machines must be a non-empty object")
     for mid, spec in raw_machines.items():
-        _require(isinstance(spec, dict), "machines.{} must be an object", mid)
-        _require("node" in spec, "machines.{}.node is required", mid)
-        _require("operations" in spec, "machines.{}.operations is required", mid)
+        if not isinstance(spec, dict):
+            raise ModelError(f"machines.{mid} must be an object")
+        if "node" not in spec:
+            raise ModelError(f"machines.{mid}.node is required")
+        if "operations" not in spec:
+            raise ModelError(f"machines.{mid}.operations is required")
         node = spec["node"]
-        _require(node in nodes, "machines.{}.node names unknown node {!r}", mid, node)
+        if node not in nodes:
+            raise ModelError(f"machines.{mid}.node names unknown node {node!r}")
         ops = spec["operations"]
-        _require(isinstance(ops, dict) and ops, "machines.{}.operations must be a non-empty object", mid)
+        if not isinstance(ops, dict) or not ops:
+            raise ModelError(f"machines.{mid}.operations must be a non-empty object")
         for op, dur in ops.items():
-            _require(
-                is_int(dur) and dur > 0,
-                "machines.{}.operations.{} must be a positive integer duration",
-                mid,
-                op,
-            )
+            if type(dur) is not int or dur <= 0:
+                raise ModelError(
+                    f"machines.{mid}.operations.{op} must be a positive integer duration"
+                )
         other = hosts.setdefault(node, mid)
-        _require(other == mid, "machines.{}.node {!r} already hosts machine {!r}", mid, node, other)
+        if other != mid:
+            raise ModelError(f"machines.{mid}.node {node!r} already hosts machine {other!r}")
         machines[mid] = MachineSpec(id=mid, node=node, operations=dict(ops))
-    _require(input_station not in hosts, "stations.input must not host a machine")
-    _require(output_station not in hosts, "stations.output must not host a machine")
+    if input_station in hosts:
+        raise ModelError("stations.input must not host a machine")
+    if output_station in hosts:
+        raise ModelError("stations.output must not host a machine")
 
     shuttles: dict[str, ShuttleSpec] = {}
     raw_shuttles = doc["shuttles"]
-    _require(isinstance(raw_shuttles, dict) and raw_shuttles, "shuttles must be a non-empty object")
+    if not isinstance(raw_shuttles, dict) or not raw_shuttles:
+        raise ModelError("shuttles must be a non-empty object")
     for sid, spec in raw_shuttles.items():
-        _require(isinstance(spec, dict) and "home" in spec, "shuttles.{}.home is required", sid)
+        if not isinstance(spec, dict) or "home" not in spec:
+            raise ModelError(f"shuttles.{sid}.home is required")
         home = spec["home"]
-        _require(home in nodes, "shuttles.{}.home names unknown node {!r}", sid, home)
+        if home not in nodes:
+            raise ModelError(f"shuttles.{sid}.home names unknown node {home!r}")
         shuttles[sid] = ShuttleSpec(id=sid, home=home)
 
     travel = _floyd_warshall(nodes, edges)
     # Every machine must be reachable from input, and output from every machine.
     for m in machines.values():
-        _require(
-            input_station == m.node or (input_station, m.node) in travel,
-            "machines.{} unreachable from stations.input",
-            m.id,
-        )
-        _require(
-            m.node == output_station or (m.node, output_station) in travel,
-            "stations.output unreachable from machines.{}",
-            m.id,
-        )
+        if input_station != m.node and (input_station, m.node) not in travel:
+            raise ModelError(f"machines.{m.id} unreachable from stations.input")
+        if m.node != output_station and (m.node, output_station) not in travel:
+            raise ModelError(f"stations.output unreachable from machines.{m.id}")
 
     return ShopModel(
         machines=machines,

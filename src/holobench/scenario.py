@@ -291,6 +291,15 @@ class _Unbound(Exception):
     at load one its trigger's event kind never carries."""
 
 
+# Per event kind, the event that ``$event.`` references resolve against at
+# load: time 0 and each field the kind may carry as its own reference, which
+# target checks pass over.  ``_resolve`` only reads it.
+_STAND_INS = {
+    kind: {"time": 0, **{f: f"$event.{f}" for f in carried}}
+    for kind, carried in EVENT_FIELDS.items()
+}
+
+
 def _resolve(value: Any, sample: Callable[[Any], int], event: dict[str, Any] | None) -> Any:
     """A payload value with each ``{"sample": name}`` replaced by
     ``sample(name)`` and each ``"$event.<field>"`` by that field of
@@ -379,11 +388,7 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
         max_occ = rd.get("max_occurrences", 1)
         if not is_int(max_occ) or max_occ < 1:
             raise ScenarioError(f"{path}.max_occurrences must be a positive integer")
-        # ``$event.`` references stand in as time 0 and each field the event
-        # kind may carry as its own reference, which target checks pass over.
-        event = None
-        if trigger.kind == "on-event":
-            event = {"time": 0, **{f: f"$event.{f}" for f in EVENT_FIELDS[trigger.event]}}
+        event = _STAND_INS[trigger.event] if trigger.kind == "on-event" else None
         for j, a in enumerate(actions):
             payload = _check_action(a, f"{path}.actions[{j}]", least, event, model, book)
             if payload["kind"] != "insert-order" or not _literal(payload["order"]["id"]):

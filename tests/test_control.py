@@ -1,12 +1,14 @@
 """Reference control: order book, belief updates, dispatch policy and the
 closed loop against the kernel."""
 
+import dataclasses
 import json
 import re
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from holobench import harness
 from holobench.control import (
@@ -85,23 +87,62 @@ class TestOrderBook:
             load_orders(text)
 
     @pytest.mark.parametrize(
-        "doc, fragment",
+        "doc, message",
         [
-            ({"id": "O1", "routing": [], "release": 0, "due": 1}, "routing"),
-            ({"id": "O1", "routing": ["A", 3], "release": 0, "due": 1}, "strings"),
-            ({"id": "O1", "routing": ["A"], "release": -1, "due": 1}, "release"),
-            ({"id": "O1", "routing": ["A"], "release": 0}, "due"),
-            ({"id": "", "routing": ["A"], "release": 0, "due": 1}, "id"),
-            ({"id": "O1", "routing": ["A"], "release": 0, "due": 1, "priority": "hi"}, "priority"),
-            ({"id": "O1", "routing": ["A"], "release": True, "due": 1}, "release"),
-            ({"id": "O1", "routing": ["A"], "release": 0, "due": False}, "due"),
-            ({"id": "O1", "routing": ["A"], "release": 0, "due": 1, "priority": True}, "priority"),
-            *((entry, "must be an object") for entry in (5, "x", None, True, [])),
+            ({"id": "O1", "routing": [], "release": 0, "due": 1},
+             "order 'O1': routing must be a non-empty list"),
+            ({"id": "O1", "routing": "AB", "release": 0, "due": 1},
+             "order 'O1': routing must be a non-empty list"),
+            ({"id": "O1", "routing": ["A", 3], "release": 0, "due": 1},
+             "order 'O1': routing steps must be strings"),
+            ({"id": "O1", "routing": ["A"], "release": -1, "due": 1},
+             "order 'O1': release must be a non-negative integer"),
+            ({"id": "O1", "routing": ["A"], "release": 0},
+             "order 'O1': due must be a non-negative integer"),
+            ({"id": "O1", "routing": ["A"], "release": 0, "due": 1.5},
+             "order 'O1': due must be a non-negative integer"),
+            ({"id": "", "routing": ["A"], "release": 0, "due": 1},
+             "order id must be a non-empty string"),
+            ({"routing": ["A"], "release": 0, "due": 1}, "order id must be a non-empty string"),
+            ({"id": 5, "routing": ["A"], "release": 0, "due": 1},
+             "order id must be a non-empty string"),
+            ({"id": "O1", "routing": ["A"], "release": 0, "due": 1, "priority": "hi"},
+             "order 'O1': priority must be an integer"),
+            ({"id": "O1", "routing": ["A"], "release": True, "due": 1},
+             "order 'O1': release must be a non-negative integer"),
+            ({"id": "O1", "routing": ["A"], "release": 0, "due": False},
+             "order 'O1': due must be a non-negative integer"),
+            ({"id": "O1", "routing": ["A"], "release": 0, "due": 1, "priority": True},
+             "order 'O1': priority must be an integer"),
+            # a bad id is named as it is, before the id is checked
+            ({"id": 5, "routing": ["A"], "release": -1, "due": 1},
+             "order 5: release must be a non-negative integer"),
+            *((entry, f"order {entry!r} must be an object") for entry in (5, "x", None, True, [])),
         ],
     )
-    def test_order_validation(self, doc, fragment):
-        with pytest.raises(OrderBookError, match=fragment):
+    def test_order_validation(self, doc, message):
+        with pytest.raises(OrderBookError) as refused:
             ProductOrder.from_dict(doc)
+        assert str(refused.value) == message
+
+    @given(o=st.builds(
+        ProductOrder,
+        id=st.text(min_size=1),
+        routing=st.lists(st.text(), min_size=1, max_size=5).map(tuple),
+        release=st.integers(min_value=0),
+        due=st.integers(min_value=0),
+        priority=st.integers(),
+    ))
+    def test_an_order_read_back_is_the_order(self, o):
+        """``from_dict`` sets the fields without the constructor; what it
+        builds is equal, hashes alike, holds the same attributes in the same
+        order and stays frozen."""
+        built = ProductOrder.from_dict(o.to_dict())
+        assert built == o and hash(built) == hash(o)
+        assert list(vars(built).items()) == list(vars(o).items())
+        assert type(built.routing) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.due = 0
 
     def test_model_hash_check(self, minicell_model, control):
         control.check_model_hash(minicell_model.model_hash)

@@ -1,5 +1,6 @@
 """Suite runner: artifact layout, byte-reproducibility, comparison outputs."""
 
+import collections
 import csv
 import functools
 import json
@@ -14,12 +15,14 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import holobench
 from holobench import harness
+from holobench.control import ReferenceControl
 from holobench.harness import (
+    MAX_QUIET_ROUNDS,
     ArtifactError,
     SuiteError,
     _Comparison,
@@ -29,8 +32,11 @@ from holobench.harness import (
     run_single,
     run_suite,
 )
+from holobench.interface import InProcEndpoint, iter_records
 from holobench.kpi import COMPARED_METRICS
-from holobench.model import ModelError
+from holobench.model import ModelError, load_model_doc
+from holobench.scenario import load_scenario_doc
+from strategies import ORACLE_SHOP, oracle_sessions
 
 
 PACKAGED_SUITE_DIGEST = "39e3670588091b45fad7674a3e5bf687f3f9227b8aba5bc7f737dc018ab7207c"
@@ -45,6 +51,26 @@ def _sum_in_order(values):
     ``math.fsum`` would move them on every interpreter.
     """
     return functools.reduce(operator.add, values, 0)
+
+
+class GhostShuttleControl(ReferenceControl):
+    """Adds to every reply a move of S1 to a node the shop does not have,
+    which the kernel refuses, and never claims idle; once the book is done
+    nothing else happens, so the clock stays where it is."""
+
+    def on_round(self, now, directives, events, notices):
+        commands, _ = super().on_round(now, directives, events, notices)
+        ghost = {"kind": "move-shuttle", "shuttle": "S1", "destination": "ghost"}
+        return [*commands, ghost], False
+
+
+def rounds_per_tick(log):
+    """How many rounds a session log plays at each tick."""
+    ticks = collections.Counter()
+    for _, record in iter_records(log):
+        if record["kind"] == "event-batch":
+            ticks[record["t"]] += 1
+    return ticks
 
 
 @pytest.fixture()
@@ -415,6 +441,32 @@ class TestRunSuite:
         with open(os.path.join(str(tmp_path / "out"), "summary.txt")) as f:
             assert "incomplete" in f.read()
 
+    def test_a_run_that_never_ends_leaves_the_other_runs_intact(self, suite, tmp_path,
+                                                                monkeypatch):
+        """The first session's control re-sends a refused move every round;
+        that run ends stalled, and every other run writes what it writes
+        without it."""
+        plain = str(tmp_path / "plain")
+        run_suite(suite, plain, seeds=(1,))
+        made = []
+
+        def control_for(model):
+            made.append(model)
+            return (GhostShuttleControl if len(made) == 1 else ReferenceControl)(model)
+
+        monkeypatch.setattr(harness, "ReferenceControl", control_for)
+        out = str(tmp_path / "out")
+        manifest = run_suite(suite, out, seeds=(1,))
+        first, *others = manifest["runs"]
+        assert len(made) == len(manifest["runs"]) == 5
+        assert (first["status"], first["report"]) == ("stalled", None)
+        assert [r["status"] for r in others] == ["completed"] * 4
+        for r in others:
+            for name in (r["log"], r["report"]):
+                assert Path(out, name).read_bytes() == Path(plain, name).read_bytes(), name
+        with open(os.path.join(out, "summary.txt")) as f:
+            assert "incomplete" in f.read()
+
 
 class TestSuiteMemory:
     def test_peak_grows_by_one_session_not_by_the_suite(self, suite, tmp_path):
@@ -557,6 +609,34 @@ class TestRunSingle:
                             cap=1)
         assert result.status == "cap-exceeded"
         assert result.report is None
+
+    def test_refused_commands_every_round_end_the_run_stalled(self, minicell_model,
+                                                              minicell_orders, null_scenario):
+        """Without the bound on rounds without an event this run never
+        ends: the clock stays at 75 while its log grows."""
+        result = run_single(minicell_model, minicell_orders, null_scenario, seed=1, cap=100,
+                            endpoint=InProcEndpoint(GhostShuttleControl(minicell_model)))
+        assert (result.status, result.final_t, result.report) == ("stalled", 75, None)
+        # the round that completes the last order, then the quiet rounds
+        assert rounds_per_tick(result.log)[75] == 1 + MAX_QUIET_ROUNDS
+        records = [record for _, record in iter_records(result.log)]
+        assert [r["body"] for r in records if r["kind"] == "run-end"] == [{"reason": "stalled"}]
+        assert records[-1]["kind"] == "bye"
+        notices = [n for r in records if r["kind"] == "event-batch" for n in r["body"]["notices"]]
+        assert {(n["kind"], n["command"]["destination"]) for n in notices} == {
+            ("command-rejected", "ghost")}
+        assert len(notices) >= MAX_QUIET_ROUNDS
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(session=oracle_sessions())
+    def test_the_reference_control_plays_few_rounds_at_one_tick(self, session):
+        """Valid sessions stay far from ``MAX_QUIET_ROUNDS``: generated ones
+        play at most 10 rounds at any one tick."""
+        book, scenario_doc, seed = session
+        model = load_model_doc(ORACLE_SHOP)
+        scenario = load_scenario_doc(scenario_doc, model=model, orders=book)
+        log = run_single(model, book, scenario, seed).log
+        assert max(rounds_per_tick(log).values()) <= 10
 
     def test_kpi_detachment_leaves_log_alone(self, minicell_model, minicell_orders,
                                              ps9_scenario):

@@ -679,4 +679,5 @@ def test_floor_timing_in_the_packaged_suite():
     for scenario in scenarios:
         for seed in suite.seeds:
             result = run_single(model, orders, scenario, seed)
+            assert result.status == "completed", result.run_id
             check_floor_timing(model, extract_event_stream(result.log))

@@ -106,15 +106,25 @@ EXACT_MESSAGES = [
     (lambda d: d["transport"].update(edges={}), "transport.edges must be a list"),
     (lambda d: d["transport"]["edges"][3].pop("travel"),
      "transport.edges[3] must have from/to/travel"),
+    (lambda d: d["transport"]["edges"].insert(2, ["IN", "M1", 5]),
+     "transport.edges[2] must have from/to/travel"),
     (lambda d: d["transport"]["edges"][0].update({"from": "ghost"}),
      "transport.edges[0].from names unknown node 'ghost'"),
     (lambda d: d["transport"]["edges"][1].update(to=["M2"]),
      "transport.edges[1].to names unknown node ['M2']"),
+    (lambda d: d["transport"]["edges"][2].update({"from": ["IN"]}),
+     "transport.edges[2].from names unknown node ['IN']"),
+    (lambda d: d["transport"]["edges"][4].update(to=5),
+     "transport.edges[4].to names unknown node 5"),
     (lambda d: d["transport"]["edges"].append({"from": "M1", "to": "M1", "travel": 1}),
      "transport.edges[12] is a self-loop at 'M1'"),
     (lambda d: d["transport"]["edges"][7].update(travel=0),
      "transport.edges[7].travel must be a positive integer"),
     (lambda d: d["transport"]["edges"][7].update(travel=True),
+     "transport.edges[7].travel must be a positive integer"),
+    (lambda d: d["transport"]["edges"][7].update(travel=-1),
+     "transport.edges[7].travel must be a positive integer"),
+    (lambda d: d["transport"]["edges"][7].update(travel=1.5),
      "transport.edges[7].travel must be a positive integer"),
     (lambda d: d["transport"]["edges"].append({"from": "IN", "to": "M1", "travel": 7}),
      "transport.edges[12] duplicates edge 'IN'->'M1'"),
@@ -157,6 +167,24 @@ def test_every_refusal_reads_exactly(minicell_model_doc, mutate, message):
     with pytest.raises(ModelError) as refused:
         load_model_doc(doc)
     assert str(refused.value) == message
+
+
+class _Name(str):
+    """A node name that is a ``str`` subclass."""
+
+
+def test_a_str_subclass_names_its_node(minicell_model_doc, minicell_model):
+    """Node references are compared, not only looked up by type: a ``str``
+    subclass names the node it equals."""
+    doc = json.loads(json.dumps(minicell_model_doc))
+    for edge in doc["transport"]["edges"]:
+        edge["from"], edge["to"] = _Name(edge["from"]), _Name(edge["to"])
+    doc["machines"]["M1"]["node"] = _Name("M1")
+    doc["shuttles"]["S1"]["home"] = _Name("IN")
+    doc["stations"]["input"] = _Name("IN")
+    loaded = load_model_doc(doc)
+    assert loaded.travel == minicell_model.travel
+    assert loaded.model_hash == minicell_model.model_hash
 
 
 def test_station_cannot_host_machine(minicell_model_doc):
