@@ -11,8 +11,9 @@ emulation or direct the control system.
 An action payload is the dict form of its message class, where any value
 may be a placeholder: ``{"sample": name}`` draws from a distribution and
 ``"$event.<field>"`` reads the triggering event.  At load, each payload is
-resolved with stand-ins and built by its class, which checks its keys,
-types and targets, so whatever loads also fires.  A sample stands in as its
+resolved with stand-ins and checked by its class's ``check_body``, which
+passes exactly the bodies the class builds from, and its targets are
+checked, so whatever loads also fires.  A sample stands in as its
 least draw; an event stands in per trigger as the fields its kind may carry
 (``EVENT_FIELDS``), each its own reference, and time 0, so a reference to a
 field the kind never carries is refused, as is one in an inserted order's
@@ -51,10 +52,21 @@ REGISTRY_SHA256 = "7a2aa8496292085cec0b65fcc52a6f1b999af7dd9f074dc362380dd1dcb52
 TRIGGER_KINDS = ("at-time", "on-event", "after")
 DISTRIBUTION_KINDS = ("constant", "uniform-int", "exponential-int")
 
-# Per action kind: the key of its payload and the message class it builds.
-_ACTIONS = {"inject": ("injection", Injection), "direct": ("directive", ControlDirective)}
+# Per action kind: the key of its payload, the message class it builds, the
+# keys an action may hold and the keys its payload may hold.
+_ACTIONS = {
+    kind: (key, cls, frozenset({"kind", key}), frozenset(cls.__dataclass_fields__))
+    for kind, key, cls in (("inject", "injection", Injection),
+                           ("direct", "directive", ControlDirective))
+}
 
 SCENARIO_KEYS = frozenset({"id", "category", "description", "rules", "distributions"})
+_RULE_KEYS = frozenset({"id", "trigger", "actions", "max_occurrences"})
+_TRIGGER_KEYS = {
+    "at-time": frozenset({"kind", "time"}),
+    "on-event": frozenset({"kind", "event", "where", "occurrence"}),
+    "after": frozenset({"kind", "base", "delay"}),
+}
 
 MAX_AFTER_NESTING = 2
 
@@ -67,10 +79,19 @@ class RegistryError(ValueError):
     """Unknown disturbance label or damaged registry data."""
 
 
-def _only_keys(doc: dict[str, Any], keys: Any, path: str) -> None:
+def _only_keys(doc: dict[str, Any], keys: frozenset[str], path: str) -> None:
     extra = doc.keys() - keys
     if extra:
         raise ScenarioError(f"{path} has unknown keys: {sorted(extra)}")
+
+
+def _build(cls, **fields: Any) -> Any:
+    """A frozen ``cls`` with every field set from values already checked,
+    without the dataclass constructor, which would only set them again,
+    one call each (as ``ProductOrder.from_dict`` builds an order)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 # -- category registry -----------------------------------------------------------
@@ -211,8 +232,8 @@ class Trigger:
             t = doc.get("time")
             if not is_int(t) or t < 0:
                 raise ScenarioError(f"{path}.time must be a non-negative integer")
-            _only_keys(doc, {"kind", "time"}, path)
-            return cls(kind=kind, time=t), 0
+            _only_keys(doc, _TRIGGER_KEYS[kind], path)
+            return _build(cls, kind=kind, time=t, event=None, where={}, occurrence=1), 0
         if kind == "on-event":
             event = doc.get("event")
             if not isinstance(event, str) or event not in EVENT_KINDS:
@@ -233,8 +254,9 @@ class Trigger:
             occurrence = doc.get("occurrence", 1)
             if not is_int(occurrence) or occurrence < 1:
                 raise ScenarioError(f"{path}.occurrence must be a positive integer")
-            _only_keys(doc, {"kind", "event", "where", "occurrence"}, path)
-            return cls(kind=kind, event=event, where=dict(where), occurrence=occurrence), 0
+            _only_keys(doc, _TRIGGER_KEYS[kind], path)
+            return _build(cls, kind=kind, time=None, event=event, where=dict(where),
+                          occurrence=occurrence), 0
         # after
         if depth + 1 > MAX_AFTER_NESTING:
             raise ScenarioError(f"{path}: after-triggers nest at most {MAX_AFTER_NESTING} deep")
@@ -243,7 +265,7 @@ class Trigger:
             raise ScenarioError(f"{path}.delay must be a non-negative integer")
         if "base" not in doc:
             raise ScenarioError(f"{path}.base is required")
-        _only_keys(doc, {"kind", "base", "delay"}, path)
+        _only_keys(doc, _TRIGGER_KEYS[kind], path)
         base, below = cls.from_doc(doc["base"], f"{path}.base", depth + 1, model)
         return base, delay + below
 
@@ -260,12 +282,12 @@ class Action:
         kind = doc["kind"]
         if not isinstance(kind, str) or kind not in _ACTIONS:
             raise ScenarioError(f"{path}.kind {kind!r} is not an action kind")
-        key = _ACTIONS[kind][0]
+        key, _, keys, _ = _ACTIONS[kind]
         payload = doc.get(key)
         if not isinstance(payload, dict):
             raise ScenarioError(f"{path}.{key} must be an object")
-        _only_keys(doc, {"kind", key}, path)
-        return cls(kind=kind, payload=payload)
+        _only_keys(doc, keys, path)
+        return _build(cls, kind=kind, payload=payload)
 
 
 @dataclass(frozen=True)
@@ -323,9 +345,10 @@ def _resolve(value: Any, sample: Callable[[Any], int], event: dict[str, Any] | N
 def load_scenario(text: str, model=None, orders=None) -> Scenario:
     """Parse and validate a scenario document from JSON text.
 
-    With a model, injection and directive targets are checked against it;
-    with an order book, literal order references are checked as well, and a
-    ``where`` order must name a book order or one a rule inserts.
+    With a model, injection and directive targets are checked against it.
+    With an order book, every literal order reference (a ``where`` order, a
+    directive's ``order_id``, a product-reject's ``order``) must name a book
+    order or one a rule inserts, a later rule's included.
     """
     try:
         doc = json.loads(text)
@@ -369,16 +392,19 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
 
     rules: list[Rule] = []
     inserted: dict[str, str] = {}  # literal insert-order id -> the path inserting it
+    refs: list[tuple[str, str]] = []  # (path, id) of each literal order reference
     book = None if orders is None else {o.id for o in orders}
     for i, rd in enumerate(rules_doc):
         path = f"rules[{i}]"
         if not isinstance(rd, dict):
             raise ScenarioError(f"{path} must be an object")
-        _only_keys(rd, {"id", "trigger", "actions", "max_occurrences"}, path)
+        _only_keys(rd, _RULE_KEYS, path)
         rule_id = rd.get("id", f"rule{i}")
         if not isinstance(rule_id, str) or not rule_id:
             raise ScenarioError(f"{path}.id must be a non-empty string")
         trigger, delay = Trigger.from_doc(rd.get("trigger"), f"{path}.trigger", model=model)
+        if "order" in trigger.where:  # a filter compares literally, "$event." or not
+            refs.append((f"{path}.trigger: where.order", trigger.where["order"]))
         actions_doc = rd.get("actions")
         if not isinstance(actions_doc, list) or not actions_doc:
             raise ScenarioError(f"{path}.actions must be a non-empty list")
@@ -391,7 +417,11 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
         event = _STAND_INS[trigger.event] if trigger.kind == "on-event" else None
         for j, a in enumerate(actions):
             payload = _check_action(a, f"{path}.actions[{j}]", least, event, model, book)
-            if payload["kind"] != "insert-order" or not _literal(payload["order"]["id"]):
+            kind = payload["kind"]
+            ref = "order" if kind == "product-reject" else "order_id"
+            if _literal(payload.get(ref)):
+                refs.append((f"{path}.actions[{j}].{_ACTIONS[a.kind][0]}.{ref}", payload[ref]))
+            if kind != "insert-order" or not _literal(payload["order"]["id"]):
                 continue
             # The control drops an insert whose id it already holds, so a
             # literal id inserted twice would lose every firing after the
@@ -404,32 +434,34 @@ def load_scenario_doc(doc: Any, model=None, orders=None) -> Scenario:
             if oid in inserted:
                 raise ScenarioError(f"{where}: id {oid!r} is inserted by {inserted[oid]} too")
             inserted[oid] = where
-        rules.append(Rule(rule_id, trigger, actions, max_occ, delay))
+        rules.append(_build(Rule, id=rule_id, trigger=trigger, actions=actions,
+                            max_occurrences=max_occ, delay=delay))
     rule_ids = [r.id for r in rules]
     if len(set(rule_ids)) != len(rule_ids):
         raise ScenarioError("rule ids must be unique")
-    if book is not None:  # an order filter may name what a later rule inserts
-        for i, rule in enumerate(rules):
-            oid = rule.trigger.where.get("order")
-            if oid is not None and oid not in book and oid not in inserted:
-                raise ScenarioError(f"rules[{i}].trigger: where.order {oid!r} is neither "
-                                    "in the order book nor inserted by a rule")
+    if book is not None:  # a reference may name what a later rule inserts
+        for where, oid in refs:
+            if oid not in book and oid not in inserted:
+                raise ScenarioError(f"{where} {oid!r} is neither in the order book "
+                                    "nor inserted by a rule")
     return Scenario(sid, category, description, tuple(rules), dists)
 
 
 def _check_action(action: Action, path: str, least: Callable[[Any], int],
                   event: dict[str, Any] | None, model, book: set[str] | None) -> dict[str, Any]:
-    """Build the action's message from its payload with every placeholder
-    stood in, then check its literal targets against the model and the
-    book's order ids (``$event.`` references pass, except as an inserted
-    order's routing step); returns the stood-in payload."""
-    key, cls = _ACTIONS[action.kind]
+    """Check the action's payload, every placeholder stood in, with its
+    message class's ``check_body``, which passes exactly the bodies the class
+    builds from, then check its literal targets against the model and an
+    inserted order's id against the book (``$event.`` references pass,
+    except as an inserted order's routing step); returns the stood-in
+    payload.  The caller checks order references once every rule is read."""
+    key, cls, _, keys = _ACTIONS[action.kind]
     path = f"{path}.{key}"
-    _only_keys(action.payload, cls.__dataclass_fields__, path)
+    _only_keys(action.payload, keys, path)
     try:
         payload = {k: _resolve(v, least, event) for k, v in action.payload.items()}
-        cls(**payload)
-    except (ScenarioError, _Unbound, MessageError, TypeError) as exc:
+        cls.check_body(payload)
+    except (ScenarioError, _Unbound, MessageError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     machine = payload.get("machine")
     if model is not None and _literal(machine) and machine not in model.machines:
@@ -447,13 +479,11 @@ def _check_action(action: Action, path: str, least: Callable[[Any], int],
             if not _literal(op):
                 raise ScenarioError(f"{path}.order: routing step {op!r} reads the "
                                     "triggering event, which names no operation")
-            if model is not None and not model.capable_machines(op):
+            if model is not None and not any(op in m.operations
+                                             for m in model.machines.values()):
                 raise ScenarioError(f"{path}.order: no machine performs {op!r}")
         if book is not None and _literal(spec.id) and spec.id in book:
             raise ScenarioError(f"{path}.order: id {spec.id!r} is already in the order book")
-    target = payload.get("order_id")
-    if book is not None and _literal(target) and target not in book:
-        raise ScenarioError(f"{path}.order_id {target!r} is not in the order book")
     return payload
 
 

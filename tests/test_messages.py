@@ -279,3 +279,40 @@ def test_body_check_passes_exactly_what_builds(cls, data):
     assert not must_refuse, corrupt
     built = cls.from_dict(corrupt)
     assert cls.check_body(built.to_dict())
+
+
+_KINDS = sorted(EVENT_KINDS | COMMAND_KINDS | DIRECTIVE_KINDS | INJECTION_KINDS
+                | {"command-rejected", "injection-ignored", "rework", "scrap"})
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_body_check_refuses_exactly_what_the_constructor_refuses(cls, data):
+    """The scenario loader checks an action payload with ``check_body``
+    instead of building its message: for a body whose keys are all fields,
+    the check refuses exactly when ``cls(**body)`` raises.  Bodies are a
+    valid message's dict form, one of its corruptions, or fields drawn at
+    random, kinds included."""
+    names = [f.name for f in fields(cls)]
+    values = (st.none() | st.booleans() | st.integers(-2, 60) | st.text(max_size=3)
+              | st.sampled_from(_KINDS) | st.lists(st.integers(), max_size=1)
+              | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+    valid = data.draw(MESSAGES[cls]).to_dict()
+    body = data.draw(st.one_of(
+        st.just(valid),
+        _corruptions(cls, valid).map(lambda pair: pair[0]),
+        st.dictionaries(st.sampled_from(names), values),
+    ))
+    try:
+        cls.check_body(dict(body))
+    except MessageError:
+        refused = True
+    else:
+        refused = False
+    try:
+        cls(**body)
+    except (MessageError, TypeError):
+        raised = True
+    else:
+        raised = False
+    assert refused == raised, body

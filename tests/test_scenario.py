@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from holobench.control import load_orders
 from holobench.harness import run_single
+from holobench.interface import encode_record, iter_records, make_record
 from holobench.messages import (
     DIRECTIVE_KINDS,
     EVENT_FIELDS,
@@ -581,6 +582,53 @@ class TestActionPayloads:
                     f"rules[0].trigger: where.order {order!r} is neither in the order book")):
                 load_scenario_doc(doc, model=MODEL, orders=ORDERS)
 
+    @pytest.mark.parametrize("action, field_path", [
+        ({"kind": "direct", "directive": {"kind": "cancel-order", "order_id": "?"}},
+         "directive.order_id"),
+        ({"kind": "direct", "directive": {"kind": "set-priority", "order_id": "?",
+                                          "priority": 3}},
+         "directive.order_id"),
+        (_inject(kind="product-reject", order="?", policy="rework"), "injection.order"),
+    ], ids=["cancel-order", "set-priority", "product-reject"])
+    @pytest.mark.parametrize("order, ok", [("O2", True), ("R1", True), ("R2", False)])
+    def test_action_order_names_a_book_order_or_an_inserted_one(self, action, field_path,
+                                                                 order, ok):
+        """A directive's order_id and a product-reject's order follow the
+        rule of a where order: a book order or an id some rule inserts, a
+        later rule's too.  Otherwise a directive targets nothing the control
+        holds, and a reject only draws an injection-ignored notice."""
+        key, name = field_path.split(".")
+        action[key][name] = order
+        doc = scenario_doc(rules=[
+            {"id": "r1", "trigger": {"kind": "at-time", "time": 5}, "actions": [action]},
+            _insert_rule({"kind": "at-time", "time": 1}, "R1", rule_id="r2"),
+        ])
+        load_scenario_doc(doc, model=MODEL)
+        if ok:
+            load_scenario_doc(doc, model=MODEL, orders=ORDERS)
+        else:
+            with pytest.raises(ScenarioError) as info:
+                load_scenario_doc(doc, model=MODEL, orders=ORDERS)
+            assert str(info.value) == (f"rules[0].actions[0].{field_path} {order!r} is "
+                                       "neither in the order book nor inserted by a rule")
+
+    def test_action_order_read_from_the_event_is_not_checked_against_the_book(self):
+        rule = {"id": "r1", "trigger": {"kind": "on-event", "event": "op-finished"},
+                "actions": [_inject(kind="product-reject", order="$event.order",
+                                    policy="scrap"),
+                            {"kind": "direct", "directive": {"kind": "cancel-order",
+                                                             "order_id": "$event.order"}}]}
+        load_scenario_doc(scenario_doc(rules=[rule]), model=MODEL, orders=ORDERS)
+
+    def test_payload_without_a_kind_is_refused_by_its_body_check(self):
+        """The body check's own text, not the constructor's TypeError,
+        whose wording differs between interpreter versions."""
+        rule = down_rule({"kind": "at-time", "time": 1})
+        del rule["actions"][0]["injection"]["kind"]
+        with pytest.raises(ScenarioError) as info:
+            load_scenario_doc(scenario_doc(rules=[rule]))
+        assert str(info.value) == "rules[0].actions[0].injection: injection body lacks 'kind'"
+
     def test_insert_order_id_already_in_the_book(self):
         """The control keeps the book's order and drops the inserted one,
         so with the book at hand the loader refuses it."""
@@ -759,16 +807,16 @@ _DISTRIBUTIONS = st.sampled_from([
 
 
 @st.composite
-def _actions(draw):
-    """A well-formed action, then up to two faults: a field set to any value
-    (a wrong type, a boolean, zero, a bad reference), a field dropped, a
-    misspelt key, or an unknown action kind."""
-    kind = draw(st.sampled_from(sorted(_SHAPES)))
+def _actions(draw, max_faults=2, kinds=tuple(sorted(_SHAPES))):
+    """A well-formed action of one of ``kinds``, then up to ``max_faults``
+    faults: a field set to any value (a wrong type, a boolean, zero, a bad
+    reference), a field dropped, a misspelt key, or an unknown action kind."""
+    kind = draw(st.sampled_from(kinds))
     payload = {"kind": kind}
     for key in _SHAPES[kind]:
         payload[key] = draw(_INSERTED if kind == "insert-order" else _FIELDS[key])
     action = {"kind": "inject" if kind in INJECTION_KINDS else "direct"}
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, max_faults))):
         fault = draw(st.sampled_from(["set", "set", "drop", "misspell", "kind"]))
         if fault == "set":
             payload[draw(st.sampled_from(["kind", *_FIELDS]))] = draw(_VALUES)
@@ -783,17 +831,53 @@ def _actions(draw):
 
 
 @st.composite
-def _scenario_docs(draw):
+def _scenario_docs(draw, max_faults=2, kinds=tuple(sorted(_SHAPES))):
     rules = [
         {
             "id": f"r{i}",
             "trigger": draw(_TRIGGERS),
-            "actions": draw(st.lists(_actions(), min_size=1, max_size=2)),
+            "actions": draw(st.lists(_actions(max_faults, kinds), min_size=1, max_size=2)),
             "max_occurrences": draw(st.integers(1, 2)),
         }
         for i in range(draw(st.integers(1, 2)))
     ]
     return scenario_doc(rules=rules, distributions={"d": draw(_DISTRIBUTIONS)})
+
+
+_OUTAGE_KINDS = ("machine-down", "machine-up", "supply-restore", "supply-shortage")
+# Outage start event -> (its end event, the injection that ends it early).
+_OUTAGE_ENDS = {"machine-down": ("machine-up", "machine-up"),
+                "supply-blocked": ("supply-restored", "supply-restore")}
+
+
+def _outage_timing_faults(log):
+    """Read only from the log: each outage start carrying ``info.duration``
+    d at time t must be ended by its end event at exactly t + d, earlier
+    only at a tick where an injection ended that outage of that machine,
+    and may lack an end only if the log ends before t + d."""
+    faults = []
+    injected = set()  # (end event kind, machine, tick) of each injected end
+    open_ = {}  # (end event kind, machine) -> (start time, due)
+    last = 0
+    ended_by = {injection: end for end, injection in _OUTAGE_ENDS.values()}
+    for _line, record in iter_records(log):
+        last = record["t"]
+        if record["kind"] == "injection":
+            inj = record["body"]["injection"]
+            if inj["kind"] in ended_by:
+                injected.add((ended_by[inj["kind"]], inj["machine"], record["t"]))
+        elif record["kind"] == "event-batch":
+            for ev in record["body"]["events"]:
+                kind, t = ev["kind"], ev["time"]
+                if kind in _OUTAGE_ENDS and "duration" in ev.get("info", {}):
+                    open_[_OUTAGE_ENDS[kind][0], ev["machine"]] = (t, t + ev["info"]["duration"])
+                elif (kind, ev.get("machine")) in open_:
+                    start, due = open_.pop((kind, ev["machine"]))
+                    if t != due and (t > due or (kind, ev["machine"], t) not in injected):
+                        faults.append(f"{kind} {ev['machine']} at {t}, started {start}, due {due}")
+    faults += [f"{kind} {mid} due {due} missing, log ends at {last}"
+               for (kind, mid), (_start, due) in open_.items() if last >= due]
+    return faults
 
 
 class TestWhateverLoadsRuns:
@@ -806,6 +890,43 @@ class TestWhateverLoadsRuns:
             return
         result = run_single(MODEL, ORDERS, scenario, seed)
         assert result.status in ("completed", "stalled", "cap-exceeded")
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_scenario_docs() | _scenario_docs(max_faults=0, kinds=_OUTAGE_KINDS),
+           seed=st.integers(0, 3))
+    def test_each_timed_outage_ends_on_time(self, doc, seed):
+        """Half the documents are drawn without faults and with outage
+        actions only, so that most of them load and many time an outage."""
+        try:
+            scenario = load_scenario_doc(doc, model=MODEL, orders=ORDERS)
+        except ScenarioError:
+            return
+        assert _outage_timing_faults(run_single(MODEL, ORDERS, scenario, seed).log) == []
+
+    def test_outage_timing_reads_ends_from_the_log(self):
+        """The checker itself: an end on time, an injected early end, a
+        late end, an early end with no injection, and a missing end."""
+        def batch(t, *events):
+            return make_record("emulation", 1, t, "event-batch",
+                               {"events": [dict(e, time=t, seq=1) for e in events],
+                                "notices": []})
+
+        down = {"kind": "machine-down", "machine": "M1", "node": "M1",
+                "info": {"duration": 10}}
+        up = {"kind": "machine-up", "machine": "M1", "node": "M1"}
+        early = make_record("scenario-manager", 1, 4, "injection",
+                            {"rule": "r", "injection": {"kind": "machine-up", "machine": "M1"}})
+        logs = {
+            "on-time": [batch(0, down), batch(10, up)],
+            "injected-early": [batch(0, down), early, batch(4, up)],
+            "late": [batch(0, down), batch(11, up)],
+            "early": [batch(0, down), batch(4, up)],
+            "missing": [batch(0, down), batch(12)],
+            "run-ends-first": [batch(0, down), batch(9)],
+        }
+        faults = {name: _outage_timing_faults(b"".join(map(encode_record, records)))
+                  for name, records in logs.items()}
+        assert {name for name, found in faults.items() if found} == {"late", "early", "missing"}
 
 
 class TestManagerRuntime:
