@@ -76,3 +76,23 @@ def sha256_hex(data: bytes) -> str:
 def doc_hash(obj: Any) -> str:
     """Hash of a document's canonical form, insensitive to formatting."""
     return sha256_hex(canon_bytes(obj))
+
+
+def read_document(path: str, error: type[Exception]) -> str:
+    """The text of the document file at ``path``: one binary read, its bytes
+    decoded once as UTF-8.  A binary read skips the text layer's decoder and
+    newline translation; JSON reads a CR as whitespace either way, so only
+    the position a JSON refusal reports can differ in a file with CRs."""
+    with open(path, "rb") as f:
+        return decode_document(f.read(), path, error)
+
+
+def decode_document(raw: bytes, path: str, error: type[Exception]) -> str:
+    """``raw``, the bytes of the document file at ``path``, as text; bytes
+    that are not UTF-8 raise ``error`` naming the file.  Documents are never
+    handed to ``json.loads`` as bytes, which would also take UTF-16, UTF-32
+    and a leading byte order mark."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc

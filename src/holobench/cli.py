@@ -15,6 +15,7 @@ import os
 import sys
 
 from . import harness
+from .canon import read_document
 from .control import OrderBookError, load_orders
 from .model import MODEL_KEYS, ModelError, load_model
 from .scenario import CategoryRegistry, ScenarioError, load_scenario_doc
@@ -130,14 +131,13 @@ def _sniff_kind(doc: object) -> str:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        with open(args.file, encoding="utf-8") as f:
-            text = f.read()
+        text = read_document(args.file, ValueError)
         doc = json.loads(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except json.JSONDecodeError as exc:
         print(f"error: {args.file} is not valid JSON: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     kind = _sniff_kind(doc)
     try:

@@ -47,6 +47,7 @@ from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Iterable
 
+from .canon import read_document
 from .messages import ControlDirective, Notice
 from .model import ShopModel
 
@@ -120,8 +121,7 @@ def load_orders(text: str) -> list[ProductOrder]:
 
 
 def load_orders_file(path: str) -> list[ProductOrder]:
-    with open(path, encoding="utf-8") as f:
-        return load_orders(f.read())
+    return load_orders(read_document(path, OrderBookError))
 
 
 @dataclass

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .canon import fits, is_int, sha256_hex
+from .canon import fits, is_int, read_document, sha256_hex
 from .control import ProductOrder, ReferenceControl, load_orders_file
 from .interface import InProcEndpoint, RoundDriver, RunRecorder
 from .kernel import EmulationKernel
@@ -108,9 +108,9 @@ class BenchmarkSuite:
 
 
 def load_suite(path: str) -> BenchmarkSuite:
+    text = read_document(path, SuiteError)
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SuiteError(f"suite document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -446,8 +446,7 @@ def _write_json(path: str, doc: Any) -> None:
 
 
 def _read_json(path: str) -> Any:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
+    return json.loads(read_document(path, ArtifactError))
 
 
 def compare(out_dir: str) -> str:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .canon import doc_hash
+from .canon import doc_hash, read_document
 
 MODEL_KEYS = frozenset({"machines", "transport", "shuttles", "stations"})
 
@@ -220,5 +220,4 @@ def load_model_doc(doc: Any) -> ShopModel:
 
 
 def load_model_file(path: str) -> ShopModel:
-    with open(path, encoding="utf-8") as f:
-        return load_model(f.read())
+    return load_model(read_document(path, ModelError))

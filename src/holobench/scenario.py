@@ -35,18 +35,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Any, Callable
 
-from .canon import is_int
+from .canon import decode_document, is_int, read_document
 from .control import OrderBookError, ProductOrder
 from .messages import EVENT_FIELDS, EVENT_KINDS, ControlDirective, Injection, MessageError
 
 CATEGORIES = ("dynamic-reconfiguration", "order-management", "quality", "supply")
 
-# sha256 of data/registry.json as shipped; checked at load time.
+# The packaged registry, found once, next to this module; its sha256 as
+# shipped is checked at load time.
+REGISTRY_PATH = os.path.join(os.path.dirname(__file__), "data", "registry.json")
 REGISTRY_SHA256 = "7a2aa8496292085cec0b65fcc52a6f1b999af7dd9f074dc362380dd1dcb528da"
 
 TRIGGER_KINDS = ("at-time", "on-event", "after")
@@ -111,13 +113,14 @@ class CategoryRegistry:
 
     @classmethod
     def load(cls) -> "CategoryRegistry":
-        raw = resources.files("holobench.data").joinpath("registry.json").read_bytes()
+        with open(REGISTRY_PATH, "rb") as f:
+            raw = f.read()
         digest = hashlib.sha256(raw).hexdigest()
         if digest != REGISTRY_SHA256:
             raise RegistryError(
                 f"registry.json hash {digest} does not match the recorded {REGISTRY_SHA256}"
             )
-        doc = json.loads(raw)
+        doc = json.loads(decode_document(raw, REGISTRY_PATH, RegistryError))
         labels = doc["labels"]
         for label, category in labels.items():
             if category not in CATEGORIES:
@@ -492,8 +495,13 @@ def _literal(value: Any) -> bool:
 
 
 def load_scenario_file(path: str, model=None, orders=None) -> Scenario:
-    with open(path, encoding="utf-8") as f:
-        return load_scenario(f.read(), model=model, orders=orders)
+    """``load_scenario`` on the document file at ``path``.  A refusal names
+    the file, since a suite loads several scenarios through here."""
+    text = read_document(path, ScenarioError)
+    try:
+        return load_scenario(text, model=model, orders=orders)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 # -- runtime -----------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Hypothesis strategies shared by the test modules: wire messages, and
-generated sessions on a small three-machine shop."""
+"""Hypothesis strategies shared by the test modules: wire messages, bytes
+that break a document file's UTF-8, and generated sessions on a small
+three-machine shop."""
 
 from hypothesis import strategies as st
 
@@ -78,6 +79,25 @@ MESSAGES = {
     Tap: st.builds(Tap, flow=st.text(max_size=6), name=st.text(max_size=12),
                    value=st.integers(), i=st.integers()),
 }
+
+
+# A byte to insert into a document's UTF-8 text, or None for none.  A byte
+# from 0x80 up, inserted anywhere, leaves the text no longer UTF-8: it is a
+# continuation byte without a lead, or a lead byte that the next byte does
+# not continue, or it cuts a sequence short.
+NOT_UTF8 = st.none() | st.integers(0x80, 0xFF)
+
+
+def write_document(path, text, at, byte):
+    """Writes ``text`` to ``path`` as UTF-8, with ``byte`` inserted at
+    ``at`` (taken modulo the positions) unless it is None; returns the path
+    as a string."""
+    raw = text.encode("utf-8")
+    if byte is not None:
+        at %= len(raw) + 1
+        raw = raw[:at] + bytes([byte]) + raw[at:]
+    path.write_bytes(raw)
+    return str(path)
 
 
 # M2 shares A with M1 and B with M3; the shuttles start at opposite ends.

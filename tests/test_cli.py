@@ -323,6 +323,51 @@ class TestValidate:
         f.write_text('{"hello": 1}')
         assert main(["validate", str(f)]) == 1
 
+    def test_a_document_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"id": "x\xff", "rules": []}')
+        assert main(["validate", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad} is not UTF-8: invalid start byte at byte 9\n"
+
+
+class TestRefusedSuiteScenario:
+    """``validate`` and ``run`` refuse a suite one of whose scenario files
+    does not load with one ``error:`` line naming the file."""
+
+    def _refusal(self, command, suite_path, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, suite_path, *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_scenario_file_that_is_not_utf8(self, data_copy, suite_path, tmp_path, capsys,
+                                              command):
+        null = data_copy / "scenarios" / "null.json"
+        size = null.stat().st_size
+        with open(null, "ab") as f:
+            f.write(b"\xff")
+        path = os.path.join(data_copy / "minicell", "../scenarios/null.json")
+        assert self._refusal(command, suite_path, tmp_path, capsys) == (
+            f"error: {path} is not UTF-8: invalid start byte at byte {size}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_scenario_file_that_rejects_an_unknown_order(self, data_copy, suite_path, tmp_path,
+                                                           capsys, command):
+        scenario = data_copy / "scenarios" / "reject_rework.json"
+        doc = json.loads(scenario.read_text())
+        doc["rules"][0]["actions"][0]["injection"]["order"] = "O99"
+        scenario.write_text(json.dumps(doc))
+        path = os.path.join(data_copy / "minicell", "../scenarios/reject_rework.json")
+        assert self._refusal(command, suite_path, tmp_path, capsys) == (
+            f"error: {path}: rules[0].actions[0].injection.order 'O99' "
+            "is neither in the order book nor inserted by a rule\n"
+        )
+
 
 class TestEntryPoint:
     def test_usage_error_is_exit_2(self):

@@ -17,6 +17,7 @@ from holobench.control import (
     ProductOrder,
     ReferenceControl,
     load_orders,
+    load_orders_file,
 )
 from holobench.harness import run_single
 from holobench.interface import InProcEndpoint, extract_command_log, replay_session
@@ -24,7 +25,7 @@ from holobench.kernel import EmulationKernel
 from holobench.messages import ControlDirective, Notice, SimEvent
 from holobench.model import load_model, load_model_doc
 from holobench.scenario import load_scenario_doc
-from strategies import ORACLE_SHOP, oracle_sessions
+from strategies import NOT_UTF8, ORACLE_SHOP, oracle_sessions, write_document
 
 
 def order(oid, routing=("A",), release=0, due=60, priority=0):
@@ -61,6 +62,16 @@ def drive_to_completion(model, orders, cap=500):
     else:
         raise AssertionError("loop did not converge")
     return stream, ctl, idle
+
+
+_ORDERS = st.builds(
+    ProductOrder,
+    id=st.text(min_size=1),
+    routing=st.lists(st.text(), min_size=1, max_size=5).map(tuple),
+    release=st.integers(min_value=0),
+    due=st.integers(min_value=0),
+    priority=st.integers(),
+)
 
 
 class TestOrderBook:
@@ -125,14 +136,7 @@ class TestOrderBook:
             ProductOrder.from_dict(doc)
         assert str(refused.value) == message
 
-    @given(o=st.builds(
-        ProductOrder,
-        id=st.text(min_size=1),
-        routing=st.lists(st.text(), min_size=1, max_size=5).map(tuple),
-        release=st.integers(min_value=0),
-        due=st.integers(min_value=0),
-        priority=st.integers(),
-    ))
+    @given(o=_ORDERS)
     def test_an_order_read_back_is_the_order(self, o):
         """``from_dict`` sets the fields without the constructor; what it
         builds is equal, hashes alike, holds the same attributes in the same
@@ -143,6 +147,27 @@ class TestOrderBook:
         assert type(built.routing) is tuple
         with pytest.raises(dataclasses.FrozenInstanceError):
             built.due = 0
+
+    @given(book=st.lists(_ORDERS, max_size=4) | st.lists(_ORDERS, min_size=1, max_size=1).map(
+        lambda one: one * 2), at=st.integers(0), byte=NOT_UTF8)
+    def test_a_file_loads_as_its_text(self, tmp_path_factory, book, at, byte):
+        """The file loader gives what the text loader gives, non-ASCII ids
+        and a duplicate id's refusal included; a file that is not UTF-8 is
+        refused naming it."""
+        text = json.dumps({"orders": [o.to_dict() for o in book]}, ensure_ascii=False)
+        path = write_document(tmp_path_factory.getbasetemp() / "orders.json", text, at, byte)
+        try:
+            loaded = load_orders_file(path)
+        except OrderBookError as exc:
+            loaded = str(exc)
+        if byte is not None:
+            assert loaded.startswith(f"{path} is not UTF-8: ")
+            return
+        try:
+            expected = load_orders(text)
+        except OrderBookError as exc:
+            expected = str(exc)
+        assert loaded == expected
 
     def test_model_hash_check(self, minicell_model, control):
         control.check_model_hash(minicell_model.model_hash)

@@ -35,7 +35,7 @@ from holobench.harness import (
 from holobench.interface import InProcEndpoint, iter_records
 from holobench.kpi import COMPARED_METRICS
 from holobench.model import ModelError, load_model_doc
-from holobench.scenario import load_scenario_doc
+from holobench.scenario import ScenarioError, load_scenario_doc
 from strategies import ORACLE_SHOP, oracle_sessions
 
 
@@ -209,6 +209,36 @@ class TestSuiteLoading:
         assert suite.load_model() is model
         again = suite.load_orders()
         assert again == orders and again is not orders
+
+    def test_a_suite_that_is_not_utf8_is_refused_naming_it(self, data_copy):
+        p = data_copy / "minicell" / "suite.json"
+        size = p.stat().st_size
+        with open(p, "ab") as f:
+            f.write(b"\xff")
+        with pytest.raises(SuiteError) as refused:
+            load_suite(str(p))
+        assert str(refused.value) == f"{p} is not UTF-8: invalid start byte at byte {size}"
+
+    def test_a_refused_scenario_file_is_named(self, suite, data_copy):
+        edit_json(data_copy / "scenarios" / "reject_rework.json",
+                  lambda d: d["rules"][0]["actions"][0]["injection"].update(order="O99"))
+        (path,) = [p for p in suite.scenario_paths if p.endswith("reject_rework.json")]
+        with pytest.raises(ScenarioError) as refused:
+            suite.load_scenarios()
+        assert str(refused.value) == (
+            f"{path}: rules[0].actions[0].injection.order 'O99' "
+            "is neither in the order book nor inserted by a rule"
+        )
+
+    def test_a_scenario_file_that_is_not_utf8_is_refused_naming_it(self, suite, data_copy):
+        null = data_copy / "scenarios" / "null.json"
+        size = null.stat().st_size
+        with open(null, "ab") as f:
+            f.write(b"\xff")
+        (path,) = [p for p in suite.scenario_paths if p.endswith("null.json")]
+        with pytest.raises(ScenarioError) as refused:
+            suite.load_scenarios()
+        assert str(refused.value) == f"{path} is not UTF-8: invalid start byte at byte {size}"
 
     def test_a_damaged_model_is_refused_at_each_use(self, data_copy):
         (data_copy / "minicell" / "model.json").write_text("{", encoding="utf-8")
@@ -586,6 +616,20 @@ class TestCompare:
     def test_compare_without_manifest(self, tmp_path):
         with pytest.raises(ArtifactError, match="manifest"):
             compare(str(tmp_path))
+
+    @pytest.mark.parametrize("name", ["manifest.json", "reports/ps9-s2.json"])
+    def test_compare_refuses_an_artifact_that_is_not_utf8(self, suite, tmp_path, name):
+        out = tmp_path / "out"
+        run_suite(suite, str(out), seeds=(2,))
+        damaged = out / name
+        size = damaged.stat().st_size
+        with open(damaged, "ab") as f:
+            f.write(b"\xff")
+        with pytest.raises(ArtifactError) as refused:
+            compare(str(out))
+        assert str(refused.value) == (
+            f"{os.path.join(out, name)} is not UTF-8: invalid start byte at byte {size}"
+        )
 
     def test_summary_mentions_each_scenario(self, suite, tmp_path):
         out = str(tmp_path / "out")

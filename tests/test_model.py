@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holobench.model import ModelError, load_model, load_model_doc
+from holobench.model import ModelError, load_model, load_model_doc, load_model_file
 
 
 def _broken(doc, mutate):
@@ -259,3 +259,16 @@ def test_travel_is_every_shortest_path_in_node_order(graph):
 def test_not_json_is_rejected():
     with pytest.raises(ModelError, match="JSON"):
         load_model("{nope")
+
+
+def test_a_model_file_loads_as_its_text(tmp_path, minicell_model_doc, minicell_model):
+    """CRLF line ends load as LF ones, to the same hash; a file that is not
+    UTF-8 is refused naming it."""
+    text = json.dumps(minicell_model_doc, indent=2)
+    path = tmp_path / "model.json"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert load_model_file(str(path)) == minicell_model
+    path.write_bytes(text.encode("utf-8") + b"\xff")
+    with pytest.raises(ModelError) as refused:
+        load_model_file(str(path))
+    assert str(refused.value) == f"{path} is not UTF-8: invalid start byte at byte {len(text)}"

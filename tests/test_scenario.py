@@ -24,6 +24,7 @@ from holobench.messages import (
 from holobench.model import load_model
 from holobench.scenario import (
     CATEGORIES,
+    REGISTRY_PATH,
     REGISTRY_SHA256,
     CategoryRegistry,
     Distribution,
@@ -33,8 +34,10 @@ from holobench.scenario import (
     Trigger,
     load_scenario,
     load_scenario_doc,
+    load_scenario_file,
     stream_rng,
 )
+from strategies import NOT_UTF8, write_document
 
 
 DATA = resources.files("holobench.data")
@@ -113,28 +116,26 @@ class TestRegistry:
         reg = CategoryRegistry.load()
         assert set(reg.labels.values()) <= set(CATEGORIES)
 
-
-class _Resources:
-    """Stands in for ``importlib.resources``: serves ``raw`` as the
-    packaged registry.json."""
-
-    def __init__(self, raw):
-        self.raw = raw
-
-    def files(self, package):
-        assert package == "holobench.data"
-        return self
-
-    def joinpath(self, name):
-        assert name == "registry.json"
-        return self
-
-    def read_bytes(self):
-        return self.raw
+    def test_the_registry_read_is_the_packaged_resource(self):
+        """The path found at import holds the bytes ``importlib.resources``
+        serves, and ``load`` hashes and reads those."""
+        raw = DATA.joinpath("registry.json").read_bytes()
+        with open(REGISTRY_PATH, "rb") as f:
+            assert f.read() == raw
+        reg = CategoryRegistry.load()
+        assert reg.sha256 == hashlib.sha256(raw).hexdigest()
+        assert reg.labels == json.loads(raw.decode("utf-8"))["labels"]
 
 
 def _registry_bytes(labels):
     return json.dumps({"version": 1, "categories": list(CATEGORIES), "labels": labels}).encode()
+
+
+def _serve_registry(monkeypatch, tmp_path, raw):
+    """Serve ``raw`` as the packaged registry.json."""
+    path = tmp_path / "registry.json"
+    path.write_bytes(raw)
+    monkeypatch.setattr("holobench.scenario.REGISTRY_PATH", str(path))
 
 
 class TestDamagedRegistry:
@@ -142,9 +143,9 @@ class TestDamagedRegistry:
     bytes.  The last two need bytes whose hash is the recorded one, so the
     recorded hash is set to the crafted bytes' own."""
 
-    def test_bytes_other_than_the_recorded_ones_are_refused(self, monkeypatch):
+    def test_bytes_other_than_the_recorded_ones_are_refused(self, monkeypatch, tmp_path):
         raw = _registry_bytes({"#PS1": "order-management"})
-        monkeypatch.setattr("holobench.scenario.resources", _Resources(raw))
+        _serve_registry(monkeypatch, tmp_path, raw)
         with pytest.raises(RegistryError) as refused:
             CategoryRegistry.load()
         assert str(refused.value) == (
@@ -163,17 +164,17 @@ class TestDamagedRegistry:
              "labels collide after normalization"),
         ],
     )
-    def test_refusal_reads_exactly(self, monkeypatch, labels, message):
+    def test_refusal_reads_exactly(self, monkeypatch, tmp_path, labels, message):
         raw = _registry_bytes(labels)
-        monkeypatch.setattr("holobench.scenario.resources", _Resources(raw))
+        _serve_registry(monkeypatch, tmp_path, raw)
         monkeypatch.setattr("holobench.scenario.REGISTRY_SHA256", hashlib.sha256(raw).hexdigest())
         with pytest.raises(RegistryError) as refused:
             CategoryRegistry.load()
         assert str(refused.value) == message
 
-    def test_crafted_bytes_with_the_recorded_hash_load(self, monkeypatch):
+    def test_crafted_bytes_with_the_recorded_hash_load(self, monkeypatch, tmp_path):
         raw = _registry_bytes({"#PS1": "order-management", "Query 2": "quality"})
-        monkeypatch.setattr("holobench.scenario.resources", _Resources(raw))
+        _serve_registry(monkeypatch, tmp_path, raw)
         monkeypatch.setattr("holobench.scenario.REGISTRY_SHA256", hashlib.sha256(raw).hexdigest())
         reg = CategoryRegistry.load()
         assert reg.classify("ps1") == "order-management"
@@ -927,6 +928,30 @@ class TestWhateverLoadsRuns:
         faults = {name: _outage_timing_faults(b"".join(map(encode_record, records)))
                   for name, records in logs.items()}
         assert {name for name, found in faults.items() if found} == {"late", "early", "missing"}
+
+
+class TestScenarioFile:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_scenario_docs(), sid=st.text(min_size=1, max_size=6),
+           description=st.text(max_size=8), at=st.integers(0), byte=NOT_UTF8)
+    def test_a_file_loads_as_its_text(self, tmp_path_factory, doc, sid, description, at, byte):
+        """The file loader gives what the text loader gives, a refusal with
+        the file named in front; a file that is not UTF-8 is refused."""
+        doc.update(id=sid, description=description)
+        text = json.dumps(doc, ensure_ascii=False)
+        path = write_document(tmp_path_factory.getbasetemp() / "scenario.json", text, at, byte)
+        try:
+            loaded = load_scenario_file(path, model=MODEL, orders=ORDERS)
+        except ScenarioError as exc:
+            loaded = str(exc)
+        if byte is not None:
+            assert loaded.startswith(f"{path} is not UTF-8: ")
+            return
+        try:
+            expected = load_scenario(text, model=MODEL, orders=ORDERS)
+        except ScenarioError as exc:
+            expected = f"{path}: {exc}"
+        assert loaded == expected
 
 
 class TestManagerRuntime:
